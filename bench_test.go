@@ -317,6 +317,21 @@ func BenchmarkStepLargeN(b *testing.B) {
 	}
 }
 
+// BenchmarkNewStackTopology times the route-table build of SK(4,2,8)
+// (N=1536): the distance rows and the flat route table, built once per
+// group (twin class) rather than once per node. The stack graph is built
+// outside the timer.
+func BenchmarkNewStackTopology(b *testing.B) {
+	sg := stackkautz.New(4, 2, 8).StackGraph()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if topo := sim.NewStackTopology(sg); topo.Nodes() != 1536 {
+			b.Fatal("wrong size")
+		}
+	}
+}
+
 // BenchmarkStepLargeNParallel pits the serial Step against the sharded
 // slot loop on BenchmarkStepLargeN's production-scale workload (Kautz
 // point-to-point, 64 fresh messages per slot). Three variants per size:

@@ -119,8 +119,12 @@ var ErrCanceled = errors.New("coordinator: job canceled")
 var ErrLeaseLost = errors.New("coordinator: lease lost")
 
 // Hooks are a job's completion callbacks. Both are invoked outside the
-// coordinator lock (so they may call back into the coordinator or take
-// their own locks), from whichever goroutine drove the state change.
+// coordinator lock, so they may call back into the coordinator or take
+// their own locks. A job's hook calls run one at a time, in the order the
+// coordinator accepted the state changes, so every OnRows precedes OnDone.
+// They run on the goroutine of a caller that drove a state change: one
+// that finds another caller already running the job's hooks queues its
+// calls for that caller and returns without waiting.
 type Hooks struct {
 	// OnRows fires once per accepted shard completion with that shard's
 	// result rows (global point indices). Rows for one job never repeat
@@ -194,6 +198,11 @@ type Job struct {
 	results []sweep.Result
 	err     error
 	hooks   Hooks
+
+	// pending queues the job's hook calls under mu, in acceptance order;
+	// delivering marks that a caller is running them (deliverUnlock).
+	pending    []func()
+	delivering bool
 }
 
 // Progress is a snapshot of a job's distributed execution.
@@ -463,12 +472,11 @@ func (c *Coordinator) Complete(jobID string, shard int, leaseID string, epoch in
 	}
 	j.done++
 	coordObs.shardsCompleted.Add(1)
-	onRows := j.hooks.OnRows
-	var onDone func([]sweep.Result, error)
-	var results []sweep.Result
-	var jobErr error
+	if onRows := j.hooks.OnRows; onRows != nil {
+		j.pending = append(j.pending, func() { onRows(rows) })
+	}
 	if j.done == len(j.shards) {
-		results, jobErr = j.mergeLocked()
+		results, jobErr := j.mergeLocked()
 		if jobErr != nil {
 			j.state = JobFailed
 			j.err = jobErr
@@ -479,16 +487,35 @@ func (c *Coordinator) Complete(jobID string, shard int, leaseID string, epoch in
 			coordObs.jobsCompleted.Add(1)
 		}
 		coordObs.jobsRunning.Add(-1)
-		onDone = j.hooks.OnDone
+		if onDone := j.hooks.OnDone; onDone != nil {
+			j.pending = append(j.pending, func() { onDone(results, jobErr) })
+		}
 	}
-	c.mu.Unlock()
-	if onRows != nil {
-		onRows(rows)
-	}
-	if onDone != nil {
-		onDone(results, jobErr)
-	}
+	c.deliverUnlock(j)
 	return StatusAccepted, nil
+}
+
+// deliverUnlock runs the job's queued hook calls in order and releases
+// mu, which the caller holds. The lock is dropped around each batch of
+// calls. If another caller is already delivering, this one leaves its
+// calls queued for that caller, so it never waits on someone else's hook.
+func (c *Coordinator) deliverUnlock(j *Job) {
+	if j.delivering {
+		c.mu.Unlock()
+		return
+	}
+	j.delivering = true
+	for len(j.pending) > 0 {
+		calls := j.pending
+		j.pending = nil
+		c.mu.Unlock()
+		for _, call := range calls {
+			call()
+		}
+		c.mu.Lock()
+	}
+	j.delivering = false
+	c.mu.Unlock()
 }
 
 // validateRows checks that rows describe exactly the leased shard: one
@@ -551,11 +578,10 @@ func (c *Coordinator) Cancel(jobID string) {
 	}
 	coordObs.jobsRunning.Add(-1)
 	coordObs.jobsCanceled.Add(1)
-	onDone := j.hooks.OnDone
-	c.mu.Unlock()
-	if onDone != nil {
-		onDone(nil, ErrCanceled)
+	if onDone := j.hooks.OnDone; onDone != nil {
+		j.pending = append(j.pending, func() { onDone(nil, ErrCanceled) })
 	}
+	c.deliverUnlock(j)
 }
 
 // sweepLocked expires leases whose deadline has passed: the lease record

@@ -95,6 +95,21 @@ func (h *Hypergraph) OutArcs(v int) []int {
 	return out
 }
 
+// OutArcLists returns OutArcs(v) for every node v, built in one pass over
+// the hyperarcs: out[v] lists, in ascending index, the hyperarcs whose
+// tail contains v, each once even when v repeats inside a tail.
+func (h *Hypergraph) OutArcLists() [][]int {
+	out := make([][]int, h.n)
+	for i, a := range h.arcs {
+		for _, u := range a.Tail {
+			if k := len(out[u]); k == 0 || out[u][k-1] != i {
+				out[u] = append(out[u], i)
+			}
+		}
+	}
+	return out
+}
+
 // InArcs returns the indices of hyperarcs whose head contains node v —
 // the couplers node v listens on.
 func (h *Hypergraph) InArcs(v int) []int {
@@ -135,12 +150,12 @@ func (h *Hypergraph) Reachable(u, v int) bool {
 // Hop-distances in the hypergraph equal distances in this digraph.
 func (h *Hypergraph) UnderlyingDigraph() *digraph.Digraph {
 	g := digraph.New(h.n)
-	for u := 0; u < h.n; u++ {
-		seen := map[int]bool{}
-		for _, i := range h.OutArcs(u) {
+	seen := make([]int, h.n) // seen[v] == u+1: arc u -> v already added
+	for u, out := range h.OutArcLists() {
+		for _, i := range out {
 			for _, v := range h.arcs[i].Head {
-				if !seen[v] {
-					seen[v] = true
+				if seen[v] != u+1 {
+					seen[v] = u + 1
 					g.AddArc(u, v)
 				}
 			}

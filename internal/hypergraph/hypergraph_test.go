@@ -1,6 +1,7 @@
 package hypergraph
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -91,6 +92,76 @@ func TestUnderlyingDigraphNoDuplicates(t *testing.T) {
 	g := h.UnderlyingDigraph()
 	if g.ArcMultiplicity(0, 1) != 1 {
 		t.Fatal("underlying digraph should deduplicate reachability")
+	}
+}
+
+// randomHypergraph draws hyperarcs with repeated tail and head nodes,
+// empty sides and exact duplicates, the cases the one-pass constructions must
+// treat as the per-node scans do.
+func randomHypergraph(rng *rand.Rand) *Hypergraph {
+	n := 1 + rng.Intn(7)
+	h := New(n)
+	side := func() []int {
+		s := make([]int, rng.Intn(4))
+		for i := range s {
+			s[i] = rng.Intn(n)
+		}
+		return s
+	}
+	for m := rng.Intn(10); m > 0; m-- {
+		if h.M() > 0 && rng.Intn(4) == 0 {
+			a := h.Hyperarc(rng.Intn(h.M()))
+			h.AddHyperarc(a.Tail, a.Head)
+			continue
+		}
+		h.AddHyperarc(side(), side())
+	}
+	return h
+}
+
+func TestOutArcListsMatchOutArcs(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 500; i++ {
+		h := randomHypergraph(rng)
+		lists := h.OutArcLists()
+		for v := 0; v < h.N(); v++ {
+			if got, want := lists[v], h.OutArcs(v); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%v: OutArcLists()[%d] = %v, OutArcs = %v", h.arcs, v, got, want)
+			}
+		}
+	}
+}
+
+// TestUnderlyingDigraphArcOrder checks the one-pass construction against
+// the per-node one it replaced: same arcs, in the same adjacency order.
+func TestUnderlyingDigraphArcOrder(t *testing.T) {
+	perNode := func(h *Hypergraph) *digraph.Digraph {
+		g := digraph.New(h.n)
+		for u := 0; u < h.n; u++ {
+			seen := map[int]bool{}
+			for _, i := range h.OutArcs(u) {
+				for _, v := range h.arcs[i].Head {
+					if !seen[v] {
+						seen[v] = true
+						g.AddArc(u, v)
+					}
+				}
+			}
+		}
+		return g
+	}
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 500; i++ {
+		h := randomHypergraph(rng)
+		got, want := h.UnderlyingDigraph(), perNode(h)
+		if fmt.Sprint(got.Arcs()) != fmt.Sprint(want.Arcs()) || got.M() != want.M() {
+			t.Fatalf("%v: arcs %v, per-node construction %v", h.arcs, got.Arcs(), want.Arcs())
+		}
+		for v := 0; v < h.N(); v++ {
+			if fmt.Sprint(got.In(v)) != fmt.Sprint(want.In(v)) {
+				t.Fatalf("%v: In(%d) = %v, per-node construction %v", h.arcs, v, got.In(v), want.In(v))
+			}
+		}
 	}
 }
 

@@ -84,6 +84,79 @@ func TestCheckTopologyRejectsUnreachablePair(t *testing.T) {
 	}
 }
 
+// rowedFake lends a fakeTopology's distances as rows (DistanceRowed), so
+// CheckTopology takes its row-scanning path.
+type rowedFake struct {
+	*fakeTopology
+	rows [][]int
+}
+
+func (r rowedFake) DistanceRows() [][]int { return r.rows }
+
+func withRows(f *fakeTopology) rowedFake {
+	rows := make([][]int, f.nodes)
+	for u := range rows {
+		rows[u] = make([]int, f.nodes)
+		for v := range rows[u] {
+			rows[u][v] = f.dist(u, v)
+		}
+	}
+	return rowedFake{f, rows}
+}
+
+// TestCheckTopologyErrors pins the exact error of each rejection, on the
+// row-scanning path and the Distance-only path alike: both must report the
+// first failing node or (u, v) pair.
+func TestCheckTopologyErrors(t *testing.T) {
+	cut := func(pairs ...[2]int) func(*fakeTopology) {
+		return func(f *fakeTopology) {
+			dist := f.dist
+			f.dist = func(u, v int) int {
+				for _, p := range pairs {
+					if p == [2]int{u, v} {
+						return -1 // digraph.Unreachable
+					}
+				}
+				return dist(u, v)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*fakeTopology)
+		want   string
+	}{
+		{"mute node", func(f *fakeTopology) { f.out[2] = nil }, "sim: node 2 cannot transmit"},
+		{"unreachable pair", cut([2]int{0, 2}), "sim: node 0 cannot reach 2"},
+		{"first unreachable pair", cut([2]int{1, 3}, [2]int{1, 0}, [2]int{2, 0}), "sim: node 1 cannot reach 0"},
+		{"unreachable before mute", func(f *fakeTopology) {
+			cut([2]int{1, 3})(f)
+			f.out[2] = nil
+		}, "sim: node 1 cannot reach 3"},
+		{"mute before unreachable", func(f *fakeTopology) {
+			cut([2]int{3, 0})(f)
+			f.out[2] = nil
+		}, "sim: node 2 cannot transmit"},
+		{"headless coupler", func(f *fakeTopology) { f.heads[1] = nil }, "sim: coupler 1 has no listeners"},
+		{"nodes before couplers", func(f *fakeTopology) {
+			cut([2]int{3, 1})(f)
+			f.heads[0] = nil
+		}, "sim: node 3 cannot reach 1"},
+	} {
+		f := ringFake(4)
+		tc.mutate(f)
+		for _, path := range []struct {
+			name string
+			topo Topology
+		}{{"rows", withRows(f)}, {"distance", f}} {
+			err := CheckTopology(path.topo)
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("%s (%s path): got %v, want %q", tc.name, path.name, err, tc.want)
+			}
+		}
+	}
+}
+
 // The defensive drop in Step phase 1: a queued message whose destination
 // has no route must be count-dropped (Dropped and Unroutable), not wedge
 // the queue forever.

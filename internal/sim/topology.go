@@ -13,6 +13,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"otisnet/internal/digraph"
 	"otisnet/internal/hypergraph"
@@ -41,10 +42,10 @@ type Topology interface {
 // the simulation hot path. The oracle is only consulted once per pair, at
 // construction time. It returns both the row views and the flat backing
 // array, which RouteTable hands to the engine as its compiled route table.
-// The delivers-here bit is packed from nextHop == dst: the scan oracles
+// The delivers-here bit is packed from nextHop == dst: the routing scans
 // pick the strictly closest head, and only the destination itself is at
 // distance 0, so the chosen next hop is dst exactly when dst hears the
-// chosen coupler.
+// chosen coupler. NewStackTopology packs its entries the same way.
 func buildRouteTable(n int, next func(u, dst int) (int, int)) ([][]RouteEntry, []RouteEntry) {
 	route := make([][]RouteEntry, n)
 	flat := make([]RouteEntry, n*n) // one backing array, n row views
@@ -60,34 +61,136 @@ func buildRouteTable(n int, next func(u, dst int) (int, int)) ([][]RouteEntry, [
 }
 
 // stackTopology adapts a stack-graph (multi-OPS network) with precomputed
-// shortest-path next-hop and routing tables.
+// shortest-path distance and routing tables.
 type stackTopology struct {
 	sg        *hypergraph.StackGraph
 	out       [][]int
-	dist      [][]int // dist[u][v] on the underlying digraph
+	dist      [][]int // dist[u][v]: hop distance through the couplers
 	route     [][]RouteEntry
 	routeFlat []RouteEntry // backing array of route, lent to the engine
-	und       *digraph.Digraph
 }
 
-// NewStackTopology wraps a stack-graph for simulation. The underlying
-// point-to-point reachability digraph is used for distances; routing takes,
-// at each hop, a coupler whose head set contains a node strictly closer to
-// the destination. All routing decisions are precomputed so the per-slot
+// NewStackTopology wraps a stack-graph for simulation. Distances are hop
+// counts through the couplers; routing takes, at each hop, the coupler
+// whose head set contains the node strictly closest to the destination,
+// scanning couplers and heads in topology order so ties break the same way
+// in every run. All routing decisions are precomputed so the per-slot
 // NextCoupler call is a table lookup.
+//
+// The tables are built once per twin class: nodes with identical
+// out-coupler lists, which in ς(s, G) are exactly the groups. Twins see the
+// same distances to every other node and make the same routing choices, so
+// each class runs one BFS and one route scan, and every member's rows are
+// copies of the class rows with the member's own entry fixed.
 func NewStackTopology(sg *hypergraph.StackGraph) Topology {
-	st := &stackTopology{sg: sg, und: sg.UnderlyingDigraph()}
 	n := sg.N()
-	st.out = make([][]int, n)
-	for u := 0; u < n; u++ {
-		st.out[u] = sg.OutArcs(u)
-	}
+	st := &stackTopology{sg: sg, out: sg.OutArcLists()}
+	arcs := sg.Hyperarcs()
+	classes := twinClasses(st.out)
+
+	// Distances: one BFS per class, seeded with every head of the class's
+	// couplers at distance 1, gives D(v) = 1 + min over those heads w of
+	// dist(w, v), which is dist(u, v) for each member u and every v != u.
+	// self[u] keeps D(u), the member's return distance, for the route scan.
 	st.dist = make([][]int, n)
-	for u := 0; u < n; u++ {
-		st.dist[u] = st.und.BFS(u)
+	self := make([]int, n)
+	queue := make([]int, 0, n)
+	expanded := make([]int, sg.M()) // expanded[c] == k+1: class k's BFS used c
+	for k, members := range classes {
+		d := make([]int, n)
+		for v := range d {
+			d[v] = digraph.Unreachable
+		}
+		queue = queue[:0]
+		for _, c := range st.out[members[0]] {
+			expanded[c] = k + 1
+			for _, h := range arcs[c].Head {
+				if d[h] == digraph.Unreachable {
+					d[h] = 1
+					queue = append(queue, h)
+				}
+			}
+		}
+		// A coupler is expanded from its first dequeued tail only: BFS
+		// dequeues in distance order, so later tails cannot improve a head.
+		for i := 0; i < len(queue); i++ {
+			x := queue[i]
+			for _, c := range st.out[x] {
+				if expanded[c] == k+1 {
+					continue
+				}
+				expanded[c] = k + 1
+				for _, h := range arcs[c].Head {
+					if d[h] == digraph.Unreachable {
+						d[h] = d[x] + 1
+						queue = append(queue, h)
+					}
+				}
+			}
+		}
+		for i, u := range members {
+			self[u] = d[u]
+			row := d // the first member keeps the BFS row itself
+			if i > 0 {
+				row = slices.Clone(d)
+			}
+			st.dist[u] = row
+		}
+		for _, u := range members {
+			st.dist[u][u] = 0
+		}
 	}
-	st.route, st.routeFlat = buildRouteTable(n, st.scanNextCoupler)
+
+	// Routes: one scan per class over the class's couplers and heads, in
+	// topology order with a strict < so the first strictly closest head
+	// wins. Heads are the outer loop so each reads its distance row once.
+	st.route = make([][]RouteEntry, n)
+	st.routeFlat = make([]RouteEntry, n*n)
+	best := make([]int, n)
+	r := make([]RouteEntry, n)
+	for _, members := range classes {
+		u0 := members[0]
+		copy(best, st.dist[u0])
+		best[u0] = self[u0]
+		for dst := range r {
+			r[dst] = MakeRouteEntry(-1, -1, false)
+		}
+		for _, c := range st.out[u0] {
+			for _, h := range arcs[c].Head {
+				for dst, dh := range st.dist[h] {
+					if dh != digraph.Unreachable && dh < best[dst] {
+						best[dst] = dh
+						r[dst] = MakeRouteEntry(c, h, h == dst)
+					}
+				}
+			}
+		}
+		for _, u := range members {
+			row := st.routeFlat[u*n : (u+1)*n : (u+1)*n]
+			copy(row, r)
+			row[u] = MakeRouteEntry(-1, u, false)
+			st.route[u] = row
+		}
+	}
 	return st
+}
+
+// twinClasses partitions the nodes into classes whose out-coupler lists
+// are identical, in the same order. Members are listed in ascending order.
+func twinClasses(out [][]int) [][]int {
+	var classes [][]int
+	byList := map[string]int{} // printed out-coupler list -> class id
+	for u, list := range out {
+		key := fmt.Sprint(list)
+		k, ok := byList[key]
+		if !ok {
+			k = len(classes)
+			byList[key] = k
+			classes = append(classes, nil)
+		}
+		classes[k] = append(classes[k], u)
+	}
+	return classes
 }
 
 func (st *stackTopology) Nodes() int              { return st.sg.N() }
@@ -107,28 +210,6 @@ func (st *stackTopology) DistanceRows() [][]int { return st.dist }
 func (st *stackTopology) NextCoupler(u, dst int) (int, int) {
 	r := st.route[u][dst]
 	return r.Coupler(), r.NextHop()
-}
-
-// scanNextCoupler is the construction-time routing oracle: pick the coupler
-// whose head set contains the node strictly closest to the destination,
-// scanning couplers and heads in topology order so ties break exactly as
-// the pre-table implementation did (determinism of seeded runs).
-func (st *stackTopology) scanNextCoupler(u, dst int) (int, int) {
-	if u == dst {
-		return -1, u
-	}
-	best, bestHop := -1, -1
-	bestDist := st.dist[u][dst]
-	for _, c := range st.out[u] {
-		for _, h := range st.sg.Hyperarc(c).Head {
-			d := st.dist[h][dst]
-			if d != digraph.Unreachable && d < bestDist {
-				bestDist = d
-				best, bestHop = c, h
-			}
-		}
-	}
-	return best, bestHop
 }
 
 // pointToPoint adapts a digraph as a single-OPS-per-arc network: every arc
@@ -197,19 +278,21 @@ func (pt *pointToPoint) scanNextCoupler(u, dst int) (int, int) {
 
 // CheckTopology validates basic sanity: every node has at least one out
 // coupler, every coupler has at least one head, and routing reaches every
-// destination. Returns nil for usable topologies.
+// destination. Returns nil for usable topologies. A DistanceRowed topology
+// has its lent rows scanned directly instead of through N² Distance calls;
+// either way the first failing pair, in (u, v) order, is the one reported.
 func CheckTopology(t Topology) error {
-	for u := 0; u < t.Nodes(); u++ {
+	n := t.Nodes()
+	var rows [][]int
+	if dr, ok := t.(DistanceRowed); ok {
+		rows = dr.DistanceRows()
+	}
+	for u := 0; u < n; u++ {
 		if len(t.OutCouplers(u)) == 0 {
 			return fmt.Errorf("sim: node %d cannot transmit", u)
 		}
-		for v := 0; v < t.Nodes(); v++ {
-			if u == v {
-				continue
-			}
-			if t.Distance(u, v) == digraph.Unreachable {
-				return fmt.Errorf("sim: node %d cannot reach %d", u, v)
-			}
+		if v := firstUnreachable(t, rows, u); v >= 0 {
+			return fmt.Errorf("sim: node %d cannot reach %d", u, v)
 		}
 	}
 	for c := 0; c < t.Couplers(); c++ {
@@ -218,4 +301,23 @@ func CheckTopology(t Topology) error {
 		}
 	}
 	return nil
+}
+
+// firstUnreachable returns the first node u cannot reach, or -1. It reads
+// rows when the topology lends them, and calls Distance otherwise.
+func firstUnreachable(t Topology, rows [][]int, u int) int {
+	if rows != nil {
+		for v, d := range rows[u] {
+			if d == digraph.Unreachable && v != u {
+				return v
+			}
+		}
+		return -1
+	}
+	for v, n := 0, t.Nodes(); v < n; v++ {
+		if v != u && t.Distance(u, v) == digraph.Unreachable {
+			return v
+		}
+	}
+	return -1
 }
