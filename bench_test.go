@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"otisnet/internal/analysis"
 	"otisnet/internal/collective"
@@ -318,18 +319,23 @@ func BenchmarkStepLargeN(b *testing.B) {
 }
 
 // BenchmarkNewStackTopology times the route-table build of SK(4,2,8)
-// (N=1536): the distance rows and the flat route table, built once per
-// group (twin class) rather than once per node. The stack graph is built
-// outside the timer.
+// (N=1536): the distance and route blocks, one cell per pair of groups,
+// built once per group rather than once per node. The stack graph is built
+// outside the timer. table-MiB is the size of the blocks and class maps
+// the topology keeps.
 func BenchmarkNewStackTopology(b *testing.B) {
 	sg := stackkautz.New(4, 2, 8).StackGraph()
+	var topo sim.Topology
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if topo := sim.NewStackTopology(sg); topo.Nodes() != 1536 {
+		if topo = sim.NewStackTopology(sg); topo.Nodes() != 1536 {
 			b.Fatal("wrong size")
 		}
 	}
+	bl := topo.(sim.BlockTabled).RouteBlocks()
+	bytes := len(bl.Routes)*int(unsafe.Sizeof(sim.RouteEntry{})) + 4*(len(bl.Dists)+len(bl.Row)+len(bl.Col))
+	b.ReportMetric(float64(bytes)/(1<<20), "table-MiB")
 }
 
 // BenchmarkStepLargeNParallel pits the serial Step against the sharded

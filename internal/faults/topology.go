@@ -15,12 +15,13 @@ import (
 // events NextCoupler remains an O(1) lookup, preserving the engine's
 // allocation-free steady-state Step.
 //
-// The table is kept as one flat []sim.RouteEntry (with the packed
-// delivers-here bit) and lent to the engine through RouteTable, with the
-// distance rows lent through DistanceRows: the compiled engine reads the
-// same memory this type repairs, so a fault event invalidates exactly the
-// compiled rows it rebuilds, with no copying or notification beyond the
-// sim.TopologyChange the engine already consumes.
+// The tables are kept per node — sim.RouteBlocks with identity classes, a
+// flat []sim.RouteEntry (with the packed delivers-here bit) and a flat
+// []int32 of distances — because events repair them one node's row at a
+// time; they are lent to the engine through RouteBlocks, so the compiled
+// engine reads the same memory this type repairs, and a fault event
+// invalidates exactly the compiled rows it rebuilds, with no copying or
+// notification beyond the sim.TopologyChange the engine already consumes.
 //
 // FaultedTopology is stateful and single-engine: concurrent scenarios (e.g.
 // sweep workers) must each wrap their own instance around the shared
@@ -50,21 +51,21 @@ type FaultedTopology struct {
 	couplerDown []bool
 	txDown      [][]bool
 
-	// Live (masked) structure and routing state. route views routeFlat,
-	// the array lent to the engine via RouteTable.
+	// Live (masked) structure and routing state. dist and route are row
+	// views of blocks, the per-node tables lent to the engine.
 	liveOut   [][]int
 	liveHeads [][]int
-	dist      [][]int
+	dist      [][]int32
 	route     [][]sim.RouteEntry
-	routeFlat []sim.RouteEntry
+	blocks    sim.RouteBlocks
 
 	// Event-time scratch.
-	prevDist     []int  // previous dist row during recompute
-	distChanged  []bool // node -> dist row changed this event
-	dirty        []bool // node -> route row must be rebuilt this event
-	entryChanged []bool // n*n bitmap of changed route entries
-	changedRows  []int  // rows marked in entryChanged (cleared next event)
-	failedNodes  []int  // nodes that went down this event
+	prevDist     []int32 // previous dist row during recompute
+	distChanged  []bool  // node -> dist row changed this event
+	dirty        []bool  // node -> route row must be rebuilt this event
+	entryChanged []bool  // n*n bitmap of changed route entries
+	changedRows  []int   // rows marked in entryChanged (cleared next event)
+	failedNodes  []int   // nodes that went down this event
 	bfsQueue     []int
 
 	rowsRebuilt int
@@ -94,9 +95,10 @@ func Wrap(base sim.Topology, plan Plan) *FaultedTopology {
 		txDown:       make([][]bool, n),
 		liveOut:      make([][]int, n),
 		liveHeads:    make([][]int, m),
-		dist:         make([][]int, n),
+		dist:         make([][]int32, n),
 		route:        make([][]sim.RouteEntry, n),
-		prevDist:     make([]int, n),
+		blocks:       sim.IdentityBlocks(n),
+		prevDist:     make([]int32, n),
 		distChanged:  make([]bool, n),
 		dirty:        make([]bool, n),
 		entryChanged: make([]bool, n*n),
@@ -116,11 +118,9 @@ func Wrap(base sim.Topology, plan Plan) *FaultedTopology {
 			ft.headOf[h] = append(ft.headOf[h], c)
 		}
 	}
-	distFlat := make([]int, n*n)
-	ft.routeFlat = make([]sim.RouteEntry, n*n)
 	for u := 0; u < n; u++ {
-		ft.dist[u] = distFlat[u*n : (u+1)*n : (u+1)*n]
-		ft.route[u] = ft.routeFlat[u*n : (u+1)*n : (u+1)*n]
+		ft.dist[u] = ft.blocks.Dists[u*n : (u+1)*n : (u+1)*n]
+		ft.route[u] = ft.blocks.Routes[u*n : (u+1)*n : (u+1)*n]
 	}
 	for _, ev := range plan.Events {
 		ft.validate(ev.Elem)
@@ -159,10 +159,11 @@ func (ft *FaultedTopology) txIndex(u, c int) int {
 }
 
 // Reset restores the pristine (slot-0, pre-event) state: no faults, and
-// distances and route entries copied verbatim from the base topology, so a
-// fresh engine over an unfired plan routes exactly like the base. When no
-// event has fired since the last Reset the state is already pristine and
-// only the plan cursor rewinds.
+// distances and route entries copied from the base topology — expanded
+// per node from its blocks when it lends them — so a fresh engine over an
+// unfired plan routes exactly like the base. When no event has fired since
+// the last Reset the state is already pristine and only the plan cursor
+// rewinds.
 func (ft *FaultedTopology) Reset() {
 	if ft.pristine {
 		ft.next = 0
@@ -183,20 +184,20 @@ func (ft *FaultedTopology) Reset() {
 		ft.couplerDown[c] = false
 		ft.liveHeads[c] = append(ft.liveHeads[c][:0], ft.baseHeads[c]...)
 	}
-	if dr, ok := ft.base.(sim.DistanceRowed); ok {
-		for u, row := range dr.DistanceRows() {
-			copy(ft.dist[u], row)
+	if bt, ok := ft.base.(sim.BlockTabled); ok {
+		b := bt.RouteBlocks()
+		for u := 0; u < ft.n; u++ {
+			for v := 0; v < ft.n; v++ {
+				ft.dist[u][v] = int32(b.Distance(u, v))
+				ft.route[u][v] = b.Entry(u, v)
+			}
 		}
 	} else {
 		for u := 0; u < ft.n; u++ {
 			for v := 0; v < ft.n; v++ {
-				ft.dist[u][v] = ft.base.Distance(u, v)
+				ft.dist[u][v] = int32(ft.base.Distance(u, v))
 			}
 		}
-	}
-	if rt, ok := ft.base.(sim.RouteTabled); ok {
-		copy(ft.routeFlat, rt.RouteTable())
-	} else {
 		// Generic bases are queried per pair; the delivers-here bit is the
 		// exact head-set membership the engine needs: dst ∈ Heads(coupler).
 		hears := make([]bool, ft.m)
@@ -267,7 +268,7 @@ func (ft *FaultedTopology) Heads(c int) []int { return ft.liveHeads[c] }
 
 // Distance returns the hop distance on the surviving structure
 // (digraph.Unreachable when dst is cut off).
-func (ft *FaultedTopology) Distance(u, dst int) int { return ft.dist[u][dst] }
+func (ft *FaultedTopology) Distance(u, dst int) int { return int(ft.dist[u][dst]) }
 
 // NextCoupler is the O(1) route-table lookup, same contract as the base.
 func (ft *FaultedTopology) NextCoupler(u, dst int) (int, int) {
@@ -275,14 +276,10 @@ func (ft *FaultedTopology) NextCoupler(u, dst int) (int, int) {
 	return r.Coupler(), r.NextHop()
 }
 
-// RouteTable lends the engine the live flat route table (sim.RouteTabled).
-// Advance repairs its rows in place, so the compiled engine follows fault
-// reroutes without recompiling.
-func (ft *FaultedTopology) RouteTable() []sim.RouteEntry { return ft.routeFlat }
-
-// DistanceRows lends the engine the live surviving-structure distance rows
-// (sim.DistanceRowed); Advance rewrites row contents in place.
-func (ft *FaultedTopology) DistanceRows() [][]int { return ft.dist }
+// RouteBlocks lends the engine the live per-node tables (sim.BlockTabled).
+// Advance repairs their rows in place, so the compiled engine follows
+// fault reroutes without recompiling.
+func (ft *FaultedTopology) RouteBlocks() *sim.RouteBlocks { return &ft.blocks }
 
 // --- sim.DynamicTopology ---
 

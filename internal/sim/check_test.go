@@ -84,29 +84,28 @@ func TestCheckTopologyRejectsUnreachablePair(t *testing.T) {
 	}
 }
 
-// rowedFake lends a fakeTopology's distances as rows (DistanceRowed), so
-// CheckTopology takes its row-scanning path.
-type rowedFake struct {
+// blockedFake lends a fakeTopology's distances as per-node blocks
+// (BlockTabled), so CheckTopology takes its block-scanning path.
+type blockedFake struct {
 	*fakeTopology
-	rows [][]int
+	blocks RouteBlocks
 }
 
-func (r rowedFake) DistanceRows() [][]int { return r.rows }
+func (b blockedFake) RouteBlocks() *RouteBlocks { return &b.blocks }
 
-func withRows(f *fakeTopology) rowedFake {
-	rows := make([][]int, f.nodes)
-	for u := range rows {
-		rows[u] = make([]int, f.nodes)
-		for v := range rows[u] {
-			rows[u][v] = f.dist(u, v)
+func withBlocks(f *fakeTopology) blockedFake {
+	b := IdentityBlocks(f.nodes)
+	for u := 0; u < f.nodes; u++ {
+		for v := 0; v < f.nodes; v++ {
+			b.Dists[u*f.nodes+v] = int32(f.dist(u, v))
 		}
 	}
-	return rowedFake{f, rows}
+	return blockedFake{f, b}
 }
 
 // TestCheckTopologyErrors pins the exact error of each rejection, on the
-// row-scanning path and the Distance-only path alike: both must report the
-// first failing node or (u, v) pair.
+// block-scanning path and the Distance-only path alike: both must report
+// the first failing node or (u, v) pair.
 func TestCheckTopologyErrors(t *testing.T) {
 	cut := func(pairs ...[2]int) func(*fakeTopology) {
 		return func(f *fakeTopology) {
@@ -148,7 +147,7 @@ func TestCheckTopologyErrors(t *testing.T) {
 		for _, path := range []struct {
 			name string
 			topo Topology
-		}{{"rows", withRows(f)}, {"distance", f}} {
+		}{{"blocks", withBlocks(f)}, {"distance", f}} {
 			err := CheckTopology(path.topo)
 			if err == nil || err.Error() != tc.want {
 				t.Errorf("%s (%s path): got %v, want %q", tc.name, path.name, err, tc.want)

@@ -2,15 +2,15 @@ package sim
 
 // Compiled-topology snapshot: the engine does not call any Topology method
 // inside Step. At construction the topology is compiled into flat arrays —
-// CSR out-coupler and head lists, one row-major route table with a packed
-// delivers-here bit, and distance rows — and the step loop reads only
-// those. Topologies that already maintain the tables in this shape (the
-// stack, point-to-point and fault-wrapped topologies) hand the snapshot
-// their live backing arrays, so compilation is O(n + m + arcs) and dynamic
-// row repairs done by faults.FaultedTopology are visible to the engine
-// without any copying or invalidation protocol. Arbitrary Topology
-// implementations are compiled by querying the interface once per (u, dst)
-// pair.
+// CSR out-coupler and head lists, and route/distance blocks (RouteBlocks)
+// of packed entries with a delivers-here bit, one cell per (row class,
+// column class) pair — and the step loop reads only those. Topologies that
+// already maintain their tables as blocks (the stack, point-to-point and
+// fault-wrapped topologies) hand the snapshot their live backing arrays,
+// so compilation is O(n + m + arcs) and dynamic row repairs done by
+// faults.FaultedTopology are visible to the engine without any copying or
+// invalidation protocol. Arbitrary Topology implementations are compiled
+// into per-node blocks by querying the interface once per (u, dst) pair.
 //
 // The snapshot is its own type, CompiledTopology, because it is immutable
 // between fault events and therefore shareable: a ReplicaSet runs many
@@ -28,7 +28,7 @@ const deliverFlag = 1 << 30
 // unroutable entry pointing at node 0; build entries with MakeRouteEntry.
 type RouteEntry struct {
 	c int32 // coupler id, deliverFlag-tagged; -1 when no route exists
-	h int32 // preferred next hop (the destination when delivers is set)
+	h int32 // preferred next hop; unused when delivers is set (see RouteBlocks)
 }
 
 // MakeRouteEntry packs one routing decision. coupler < 0 means no route
@@ -58,30 +58,76 @@ func (r RouteEntry) NextHop() int { return int(r.h) }
 // Delivers reports whether the destination hears the chosen coupler.
 func (r RouteEntry) Delivers() bool { return r.c >= 0 && r.c&deliverFlag != 0 }
 
-// RouteTabled is implemented by topologies that maintain their routing
-// decisions as one flat row-major table (entry for (u, dst) at index
-// u*Nodes()+dst). The snapshot borrows the returned slice as its hot-path
-// route table instead of copying it, so a dynamic topology that repairs
-// rows in place (faults.FaultedTopology) updates the engine for free. The
-// slice identity must be stable for the topology's lifetime.
-type RouteTabled interface {
-	RouteTable() []RouteEntry
+// RouteBlocks is the quotient form of a topology's routing state. In the
+// paper's ς(s, G) every member of a group transmits on the same couplers
+// and hears the same couplers, so a routing decision depends only on the
+// source's group and the destination's group. RouteBlocks generalizes
+// that: each node has a row class and a column class, and for u != dst
+//
+//	route(u, dst) = Routes[Row[u]*Cols + Col[dst]]
+//	dist(u, dst)  = Dists[Row[u]*Cols + Col[dst]]
+//
+// with dist(u, u) = 0. Stack topologies use out-twins as rows (identical
+// out-coupler lists in the same order) and in-twins as columns (identical
+// lists of couplers heard); the (Row[u], Col[u]) cell then holds u's
+// route and distance to its twins. A delivering cell names the coupler
+// only: its next hop is the destination itself, whichever member of the
+// column that is (Entry expands it). Identity classes — one row and one
+// column per node — give plain per-node n×n tables, which is what
+// point-to-point and fault-wrapped topologies keep.
+type RouteBlocks struct {
+	Row, Col []int32 // node -> row class, node -> column class
+	Cols     int
+	Routes   []RouteEntry // rows × Cols routing decisions
+	Dists    []int32      // rows × Cols hop distances, digraph.Unreachable = -1
 }
 
-// DistanceRowed is implemented by topologies that maintain per-source
-// distance rows (dist[u][dst], digraph.Unreachable = -1 when dst is cut
-// off). The snapshot borrows the outer slice; dynamic topologies may
-// rewrite row contents in place between slots.
-type DistanceRowed interface {
-	DistanceRows() [][]int
+// IdentityBlocks allocates per-node blocks for n nodes: row and column
+// class of node u are both u, so cell (u, dst) is the entry for (u, dst).
+func IdentityBlocks(n int) RouteBlocks {
+	id := make([]int32, n)
+	for u := range id {
+		id[u] = int32(u)
+	}
+	return RouteBlocks{Row: id, Col: id, Cols: n, Routes: make([]RouteEntry, n*n), Dists: make([]int32, n*n)}
+}
+
+// Entry returns the routing decision for (u, dst) in per-node form: the
+// "already there" entry when u == dst, and a delivering entry's next hop
+// set to dst.
+func (b *RouteBlocks) Entry(u, dst int) RouteEntry {
+	if u == dst {
+		return RouteEntry{c: -1, h: int32(u)}
+	}
+	r := b.Routes[int(b.Row[u])*b.Cols+int(b.Col[dst])]
+	if r.Delivers() {
+		r.h = int32(dst)
+	}
+	return r
+}
+
+// Distance returns the hop distance from u to dst.
+func (b *RouteBlocks) Distance(u, dst int) int {
+	if u == dst {
+		return 0
+	}
+	return int(b.Dists[int(b.Row[u])*b.Cols+int(b.Col[dst])])
+}
+
+// BlockTabled is implemented by topologies that keep their routing state
+// as RouteBlocks. The snapshot borrows the blocks instead of copying them,
+// so a dynamic topology that repairs cells in place
+// (faults.FaultedTopology) updates the engine for free. The slice
+// identities must be stable for the topology's lifetime.
+type BlockTabled interface {
+	RouteBlocks() *RouteBlocks
 }
 
 // CompiledTopology is the flat, step-ready form of a Topology: CSR
-// out-coupler and head lists, the row-major route table and the distance
-// rows. It is immutable between topology events, so any number of replicas
-// may share one instance; a replica whose topology is dynamic (fault
-// events) must own a private instance, because events repair the tables in
-// place.
+// out-coupler and head lists and the route/distance blocks. It is
+// immutable between topology events, so any number of replicas may share
+// one instance; a replica whose topology is dynamic (fault events) must
+// own a private instance, because events repair the tables in place.
 type CompiledTopology struct {
 	topo Topology
 	n, m int
@@ -92,10 +138,8 @@ type CompiledTopology struct {
 	headStart []int32 // coupler c is heard by headList[headStart[c]:headStart[c]+headCount[c]]
 	headCount []int32
 	headList  []int32
-	route     []RouteEntry // row-major (u, dst) routing decisions
-	dist      [][]int      // dist[u][dst] for deflection choices
-	ownsRoute bool
-	ownsDist  bool
+	blocks    RouteBlocks
+	ownsTable bool
 
 	// dirty records that a topology event mutated the snapshot since the
 	// last sync, so a Reset recompiles only when something actually changed.
@@ -126,23 +170,12 @@ func Compile(topo Topology) *CompiledTopology {
 	ct.headList = make([]int32, ct.headStart[m])
 	ct.refreshStructure()
 
-	if rt, ok := topo.(RouteTabled); ok {
-		ct.route = rt.RouteTable()
+	if bt, ok := topo.(BlockTabled); ok {
+		ct.blocks = *bt.RouteBlocks()
 	} else {
-		ct.ownsRoute = true
-		ct.route = make([]RouteEntry, n*n)
-		ct.rebuildOwnedRoute()
-	}
-	if dr, ok := topo.(DistanceRowed); ok {
-		ct.dist = dr.DistanceRows()
-	} else {
-		ct.ownsDist = true
-		flat := make([]int, n*n)
-		ct.dist = make([][]int, n)
-		for u := 0; u < n; u++ {
-			ct.dist[u] = flat[u*n : (u+1)*n : (u+1)*n]
-		}
-		ct.rebuildOwnedDist()
+		ct.ownsTable = true
+		ct.blocks = IdentityBlocks(n)
+		ct.rebuildOwnedTable()
 	}
 	return ct
 }
@@ -208,11 +241,11 @@ func (ct *CompiledTopology) relayoutHeads() {
 	ct.refreshStructure()
 }
 
-// rebuildOwnedRoute recompiles the snapshot-owned route table by querying
-// the Topology interface once per (u, dst) pair. The delivers-here bit is
-// the exact head-set membership the legacy engine tested per transmission:
-// dst ∈ Heads(chosen coupler).
-func (ct *CompiledTopology) rebuildOwnedRoute() {
+// rebuildOwnedTable recompiles the snapshot-owned per-node tables by
+// querying the Topology interface once per (u, dst) pair. The delivers-here
+// bit is the exact head-set membership the legacy engine tested per
+// transmission: dst ∈ Heads(chosen coupler).
+func (ct *CompiledTopology) rebuildOwnedTable() {
 	// hears[c] marks, for the current dst, the couplers dst listens on.
 	hears := make([]bool, ct.m)
 	heardBy := make([][]int32, ct.n)
@@ -229,7 +262,8 @@ func (ct *CompiledTopology) rebuildOwnedRoute() {
 		}
 		for u := 0; u < ct.n; u++ {
 			c, hop := ct.topo.NextCoupler(u, dst)
-			ct.route[u*ct.n+dst] = MakeRouteEntry(c, hop, c >= 0 && c < ct.m && hears[c])
+			ct.blocks.Routes[u*ct.n+dst] = MakeRouteEntry(c, hop, c >= 0 && c < ct.m && hears[c])
+			ct.blocks.Dists[u*ct.n+dst] = int32(ct.topo.Distance(u, dst))
 		}
 		for _, c := range heardBy[dst] {
 			hears[c] = false
@@ -237,27 +271,14 @@ func (ct *CompiledTopology) rebuildOwnedRoute() {
 	}
 }
 
-// rebuildOwnedDist refills the snapshot-owned distance rows in place.
-func (ct *CompiledTopology) rebuildOwnedDist() {
-	for u := 0; u < ct.n; u++ {
-		row := ct.dist[u]
-		for v := 0; v < ct.n; v++ {
-			row[v] = ct.topo.Distance(u, v)
-		}
-	}
-}
-
 // recompileDynamic re-syncs the snapshot after a TopologyChange. Borrowed
-// tables (the RouteTabled / DistanceRowed fast path) were already repaired
-// in place by the topology — faults.FaultedTopology rebuilds exactly the
-// rows its EntryChanged/RowsRebuilt machinery flags — so only the CSR
-// structure needs copying; snapshot-owned tables are recompiled wholesale.
+// blocks (the BlockTabled fast path) were already repaired in place by the
+// topology — faults.FaultedTopology rebuilds exactly the rows its
+// EntryChanged/RowsRebuilt machinery flags — so only the CSR structure
+// needs copying; snapshot-owned tables are recompiled wholesale.
 func (ct *CompiledTopology) recompileDynamic() {
 	ct.refreshStructure()
-	if ct.ownsRoute {
-		ct.rebuildOwnedRoute()
-	}
-	if ct.ownsDist {
-		ct.rebuildOwnedDist()
+	if ct.ownsTable {
+		ct.rebuildOwnedTable()
 	}
 }

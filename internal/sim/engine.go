@@ -112,14 +112,18 @@ func (m Metrics) String() string {
 // It is the one engine core — Engine wraps exactly one replica, and
 // ReplicaSet runs R of them (with slab-allocated state) over a shared
 // snapshot. Inside step there are no Topology interface calls — routing is
-// one load from a flat table whose delivers-here bit replaces the
-// per-transmission head-set scan, and the coupler structure is read from
-// CSR arrays. Steady-state slot cost is O(active nodes + touched
-// couplers), not O(N + M): nodes with queued traffic live on an active
-// list, and only couplers that saw a request or grant this slot are
-// arbitrated, transmitted and cleared. The hot path is allocation-free
-// once scratch high-water marks are reached, and reset re-arms the replica
-// for another scenario without reallocating any of it.
+// one load from the route blocks (a cell per row class × column class)
+// whose delivers-here bit replaces the per-transmission head-set scan, and
+// the coupler structure is read from CSR arrays. A node whose head-of-line
+// message changes is put on a pending list, and the whole list is resolved
+// in one pass at the top of the next step, so the route loads — most of
+// them cache misses on a large network — are independent and overlap
+// instead of each stalling the transmit chain. Steady-state slot cost is
+// O(active nodes + touched couplers), not O(N + M): nodes with queued
+// traffic live on an active list, and only couplers that saw a request or
+// grant this slot are arbitrated, transmitted and cleared. The hot path is
+// allocation-free once scratch high-water marks are reached, and reset
+// re-arms the replica for another scenario without reallocating any of it.
 type replica struct {
 	// ct is the compiled snapshot this replica steps over; the fields below
 	// through dist are aliases of its arrays, re-synced after topology
@@ -145,8 +149,11 @@ type replica struct {
 	headStart []int32 // coupler c is heard by headList[headStart[c]:headStart[c]+headCount[c]]
 	headCount []int32
 	headList  []int32
-	route     []RouteEntry // row-major (u, dst) routing decisions
-	dist      [][]int      // dist[u][dst] for deflection choices
+	rowOf     []int32 // node -> row class of the blocks (source side)
+	colOf     []int32 // node -> column class of the blocks (destination side)
+	cols      int
+	route     []RouteEntry // route blocks: (u, dst) is cell rowOf[u]*cols+colOf[dst]
+	dist      []int32      // distance blocks, same cells, for deflection choices
 
 	queues []ring
 	// rr holds per-coupler round-robin grant cursors for fairness.
@@ -166,8 +173,12 @@ type replica struct {
 	// recomputed when the head changes — enqueue to an empty queue,
 	// dropFront leaving a survivor, topology events — so the per-slot
 	// request scan reads one entry per active node instead of re-deriving
-	// the route.
+	// the route. The first two defer the recompute: they append the node
+	// and its new head's destination to pend, and resolveHeads computes
+	// the whole list at the top of the next step, before anything reads
+	// headReq.
 	headReq []txRequest
+	pend    []pendHead
 
 	metrics Metrics
 
@@ -240,7 +251,8 @@ func (e *replica) syncTables() {
 	ct := e.ct
 	e.outStart, e.outCount, e.outList = ct.outStart, ct.outCount, ct.outList
 	e.headStart, e.headCount, e.headList = ct.headStart, ct.headCount, ct.headList
-	e.route, e.dist = ct.route, ct.dist
+	b := &ct.blocks
+	e.rowOf, e.colOf, e.cols, e.route, e.dist = b.Row, b.Col, b.Cols, b.Routes, b.Dists
 }
 
 // allocState allocates the replica's private per-node/per-coupler state
@@ -297,6 +309,7 @@ func (e *replica) reset(cfg Config) {
 		e.reqMask[i] = 0
 	}
 	e.requests = e.requests[:0]
+	e.pend = e.pend[:0]
 	e.nextID, e.slot, e.backlog = 0, 0, 0
 	e.metrics = Metrics{}
 	e.recovering = false
@@ -359,21 +372,56 @@ func (e *replica) enqueue(node int, msg qmsg) {
 	if d == 1 {
 		e.activePos[node] = int32(len(e.active))
 		e.active = append(e.active, int32(node))
-		e.computeHeadReq(node, msg.dst)
+		e.deferHead(node, msg.dst)
 	}
 }
 
+// pendHead is a deferred head-of-line resolution: node's head message
+// changed, and dst is the new head's destination.
+type pendHead struct {
+	node, dst int32
+}
+
+// deferHead queues node's head-of-line request for resolveHeads.
+func (e *replica) deferHead(node int, dst int32) {
+	e.pend = append(e.pend, pendHead{node: int32(node), dst: dst})
+}
+
+// resolveHeads computes every pending head-of-line request in one tight
+// loop. The route loads do not depend on each other, so their cache
+// misses overlap. Entries are in the order the heads changed, so a node
+// listed twice ends with its latest head; nodes that went idle since are
+// skipped. The tables are held in locals: the headReq stores would
+// otherwise make the compiler reload every slice header per entry.
+func (e *replica) resolveHeads() {
+	activePos, headReq := e.activePos, e.headReq
+	rowOf, colOf, cols, route := e.rowOf, e.colOf, e.cols, e.route
+	for _, p := range e.pend {
+		if activePos[p.node] >= 0 {
+			headReq[p.node] = headRequest(p.node, route[int(rowOf[p.node])*cols+int(colOf[p.dst])])
+		}
+	}
+	e.pend = e.pend[:0]
+}
+
+// routeOf returns the route block cell for (u, dst), u != dst. A
+// delivering cell's next hop is not meaningful; transmit never reads it.
+func (e *replica) routeOf(u, dst int) RouteEntry {
+	return e.route[int(e.rowOf[u])*e.cols+int(e.colOf[dst])]
+}
+
 // computeHeadReq refreshes node's precompiled head-of-line request from
-// the route table; dst is the head message's destination.
+// the route blocks; dst is the head message's destination.
 func (e *replica) computeHeadReq(node int, dst int32) {
-	r := e.route[node*e.n+int(dst)]
+	e.headReq[node] = headRequest(int32(node), e.routeOf(node, int(dst)))
+}
+
+// headRequest is node's request for a head message whose route entry is r.
+func headRequest(node int32, r RouteEntry) txRequest {
 	if r.c < 0 {
-		e.headReq[node] = txRequest{node: int32(node), coupler: -1}
-		return
+		return txRequest{node: node, coupler: -1}
 	}
-	e.headReq[node] = txRequest{
-		node: int32(node), coupler: r.c &^ deliverFlag, nextHop: r.h, delivers: r.c&deliverFlag != 0,
-	}
+	return txRequest{node: node, coupler: r.c &^ deliverFlag, nextHop: r.h, delivers: r.c&deliverFlag != 0}
 }
 
 // dropFront discards the head-of-line message at node without copying it
@@ -392,7 +440,7 @@ func (e *replica) dropFront(node int) {
 	if q.n == 0 {
 		e.deactivate(node)
 	} else {
-		e.computeHeadReq(node, q.buf[q.head].dst)
+		e.deferHead(node, q.buf[q.head].dst)
 	}
 }
 
@@ -407,15 +455,19 @@ func (e *replica) deactivate(node int) {
 	e.activePos[node] = -1
 }
 
-// step advances the simulation by one slot: fault events, arbitration,
-// transmission, delivery or relay. No Topology interface calls and no
-// allocations happen here in steady state; per-slot work is proportional
-// to the active nodes and touched couplers (plus an O(M/64 + N/64)
-// bitmap-word scan), not to N or M. The single-wavelength configuration —
-// the paper's networks — takes a fused arbitration path with no
-// per-request list bookkeeping at all; multi-wavelength couplers go
-// through the general candidate-sorting path.
+// step advances the simulation by one slot: head-of-line resolution, fault
+// events, arbitration, transmission, delivery or relay. No Topology
+// interface calls and no allocations happen here in steady state; per-slot
+// work is proportional to the active nodes and touched couplers (plus an
+// O(M/64 + N/64) bitmap-word scan), not to N or M. The single-wavelength
+// configuration — the paper's networks — takes a fused arbitration path
+// with no per-request list bookkeeping at all; multi-wavelength couplers
+// go through the general candidate-sorting path.
 func (e *replica) step() {
+	// Heads changed by the last slot's transmissions and by the injections
+	// since are resolved first, against the tables those changes saw: fault
+	// events only repair the tables in Phase 0, below.
+	e.resolveHeads()
 	// Phase 0: apply fault/repair events scheduled for this slot, purging
 	// queues stranded on failed nodes and counting re-routed messages.
 	if e.dyn != nil {
@@ -727,14 +779,18 @@ func (e *replica) stepMultiWavelength() {
 // Shared by both step paths so the deflection tie-breaking, the delivers
 // check and the d >= 0 liveness guard cannot drift apart.
 func (e *replica) deflectTarget(c, dst int) (bestHop int32, delivers bool) {
-	bestHop, bestDist := int32(-1), 1<<30
+	bestHop, bestDist := int32(-1), int32(1<<30)
 	hb, hc := e.headStart[c], e.headCount[c]
+	dcol := int(e.colOf[dst])
 	for hi := hb; hi < hb+hc; hi++ {
 		h := e.headList[hi]
+		d := int32(0)
 		if int(h) == dst {
 			delivers = true
+		} else {
+			d = e.dist[int(e.rowOf[h])*e.cols+dcol]
 		}
-		if d := e.dist[h][dst]; d >= 0 && d < bestDist {
+		if d >= 0 && d < bestDist {
 			bestDist = d
 			bestHop = h
 		}
@@ -801,12 +857,14 @@ func (e *replica) applyTopologyChange(ch TopologyChange) {
 	}
 	e.ct.recompileDynamic()
 	e.syncTables()
-	// Refresh the precompiled head-of-line requests. Only heads whose
-	// route row the event actually invalidated need recomputing: for an
-	// unchanged (u, dst) entry the recompute is the identity, so the
-	// per-entry change mask (EntryChanged, backed by the fault layer's
-	// row-invalidation bitmap) lets untouched requests stand. With no mask
-	// every active head is refreshed.
+	// Refresh the precompiled head-of-line requests, immediately: the
+	// pending list was resolved at the top of the step, so every active
+	// head is current for the pre-event tables. Only heads whose route row
+	// the event actually invalidated need recomputing: for an unchanged
+	// (u, dst) entry the recompute is the identity, so the per-entry change
+	// mask (EntryChanged, backed by the fault layer's row-invalidation
+	// bitmap) lets untouched requests stand. With no mask every active head
+	// is refreshed.
 	for _, ui := range e.active {
 		u := int(ui)
 		dst := e.queues[u].front().dst
@@ -826,7 +884,7 @@ func (e *replica) applyTopologyChange(ch TopologyChange) {
 					continue
 				}
 				disrupted = true
-				if e.route[u*e.n+dst].c >= 0 {
+				if e.routeOf(u, dst).c >= 0 {
 					e.metrics.Reroutes++
 				}
 			}

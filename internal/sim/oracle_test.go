@@ -4,10 +4,11 @@ package sim_test
 // reference here is the plain per-node construction: one BFS per source on
 // the node-to-node digraph, and one coupler/head scan per (source,
 // destination) pair, picking the first strictly closest head. The
-// production stack build works once per twin class instead, so these tests
-// require its tables to match the reference entry for entry, delivers bit
-// included. The differential engine fuzzers cannot catch a wrong table:
-// legacysim routes through the same NextCoupler tables.
+// production stack build keeps quotient blocks, one cell per (row class,
+// column class) pair, so these tests expand the blocks per node and
+// require them to match the reference entry for entry, delivers bit and
+// next hop included. The differential engine fuzzers cannot catch a wrong
+// table: legacysim routes through the same NextCoupler tables.
 
 import (
 	"fmt"
@@ -65,27 +66,39 @@ func oracleNext(out, heads, dist [][]int, u, dst int) (int, int) {
 	return best, bestHop
 }
 
-// checkTablesMatch compares the tables a topology lends the engine with
-// the oracle's, reporting the first differing entry.
-func checkTablesMatch(t *testing.T, name string, topo sim.Topology, dist [][]int, route []sim.RouteEntry) {
+// checkTablesMatch expands the blocks a topology lends the engine per node
+// and compares them with the oracle's tables, reporting the first
+// differing entry; Distance and NextCoupler must agree as well. The blocks
+// must have at most maxClasses rows and columns.
+func checkTablesMatch(t *testing.T, name string, topo sim.Topology, dist [][]int, route []sim.RouteEntry, maxClasses int) {
 	t.Helper()
 	n := topo.Nodes()
-	gotDist := topo.(sim.DistanceRowed).DistanceRows()
-	gotRoute := topo.(sim.RouteTabled).RouteTable()
-	if len(gotDist) != n || len(gotRoute) != n*n {
-		t.Fatalf("%s: %d distance rows, %d route entries; want %d, %d", name, len(gotDist), len(gotRoute), n, n*n)
+	b := topo.(sim.BlockTabled).RouteBlocks()
+	if len(b.Row) != n || len(b.Col) != n || b.Cols <= 0 || len(b.Routes)%b.Cols != 0 || len(b.Dists) != len(b.Routes) {
+		t.Fatalf("%s: malformed blocks: len(Row) %d, len(Col) %d, Cols %d, %d routes, %d distances",
+			name, len(b.Row), len(b.Col), b.Cols, len(b.Routes), len(b.Dists))
+	}
+	rows := len(b.Routes) / b.Cols
+	if rows > maxClasses || b.Cols > maxClasses {
+		t.Fatalf("%s: %d×%d blocks, want at most %d×%d", name, rows, b.Cols, maxClasses, maxClasses)
 	}
 	for u := 0; u < n; u++ {
-		if len(gotDist[u]) != n {
-			t.Fatalf("%s: distance row %d has %d entries, want %d", name, u, len(gotDist[u]), n)
+		if int(b.Row[u]) >= rows || int(b.Col[u]) >= b.Cols {
+			t.Fatalf("%s: node %d in class (%d, %d) of %d×%d blocks", name, u, b.Row[u], b.Col[u], rows, b.Cols)
 		}
+	}
+	for u := 0; u < n; u++ {
 		for v := 0; v < n; v++ {
-			if gotDist[u][v] != dist[u][v] {
-				t.Fatalf("%s: dist[%d][%d] = %d, oracle %d", name, u, v, gotDist[u][v], dist[u][v])
+			if got := b.Distance(u, v); got != dist[u][v] || topo.Distance(u, v) != got {
+				t.Fatalf("%s: dist(%d, %d) = %d (Distance %d), oracle %d", name, u, v, got, topo.Distance(u, v), dist[u][v])
 			}
-			if g, w := gotRoute[u*n+v], route[u*n+v]; g != w {
-				t.Fatalf("%s: route[%d][%d] = (c=%d hop=%d delivers=%v), oracle (c=%d hop=%d delivers=%v)",
+			g, w := b.Entry(u, v), route[u*n+v]
+			if g != w {
+				t.Fatalf("%s: route(%d, %d) = (c=%d hop=%d delivers=%v), oracle (c=%d hop=%d delivers=%v)",
 					name, u, v, g.Coupler(), g.NextHop(), g.Delivers(), w.Coupler(), w.NextHop(), w.Delivers())
+			}
+			if c, hop := topo.NextCoupler(u, v); c != w.Coupler() || hop != w.NextHop() {
+				t.Fatalf("%s: NextCoupler(%d, %d) = (%d, %d), oracle (%d, %d)", name, u, v, c, hop, w.Coupler(), w.NextHop())
 			}
 		}
 	}
@@ -119,7 +132,9 @@ func TestTablesMatchOracleEveryFamily(t *testing.T) {
 			heads[c] = tp.Heads(c)
 		}
 		dist, route := oracleTables(tp.Nodes(), out, heads)
-		checkTablesMatch(t, topo.Name, tp, dist, route)
+		// Stack families keep one block row and column per group at most;
+		// point-to-point ones (GroupSize 1) keep per-node tables.
+		checkTablesMatch(t, topo.Name, tp, dist, route, tp.Nodes()/max(topo.GroupSize, 1))
 	}
 }
 
@@ -144,11 +159,17 @@ func randomBase(rng *rand.Rand, n int) *digraph.Digraph {
 	return g
 }
 
+// randomStackCover records what a random instance exercised.
+type randomStackCover struct {
+	loops, parallel, unreachable bool
+	noOut, noIn                  bool // a group with no out-arcs / no in-arcs
+}
+
 // checkRandomStack builds ς(s, G) for one random base and compares its
 // tables with the oracle's, which reads the out-coupler lists through the
 // per-node Hypergraph.OutArcs rather than the one-pass build. It reports
 // what the instance exercised.
-func checkRandomStack(t *testing.T, seed int64, s, nv int) (loops, parallel, unreachable bool) {
+func checkRandomStack(t *testing.T, seed int64, s, nv int) (cov randomStackCover) {
 	t.Helper()
 	g := randomBase(rand.New(rand.NewSource(seed)), nv)
 	sg := hypergraph.NewStackGraph(s, g)
@@ -162,36 +183,46 @@ func checkRandomStack(t *testing.T, seed int64, s, nv int) (loops, parallel, unr
 		heads[c] = sg.Hyperarc(c).Head
 	}
 	dist, route := oracleTables(n, out, heads)
-	checkTablesMatch(t, fmt.Sprintf("seed %d ς(%d, %v)", seed, s, g.Arcs()), sim.NewStackTopology(sg), dist, route)
+	checkTablesMatch(t, fmt.Sprintf("seed %d ς(%d, %v)", seed, s, g.Arcs()), sim.NewStackTopology(sg), dist, route, nv)
 	for _, row := range dist {
 		for _, d := range row {
-			unreachable = unreachable || d == digraph.Unreachable
+			cov.unreachable = cov.unreachable || d == digraph.Unreachable
 		}
+	}
+	outDeg, inDeg := make([]int, nv), make([]int, nv)
+	for _, a := range g.Arcs() {
+		outDeg[a[0]]++
+		inDeg[a[1]]++
 	}
 	for u := 0; u < nv; u++ {
+		cov.noOut = cov.noOut || outDeg[u] == 0
+		cov.noIn = cov.noIn || inDeg[u] == 0
 		for v := 0; v < nv; v++ {
-			parallel = parallel || g.ArcMultiplicity(u, v) > 1
+			cov.parallel = cov.parallel || g.ArcMultiplicity(u, v) > 1
 		}
 	}
-	return g.LoopCount() > 0, parallel, unreachable
+	cov.loops = g.LoopCount() > 0
+	return cov
 }
 
 func TestStackTablesMatchOracleRandom(t *testing.T) {
-	var loops, parallel, unreachable int
-	for seed := int64(1); seed <= 400; seed++ {
-		l, p, u := checkRandomStack(t, seed, 1+int(seed%4), 1+int(seed%9))
-		if l {
-			loops++
-		}
-		if p {
-			parallel++
-		}
-		if u {
-			unreachable++
+	var loops, parallel, unreachable, noOut, noIn int
+	count := func(n *int, hit bool) {
+		if hit {
+			*n++
 		}
 	}
-	if loops == 0 || parallel == 0 || unreachable == 0 {
-		t.Fatalf("random bases too tame: %d with loops, %d with parallel arcs, %d with unreachable pairs", loops, parallel, unreachable)
+	for seed := int64(1); seed <= 400; seed++ {
+		cov := checkRandomStack(t, seed, 1+int(seed%4), 1+int(seed%9))
+		count(&loops, cov.loops)
+		count(&parallel, cov.parallel)
+		count(&unreachable, cov.unreachable)
+		count(&noOut, cov.noOut)
+		count(&noIn, cov.noIn)
+	}
+	if loops == 0 || parallel == 0 || unreachable == 0 || noOut == 0 || noIn == 0 {
+		t.Fatalf("random bases too tame: %d with loops, %d with parallel arcs, %d with unreachable pairs, %d with a group without out-arcs, %d with a group without in-arcs",
+			loops, parallel, unreachable, noOut, noIn)
 	}
 }
 

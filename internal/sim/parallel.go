@@ -30,8 +30,10 @@ package sim
 //	   to its nodes — phase A drops first, then transmission ops in
 //	   source-worker order, which is globally coupler-ascending because
 //	   each source owns a contiguous coupler range. Per-node op order
-//	   therefore matches the serial phase 4 exactly (MaxQueue drops,
-//	   queue-depth tallies and head-of-line recomputes included).
+//	   therefore matches the serial phase 4 exactly (MaxQueue drops and
+//	   queue-depth tallies included). Changed heads are collected and
+//	   resolved in one pass at the end of the phase, as the serial
+//	   engine's pending list is at the top of the next step.
 //	   Activations/deactivations are recorded locally, not applied.
 //	F  (serial): merge shard tallies into Metrics, fix up the active
 //	   list (deactivations then activations — no node can activate
@@ -156,10 +158,11 @@ type parShard struct {
 	ops     [][]qOp   // [dst] queue mutations for nodes owned by dst (D -> E)
 	reqMask []uint64  // deflection: nodes of this shard's chunk that requested
 	events  []deliverEvent
-	reqBuf  []wReq  // W > 1: drained candidates, indexed by byCoupler
-	keys    []int   // W > 1: per-worker arbitration sort keys
-	acts    []int32 // phase E: nodes that became active
-	deacts  []int32 // phase E: nodes that went idle
+	reqBuf  []wReq     // W > 1: drained candidates, indexed by byCoupler
+	keys    []int      // W > 1: per-worker arbitration sort keys
+	acts    []int32    // phase E: nodes that became active
+	deacts  []int32    // phase E: nodes that went idle
+	pend    []pendHead // phase E: changed heads, resolved at the end of the phase
 	t       shardTally
 	busyNs  int64
 }
@@ -673,7 +676,10 @@ func (e *replica) parDeflect(multi bool) {
 // addressed to it — phase A drops first (the serial engine applies them
 // before any transmission), then transmission ops concatenated in
 // source-worker order, which is ascending coupler order globally, so
-// each node's queue sees exactly the serial op sequence.
+// each node's queue sees exactly the serial op sequence. The changed
+// heads are then resolved in one pass. None of them belongs to an idle
+// node: a node pops at most once per slot, and only while it holds a
+// message, so a node that a push reactivated is never emptied again.
 func (e *replica) parApply(w int) {
 	ps := e.par
 	sh := &ps.shards[w]
@@ -695,6 +701,10 @@ func (e *replica) parApply(w int) {
 			}
 		}
 	}
+	for _, p := range sh.pend {
+		e.computeHeadReq(int(p.node), p.dst)
+	}
+	sh.pend = sh.pend[:0]
 }
 
 // parPop is dropFront with the active-list mutation recorded instead of
@@ -710,7 +720,7 @@ func (e *replica) parPop(sh *parShard, node int) {
 	if q.n == 0 {
 		sh.deacts = append(sh.deacts, int32(node))
 	} else {
-		e.computeHeadReq(node, q.buf[q.head].dst)
+		sh.pend = append(sh.pend, pendHead{node: int32(node), dst: q.buf[q.head].dst})
 	}
 }
 
@@ -732,7 +742,7 @@ func (e *replica) parPush(sh *parShard, node int, msg qmsg) {
 	}
 	if d == 1 {
 		sh.acts = append(sh.acts, int32(node))
-		e.computeHeadReq(node, msg.dst)
+		sh.pend = append(sh.pend, pendHead{node: int32(node), dst: msg.dst})
 	}
 }
 

@@ -14,6 +14,7 @@ package sim
 import (
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"otisnet/internal/digraph"
 	"otisnet/internal/hypergraph"
@@ -37,37 +38,13 @@ type Topology interface {
 	Distance(u, dst int) int
 }
 
-// buildRouteTable precomputes route[u][dst] for every ordered pair using
-// the provided per-pair oracle, turning NextCoupler into an O(1) lookup on
-// the simulation hot path. The oracle is only consulted once per pair, at
-// construction time. It returns both the row views and the flat backing
-// array, which RouteTable hands to the engine as its compiled route table.
-// The delivers-here bit is packed from nextHop == dst: the routing scans
-// pick the strictly closest head, and only the destination itself is at
-// distance 0, so the chosen next hop is dst exactly when dst hears the
-// chosen coupler. NewStackTopology packs its entries the same way.
-func buildRouteTable(n int, next func(u, dst int) (int, int)) ([][]RouteEntry, []RouteEntry) {
-	route := make([][]RouteEntry, n)
-	flat := make([]RouteEntry, n*n) // one backing array, n row views
-	for u := 0; u < n; u++ {
-		row := flat[u*n : (u+1)*n : (u+1)*n]
-		for dst := 0; dst < n; dst++ {
-			c, hop := next(u, dst)
-			row[dst] = MakeRouteEntry(c, hop, c >= 0 && hop == dst)
-		}
-		route[u] = row
-	}
-	return route, flat
-}
-
 // stackTopology adapts a stack-graph (multi-OPS network) with precomputed
-// shortest-path distance and routing tables.
+// shortest-path distance and routing blocks.
 type stackTopology struct {
-	sg        *hypergraph.StackGraph
-	out       [][]int
-	dist      [][]int // dist[u][v]: hop distance through the couplers
-	route     [][]RouteEntry
-	routeFlat []RouteEntry // backing array of route, lent to the engine
+	sg     *hypergraph.StackGraph
+	out    [][]int
+	blocks RouteBlocks
+	fp     atomic.Pointer[string] // see FingerprintSlot
 }
 
 // NewStackTopology wraps a stack-graph for simulation. Distances are hop
@@ -77,120 +54,146 @@ type stackTopology struct {
 // in every run. All routing decisions are precomputed so the per-slot
 // NextCoupler call is a table lookup.
 //
-// The tables are built once per twin class: nodes with identical
-// out-coupler lists, which in ς(s, G) are exactly the groups. Twins see the
-// same distances to every other node and make the same routing choices, so
-// each class runs one BFS and one route scan, and every member's rows are
-// copies of the class rows with the member's own entry fixed.
+// The tables are quotient blocks (RouteBlocks): rows are out-twin classes
+// (identical out-coupler lists) and columns are in-twin classes (identical
+// lists of couplers heard); in ς(s, G) both are the groups, except that
+// groups without out-arcs share one row and groups without in-arcs share
+// one column. Each row class runs one BFS and one route scan over the
+// column classes, and nothing is ever expanded to per-node rows.
 func NewStackTopology(sg *hypergraph.StackGraph) Topology {
 	n := sg.N()
 	st := &stackTopology{sg: sg, out: sg.OutArcLists()}
 	arcs := sg.Hyperarcs()
-	classes := twinClasses(st.out)
+	heard := make([][]int, n)
+	for c, a := range arcs {
+		for _, h := range a.Head {
+			heard[h] = append(heard[h], c)
+		}
+	}
+	row, rowMembers := twinClasses(st.out)
+	col, colMembers := twinClasses(heard)
+	rows, cols := len(rowMembers), len(colMembers)
+	b := RouteBlocks{
+		Row: row, Col: col, Cols: cols,
+		Routes: make([]RouteEntry, rows*cols),
+		Dists:  make([]int32, rows*cols),
+	}
 
-	// Distances: one BFS per class, seeded with every head of the class's
-	// couplers at distance 1, gives D(v) = 1 + min over those heads w of
-	// dist(w, v), which is dist(u, v) for each member u and every v != u.
-	// self[u] keeps D(u), the member's return distance, for the route scan.
-	st.dist = make([][]int, n)
-	self := make([]int, n)
-	queue := make([]int, 0, n)
-	expanded := make([]int, sg.M()) // expanded[c] == k+1: class k's BFS used c
-	for k, members := range classes {
-		d := make([]int, n)
-		for v := range d {
-			d[v] = digraph.Unreachable
+	// kinds[c] keeps, in head order, the first head of coupler c of each
+	// (row, column) class pair: later heads of the same pair have the same
+	// distances and hear the same couplers, so neither the BFS nor the
+	// strict-< route scan can learn anything from them. classOut[k] lists
+	// the couplers the members of column class k transmit on, one out list
+	// per distinct row class among them.
+	kinds := make([][]int32, len(arcs))
+	for c, a := range arcs {
+		for _, h := range a.Head {
+			if !slices.ContainsFunc(kinds[c], func(k int32) bool { return row[k] == row[h] && col[k] == col[h] }) {
+				kinds[c] = append(kinds[c], int32(h))
+			}
+		}
+	}
+	classOut := make([][]int, cols)
+	rowSeen := make([]int, rows) // rowSeen[r] == k+1: column class k took row r's list
+	for k, members := range colMembers {
+		for _, v := range members {
+			if rowSeen[row[v]] != k+1 {
+				rowSeen[row[v]] = k + 1
+				classOut[k] = append(classOut[k], st.out[v]...)
+			}
+		}
+	}
+
+	// Distances: one BFS per row class over the column classes, seeded
+	// with the columns of the class's couplers at distance 1. Every member
+	// of a column class is at the same distance, so a dequeued column
+	// expands the couplers of all its members at once, and each coupler is
+	// expanded from its first dequeued column only. The result is
+	// D(k) = 1 + min over the heads w of the class's couplers of dist(w, v)
+	// for any v in column k: dist(u, v) for every member u and v != u.
+	queue := make([]int32, 0, cols)
+	expanded := make([]int, sg.M()) // expanded[c] == r+1: row class r's BFS used c
+	for r, members := range rowMembers {
+		d := b.Dists[r*cols : (r+1)*cols]
+		for k := range d {
+			d[k] = digraph.Unreachable
 		}
 		queue = queue[:0]
+		reach := func(c int, dist int32) {
+			expanded[c] = r + 1
+			for _, h := range kinds[c] {
+				if k := col[h]; d[k] == digraph.Unreachable {
+					d[k] = dist
+					queue = append(queue, k)
+				}
+			}
+		}
 		for _, c := range st.out[members[0]] {
-			expanded[c] = k + 1
-			for _, h := range arcs[c].Head {
-				if d[h] == digraph.Unreachable {
-					d[h] = 1
-					queue = append(queue, h)
-				}
-			}
+			reach(c, 1)
 		}
-		// A coupler is expanded from its first dequeued tail only: BFS
-		// dequeues in distance order, so later tails cannot improve a head.
 		for i := 0; i < len(queue); i++ {
-			x := queue[i]
-			for _, c := range st.out[x] {
-				if expanded[c] == k+1 {
-					continue
-				}
-				expanded[c] = k + 1
-				for _, h := range arcs[c].Head {
-					if d[h] == digraph.Unreachable {
-						d[h] = d[x] + 1
-						queue = append(queue, h)
-					}
+			k := queue[i]
+			for _, c := range classOut[k] {
+				if expanded[c] != r+1 {
+					reach(c, d[k]+1)
 				}
 			}
-		}
-		for i, u := range members {
-			self[u] = d[u]
-			row := d // the first member keeps the BFS row itself
-			if i > 0 {
-				row = slices.Clone(d)
-			}
-			st.dist[u] = row
-		}
-		for _, u := range members {
-			st.dist[u][u] = 0
 		}
 	}
 
-	// Routes: one scan per class over the class's couplers and heads, in
-	// topology order with a strict < so the first strictly closest head
-	// wins. Heads are the outer loop so each reads its distance row once.
-	st.route = make([][]RouteEntry, n)
-	st.routeFlat = make([]RouteEntry, n*n)
-	best := make([]int, n)
-	r := make([]RouteEntry, n)
-	for _, members := range classes {
-		u0 := members[0]
-		copy(best, st.dist[u0])
-		best[u0] = self[u0]
-		for dst := range r {
-			r[dst] = MakeRouteEntry(-1, -1, false)
+	// Routes: one scan per row class over the class's couplers and heads,
+	// in topology order with a strict < so the first strictly closest head
+	// wins; bestDist starts at the class's own distance. A head h is at
+	// distance 0 from itself, and every in-twin of h hears the coupler too,
+	// so the first coupler with a head in a column delivers to the whole
+	// column.
+	best := make([]int32, cols)
+	for r, members := range rowMembers {
+		routes := b.Routes[r*cols : (r+1)*cols]
+		copy(best, b.Dists[r*cols:(r+1)*cols])
+		for k := range routes {
+			routes[k] = MakeRouteEntry(-1, -1, false)
 		}
-		for _, c := range st.out[u0] {
-			for _, h := range arcs[c].Head {
-				for dst, dh := range st.dist[h] {
-					if dh != digraph.Unreachable && dh < best[dst] {
-						best[dst] = dh
-						r[dst] = MakeRouteEntry(c, h, h == dst)
+		for _, c := range st.out[members[0]] {
+			for _, h := range kinds[c] {
+				hr := int(row[h])
+				for k, dh := range b.Dists[hr*cols : (hr+1)*cols] {
+					if dh != digraph.Unreachable && dh < best[k] {
+						best[k] = dh
+						routes[k] = MakeRouteEntry(c, int(h), false)
 					}
+				}
+				if k := col[h]; best[k] > 0 {
+					best[k] = 0
+					routes[k] = MakeRouteEntry(c, int(h), true)
 				}
 			}
 		}
-		for _, u := range members {
-			row := st.routeFlat[u*n : (u+1)*n : (u+1)*n]
-			copy(row, r)
-			row[u] = MakeRouteEntry(-1, u, false)
-			st.route[u] = row
-		}
 	}
+	st.blocks = b
 	return st
 }
 
-// twinClasses partitions the nodes into classes whose out-coupler lists
-// are identical, in the same order. Members are listed in ascending order.
-func twinClasses(out [][]int) [][]int {
-	var classes [][]int
-	byList := map[string]int{} // printed out-coupler list -> class id
-	for u, list := range out {
+// twinClasses partitions the nodes into classes whose coupler lists are
+// identical, in the same order. It returns each node's class and each
+// class's members, in ascending order; classes are numbered by their
+// smallest member.
+func twinClasses(lists [][]int) ([]int32, [][]int) {
+	classOf := make([]int32, len(lists))
+	var members [][]int
+	byList := map[string]int32{} // printed coupler list -> class id
+	for u, list := range lists {
 		key := fmt.Sprint(list)
 		k, ok := byList[key]
 		if !ok {
-			k = len(classes)
+			k = int32(len(members))
 			byList[key] = k
-			classes = append(classes, nil)
+			members = append(members, nil)
 		}
-		classes[k] = append(classes[k], u)
+		classOf[u] = k
+		members[k] = append(members[k], u)
 	}
-	return classes
+	return classOf, members
 }
 
 func (st *stackTopology) Nodes() int              { return st.sg.N() }
@@ -198,47 +201,58 @@ func (st *stackTopology) Couplers() int           { return st.sg.M() }
 func (st *stackTopology) OutCouplers(u int) []int { return st.out[u] }
 func (st *stackTopology) Heads(c int) []int       { return st.sg.Hyperarc(c).Head }
 
-func (st *stackTopology) Distance(u, dst int) int { return st.dist[u][dst] }
+func (st *stackTopology) Distance(u, dst int) int { return st.blocks.Distance(u, dst) }
 
-// RouteTable lends the engine the flat route table (RouteTabled).
-func (st *stackTopology) RouteTable() []RouteEntry { return st.routeFlat }
+// RouteBlocks lends the engine the quotient blocks (BlockTabled).
+func (st *stackTopology) RouteBlocks() *RouteBlocks { return &st.blocks }
 
-// DistanceRows lends the engine the per-source distance rows
-// (DistanceRowed).
-func (st *stackTopology) DistanceRows() [][]int { return st.dist }
+// FingerprintSlot is where sweep.TopologyFingerprint keeps the topology's
+// structural fingerprint once computed, so the memo is collected with the
+// topology instead of pinning it in a process-wide map.
+func (st *stackTopology) FingerprintSlot() *atomic.Pointer[string] { return &st.fp }
 
 func (st *stackTopology) NextCoupler(u, dst int) (int, int) {
-	r := st.route[u][dst]
+	r := st.blocks.Entry(u, dst)
 	return r.Coupler(), r.NextHop()
 }
 
 // pointToPoint adapts a digraph as a single-OPS-per-arc network: every arc
-// is its own degree-1 coupler.
+// is its own degree-1 coupler. Its blocks are per node (identity classes):
+// no two nodes share an out-coupler or hear the same one.
 type pointToPoint struct {
-	g         *digraph.Digraph
-	out       [][]int // coupler ids per node
-	head      []int   // head node per coupler
-	dist      [][]int
-	route     [][]RouteEntry
-	routeFlat []RouteEntry
+	g      *digraph.Digraph
+	out    [][]int // coupler ids per node
+	head   []int   // head node per coupler
+	blocks RouteBlocks
+	fp     atomic.Pointer[string] // see FingerprintSlot
 }
 
 // NewPointToPointTopology wraps a digraph where each arc is a dedicated
 // point-to-point optical link (the single-OPS baseline). Routing decisions
-// are precomputed into a full table, as for stack topologies.
+// are precomputed into a full per-node table, as for stack topologies.
 func NewPointToPointTopology(g *digraph.Digraph) Topology {
-	pt := &pointToPoint{g: g}
-	pt.out = make([][]int, g.N())
+	n := g.N()
+	pt := &pointToPoint{g: g, blocks: IdentityBlocks(n)}
+	pt.out = make([][]int, n)
 	for _, a := range g.Arcs() {
 		c := len(pt.head)
 		pt.head = append(pt.head, a[1])
 		pt.out[a[0]] = append(pt.out[a[0]], c)
 	}
-	pt.dist = make([][]int, g.N())
-	for u := 0; u < g.N(); u++ {
-		pt.dist[u] = g.BFS(u)
+	for u := 0; u < n; u++ {
+		row := pt.blocks.Dists[u*n : (u+1)*n]
+		for v, d := range g.BFS(u) {
+			row[v] = int32(d)
+		}
 	}
-	pt.route, pt.routeFlat = buildRouteTable(g.N(), pt.scanNextCoupler)
+	// The delivers-here bit is packed from nextHop == dst: the scan picks
+	// the first strictly closer head, and only dst itself is at distance 0.
+	for u := 0; u < n; u++ {
+		for dst := 0; dst < n; dst++ {
+			c, hop := pt.scanNextCoupler(u, dst)
+			pt.blocks.Routes[u*n+dst] = MakeRouteEntry(c, hop, c >= 0 && hop == dst)
+		}
+	}
 	return pt
 }
 
@@ -246,17 +260,17 @@ func (pt *pointToPoint) Nodes() int              { return pt.g.N() }
 func (pt *pointToPoint) Couplers() int           { return len(pt.head) }
 func (pt *pointToPoint) OutCouplers(u int) []int { return pt.out[u] }
 func (pt *pointToPoint) Heads(c int) []int       { return pt.head[c : c+1] }
-func (pt *pointToPoint) Distance(u, dst int) int { return pt.dist[u][dst] }
+func (pt *pointToPoint) Distance(u, dst int) int { return pt.blocks.Distance(u, dst) }
 
-// RouteTable lends the engine the flat route table (RouteTabled).
-func (pt *pointToPoint) RouteTable() []RouteEntry { return pt.routeFlat }
+// RouteBlocks lends the engine the per-node blocks (BlockTabled).
+func (pt *pointToPoint) RouteBlocks() *RouteBlocks { return &pt.blocks }
 
-// DistanceRows lends the engine the per-source distance rows
-// (DistanceRowed).
-func (pt *pointToPoint) DistanceRows() [][]int { return pt.dist }
+// FingerprintSlot holds the topology's structural fingerprint, as for
+// stack topologies.
+func (pt *pointToPoint) FingerprintSlot() *atomic.Pointer[string] { return &pt.fp }
 
 func (pt *pointToPoint) NextCoupler(u, dst int) (int, int) {
-	r := pt.route[u][dst]
+	r := pt.blocks.Entry(u, dst)
 	return r.Coupler(), r.NextHop()
 }
 
@@ -266,10 +280,10 @@ func (pt *pointToPoint) scanNextCoupler(u, dst int) (int, int) {
 	if u == dst {
 		return -1, u
 	}
-	cur := pt.dist[u][dst]
+	cur := pt.blocks.Distance(u, dst)
 	for _, c := range pt.out[u] {
 		h := pt.head[c]
-		if d := pt.dist[h][dst]; d != digraph.Unreachable && d < cur {
+		if d := pt.blocks.Distance(h, dst); d != digraph.Unreachable && d < cur {
 			return c, h
 		}
 	}
@@ -278,20 +292,21 @@ func (pt *pointToPoint) scanNextCoupler(u, dst int) (int, int) {
 
 // CheckTopology validates basic sanity: every node has at least one out
 // coupler, every coupler has at least one head, and routing reaches every
-// destination. Returns nil for usable topologies. A DistanceRowed topology
-// has its lent rows scanned directly instead of through N² Distance calls;
-// either way the first failing pair, in (u, v) order, is the one reported.
+// destination. Returns nil for usable topologies. A BlockTabled topology
+// has its distance blocks scanned directly instead of through N² Distance
+// calls; either way the first failing pair, in (u, v) order, is the one
+// reported.
 func CheckTopology(t Topology) error {
 	n := t.Nodes()
-	var rows [][]int
-	if dr, ok := t.(DistanceRowed); ok {
-		rows = dr.DistanceRows()
+	var blocks *RouteBlocks
+	if bt, ok := t.(BlockTabled); ok {
+		blocks = bt.RouteBlocks()
 	}
 	for u := 0; u < n; u++ {
 		if len(t.OutCouplers(u)) == 0 {
 			return fmt.Errorf("sim: node %d cannot transmit", u)
 		}
-		if v := firstUnreachable(t, rows, u); v >= 0 {
+		if v := firstUnreachable(t, blocks, u); v >= 0 {
 			return fmt.Errorf("sim: node %d cannot reach %d", u, v)
 		}
 	}
@@ -304,11 +319,16 @@ func CheckTopology(t Topology) error {
 }
 
 // firstUnreachable returns the first node u cannot reach, or -1. It reads
-// rows when the topology lends them, and calls Distance otherwise.
-func firstUnreachable(t Topology, rows [][]int, u int) int {
-	if rows != nil {
-		for v, d := range rows[u] {
-			if d == digraph.Unreachable && v != u {
+// the blocks when the topology lends them, and calls Distance otherwise.
+func firstUnreachable(t Topology, b *RouteBlocks, u int) int {
+	if b != nil {
+		r := int(b.Row[u])
+		dists := b.Dists[r*b.Cols : (r+1)*b.Cols]
+		if !slices.Contains(dists, digraph.Unreachable) {
+			return -1 // every member of u's row class reaches every node
+		}
+		for v, k := range b.Col {
+			if dists[k] == digraph.Unreachable && v != u {
 				return v
 			}
 		}

@@ -21,7 +21,7 @@ import (
 	"fmt"
 	"hash"
 	"strconv"
-	"sync"
+	"sync/atomic"
 
 	"otisnet/internal/sim"
 	"otisnet/internal/workload"
@@ -32,23 +32,39 @@ import (
 // order, changed arbitration tie-breaks, metric redefinitions, ...).
 const keyVersion = "otisnet-scenario-v1"
 
-// fingerprints memoizes TopologyFingerprint per live topology value (all
-// sim.Topology implementations are pointers, so interface identity is
-// cheap and stable for the life of the process).
-var fingerprints sync.Map // sim.Topology -> string
-
 // TopologyFingerprint returns a hex SHA-256 of the topology's structure:
 // node count, coupler count, every node's out-coupler list and every
 // coupler's head list, in index order. Routing and distances are derived
 // deterministically from exactly that structure (the construction-time
 // scan oracles break ties in list order), so two topologies with equal
-// fingerprints are simulation-equivalent. The fingerprint is memoized per
-// topology value; it is computed from the pristine structure, so it must
-// be taken from the base topology, never from a live fault wrapper.
+// fingerprints are simulation-equivalent. A topology with a
+// fingerprintMemo slot (the stack and point-to-point topologies) keeps its
+// fingerprint there once computed, so the memo lives exactly as long as
+// the topology; others are hashed on every call. The fingerprint is
+// computed from the pristine structure, so it must be taken from the base
+// topology, never from a live fault wrapper.
 func TopologyFingerprint(t sim.Topology) string {
-	if fp, ok := fingerprints.Load(t); ok {
-		return fp.(string)
+	memo, ok := t.(fingerprintMemo)
+	if !ok {
+		return fingerprint(t)
 	}
+	slot := memo.FingerprintSlot()
+	if fp := slot.Load(); fp != nil {
+		return *fp
+	}
+	fp := fingerprint(t)
+	slot.Store(&fp)
+	return fp
+}
+
+// fingerprintMemo is implemented by topologies that carry a slot for their
+// own fingerprint.
+type fingerprintMemo interface {
+	FingerprintSlot() *atomic.Pointer[string]
+}
+
+// fingerprint hashes the structure TopologyFingerprint describes.
+func fingerprint(t sim.Topology) string {
 	h := sha256.New()
 	var buf [8]byte
 	writeInt := func(v int) {
@@ -72,9 +88,7 @@ func TopologyFingerprint(t sim.Topology) string {
 			writeInt(hd)
 		}
 	}
-	fp := hex.EncodeToString(h.Sum(nil))
-	fingerprints.Store(t, fp)
-	return fp
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // CacheKey returns the scenario's content-addressed key: a hex SHA-256 of

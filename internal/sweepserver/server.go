@@ -79,9 +79,8 @@ type Server struct {
 	// topos reuses built-and-validated topologies across submissions,
 	// keyed by canonical spec. Built topologies are read-only (fault
 	// scenarios wrap them per engine), so jobs share them freely — exactly
-	// as CLI sweep workers share one base topology. Reuse also keeps
-	// sweep.TopologyFingerprint's per-value memo bounded by the distinct
-	// specs ever submitted, instead of growing with every request.
+	// as CLI sweep workers share one base topology, and each topology's
+	// sweep.TopologyFingerprint is computed once, not once per request.
 	topoMu sync.Mutex
 	topos  map[sweep.TopoSpec]sweep.Topology
 }
