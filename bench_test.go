@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 	"unsafe"
 
@@ -336,70 +335,6 @@ func BenchmarkNewStackTopology(b *testing.B) {
 	bl := topo.(sim.BlockTabled).RouteBlocks()
 	bytes := len(bl.Routes)*int(unsafe.Sizeof(sim.RouteEntry{})) + 4*(len(bl.Dists)+len(bl.Row)+len(bl.Col))
 	b.ReportMetric(float64(bytes)/(1<<20), "table-MiB")
-}
-
-// BenchmarkStepLargeNParallel pits the serial Step against the sharded
-// slot loop on BenchmarkStepLargeN's production-scale workload (Kautz
-// point-to-point, 64 fresh messages per slot). Three variants per size:
-// "serial" is the plain engine; "armed-serial" arms shard workers but
-// pins the engagement threshold out of reach, so every slot takes the
-// serial path through the parallel dispatch check — the guard that
-// arming costs nothing when parallelism doesn't engage; "parallel"
-// forces the sharded path on every slot with GOMAXPROCS workers.
-// scripts/bench.sh pairs serial vs parallel ns/op at N=12288 as
-// "parallel_step_speedup" in BENCH_8.json — on a single-core runner the
-// crew is pure overhead and the recorded ratio honestly shows it.
-func BenchmarkStepLargeNParallel(b *testing.B) {
-	// GOMAXPROCS shard workers, floored at two: SetParallel(1) is the
-	// serial engine, so a single-core runner would silently benchmark
-	// serial against itself instead of measuring the crew's overhead.
-	shards := runtime.GOMAXPROCS(0)
-	if shards < 2 {
-		shards = 2
-	}
-	arm := map[string]func(*sim.Engine){
-		"serial": func(e *sim.Engine) {},
-		"armed-serial": func(e *sim.Engine) {
-			e.SetParallel(shards)
-			e.SetParallelThreshold(1 << 30)
-		},
-		"parallel": func(e *sim.Engine) {
-			e.SetParallel(shards)
-			e.SetParallelThreshold(0)
-		},
-	}
-	for _, k := range []int{12, 13} {
-		kg := kautz.New(2, k)
-		for _, variant := range []string{"serial", "armed-serial", "parallel"} {
-			b.Run(fmt.Sprintf("KG(2,%d)-N=%d/%s", k, kg.N(), variant), func(b *testing.B) {
-				topo := sim.NewPointToPointTopology(kg.Digraph())
-				e := sim.NewEngine(topo, sim.Config{Seed: 1})
-				defer e.Close()
-				arm[variant](e)
-				n := topo.Nodes()
-				slot := 0
-				const perSlot = 64
-				step := func() {
-					off := 1 + (slot*7919)%(n-1)
-					base := (slot * 131) % n
-					for j := 0; j < perSlot; j++ {
-						u := (base + j*97) % n
-						e.Inject(u, (u+off)%n)
-					}
-					e.Step()
-					slot++
-				}
-				for i := 0; i < 300; i++ { // warmup to steady in-flight population
-					step()
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					step()
-				}
-			})
-		}
-	}
 }
 
 // BenchmarkStepAllocFree drives the engine at a sustained sub-saturation

@@ -22,8 +22,9 @@ import (
 )
 
 // snapshot mirrors one BENCH_<n>.json file. Parsing is deliberately
-// lenient — older snapshots predate the batched and warm-cache fields —
-// so every field beyond pr/benchmarks is optional.
+// lenient — older snapshots predate the batched and warm-cache fields,
+// and fields no longer read (such as BENCH_8's parallel_step_speedup)
+// are ignored — so every field beyond pr/benchmarks is optional.
 type snapshot struct {
 	File       string `json:"-"`
 	PR         int    `json:"pr"`
@@ -35,9 +36,6 @@ type snapshot struct {
 	SpeedupVsLegacy  map[string]float64 `json:"speedup_vs_legacy"`
 	WarmCacheSpeedup *float64           `json:"warm_cache_speedup"`
 	BatchedSpeedup   *float64           `json:"batched_speedup"`
-	// ParallelStepSpeedup is serial Step over the sharded slot loop at
-	// N=12288 (PR 8); machine-dependent — below 1.0 on few-core runners.
-	ParallelStepSpeedup *float64 `json:"parallel_step_speedup"`
 }
 
 // ns returns the named benchmark's ns/op, or 0 when the snapshot lacks it.
@@ -61,14 +59,6 @@ func (s *snapshot) warm() float64 {
 		return 0
 	}
 	return *s.WarmCacheSpeedup
-}
-
-// parstep returns the parallel-step speedup, or 0 when absent.
-func (s *snapshot) parstep() float64 {
-	if s.ParallelStepSpeedup == nil {
-		return 0
-	}
-	return *s.ParallelStepSpeedup
 }
 
 func main() {
@@ -101,13 +91,13 @@ func main() {
 	}
 	sort.Slice(snaps, func(a, b int) bool { return snaps[a].PR < snaps[b].PR })
 
-	fmt.Printf("%-4s %-14s %-10s %12s %12s %9s %9s %8s %8s\n",
-		"pr", "file", "benchtime", "t7 ns/op", "grid ns/op", "t7 xlegacy", "warmcache", "batched", "parstep")
+	fmt.Printf("%-4s %-14s %-10s %12s %12s %9s %9s %8s\n",
+		"pr", "file", "benchtime", "t7 ns/op", "grid ns/op", "t7 xlegacy", "warmcache", "batched")
 	for _, s := range snaps {
-		fmt.Printf("%-4d %-14s %-10s %12s %12s %9s %9s %8s %8s\n",
+		fmt.Printf("%-4d %-14s %-10s %12s %12s %9s %9s %8s\n",
 			s.PR, s.File, s.Benchtime,
 			fmtNs(s.ns("BenchmarkT7SimThroughput")), fmtNs(s.ns("BenchmarkSweepGrid")),
-			fmtX(s.t7Speedup()), fmtX(s.warm()), fmtXPtr(s.BatchedSpeedup), fmtXPtr(s.ParallelStepSpeedup))
+			fmtX(s.t7Speedup()), fmtX(s.warm()), fmtXPtr(s.BatchedSpeedup))
 	}
 
 	if len(snaps) < 2 {
@@ -119,7 +109,6 @@ func main() {
 	failed := false
 	failed = guard("t7_speedup", prev.t7Speedup(), last.t7Speedup(), *threshold) || failed
 	failed = guard("warm_cache_speedup", prev.warm(), last.warm(), *threshold) || failed
-	failed = guard("parallel_step_speedup", prev.parstep(), last.parstep(), *threshold) || failed
 	if failed {
 		os.Exit(1)
 	}

@@ -213,3 +213,23 @@ func legacyTraffic(name string, n int, seed int64, burstMsgs int, wf workloadFla
 		}, nil
 	}
 }
+
+// checkRunFlags validates the scenario flags shared by single runs and
+// sweeps: the offered load is a per-node injection probability, slot
+// counts and the queue cap cannot be negative, and -repeat runs the
+// scenario at least once.
+func checkRunFlags(rate float64, slots, drain, maxQ, repeat int) error {
+	switch {
+	case !(rate >= 0 && rate <= 1): // also rejects NaN
+		return fmt.Errorf("bad rate %g (want a probability in [0,1])", rate)
+	case slots < 0:
+		return fmt.Errorf("bad -slots %d (want >= 0)", slots)
+	case drain < 0:
+		return fmt.Errorf("bad -drain %d (want >= 0)", drain)
+	case maxQ < 0:
+		return fmt.Errorf("bad -maxq %d (want >= 0; 0 = unbounded)", maxQ)
+	case repeat < 1:
+		return fmt.Errorf("bad -repeat %d (want >= 1)", repeat)
+	}
+	return nil
+}

@@ -7,6 +7,7 @@ package main
 // contradicting workload.Hotspot's documented modulo-group wrap.
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -192,5 +193,46 @@ func TestLegacyTrafficErrors(t *testing.T) {
 		if _, err := legacyTraffic(model, 24, 1, 4, flags()); err != nil {
 			t.Fatalf("legacyTraffic(%q): %v", model, err)
 		}
+	}
+}
+
+// TestCheckRunFlags pairs each bad scenario flag with its exact error; the
+// CLI defaults and the boundary values must pass.
+func TestCheckRunFlags(t *testing.T) {
+	type runFlags struct {
+		rate                       float64
+		slots, drain, maxQ, repeat int
+	}
+	defaults := runFlags{rate: 0.2, slots: 2000, drain: 2000, maxQ: 0, repeat: 1}
+	with := func(edit func(*runFlags)) runFlags { f := defaults; edit(&f); return f }
+	for _, tc := range []struct {
+		name  string
+		flags runFlags
+		want  string // "" means valid
+	}{
+		{"defaults", defaults, ""},
+		{"boundaries", runFlags{rate: 1, slots: 0, drain: 0, maxQ: 0, repeat: 1}, ""},
+		{"zero rate", with(func(f *runFlags) { f.rate = 0 }), ""},
+		{"negative rate", with(func(f *runFlags) { f.rate = -1 }), "bad rate -1 (want a probability in [0,1])"},
+		{"rate above one", with(func(f *runFlags) { f.rate = 1.5 }), "bad rate 1.5 (want a probability in [0,1])"},
+		{"NaN rate", with(func(f *runFlags) { f.rate = math.NaN() }), "bad rate NaN (want a probability in [0,1])"},
+		{"negative slots", with(func(f *runFlags) { f.slots = -1 }), "bad -slots -1 (want >= 0)"},
+		{"negative drain", with(func(f *runFlags) { f.drain = -5 }), "bad -drain -5 (want >= 0)"},
+		{"negative maxq", with(func(f *runFlags) { f.maxQ = -2 }), "bad -maxq -2 (want >= 0; 0 = unbounded)"},
+		{"zero repeat", with(func(f *runFlags) { f.repeat = 0 }), "bad -repeat 0 (want >= 1)"},
+		{"negative repeat", with(func(f *runFlags) { f.repeat = -3 }), "bad -repeat -3 (want >= 1)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := tc.flags
+			err := checkRunFlags(f.rate, f.slots, f.drain, f.maxQ, f.repeat)
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("unexpected error: %v", err)
+			case tc.want != "" && err == nil:
+				t.Fatalf("accepted, want error %q", tc.want)
+			case tc.want != "" && err.Error() != tc.want:
+				t.Fatalf("error %q, want %q", err, tc.want)
+			}
+		})
 	}
 }

@@ -33,7 +33,8 @@ type Worker struct {
 	// sweepserver.PointsFromSpec). Builds are memoized per payload.
 	Build PointsBuilder
 	// Runner executes shard points; its Workers/Replicas settings are the
-	// worker process's local parallelism.
+	// worker process's local parallelism (each point itself runs the
+	// serial slot loop).
 	Runner sweep.Runner
 	// Cache is the shared content-addressed result cache; nil disables
 	// caching (and with it crash-resume incrementality).

@@ -231,11 +231,6 @@ type replica struct {
 	// one bool. Both stay nil/false in normal (untraced) runs.
 	trace     *obs.Trace
 	traceSlot bool
-
-	// par, when non-nil, holds the intra-slot parallel machinery (shard
-	// workers, ranges, per-shard scratch); see parallel.go and
-	// Engine.SetParallel. Serial replicas leave it nil.
-	par *parState
 }
 
 // attach points the replica at a compiled snapshot.
@@ -317,8 +312,6 @@ func (e *replica) reset(cfg Config) {
 	// completed runs flush (and re-zero) them before the next reset.
 	e.obs.activeSum, e.obs.touchedSum, e.obs.qDepthSum = 0, 0, 0
 	e.obs.qDepth = [qDepthBuckets]int64{}
-	e.obs.parSlots, e.obs.parImbSum = 0, 0
-	e.obs.parImb = [parImbBuckets]int64{}
 	e.traceSlot = false
 	if e.dyn != nil {
 		e.dyn.Reset()
@@ -482,13 +475,7 @@ func (e *replica) step() {
 		e.traceSlot = e.traceSampled()
 	}
 
-	// Parallel-armed replicas shard the slot when enough nodes are active
-	// to amortize the phase barriers; traced slots always run serially
-	// (trace emission is inherently ordered). Serial and parallel slots
-	// produce bit-for-bit identical state, so a run may mix them.
-	if e.par != nil && e.trace == nil && len(e.active) >= e.par.threshold {
-		e.stepParallel()
-	} else if e.cfg.Wavelengths <= 1 {
+	if e.cfg.Wavelengths <= 1 {
 		e.stepSingleWavelength()
 	} else {
 		e.stepMultiWavelength()

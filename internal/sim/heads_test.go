@@ -24,7 +24,6 @@ func TestDeferredHeadsMatchRoutes(t *testing.T) {
 		topo     func() sim.Topology
 		cfg      sim.Config
 		rate     float64
-		shards   int // > 1 arms the parallel crew on every slot
 		replicas int // > 0 runs a ReplicaSet of that many seeds instead
 		check    func(m sim.Metrics) bool
 	}{
@@ -38,12 +37,6 @@ func TestDeferredHeadsMatchRoutes(t *testing.T) {
 			check: func(m sim.Metrics) bool { return m.Dropped > 0 }},
 		{name: "fault events", topo: nodeFaults, cfg: sim.Config{Seed: 5}, rate: 0.4,
 			check: func(m sim.Metrics) bool { return m.Unroutable > 0 && m.LostToFaults > 0 }},
-		{name: "parallel crew", cfg: sim.Config{Seed: 6}, rate: 0.4, shards: 2,
-			check: func(m sim.Metrics) bool { return m.Delivered > 0 && m.PeakQueue > 1 }},
-		{name: "parallel crew, faults and deflection", topo: nodeFaults, cfg: sim.Config{Seed: 7, Deflection: true, MaxQueue: 3}, rate: 0.5, shards: 2,
-			check: func(m sim.Metrics) bool {
-				return m.Unroutable > 0 && m.Deflections > 0 && m.Dropped > m.Unroutable+m.LostToFaults
-			}},
 		{name: "ReplicaSet", cfg: sim.Config{Seed: 8, MaxQueue: 3}, rate: 0.5, replicas: 3,
 			check: func(m sim.Metrics) bool { return m.Delivered > 0 && m.Dropped > 0 }},
 	} {
@@ -90,11 +83,6 @@ func TestDeferredHeadsMatchRoutes(t *testing.T) {
 				}
 			} else {
 				e := sim.NewEngine(topo, tc.cfg)
-				defer e.Close()
-				if tc.shards > 1 {
-					e.SetParallel(tc.shards)
-					e.SetParallelThreshold(0)
-				}
 				for s := 0; s < slots+drain && (s < slots || e.Backlog() > 0); s++ {
 					if s < slots {
 						inject(e.Inject)

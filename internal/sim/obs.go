@@ -70,12 +70,6 @@ type obsState struct {
 	touchedSum int64
 	qDepth     [qDepthBuckets]int64
 	qDepthSum  int64
-	// Parallel-path tallies (see parallel.go): slots stepped through the
-	// sharded path and the per-slot shard busy-ns imbalance histogram.
-	// Zero for serial replicas, so serial flushes skip the extra adds.
-	parSlots  int64
-	parImb    [parImbBuckets]int64
-	parImbSum int64
 }
 
 // qDepthBucket maps an observed queue length (>= 1) onto its histogram
@@ -106,12 +100,6 @@ func (e *replica) flushObs() {
 	engineObs.queueDepth.AddBuckets(e.obs.qDepth[:], e.obs.qDepthSum)
 	e.obs.activeSum, e.obs.touchedSum, e.obs.qDepthSum = 0, 0, 0
 	e.obs.qDepth = [qDepthBuckets]int64{}
-	if e.obs.parSlots > 0 {
-		parObs.slots.AddShard(sh, e.obs.parSlots)
-		parObs.imbalance.AddBuckets(e.obs.parImb[:], e.obs.parImbSum)
-		e.obs.parSlots, e.obs.parImbSum = 0, 0
-		e.obs.parImb = [parImbBuckets]int64{}
-	}
 }
 
 // TraceSlotEvent is the per-slot summary line of an engine trace

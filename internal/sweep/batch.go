@@ -152,7 +152,7 @@ func (r Runner) runBatched(ctx context.Context, points []Scenario, cache PointCa
 	batches := planBatches(points, rep)
 	results := make([]Result, len(points))
 	err := r.fanScopedCtx(ctx, len(batches), func() (func(int), func()) {
-		w := &batchWorker{rep: rep, par: r.parallel(), sh: obs.NextShard()}
+		w := &batchWorker{rep: rep, sh: obs.NextShard()}
 		return func(bi int) { w.run(batches[bi], points, results, cache, progress) }, w.release
 	})
 	return results, err
@@ -181,13 +181,11 @@ var setPool struct {
 // released beyond the cap are dropped for the GC.
 const maxPooledSets = 16
 
-// release returns the worker's warmed sets to the recycler. Parallel
-// crews are torn down first — pooled sets must not park goroutines —
-// but their ring and slab storage stays warm.
+// release returns the worker's warmed sets, ring and slab storage
+// included, to the recycler.
 func (w *batchWorker) release() {
 	setPool.mu.Lock()
 	for i := range w.sets {
-		w.sets[i].rset.Close()
 		if len(setPool.sets) < maxPooledSets {
 			setPool.sets = append(setPool.sets, w.sets[i])
 		}
@@ -202,7 +200,6 @@ func (w *batchWorker) release() {
 // a batch allocates nothing in steady state.
 type batchWorker struct {
 	rep  int
-	par  int // intra-run shard count each set is armed with
 	sh   int // counter shard hint, one per worker goroutine
 	sets []batchSet
 
@@ -243,11 +240,7 @@ func (w *batchWorker) set(fp string, base sim.Topology) *batchSet {
 			fp: fp, base: base, rset: sim.NewReplicaSet(base), fts: make([]*faults.FaultedTopology, w.rep),
 		})
 	}
-	bs := &w.sets[len(w.sets)-1]
-	if w.par > 1 {
-		bs.rset.SetParallel(w.par)
-	}
-	return bs
+	return &w.sets[len(w.sets)-1]
 }
 
 // takePooled pops a recycled set for the fingerprint, if one is parked.

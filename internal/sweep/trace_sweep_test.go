@@ -68,7 +68,6 @@ func TestTraceSweepSoloBatchedShardedBitForBit(t *testing.T) {
 	for name, runner := range map[string]sweep.Runner{
 		"batched-3":    {Workers: 2, Replicas: 3},
 		"auto-batched": {Workers: 3, Replicas: sweep.AutoReplicas},
-		"parallel":     {Replicas: sweep.AutoReplicas, Parallel: 2},
 	} {
 		got := runner.Run(points)
 		for i := range solo {

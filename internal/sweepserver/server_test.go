@@ -261,6 +261,9 @@ func TestBadRequests(t *testing.T) {
 		"bad mperiod":   `{"topologies":[{"net":"sk"}],"workloads":[{"kind":"multiperiod","amplitude":2}]}`,
 		"bad fault":     `{"topologies":[{"net":"sk"}],"faults":[{"kind":"node","count":1,"mtbf":5}]}`,
 		"bad replicas":  `{"topologies":[{"net":"sk"}],"replicas":-3}`,
+		"neg slots":     `{"topologies":[{"net":"sk"}],"slots":-5}`,
+		"neg drain":     `{"topologies":[{"net":"sk"}],"drain":-1}`,
+		"neg max_queue": `{"topologies":[{"net":"sk"}],"max_queue":-2}`,
 	} {
 		resp, err := http.Post(ts.URL+"/api/v1/sweeps", "application/json", strings.NewReader(body))
 		if err != nil {

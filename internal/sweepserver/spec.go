@@ -192,6 +192,14 @@ func (gs GridSpec) grid(build func(sweep.TopoSpec) (sweep.Topology, error)) (swe
 		Slots:       gs.Slots,
 		Drain:       gs.Drain,
 	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"slots", gs.Slots}, {"drain", gs.Drain}, {"max_queue", gs.MaxQueue}} {
+		if f.v < 0 {
+			return sweep.Grid{}, fmt.Errorf("%s %d negative", f.name, f.v)
+		}
+	}
 	for _, r := range gs.Rates {
 		if r < 0 || r > 1 {
 			return sweep.Grid{}, fmt.Errorf("rate %g not a probability in [0,1]", r)
