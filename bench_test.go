@@ -265,8 +265,7 @@ func BenchmarkT7SimThroughput(b *testing.B) {
 // pre-compilation reference engine (internal/legacysim: interface dispatch
 // per routing decision, O(N) queue scan and O(M) coupler clear per slot).
 // Together with BenchmarkT7SimThroughput it measures the compiled engine's
-// speedup on the same machine in the same run; scripts/bench.sh records
-// the pair in BENCH_4.json.
+// speedup on the same machine in the same run (frozen in BENCH_4.json).
 func BenchmarkT7LegacyEngine(b *testing.B) {
 	topo := sim.NewStackTopology(stackkautz.New(6, 3, 2).StackGraph())
 	b.ResetTimer()
@@ -480,7 +479,7 @@ func BenchmarkSweepGrid(b *testing.B) {
 // BenchmarkSweepGridLegacyEngine runs the identical 24-point grid
 // scenario by scenario on the frozen reference engine (one fresh engine
 // per scenario, as the pre-reuse sweep did), the same-machine baseline
-// scripts/bench.sh pairs with BenchmarkSweepGrid in BENCH_4.json.
+// for BenchmarkSweepGrid (frozen in BENCH_4.json).
 func BenchmarkSweepGridLegacyEngine(b *testing.B) {
 	grid := sweepGridT7()
 	points := grid.Points()
@@ -503,8 +502,8 @@ func BenchmarkSweepGridLegacyEngine(b *testing.B) {
 // BenchmarkSweepGridBatched runs the identical 24-point grid through the
 // batched dispatcher: points grouped by topology fingerprint, chunked into
 // ReplicaSet batches (auto-sized), stream-siblings sharing one generated
-// injection schedule. scripts/bench.sh pairs it with BenchmarkSweepGrid as
-// "batched_speedup" in BENCH_6.json.
+// injection schedule. Paired with BenchmarkSweepGrid it gives the
+// "batched_speedup" frozen in BENCH_6.json.
 func BenchmarkSweepGridBatched(b *testing.B) {
 	grid := sweepGridT7()
 	b.ResetTimer()
@@ -563,8 +562,8 @@ func BenchmarkBatchedStep(b *testing.B) {
 // warmed content-addressed result cache (internal/sweepcache, the PR 5
 // service layer): every point is a cache hit, so the iteration cost is
 // pure orchestration — key hashing, lookups and aggregation — with zero
-// simulated slots. scripts/bench.sh pairs it with BenchmarkSweepGrid (the
-// cold, cacheless run of the same grid) as "warm_cache_speedup"; the
+// simulated slots. Paired with BenchmarkSweepGrid (the cold, cacheless
+// run of the same grid) it gives the "warm_cache_speedup"; the
 // service-layer contract is >= 10x.
 func BenchmarkSweepCachedGrid(b *testing.B) {
 	grid := sweepGridT7()

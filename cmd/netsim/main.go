@@ -179,7 +179,7 @@ func main() {
 	)
 	flag.Parse()
 	setupLogging(*logJSON)
-	if err := checkRunFlags(*rate, *slots, *drain, *maxQ, *repeat); err != nil {
+	if err := checkRunFlags(*rate, *slots, *drain, *maxQ, *waves, *repeat); err != nil {
 		fmt.Fprintf(os.Stderr, "netsim: %v\n", err)
 		os.Exit(2)
 	}

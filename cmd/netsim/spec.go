@@ -216,9 +216,9 @@ func legacyTraffic(name string, n int, seed int64, burstMsgs int, wf workloadFla
 
 // checkRunFlags validates the scenario flags shared by single runs and
 // sweeps: the offered load is a per-node injection probability, slot
-// counts and the queue cap cannot be negative, and -repeat runs the
-// scenario at least once.
-func checkRunFlags(rate float64, slots, drain, maxQ, repeat int) error {
+// counts and the queue cap cannot be negative, a coupler carries at least
+// one wavelength, and -repeat runs the scenario at least once.
+func checkRunFlags(rate float64, slots, drain, maxQ, waves, repeat int) error {
 	switch {
 	case !(rate >= 0 && rate <= 1): // also rejects NaN
 		return fmt.Errorf("bad rate %g (want a probability in [0,1])", rate)
@@ -228,6 +228,8 @@ func checkRunFlags(rate float64, slots, drain, maxQ, repeat int) error {
 		return fmt.Errorf("bad -drain %d (want >= 0)", drain)
 	case maxQ < 0:
 		return fmt.Errorf("bad -maxq %d (want >= 0; 0 = unbounded)", maxQ)
+	case waves < 1:
+		return fmt.Errorf("bad -wavelengths %d (want >= 1)", waves)
 	case repeat < 1:
 		return fmt.Errorf("bad -repeat %d (want >= 1)", repeat)
 	}

@@ -200,10 +200,10 @@ func TestLegacyTrafficErrors(t *testing.T) {
 // CLI defaults and the boundary values must pass.
 func TestCheckRunFlags(t *testing.T) {
 	type runFlags struct {
-		rate                       float64
-		slots, drain, maxQ, repeat int
+		rate                              float64
+		slots, drain, maxQ, waves, repeat int
 	}
-	defaults := runFlags{rate: 0.2, slots: 2000, drain: 2000, maxQ: 0, repeat: 1}
+	defaults := runFlags{rate: 0.2, slots: 2000, drain: 2000, maxQ: 0, waves: 1, repeat: 1}
 	with := func(edit func(*runFlags)) runFlags { f := defaults; edit(&f); return f }
 	for _, tc := range []struct {
 		name  string
@@ -211,7 +211,7 @@ func TestCheckRunFlags(t *testing.T) {
 		want  string // "" means valid
 	}{
 		{"defaults", defaults, ""},
-		{"boundaries", runFlags{rate: 1, slots: 0, drain: 0, maxQ: 0, repeat: 1}, ""},
+		{"boundaries", runFlags{rate: 1, slots: 0, drain: 0, maxQ: 0, waves: 1, repeat: 1}, ""},
 		{"zero rate", with(func(f *runFlags) { f.rate = 0 }), ""},
 		{"negative rate", with(func(f *runFlags) { f.rate = -1 }), "bad rate -1 (want a probability in [0,1])"},
 		{"rate above one", with(func(f *runFlags) { f.rate = 1.5 }), "bad rate 1.5 (want a probability in [0,1])"},
@@ -219,12 +219,14 @@ func TestCheckRunFlags(t *testing.T) {
 		{"negative slots", with(func(f *runFlags) { f.slots = -1 }), "bad -slots -1 (want >= 0)"},
 		{"negative drain", with(func(f *runFlags) { f.drain = -5 }), "bad -drain -5 (want >= 0)"},
 		{"negative maxq", with(func(f *runFlags) { f.maxQ = -2 }), "bad -maxq -2 (want >= 0; 0 = unbounded)"},
+		{"zero wavelengths", with(func(f *runFlags) { f.waves = 0 }), "bad -wavelengths 0 (want >= 1)"},
+		{"negative wavelengths", with(func(f *runFlags) { f.waves = -3 }), "bad -wavelengths -3 (want >= 1)"},
 		{"zero repeat", with(func(f *runFlags) { f.repeat = 0 }), "bad -repeat 0 (want >= 1)"},
 		{"negative repeat", with(func(f *runFlags) { f.repeat = -3 }), "bad -repeat -3 (want >= 1)"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := tc.flags
-			err := checkRunFlags(f.rate, f.slots, f.drain, f.maxQ, f.repeat)
+			err := checkRunFlags(f.rate, f.slots, f.drain, f.maxQ, f.waves, f.repeat)
 			switch {
 			case tc.want == "" && err != nil:
 				t.Fatalf("unexpected error: %v", err)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 
@@ -183,14 +184,11 @@ type replica struct {
 	metrics Metrics
 
 	// Reusable per-step scratch; only the entries touched this slot are
-	// cleared, so an idle network steps in near-O(1).
-	requests  []txRequest
-	byCoupler [][]int32     // coupler -> request indices
-	granted   [][]txRequest // coupler -> granted transmissions
-	// touched is a bitmap of couplers with requests or grants this slot.
-	// Scanning its words visits touched couplers in ascending id order —
-	// the order transmission must happen in — for O(M/64 + touched) per
-	// slot, cheaper than keeping a sorted list.
+	// cleared, so an idle network steps in near-O(1). touched is a bitmap
+	// of couplers with requests or grants this slot. Scanning its words
+	// visits touched couplers in ascending id order — the order
+	// transmission must happen in — for O(M/64 + touched) per slot,
+	// cheaper than keeping a sorted list.
 	touched []uint64
 	winners []bool // node -> won arbitration this slot
 	// reqMask is the deflection counterpart of touched: a bitmap of nodes
@@ -198,13 +196,16 @@ type replica struct {
 	// ascending node id order without sorting. Maintained only when
 	// deflection is on.
 	reqMask []uint64
-	// Single-wavelength fused arbitration: each touched coupler keeps its
-	// current argmin grant in grantSlot[c] with its round-robin key in
-	// bestKey[c]; both are valid only while the coupler's touched bit is
-	// set, so they are never cleared.
+	// Grant windows: touched coupler c holds its grants in
+	// grantSlot[c*w : c*w+w], sorted by their keys in bestKey — the
+	// round-robin key for an arbitration grant, deflectKey for a
+	// deflection grant, which so sorts after every arbitration grant —
+	// and followed by emptyKey entries. A window is valid only while c's
+	// touched bit is set, so it is never cleared. reset sizes the windows
+	// from the scenario's w and only ever grows them.
+	w         int // window width: the wavelength count, capped at n
 	bestKey   []int32
 	grantSlot []txRequest
-	keys      []int       // arbitration scratch: round-robin sort keys
 	injBuf    []Injection // run's traffic-generation scratch
 
 	// dyn is non-nil when the topology injects fault/repair events; the
@@ -256,13 +257,9 @@ func (e *replica) syncTables() {
 func (e *replica) allocState() {
 	e.queues = make([]ring, e.n)
 	e.rr = make([]int32, e.m)
-	e.byCoupler = make([][]int32, e.m)
-	e.granted = make([][]txRequest, e.m)
 	e.touched = make([]uint64, (e.m+63)/64)
 	e.winners = make([]bool, e.n)
 	e.reqMask = make([]uint64, (e.n+63)/64)
-	e.bestKey = make([]int32, e.m)
-	e.grantSlot = make([]txRequest, e.m)
 	e.activePos = make([]int32, e.n)
 	e.headReq = make([]txRequest, e.n)
 	e.obs.shard = obs.NextShard()
@@ -294,16 +291,22 @@ func (e *replica) reset(cfg Config) {
 		e.activePos[i] = -1
 	}
 	e.active = e.active[:0]
-	// step leaves byCoupler/granted empty and the touched bitmap zero;
-	// clearing the bitmap here is defense against a hypothetical aborted
-	// slot, not a per-scenario cost that matters.
+	// step leaves the touched bitmap zero; clearing it here is defense
+	// against a hypothetical aborted slot, not a per-scenario cost that
+	// matters.
 	for i := range e.touched {
 		e.touched[i] = 0
 	}
 	for i := range e.reqMask {
 		e.reqMask[i] = 0
 	}
-	e.requests = e.requests[:0]
+	// A coupler never has more than n senders in a slot, so capping the
+	// window at n changes no outcome and bounds its memory.
+	e.w = min(cfg.wavelengths(), e.n)
+	if need := e.m * e.w; len(e.grantSlot) < need {
+		e.bestKey = make([]int32, need)
+		e.grantSlot = make([]txRequest, need)
+	}
 	e.pend = e.pend[:0]
 	e.nextID, e.slot, e.backlog = 0, 0, 0
 	e.metrics = Metrics{}
@@ -449,13 +452,11 @@ func (e *replica) deactivate(node int) {
 }
 
 // step advances the simulation by one slot: head-of-line resolution, fault
-// events, arbitration, transmission, delivery or relay. No Topology
-// interface calls and no allocations happen here in steady state; per-slot
-// work is proportional to the active nodes and touched couplers (plus an
-// O(M/64 + N/64) bitmap-word scan), not to N or M. The single-wavelength
-// configuration — the paper's networks — takes a fused arbitration path
-// with no per-request list bookkeeping at all; multi-wavelength couplers
-// go through the general candidate-sorting path.
+// events, then the slot kernel (arbitrateAndTransmit), which serves every
+// wavelength count W. No Topology interface calls and no allocations
+// happen here in steady state; per-slot work is proportional to the active
+// nodes and touched couplers (plus an O(M/64 + N/64) bitmap-word scan), not
+// to N or M.
 func (e *replica) step() {
 	// Heads changed by the last slot's transmissions and by the injections
 	// since are resolved first, against the tables those changes saw: fault
@@ -475,11 +476,7 @@ func (e *replica) step() {
 		e.traceSlot = e.traceSampled()
 	}
 
-	if e.cfg.Wavelengths <= 1 {
-		e.stepSingleWavelength()
-	} else {
-		e.stepMultiWavelength()
-	}
+	e.arbitrateAndTransmit()
 
 	if e.traceSlot {
 		e.emitTraceSlot()
@@ -491,17 +488,22 @@ func (e *replica) step() {
 	}
 }
 
-// stepSingleWavelength is the W = 1 hot path. Arbitration is an argmin
-// over each coupler's candidates by round-robin key, so Phase 1 folds it
-// in incrementally: each coupler keeps one tentative grant (grantSlot,
-// gated by the touched bitmap), and no request or candidate list is built.
-func (e *replica) stepSingleWavelength() {
-	// Phase 1 + 2a: requests with incremental per-coupler arbitration. The
+// arbitrateAndTransmit is the slot kernel. Each coupler grants up to W
+// senders per slot by round-robin over node ids, so no node starves. Phase
+// 1 folds the arbitration into the request scan: a touched coupler c keeps
+// its grants in its window, sorted by round-robin key, so the window holds
+// the W smallest keys — the argmin at W = 1, sort-then-take-W above it —
+// and no request or candidate list is built. Keys are distinct because a
+// node makes at most one request per slot.
+func (e *replica) arbitrateAndTransmit() {
+	// Phase 1: requests, each inserted into its coupler's window. The
 	// active list replaces the full O(N) queue scan; its order is
-	// irrelevant because the argmin and every later phase order their own
+	// irrelevant because the windows and every later phase order their own
 	// work.
 	n32 := int32(e.n)
+	w := e.w
 	defl := e.cfg.Deflection
+	bestKey, grantSlot := e.bestKey, e.grantSlot
 	for i := 0; i < len(e.active); {
 		u := int(e.active[i])
 		r := e.headReq[u]
@@ -519,6 +521,10 @@ func (e *replica) stepSingleWavelength() {
 			}
 			continue
 		}
+		i++
+		if defl {
+			e.reqMask[u>>6] |= 1 << (u & 63)
+		}
 		c := r.coupler
 		// Round-robin key of node u on coupler c: (u - cursor) mod n via a
 		// conditional add (both operands are in [0, n)).
@@ -526,47 +532,52 @@ func (e *replica) stepSingleWavelength() {
 		if key < 0 {
 			key += n32
 		}
-		wIdx, bit := c>>6, uint64(1)<<(c&63)
-		if e.touched[wIdx]&bit == 0 {
+		base := int(c) * w
+		if wIdx, bit := c>>6, uint64(1)<<(c&63); e.touched[wIdx]&bit == 0 {
 			e.touched[wIdx] |= bit
-			e.bestKey[c] = key
-			e.grantSlot[c] = r
-		} else if key < e.bestKey[c] {
-			e.bestKey[c] = key
-			e.grantSlot[c] = r
+			e.openWindow(base, key, r)
+			continue
 		}
-		if defl {
-			e.reqMask[u>>6] |= 1 << (u & 63)
+		if key > bestKey[base+w-1] {
+			continue // loses to every grant of a full window
 		}
-		i++
+		// The new key takes the last entry, empty or the worst grant, and
+		// moves up past every larger key.
+		j := base + w - 1
+		for ; j > base && bestKey[j-1] > key; j-- {
+			bestKey[j], grantSlot[j] = bestKey[j-1], grantSlot[j-1]
+		}
+		bestKey[j], grantSlot[j] = key, r
 	}
 
-	// Phase 2b + 3 (deflection only). Without deflection the winners set is
-	// never read — every arbitration outcome already sits in grantSlot —
-	// so both the winner-marking scan and its cleanup are skipped entirely
-	// and the round-robin cursors advance in Phase 4 instead (they are not
-	// read again until the next slot).
+	// Phase 2 + 3 (deflection only). Without deflection the winners set is
+	// never read — every arbitration outcome already sits in the windows —
+	// so both the winner-marking scan and its cleanup are skipped and the
+	// round-robin cursors advance in Phase 4 instead (they are not read
+	// again until the next slot).
 	if defl {
-		// Finalize the winners and advance the round-robin cursors (the
-		// cursors must stay fixed while keys are being computed above, and
-		// only request-carrying couplers move them — deflection grants
-		// below do not).
+		// Finalize the winners and advance each cursor past its window's
+		// last grant (the cursors must stay fixed while keys are being
+		// computed above, and only request-carrying couplers move them —
+		// deflection grants below do not).
 		for wi, word := range e.touched {
 			for word != 0 {
 				c := wi<<6 + bits.TrailingZeros64(word)
 				word &= word - 1
-				r := e.grantSlot[c]
-				e.winners[r.node] = true
-				e.rr[c] = rrNext(r.node, n32)
+				grants := grantSlot[c*w : c*w+e.windowLen(c*w)]
+				for _, r := range grants {
+					e.winners[r.node] = true
+				}
+				e.rr[c] = rrNext(grants[len(grants)-1].node, n32)
 			}
 		}
 
-		// Losers grab any coupler of their node that carries no grant yet;
-		// the message is deflected toward the head node closest to its
-		// destination. Losers act in ascending node id order — the order
-		// the legacy full-scan engine implied — which the requested-node
-		// bitmap scan yields directly; its words are consumed (zeroed) as
-		// the scan goes.
+		// Losers grab any coupler of their node whose window holds fewer
+		// than W grants, appending after them; the message is deflected
+		// toward the head node closest to its destination. Losers act in
+		// ascending node id order — the order the legacy full-scan engine
+		// implied — which the requested-node bitmap scan yields directly;
+		// its words are consumed (zeroed) as the scan goes.
 		for wi := range e.reqMask {
 			word := e.reqMask[wi]
 			if word == 0 {
@@ -584,15 +595,24 @@ func (e *replica) stepSingleWavelength() {
 				for oi := ob; oi < ob+oc; oi++ {
 					c := int(e.outList[oi])
 					wIdx, bit := c>>6, uint64(1)<<(c&63)
-					if e.touched[wIdx]&bit != 0 {
-						continue // already carries this slot's one grant
+					touched := e.touched[wIdx]&bit != 0
+					g := 0
+					if touched {
+						if g = e.windowLen(c * w); g == w {
+							continue // full window
+						}
 					}
 					bestHop, delivers := e.deflectTarget(c, int(msg.dst))
 					if bestHop < 0 {
 						continue
 					}
-					e.touched[wIdx] |= bit
-					e.grantSlot[c] = txRequest{node: int32(u), coupler: int32(c), nextHop: bestHop, delivers: delivers}
+					r := txRequest{node: int32(u), coupler: int32(c), nextHop: bestHop, delivers: delivers}
+					if touched {
+						bestKey[c*w+g], grantSlot[c*w+g] = deflectKey, r // partly filled window
+					} else {
+						e.touched[wIdx] |= bit
+						e.openWindow(c*w, deflectKey, r)
+					}
 					e.winners[u] = true
 					e.metrics.Deflections++
 					break
@@ -601,13 +621,13 @@ func (e *replica) stepSingleWavelength() {
 		}
 	}
 
-	// Phase 4: transmissions, in ascending coupler order — the bitmap word
-	// scan yields exactly that order, so deliveries and relays interleave
-	// as a full coupler scan would. The precompiled delivers-here bit
-	// replaces the per-transmission head-set scan. With deflection the
-	// winners set is cleared as its grants are consumed; without it the
-	// round-robin cursors advance here (every touched coupler carries an
-	// arbitration grant in that case).
+	// Phase 4: transmissions in ascending coupler order, each window in
+	// grant order — the bitmap word scan yields exactly that order, so
+	// deliveries and relays interleave as a full coupler scan would. The
+	// precompiled delivers-here bit replaces the per-transmission head-set
+	// scan. With deflection the winners set is cleared as its grants are
+	// consumed; without it the round-robin cursors advance here (every
+	// grant is then an arbitration grant).
 	for wi := range e.touched {
 		word := e.touched[wi]
 		if word == 0 {
@@ -618,153 +638,48 @@ func (e *replica) stepSingleWavelength() {
 		for word != 0 {
 			c := wi<<6 + bits.TrailingZeros64(word)
 			word &= word - 1
-			r := e.grantSlot[c]
-			if defl {
-				e.winners[r.node] = false
-			} else {
-				e.rr[c] = rrNext(r.node, n32)
+			grants := grantSlot[c*w : c*w+e.windowLen(c*w)]
+			if !defl {
+				e.rr[c] = rrNext(grants[len(grants)-1].node, n32)
 			}
-			e.transmit(r)
+			for _, r := range grants {
+				if defl {
+					e.winners[r.node] = false
+				}
+				e.transmit(r)
+			}
 		}
 	}
 }
 
-// stepMultiWavelength is the general W > 1 path: each touched coupler
-// collects its full candidate list, sorts it by precomputed round-robin
-// keys and grants the first W senders.
-func (e *replica) stepMultiWavelength() {
-	// Phase 1: each node with a queued message requests the coupler its
-	// precompiled route entry names for the head-of-line message.
-	e.requests = e.requests[:0]
-	n32 := int32(e.n)
-	defl := e.cfg.Deflection
-	for i := 0; i < len(e.active); {
-		u := int(e.active[i])
-		r := e.headReq[u]
-		if r.coupler < 0 {
-			e.dropFront(u)
-			e.metrics.Dropped++
-			e.metrics.Unroutable++
-			if e.activePos[u] >= 0 {
-				i++
-			}
-			continue
-		}
-		c := r.coupler
-		e.requests = append(e.requests, r)
-		e.touched[c>>6] |= 1 << (c & 63)
-		if defl {
-			e.reqMask[u>>6] |= 1 << (u & 63)
-		}
-		e.byCoupler[c] = append(e.byCoupler[c], int32(len(e.requests)-1))
-		i++
-	}
+// Window keys beyond the round-robin keys, which lie in [0, n): a
+// deflection grant sorts after every arbitration grant, and an empty entry
+// after every grant.
+const (
+	deflectKey = math.MaxInt32 - 1
+	emptyKey   = math.MaxInt32
+)
 
-	// Phase 2: per-coupler arbitration — round-robin over node ids so no
-	// node starves; each coupler grants up to W senders. Only couplers
-	// that actually saw a request are visited; per-coupler outcomes are
-	// independent, so the visit order does not matter.
-	w := e.cfg.wavelengths()
-	for wi, word := range e.touched {
-		for word != 0 {
-			c := wi<<6 + bits.TrailingZeros64(word)
-			word &= word - 1
-			idxs := e.byCoupler[c]
-			if len(idxs) == 1 {
-				r := e.requests[idxs[0]]
-				e.granted[c] = append(e.granted[c], r)
-				e.winners[r.node] = true
-				e.rr[c] = rrNext(r.node, n32)
-				continue
-			}
-			cursor := e.rr[c]
-			e.keys = e.keys[:0]
-			for _, ri := range idxs {
-				k := e.requests[ri].node - cursor
-				if k < 0 {
-					k += n32
-				}
-				e.keys = append(e.keys, int(k))
-			}
-			sortByRRKey(idxs, e.keys)
-			take := w
-			if take > len(idxs) {
-				take = len(idxs)
-			}
-			for _, ri := range idxs[:take] {
-				r := e.requests[ri]
-				e.granted[c] = append(e.granted[c], r)
-				e.winners[r.node] = true
-			}
-			e.rr[c] = rrNext(e.requests[idxs[take-1]].node, n32)
-		}
+// openWindow starts the window at base with the one grant r under key.
+func (e *replica) openWindow(base int, key int32, r txRequest) {
+	e.bestKey[base], e.grantSlot[base] = key, r
+	for k := base + 1; k < base+e.w; k++ {
+		e.bestKey[k] = emptyKey
 	}
+}
 
-	// Phase 3 (deflection only): as in the single-wavelength path, but a
-	// coupler is free while it holds fewer than W grants.
-	if defl {
-		for wi := range e.reqMask {
-			word := e.reqMask[wi]
-			if word == 0 {
-				continue
-			}
-			e.reqMask[wi] = 0
-			for word != 0 {
-				u := wi<<6 + bits.TrailingZeros64(word)
-				word &= word - 1
-				if e.winners[u] {
-					continue
-				}
-				msg := e.queues[u].front()
-				ob, oc := e.outStart[u], e.outCount[u]
-				for oi := ob; oi < ob+oc; oi++ {
-					c := int(e.outList[oi])
-					if len(e.granted[c]) >= w {
-						continue
-					}
-					bestHop, delivers := e.deflectTarget(c, int(msg.dst))
-					if bestHop < 0 {
-						continue
-					}
-					e.touched[c>>6] |= 1 << (c & 63)
-					e.granted[c] = append(e.granted[c], txRequest{
-						node: int32(u), coupler: int32(c), nextHop: bestHop, delivers: delivers,
-					})
-					e.winners[u] = true
-					e.metrics.Deflections++
-					break
-				}
-			}
-		}
+// windowLen returns the number of grants in the open window at base.
+func (e *replica) windowLen(base int) int {
+	g := 1
+	for g < e.w && e.bestKey[base+g] != emptyKey {
+		g++
 	}
-
-	// Phase 4: transmissions in ascending coupler order; each coupler's
-	// candidate and grant scratch is cleared as it is consumed.
-	for wi := range e.touched {
-		word := e.touched[wi]
-		if word == 0 {
-			continue
-		}
-		e.touched[wi] = 0
-		e.obs.touchedSum += int64(bits.OnesCount64(word))
-		for word != 0 {
-			c := wi<<6 + bits.TrailingZeros64(word)
-			word &= word - 1
-			for _, r := range e.granted[c] {
-				e.winners[r.node] = false
-				e.transmit(r)
-			}
-			e.byCoupler[c] = e.byCoupler[c][:0]
-			e.granted[c] = e.granted[c][:0]
-		}
-	}
+	return g
 }
 
 // deflectTarget scans coupler c's compiled head set for the live head
 // closest to dst (the deflection target), reporting whether dst itself
 // hears the coupler. bestHop is -1 when no head has a live path to dst.
-// Shared by both step paths so the deflection tie-breaking, the delivers
-// check and the d >= 0 liveness guard cannot drift apart.
 func (e *replica) deflectTarget(c, dst int) (bestHop int32, delivers bool) {
 	bestHop, bestDist := int32(-1), int32(1<<30)
 	hb, hc := e.headStart[c], e.headCount[c]
@@ -1030,20 +945,6 @@ func rrNext(node, n int32) int32 {
 		return 0
 	}
 	return node + 1
-}
-
-// sortByRRKey orders request indices by their precomputed round-robin keys
-// (distance of the node id from the coupler's cursor). Keys are computed
-// once per candidate by the caller — not recomputed inside every
-// comparison — and are permuted in lockstep. Insertion sort; candidate
-// lists are small.
-func sortByRRKey(idxs []int32, keys []int) {
-	for a := 1; a < len(idxs); a++ {
-		for b := a; b > 0 && keys[b] < keys[b-1]; b-- {
-			idxs[b], idxs[b-1] = idxs[b-1], idxs[b]
-			keys[b], keys[b-1] = keys[b-1], keys[b]
-		}
-	}
 }
 
 // Run executes a full simulation over a freshly compiled engine. Callers

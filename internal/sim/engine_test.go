@@ -5,6 +5,7 @@ package sim
 // fairness, the ring-buffer FIFOs, and the precomputed routing tables.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -103,6 +104,25 @@ func TestWavelengthsDeterminism(t *testing.T) {
 	}
 }
 
+func TestWavelengthsBeyondNodeCountCapTheWindow(t *testing.T) {
+	// No coupler has more than N senders in a slot, so any W >= N runs as
+	// W = N, and the grant windows stay N entries wide however large W is.
+	topo := popsTopology(3, 3)
+	n := topo.Nodes()
+	for _, defl := range []bool{false, true} {
+		want := Run(topo, UniformTraffic{Rate: 0.9}, 200, 200, Config{Seed: 53, Deflection: defl, Wavelengths: n})
+		cfg := Config{Seed: 53, Deflection: defl, Wavelengths: 1 << 16}
+		e := NewEngine(topo, cfg)
+		if got := e.Run(UniformTraffic{Rate: 0.9}, 200, 200, cfg); got != want {
+			t.Fatalf("deflection=%v: W=2^16 run differs from W=N:\n%v\n%v", defl, got, want)
+		}
+		if len(e.grantSlot) > topo.Couplers()*n {
+			t.Fatalf("deflection=%v: %d window entries for %d couplers, want at most N=%d each",
+				defl, len(e.grantSlot), topo.Couplers(), n)
+		}
+	}
+}
+
 func TestNoLossUnboundedWavelengths(t *testing.T) {
 	topo := popsTopology(3, 3)
 	m := Run(topo, UniformTraffic{Rate: 0.9}, 200, 400, Config{Seed: 47, Wavelengths: 2})
@@ -116,60 +136,54 @@ func TestNoLossUnboundedWavelengths(t *testing.T) {
 
 // --- round-robin fairness ---
 
-func TestSortByRRKeyRotatesWithCursor(t *testing.T) {
-	// Requests from nodes 0..4; with cursor c, order must be
-	// c, c+1, ... wrapping mod n. Keys are precomputed once per candidate,
-	// exactly as Step's arbitration phase does.
-	n := 5
-	requests := make([]txRequest, n)
-	for i := range requests {
-		requests[i] = txRequest{node: int32(i)}
-	}
-	for cursor := 0; cursor < n; cursor++ {
-		idxs := []int32{0, 1, 2, 3, 4}
-		keys := make([]int, 0, n)
-		for _, i := range idxs {
-			keys = append(keys, (int(requests[i].node)-cursor+n)%n)
-		}
-		sortByRRKey(idxs, keys)
-		for pos, i := range idxs {
-			want := (cursor + pos) % n
-			if int(requests[i].node) != want {
-				t.Fatalf("cursor %d: position %d holds node %d, want %d",
-					cursor, pos, requests[i].node, want)
-			}
-		}
-	}
-}
-
 func TestRoundRobinGrantsCycleFairly(t *testing.T) {
-	// POPS(3,1): 3 nodes all sharing one coupler, one wavelength. With all
-	// three permanently backlogged, grants must cycle 0,1,2,0,1,2,... so
-	// after 3k slots every queue shrank by exactly k.
-	topo := popsTopology(3, 1)
-	if topo.Couplers() != 1 {
-		t.Fatalf("POPS(3,1) should have a single coupler, has %d", topo.Couplers())
-	}
-	e := NewEngine(topo, Config{Seed: 1})
-	const per = 10
-	for i := 0; i < per; i++ {
-		for u := 0; u < 3; u++ {
-			e.Inject(u, (u+1)%3)
-		}
-	}
-	granted := make([]int, 3)
-	prevLens := []int{per, per, per}
-	for s := 0; s < 9; s++ {
-		e.Step()
-		for u := 0; u < 3; u++ {
-			if l := e.queues[u].len(); l != prevLens[u] {
-				granted[u] += prevLens[u] - l
-				prevLens[u] = l
+	// POPS(n,1): n nodes all sharing one coupler of W wavelengths, with
+	// more permanently backlogged senders than W. Every slot must grant the
+	// W nodes that follow the cursor — cursor, cursor+1, ... mod n — and
+	// the cursor must then move past the last of them, so over n slots
+	// every node is granted exactly W times.
+	for _, w := range []int{1, 2, 3} {
+		t.Run(fmt.Sprintf("W=%d", w), func(t *testing.T) {
+			n := 2*w + 1
+			topo := popsTopology(n, 1)
+			if topo.Couplers() != 1 {
+				t.Fatalf("POPS(%d,1) should have a single coupler, has %d", n, topo.Couplers())
 			}
-		}
-	}
-	if granted[0] != 3 || granted[1] != 3 || granted[2] != 3 {
-		t.Fatalf("after 9 slots grants are %v, want [3 3 3] (round-robin)", granted)
+			e := NewEngine(topo, Config{Seed: 1, Wavelengths: w})
+			per := 2 * w
+			for i := 0; i < per; i++ {
+				for u := 0; u < n; u++ {
+					e.Inject(u, (u+1)%n)
+				}
+			}
+			granted := make([]int, n)
+			prev := make([]int, n)
+			for u := range prev {
+				prev[u] = per
+			}
+			cursor := 0
+			for s := 0; s < n; s++ {
+				e.Step()
+				for u := 0; u < n; u++ {
+					l := e.queues[u].len()
+					sent, want := prev[u]-l, 0
+					if (u-cursor+n)%n < w {
+						want = 1 // one of the W nodes that follow the cursor
+					}
+					if sent != want {
+						t.Fatalf("slot %d (cursor %d): node %d sent %d messages, want %d", s, cursor, u, sent, want)
+					}
+					granted[u] += sent
+					prev[u] = l
+				}
+				cursor = (cursor + w) % n
+			}
+			for _, g := range granted {
+				if g != w {
+					t.Fatalf("after %d slots grants are %v, want %d each (round-robin)", n, granted, w)
+				}
+			}
+		})
 	}
 }
 

@@ -15,10 +15,12 @@ import (
 // order: queues, ring headers, active lists, head-of-line requests,
 // touched-coupler and deflection bitmaps, round-robin cursors), while the
 // immutable route/distance/CSR arrays are read by every replica from the
-// one snapshot. Replicas may diverge freely — different seeds, loads,
-// fault plans and workload kinds — and retire independently; results are
-// bit-for-bit identical to running each scenario alone on an Engine,
-// because both paths execute the identical replica core.
+// one snapshot. Grant windows are the exception: their width follows each
+// scenario's wavelength count, so each replica's reset sizes its own.
+// Replicas may diverge freely — different seeds, loads, fault plans and
+// workload kinds — and retire independently; results are bit-for-bit
+// identical to running each scenario alone on an Engine, because both
+// paths execute the identical replica core.
 //
 // Scenarios that share an injection stream — same traffic model, rate,
 // seed and slot count, differing only in parameters the generator never
@@ -158,13 +160,9 @@ func (rs *ReplicaSet) grow(r int) {
 	nw, mw := (n+63)/64, (m+63)/64
 	queues := make([]ring, r*n)
 	rr := make([]int32, r*m)
-	byCoupler := make([][]int32, r*m)
-	granted := make([][]txRequest, r*m)
 	touched := make([]uint64, r*mw)
 	winners := make([]bool, r*n)
 	reqMask := make([]uint64, r*nw)
-	bestKey := make([]int32, r*m)
-	grantSlot := make([]txRequest, r*m)
 	activePos := make([]int32, r*n)
 	headReq := make([]txRequest, r*n)
 	active := make([]int32, r*n)
@@ -174,13 +172,9 @@ func (rs *ReplicaSet) grow(r int) {
 		rp := &reps[i]
 		rp.queues = queues[i*n : (i+1)*n : (i+1)*n]
 		rp.rr = rr[i*m : (i+1)*m : (i+1)*m]
-		rp.byCoupler = byCoupler[i*m : (i+1)*m : (i+1)*m]
-		rp.granted = granted[i*m : (i+1)*m : (i+1)*m]
 		rp.touched = touched[i*mw : (i+1)*mw : (i+1)*mw]
 		rp.winners = winners[i*n : (i+1)*n : (i+1)*n]
 		rp.reqMask = reqMask[i*nw : (i+1)*nw : (i+1)*nw]
-		rp.bestKey = bestKey[i*m : (i+1)*m : (i+1)*m]
-		rp.grantSlot = grantSlot[i*m : (i+1)*m : (i+1)*m]
 		rp.activePos = activePos[i*n : (i+1)*n : (i+1)*n]
 		rp.headReq = headReq[i*n : (i+1)*n : (i+1)*n]
 		rp.active = active[i*n : i*n : (i+1)*n]
