@@ -298,8 +298,8 @@ func t7() string {
 	for _, c := range cands {
 		points = append(points, sweep.Scenario{
 			Topology: c, TrafficName: "hotspot", Rate: 0.2, Seed: 42,
-			Traffic: sim.HotspotTraffic{Rate: 0.2, Hot: 0, Fraction: 0.3},
-			Slots:   2000, Drain: 6000,
+			Workload: workload.Spec{Kind: workload.KindHotspot, Fraction: 0.3},
+			Slots:    2000, Drain: 6000,
 		})
 		labels = append(labels, c.Name)
 	}

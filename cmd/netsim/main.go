@@ -8,7 +8,7 @@
 // One scenario at a time:
 //
 //	go run ./cmd/netsim -net sk -s 6 -d 3 -k 2 -rate 0.3 -slots 2000
-//	go run ./cmd/netsim -net pops -t 9 -g 8 -traffic hotspot -rate 0.2
+//	go run ./cmd/netsim -net pops -t 9 -g 8 -workload hotspot -rate 0.2
 //	go run ./cmd/netsim -net debruijn -d 3 -k 4 -deflect
 //
 // Or a parallel scenario sweep (rates x seeds x modes fanned across a
@@ -126,14 +126,12 @@ func main() {
 		d        = flag.Int("d", 3, "degree d")
 		k        = flag.Int("k", 2, "diameter k")
 		n        = flag.Int("n", 12, "stack-Imase-Itoh group count n")
-		traffic  = flag.String("traffic", "uniform", `traffic: "uniform", "perm", "hotspot" or "burst"`)
 		rate     = flag.Float64("rate", 0.2, "per-node injection probability per slot")
 		slots    = flag.Int("slots", 2000, "traffic slots")
 		drain    = flag.Int("drain", 2000, "extra drain slots")
 		seed     = flag.Int64("seed", 1, "random seed")
 		deflect  = flag.Bool("deflect", false, "hot-potato deflection instead of store-and-forward")
 		maxQ     = flag.Int("maxq", 0, "per-node queue cap (0 = unbounded)")
-		burst    = flag.Int("burst", 500, "messages for burst traffic")
 		waves    = flag.Int("wavelengths", 1, "wavelengths per coupler (WDM extension)")
 		saturate = flag.Bool("saturate", false, "binary-search the saturation rate instead of one run")
 		repeat   = flag.Int("repeat", 1, "repeat the scenario with seeds seed..seed+repeat-1 on one reused engine; reports mean/stddev and engine speed")
@@ -179,7 +177,14 @@ func main() {
 	)
 	flag.Parse()
 	setupLogging(*logJSON)
-	if err := checkRunFlags(*rate, *slots, *drain, *maxQ, *waves, *repeat); err != nil {
+	if err := checkRunFlags(*rate, *slots, *drain, *maxQ, *waves, *repeat, *seeds); err != nil {
+		fmt.Fprintf(os.Stderr, "netsim: %v\n", err)
+		os.Exit(2)
+	}
+	// The fault flags are checked up front in every mode; sweeps rebuild
+	// the spec per -faultset count.
+	spec, err := faultSpec(*faultKind, *faultN, *faultSlot, *mtbf, *mttr, *slots+*drain)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "netsim: %v\n", err)
 		os.Exit(2)
 	}
@@ -192,10 +197,6 @@ func main() {
 		TraceFile: *traceFile, Period: *period, Amplitude: *amplitude,
 		EpisodeOn: *episodeOn, EpisodeOff: *episodeOff, RateSigma: *rateSigma,
 		Explicit: explicit,
-	}
-	if explicit["traffic"] && explicit["workload"] {
-		fmt.Fprintln(os.Stderr, "netsim: -traffic (legacy) conflicts with -workload; use one")
-		os.Exit(2)
 	}
 	if explicit["tracesample"] && !explicit["trace"] {
 		fmt.Fprintln(os.Stderr, "netsim: -tracesample only applies with -trace")
@@ -299,10 +300,8 @@ func main() {
 		}
 		o := sweepOpts{
 			net: *net, t: *t, g: *g, s: *s, d: *d, k: *k, n: *n,
-			traffic: *traffic, trafficSet: explicit["traffic"],
 			workloads: *workloadF, wf: wf,
 			rateExplicit: explicit["rate"] || explicit["rates"],
-			burst:        *burst,
 			rates:        *rateList, seeds: *seeds, modes: *modes,
 			waves: *waveList, slots: *slots, drain: *drain, maxQ: *maxQ,
 			seed: *seed, workers: *workers, replicas: parseReplicas(*replicas), format: *format, raw: *raw,
@@ -357,46 +356,32 @@ func main() {
 		fmt.Fprintf(os.Stderr, "netsim: %v\n", err)
 		os.Exit(1)
 	}
-	spec := faultSpec(*faultKind, *faultN, *faultSlot, *mtbf, *mttr, *slots+*drain)
 	if !spec.IsZero() {
 		topo = spec.Wrap(topo, *seed)
 		desc += " faults=" + spec.Label()
 	}
 
+	wspecs, err := wf.specs(*workloadF)
+	if err == nil && len(wspecs) != 1 {
+		err = fmt.Errorf("one workload per single run (add -sweep to sweep a comma list)")
+	}
+	var force bool
+	if err == nil {
+		force, err = traceRateOverride(wspecs, explicit["rate"])
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "netsim: %v\n", err)
+		os.Exit(2)
+	}
+	if force {
+		*rate = 1 // traces replay/scale as recorded unless -rate says otherwise
+	}
 	// newTraffic builds a fresh generator per run: bursty, trace and other
 	// stateful workloads must not carry state from one repetition into the
 	// next.
-	trafficName := *traffic
-	var newTraffic func() sim.Traffic
-	if explicit["traffic"] {
-		// Legacy single-run traffic models, kept for script compatibility;
-		// -workload is the richer replacement.
-		factory, err := legacyTraffic(*traffic, topo.Nodes(), *seed, *burst, wf)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "netsim: %v\n", err)
-			os.Exit(2)
-		}
-		newTraffic = func() sim.Traffic { return factory(*rate) }
-	} else {
-		wspecs, err := wf.specs(*workloadF)
-		if err == nil && len(wspecs) != 1 {
-			err = fmt.Errorf("one workload per single run (add -sweep to sweep a comma list)")
-		}
-		var force bool
-		if err == nil {
-			force, err = traceRateOverride(wspecs, explicit["rate"])
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "netsim: %v\n", err)
-			os.Exit(2)
-		}
-		if force {
-			*rate = 1 // traces replay/scale as recorded unless -rate says otherwise
-		}
-		wspec := wspecs[0]
-		newTraffic = func() sim.Traffic { return wspec.New(*rate, topo.Nodes(), groupSize) }
-		trafficName = wspec.Label()
-	}
+	wspec := wspecs[0]
+	newTraffic := func() sim.Traffic { return wspec.New(*rate, topo.Nodes(), groupSize) }
+	trafficName := wspec.Label()
 
 	cfg := sim.Config{Seed: *seed, MaxQueue: *maxQ, Deflection: *deflect, Wavelengths: *waves}
 	if *saturate {
@@ -555,12 +540,9 @@ func buildTopology(net string, t, g, s, d, k, n int) (sim.Topology, string, int)
 type sweepOpts struct {
 	net                 string
 	t, g, s, d, k, n    int
-	traffic             string
-	trafficSet          bool // -traffic was explicit: legacy factory path
 	workloads           string
 	wf                  workloadFlags
 	rateExplicit        bool // -rate/-rates was explicit (trace-axis rules)
-	burst               int  // legacy -traffic burst message count
 	rates, modes, waves string
 	seeds               int
 	seedList            []int64 // non-nil overrides seeds (explicit -seed)
@@ -595,49 +577,17 @@ func runSweep(o sweepOpts) {
 		topo, desc, groupSize := buildTopology(o.net, o.t, o.g, o.s, o.d, o.k, o.n)
 		topos = []sweep.Topology{{Name: desc, Topo: topo, GroupSize: groupSize}}
 	}
-	var factory sweep.TrafficFactory
-	trafficName := ""
-	if o.trafficSet {
-		// Legacy -traffic factory path, kept for script compatibility. Only
-		// the stateless models sweep (perm pins one permutation per seed and
-		// burst ignores rate; both would mislabel grid points).
-		switch o.traffic {
-		case "uniform", "hotspot":
-		default:
-			fmt.Fprintf(os.Stderr, "netsim: traffic %q is not sweepable (want uniform or hotspot, or use -workload)\n", o.traffic)
-			os.Exit(2)
-		}
-		minNodes := topos[0].Topo.Nodes()
-		for _, tp := range topos[1:] {
-			if n := tp.Topo.Nodes(); n < minNodes {
-				minNodes = n
-			}
-		}
-		f, err := legacyTraffic(o.traffic, minNodes, o.seed, o.burst, o.wf)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "netsim: %v\n", err)
-			os.Exit(2)
-		}
-		if o.traffic != "uniform" {
-			factory = f // uniform is the grid default; leave factory nil
-		}
-		trafficName = o.traffic
+	wspecs, err := o.wf.specs(o.workloads)
+	var force bool
+	if err == nil {
+		force, err = traceRateOverride(wspecs, o.rateExplicit)
 	}
-	var wspecs []workload.Spec
-	if !o.trafficSet {
-		ws, err := o.wf.specs(o.workloads)
-		var force bool
-		if err == nil {
-			force, err = traceRateOverride(ws, o.rateExplicit)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "netsim: %v\n", err)
-			os.Exit(2)
-		}
-		if force {
-			o.rates = "1" // traces replay/scale as recorded unless -rates says otherwise
-		}
-		wspecs = ws
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "netsim: %v\n", err)
+		os.Exit(2)
+	}
+	if force {
+		o.rates = "1" // traces replay/scale as recorded unless -rates says otherwise
 	}
 	for _, tp := range topos {
 		if err := sim.CheckTopology(tp.Topo); err != nil {
@@ -657,11 +607,16 @@ func runSweep(o sweepOpts) {
 			continue
 		}
 		count, err := strconv.Atoi(f)
-		if err != nil || count < 0 {
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "netsim: bad fault count %q (want an integer >= 0)\n", f)
 			os.Exit(2)
 		}
-		fspecs = append(fspecs, faultSpec(o.faultKind, count, o.faultSlot, o.mtbf, o.mttr, o.slots+o.drain))
+		fs, err := faultSpec(o.faultKind, count, o.faultSlot, o.mtbf, o.mttr, o.slots+o.drain)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "netsim: %v\n", err)
+			os.Exit(2)
+		}
+		fspecs = append(fspecs, fs)
 	}
 	grid := sweep.Grid{
 		Topologies:  topos,
@@ -672,8 +627,6 @@ func runSweep(o sweepOpts) {
 		MaxQueue:    o.maxQ,
 		Slots:       o.slots,
 		Drain:       o.drain,
-		Traffic:     factory,
-		TrafficName: trafficName,
 		Faults:      fspecs,
 		Workloads:   wspecs,
 	}
@@ -1027,32 +980,7 @@ func parseModes(s string) []sweep.Mode {
 	return out
 }
 
-// faultSpec assembles and validates the fault-injection spec shared by the
-// single-run and sweep paths. horizon bounds the MTBF/MTTR event stream.
-func faultSpec(kind string, count, slot int, mtbf, mttr float64, horizon int) faults.Spec {
-	var k faults.Kind
-	switch kind {
-	case "node":
-		k = faults.KindNode
-	case "coupler":
-		k = faults.KindCoupler
-	case "tx":
-		k = faults.KindTransmitter
-	default:
-		fmt.Fprintf(os.Stderr, "netsim: bad fault kind %q (want node, coupler or tx)\n", kind)
-		os.Exit(2)
-	}
-	if (mtbf > 0) != (mttr > 0) {
-		fmt.Fprintln(os.Stderr, "netsim: -mtbf and -mttr must be set together")
-		os.Exit(2)
-	}
-	return faults.Spec{Kind: k, Count: count, Slot: slot, MTBF: mtbf, MTTR: mttr, Horizon: horizon}
-}
-
 func seedRange(n int) []int64 {
-	if n < 1 {
-		n = 1
-	}
 	out := make([]int64, n)
 	for i := range out {
 		out[i] = int64(i + 1)

@@ -1,12 +1,11 @@
 package main
 
-// Workload and legacy-traffic flag handling, extracted from main so every
-// error path returns a testable (value, error) pair instead of exiting
-// inline. Two invariants hold across both paths:
+// Scenario flag handling, extracted from main so every error path returns
+// a testable (value, error) pair instead of exiting inline. Two invariants
+// hold for the workload flags:
 //
-//   - an explicitly-set workload flag that the selected model cannot
-//     honor is an error, never silently ignored (the legacy `-traffic
-//     hotspot` once discarded -hotgroup/-hotfrac outright);
+//   - an explicitly-set workload flag that no selected workload can honor
+//     is an error, never silently ignored;
 //   - hotspot group indices are validated by sign only: workload.Hotspot
 //     documents modulo-group semantics, so any non-negative index is
 //     valid on every topology of a mixed-scale sweep, and no check may
@@ -14,10 +13,9 @@ package main
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
-	"otisnet/internal/sim"
+	"otisnet/internal/faults"
 	"otisnet/internal/workload"
 )
 
@@ -35,8 +33,7 @@ type workloadFlags struct {
 }
 
 // workloadFlagHonor lists, in reporting order, each workload-family flag
-// and the kinds that honor it. A flag with no kinds belongs to the legacy
-// -traffic path only.
+// and the kinds that honor it.
 var workloadFlagHonor = []struct {
 	flag  string
 	kinds []workload.Kind
@@ -52,7 +49,6 @@ var workloadFlagHonor = []struct {
 	{"episodeon", []workload.Kind{workload.KindMultiPeriod}},
 	{"episodeoff", []workload.Kind{workload.KindMultiPeriod}},
 	{"ratesigma", []workload.Kind{workload.KindMultiPeriod}},
-	{"burst", nil},
 }
 
 // spec builds and validates the workload.Spec for one kind name. Note the
@@ -122,9 +118,6 @@ func (wf workloadFlags) specs(list string) ([]workload.Spec, error) {
 			names[i] = k.String()
 		}
 		if !honored {
-			if fk.kinds == nil {
-				return nil, fmt.Errorf("-%s applies to -traffic burst only, not to -workload models", fk.flag)
-			}
 			return nil, fmt.Errorf("-%s applies to the %s workload; none of the selected workloads honor it",
 				fk.flag, strings.Join(names, "/"))
 		}
@@ -163,62 +156,11 @@ func traceRateOverride(specs []workload.Spec, rateExplicit bool) (force bool, er
 	return hasTrace && !rateExplicit, nil
 }
 
-// legacyTrafficHonor maps each legacy -traffic model to the workload
-// flags it honors; everything else explicitly set is rejected.
-var legacyTrafficHonor = map[string]map[string]bool{
-	"uniform": {},
-	"perm":    {},
-	"hotspot": {"hotgroup": true, "hotfrac": true},
-	"burst":   {"burst": true},
-}
-
-// legacyTraffic builds the factory for the legacy -traffic models, kept
-// for script compatibility (-workload is the richer replacement). For
-// "hotspot", -hotgroup selects the hot *node* index (the legacy model
-// predates group structure) and -hotfrac the skew — both wired through,
-// where they were once silently discarded. n is the node count the
-// generator must fit (the smallest topology in a sweep).
-func legacyTraffic(name string, n int, seed int64, burstMsgs int, wf workloadFlags) (func(rate float64) sim.Traffic, error) {
-	honors, ok := legacyTrafficHonor[name]
-	if !ok {
-		return nil, fmt.Errorf("unknown traffic %q (want uniform, perm, hotspot or burst)", name)
-	}
-	for _, fk := range workloadFlagHonor {
-		if wf.Explicit[fk.flag] && !honors[fk.flag] {
-			return nil, fmt.Errorf("-%s does not apply to -traffic %s", fk.flag, name)
-		}
-	}
-	switch name {
-	case "perm":
-		return func(rate float64) sim.Traffic {
-			return sim.NewPermutationTraffic(rate, n, rand.New(rand.NewSource(seed)))
-		}, nil
-	case "hotspot":
-		if wf.HotGroup < 0 || wf.HotGroup >= n {
-			return nil, fmt.Errorf("-hotgroup %d out of range for -traffic hotspot (the legacy model hots one node of %d; -workload hotspot hots a group)", wf.HotGroup, n)
-		}
-		if wf.HotFrac < 0 || wf.HotFrac > 1 {
-			return nil, fmt.Errorf("-hotfrac %g outside [0,1]", wf.HotFrac)
-		}
-		return func(rate float64) sim.Traffic {
-			return sim.HotspotTraffic{Rate: rate, Hot: wf.HotGroup, Fraction: wf.HotFrac}
-		}, nil
-	case "burst":
-		return func(rate float64) sim.Traffic {
-			return sim.BurstTraffic{Messages: burstMsgs}
-		}, nil
-	default: // uniform
-		return func(rate float64) sim.Traffic {
-			return sim.UniformTraffic{Rate: rate}
-		}, nil
-	}
-}
-
 // checkRunFlags validates the scenario flags shared by single runs and
 // sweeps: the offered load is a per-node injection probability, slot
 // counts and the queue cap cannot be negative, a coupler carries at least
-// one wavelength, and -repeat runs the scenario at least once.
-func checkRunFlags(rate float64, slots, drain, maxQ, waves, repeat int) error {
+// one wavelength, and -repeat and -seeds run the scenario at least once.
+func checkRunFlags(rate float64, slots, drain, maxQ, waves, repeat, seeds int) error {
 	switch {
 	case !(rate >= 0 && rate <= 1): // also rejects NaN
 		return fmt.Errorf("bad rate %g (want a probability in [0,1])", rate)
@@ -232,6 +174,26 @@ func checkRunFlags(rate float64, slots, drain, maxQ, waves, repeat int) error {
 		return fmt.Errorf("bad -wavelengths %d (want >= 1)", waves)
 	case repeat < 1:
 		return fmt.Errorf("bad -repeat %d (want >= 1)", repeat)
+	case seeds < 1:
+		return fmt.Errorf("bad -seeds %d (want >= 1)", seeds)
 	}
 	return nil
+}
+
+// faultSpec assembles and validates the fault-injection spec shared by the
+// single-run and sweep paths. horizon bounds the MTBF/MTTR event stream.
+func faultSpec(kind string, count, slot int, mtbf, mttr float64, horizon int) (faults.Spec, error) {
+	var k faults.Kind
+	switch kind {
+	case "node":
+		k = faults.KindNode
+	case "coupler":
+		k = faults.KindCoupler
+	case "tx":
+		k = faults.KindTransmitter
+	default:
+		return faults.Spec{}, fmt.Errorf("bad fault kind %q (want node, coupler or tx)", kind)
+	}
+	s := faults.Spec{Kind: k, Count: count, Slot: slot, MTBF: mtbf, MTTR: mttr, Horizon: horizon}
+	return s, s.Validate()
 }

@@ -1,21 +1,49 @@
 package main
 
-// Tests for the extracted workload/traffic flag handling — every error
-// path the CLI used to bury in os.Exit, plus the two regressions this
-// layer exists to prevent: the legacy `-traffic hotspot` silently
-// discarding -hotgroup/-hotfrac, and a first-topology hotspot range check
-// contradicting workload.Hotspot's documented modulo-group wrap.
+// Tests for the extracted scenario flag handling — every error path the
+// CLI used to bury in os.Exit, plus the regression this layer exists to
+// prevent: a first-topology hotspot range check contradicting
+// workload.Hotspot's documented modulo-group wrap.
 
 import (
+	"errors"
 	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"otisnet/internal/sim"
 	"otisnet/internal/workload"
 )
+
+// runMainEnv marks a child copy of the test binary that runs netsim's
+// main on its arguments instead of the tests (see runNetsim).
+const runMainEnv = "NETSIM_TEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runMainEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runNetsim runs the real command line in a child process and returns its
+// exit code and stderr.
+func runNetsim(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if err != nil && !errors.As(err, &exit) {
+		t.Fatal(err)
+	}
+	return cmd.ProcessState.ExitCode(), stderr.String()
+}
 
 // flags builds a workloadFlags with the CLI defaults, marking the given
 // names explicit (as flag.Visit would after the user spelled them).
@@ -65,7 +93,6 @@ func TestWorkloadSpecErrors(t *testing.T) {
 		{"hotgroup unhonored", flags("hotgroup"), "uniform,bursty", "-hotgroup"},
 		{"tracefile unhonored", flags("tracefile"), "hotspot", "-tracefile"},
 		{"period unhonored", flags("period"), "bursty", "-period"},
-		{"burst is legacy-only", flags("burst"), "bursty", "-traffic burst"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -137,62 +164,35 @@ func TestTraceRateOverride(t *testing.T) {
 	}
 }
 
-// TestLegacyHotspotFlagsWired is the satellite-1 regression: `-traffic
-// hotspot` once constructed HotspotTraffic{Hot: 0, Fraction: 0.3} no
-// matter what the user passed. The factory must carry both flags.
-func TestLegacyHotspotFlagsWired(t *testing.T) {
-	wf := flags("hotgroup", "hotfrac")
-	wf.HotGroup = 5
-	wf.HotFrac = 0.8
-	factory, err := legacyTraffic("hotspot", 24, 1, 0, wf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok := factory(0.4).(sim.HotspotTraffic)
-	if !ok {
-		t.Fatalf("hotspot factory built %T", factory(0.4))
-	}
-	want := sim.HotspotTraffic{Rate: 0.4, Hot: 5, Fraction: 0.8}
-	if got != want {
-		t.Fatalf("legacy hotspot dropped flags: got %+v, want %+v", got, want)
-	}
-}
-
+// TestLegacyTrafficErrors pins the removal of the legacy -traffic and
+// -burst flags: every legacy command line, including the ones the old
+// models rejected, now fails at flag parsing (exit 2) instead of running
+// some other traffic. -workload names every generator: perm became
+// transpose, hotspot -workload hotspot, burst an event trace at slot 0.
 func TestLegacyTrafficErrors(t *testing.T) {
-	cases := []struct {
-		name    string
-		traffic string
-		n       int
-		wf      workloadFlags
-		want    string
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
 	}{
-		{"unknown model", "zipf", 24, flags(), "zipf"},
-		{"hot node past n", "hotspot", 24, func() workloadFlags { wf := flags(); wf.HotGroup = 24; return wf }(), "out of range"},
-		{"hot node negative", "hotspot", 24, func() workloadFlags { wf := flags(); wf.HotGroup = -1; return wf }(), "out of range"},
-		{"hotfrac oob", "hotspot", 24, func() workloadFlags { wf := flags(); wf.HotFrac = -0.1; return wf }(), "-hotfrac"},
-		// An explicit workload flag the model ignores is an error (the old
-		// code dropped these on the floor).
-		{"hotgroup on uniform", "uniform", 24, flags("hotgroup"), "-hotgroup does not apply"},
-		{"hotfrac on burst", "burst", 24, flags("hotfrac"), "-hotfrac does not apply"},
-		{"burst on hotspot", "hotspot", 24, flags("burst"), "-burst does not apply"},
-		{"tracefile on perm", "perm", 24, flags("tracefile"), "-tracefile does not apply"},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			_, err := legacyTraffic(c.traffic, c.n, 1, 0, c.wf)
-			if err == nil {
-				t.Fatalf("legacyTraffic(%q) accepted %+v", c.traffic, c.wf)
-			}
-			if !strings.Contains(err.Error(), c.want) {
-				t.Fatalf("error %q does not mention %q", err, c.want)
+		{"unknown model", []string{"-traffic", "zipf"}, "-traffic"},
+		{"hot node past n", []string{"-traffic", "hotspot", "-hotgroup", "24"}, "-traffic"},
+		{"hot node negative", []string{"-traffic", "hotspot", "-hotgroup", "-1"}, "-traffic"},
+		{"hotfrac oob", []string{"-traffic", "hotspot", "-hotfrac", "-0.1"}, "-traffic"},
+		{"hotgroup on uniform", []string{"-traffic", "uniform", "-hotgroup", "1"}, "-traffic"},
+		{"hotfrac on burst", []string{"-traffic", "burst", "-hotfrac", "0.5"}, "-traffic"},
+		{"burst on hotspot", []string{"-traffic", "hotspot", "-burst", "5"}, "-traffic"},
+		{"tracefile on perm", []string{"-traffic", "perm", "-tracefile", "x.csv"}, "-traffic"},
+		{"perm", []string{"-traffic", "perm"}, "-traffic"},
+		{"sweep hotspot", []string{"-sweep", "-traffic", "hotspot"}, "-traffic"},
+		{"burst count", []string{"-burst", "500"}, "-burst"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			code, stderr := runNetsim(t, tc.args...)
+			if want := "flag provided but not defined: " + tc.want; code != 2 || !strings.Contains(stderr, want) {
+				t.Fatalf("netsim %v: exit %d, stderr %q; want exit 2 with %q", tc.args, code, stderr, want)
 			}
 		})
-	}
-	// And the in-range cases still build.
-	for _, model := range []string{"uniform", "perm", "burst"} {
-		if _, err := legacyTraffic(model, 24, 1, 4, flags()); err != nil {
-			t.Fatalf("legacyTraffic(%q): %v", model, err)
-		}
 	}
 }
 
@@ -200,10 +200,10 @@ func TestLegacyTrafficErrors(t *testing.T) {
 // CLI defaults and the boundary values must pass.
 func TestCheckRunFlags(t *testing.T) {
 	type runFlags struct {
-		rate                              float64
-		slots, drain, maxQ, waves, repeat int
+		rate                                     float64
+		slots, drain, maxQ, waves, repeat, seeds int
 	}
-	defaults := runFlags{rate: 0.2, slots: 2000, drain: 2000, maxQ: 0, waves: 1, repeat: 1}
+	defaults := runFlags{rate: 0.2, slots: 2000, drain: 2000, maxQ: 0, waves: 1, repeat: 1, seeds: 3}
 	with := func(edit func(*runFlags)) runFlags { f := defaults; edit(&f); return f }
 	for _, tc := range []struct {
 		name  string
@@ -211,7 +211,7 @@ func TestCheckRunFlags(t *testing.T) {
 		want  string // "" means valid
 	}{
 		{"defaults", defaults, ""},
-		{"boundaries", runFlags{rate: 1, slots: 0, drain: 0, maxQ: 0, waves: 1, repeat: 1}, ""},
+		{"boundaries", runFlags{rate: 1, slots: 0, drain: 0, maxQ: 0, waves: 1, repeat: 1, seeds: 1}, ""},
 		{"zero rate", with(func(f *runFlags) { f.rate = 0 }), ""},
 		{"negative rate", with(func(f *runFlags) { f.rate = -1 }), "bad rate -1 (want a probability in [0,1])"},
 		{"rate above one", with(func(f *runFlags) { f.rate = 1.5 }), "bad rate 1.5 (want a probability in [0,1])"},
@@ -223,10 +223,12 @@ func TestCheckRunFlags(t *testing.T) {
 		{"negative wavelengths", with(func(f *runFlags) { f.waves = -3 }), "bad -wavelengths -3 (want >= 1)"},
 		{"zero repeat", with(func(f *runFlags) { f.repeat = 0 }), "bad -repeat 0 (want >= 1)"},
 		{"negative repeat", with(func(f *runFlags) { f.repeat = -3 }), "bad -repeat -3 (want >= 1)"},
+		{"zero seeds", with(func(f *runFlags) { f.seeds = 0 }), "bad -seeds 0 (want >= 1)"},
+		{"negative seeds", with(func(f *runFlags) { f.seeds = -4 }), "bad -seeds -4 (want >= 1)"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := tc.flags
-			err := checkRunFlags(f.rate, f.slots, f.drain, f.maxQ, f.waves, f.repeat)
+			err := checkRunFlags(f.rate, f.slots, f.drain, f.maxQ, f.waves, f.repeat, f.seeds)
 			switch {
 			case tc.want == "" && err != nil:
 				t.Fatalf("unexpected error: %v", err)
@@ -236,5 +238,67 @@ func TestCheckRunFlags(t *testing.T) {
 				t.Fatalf("error %q, want %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestFaultSpecFlags pairs each bad fault flag with its exact error; the
+// CLI defaults and a valid transient spec must pass.
+func TestFaultSpecFlags(t *testing.T) {
+	type faultFlags struct {
+		kind        string
+		count, slot int
+		mtbf, mttr  float64
+	}
+	defaults := faultFlags{kind: "node"}
+	with := func(edit func(*faultFlags)) faultFlags { f := defaults; edit(&f); return f }
+	for _, tc := range []struct {
+		name  string
+		flags faultFlags
+		want  string // "" means valid
+	}{
+		{"defaults", defaults, ""},
+		{"transient", faultFlags{kind: "tx", count: 3, mtbf: 200, mttr: 50}, ""},
+		{"bad kind", with(func(f *faultFlags) { f.kind = "laser" }), `bad fault kind "laser" (want node, coupler or tx)`},
+		{"negative count", with(func(f *faultFlags) { f.count = -3 }), "faults: bad count -3 (want >= 0)"},
+		{"negative slot", with(func(f *faultFlags) { f.count, f.slot = 1, -7 }), "faults: bad slot -7 (want >= 0)"},
+		{"negative mtbf", with(func(f *faultFlags) { f.count, f.mtbf = 1, -5 }), "faults: bad mtbf -5 (want >= 0)"},
+		{"negative mttr", with(func(f *faultFlags) { f.count, f.mtbf, f.mttr = 1, 100, -2 }), "faults: bad mttr -2 (want >= 0)"},
+		{"NaN mtbf", with(func(f *faultFlags) { f.mtbf = math.NaN() }), "faults: bad mtbf NaN (want >= 0)"},
+		{"mtbf alone", with(func(f *faultFlags) { f.count, f.mtbf = 1, 100 }), "faults: mtbf and mttr must be set together"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := tc.flags
+			_, err := faultSpec(f.kind, f.count, f.slot, f.mtbf, f.mttr, 4000)
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("unexpected error: %v", err)
+			case tc.want != "" && err == nil:
+				t.Fatalf("accepted, want error %q", tc.want)
+			case tc.want != "" && err.Error() != tc.want:
+				t.Fatalf("error %q, want %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestBadScenarioFlagsExit2 drives the bad values through the real command
+// line: each exits 2 with its named error instead of panicking or running
+// a silent default.
+func TestBadScenarioFlagsExit2(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-faults", "-3"}, "netsim: faults: bad count -3 (want >= 0)"},
+		{[]string{"-faults", "1", "-faultslot", "-7"}, "netsim: faults: bad slot -7 (want >= 0)"},
+		{[]string{"-mtbf", "-5"}, "netsim: faults: bad mtbf -5 (want >= 0)"},
+		{[]string{"-sweep", "-faultset", "0,-2"}, "netsim: faults: bad count -2 (want >= 0)"},
+		{[]string{"-sweep", "-seeds", "0"}, "netsim: bad -seeds 0 (want >= 1)"},
+		{[]string{"-sweep", "-seeds", "-4"}, "netsim: bad -seeds -4 (want >= 1)"},
+	} {
+		code, stderr := runNetsim(t, tc.args...)
+		if code != 2 || strings.TrimSpace(stderr) != tc.want {
+			t.Errorf("netsim %v: exit %d, stderr %q; want exit 2 with %q", tc.args, code, stderr, tc.want)
+		}
 	}
 }

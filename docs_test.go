@@ -99,6 +99,47 @@ func TestDocsTestNamesExist(t *testing.T) {
 	}
 }
 
+// TestDocsFlagsExist applies the same drift guard to README's flag
+// tables: every "| `-name` |" row must name a flag that cmd/netsim defines
+// (a flag.X("name" or fs.X("name" call), so a deleted flag cannot keep
+// its documentation row.
+func TestDocsFlagsExist(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("cmd", "netsim", "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defined := map[string]bool{}
+	decl := regexp.MustCompile(`\b(?:flag|fs)\.[A-Z][A-Za-z0-9]*\("([A-Za-z0-9]+)"`)
+	for _, f := range files {
+		if strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range decl.FindAllStringSubmatch(string(src), -1) {
+			defined[m[1]] = true
+		}
+	}
+	if len(defined) == 0 {
+		t.Fatal("no flags found in cmd/netsim")
+	}
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := regexp.MustCompile("(?m)^\\| `-([A-Za-z0-9]+)` \\|").FindAllStringSubmatch(string(readme), -1)
+	if len(rows) == 0 {
+		t.Fatal("no flag table rows found in README.md")
+	}
+	for _, m := range rows {
+		if !defined[m[1]] {
+			t.Errorf("README.md documents -%s, which cmd/netsim does not define", m[1])
+		}
+	}
+}
+
 // TestInternalPackagesHaveDocComments keeps every internal package
 // documented: some file of each package must carry a line-start
 // "// Package <name> " doc comment — the exact invariant the CI docs job

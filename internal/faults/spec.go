@@ -42,6 +42,26 @@ func (s Spec) Label() string {
 	return fmt.Sprintf("%s×%d@%d", s.Kind, s.Count, s.Slot)
 }
 
+// Validate rejects specs no plan can honor: a negative count, strike slot,
+// MTBF or MTTR (NaN included), or only one of MTBF and MTTR set. Every
+// input boundary that builds a Spec from user input (CLI flags, sweep
+// GridSpec JSON) funnels through it.
+func (s Spec) Validate() error {
+	switch {
+	case s.Count < 0:
+		return fmt.Errorf("faults: bad count %d (want >= 0)", s.Count)
+	case s.Slot < 0:
+		return fmt.Errorf("faults: bad slot %d (want >= 0)", s.Slot)
+	case !(s.MTBF >= 0):
+		return fmt.Errorf("faults: bad mtbf %g (want >= 0)", s.MTBF)
+	case !(s.MTTR >= 0):
+		return fmt.Errorf("faults: bad mttr %g (want >= 0)", s.MTTR)
+	case (s.MTBF > 0) != (s.MTTR > 0):
+		return fmt.Errorf("faults: mtbf and mttr must be set together")
+	}
+	return nil
+}
+
 // planSeed picks the plan's RNG seed.
 func (s Spec) planSeed(seed int64) int64 {
 	if s.Seed != 0 {

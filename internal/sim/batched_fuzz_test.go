@@ -35,7 +35,7 @@ func FuzzBatchedVsSingleEngine(f *testing.F) {
 	f.Fuzz(func(t *testing.T, topoSel, pa, pb, rcount, tselA, tselB, tselC, rateA, rateB, rateC uint8,
 		slotsA, slotsB, slotsC uint16, faultKind, faultMask, deflMask, maxqMask, wavesMask uint8,
 		faultSlotRaw uint16, seed int64) {
-		base, family := fuzzTopology(topoSel, pa, pb)
+		base, family, groupSize := fuzzTopology(topoSel, pa, pb)
 		if err := sim.CheckTopology(base); err != nil {
 			t.Skipf("degenerate topology: %v", err)
 		}
@@ -84,7 +84,7 @@ func FuzzBatchedVsSingleEngine(f *testing.F) {
 			specs[i] = sim.ReplicaSpec{
 				Topo:        topoBatch,
 				Config:      cfg,
-				Traffic:     fuzzTraffic(tsel[p], rate, n, pairSeed),
+				Traffic:     fuzzTraffic(tsel[p], rate, n, groupSize),
 				Slots:       slots,
 				Drain:       drain,
 				StreamGroup: p,
@@ -97,7 +97,7 @@ func FuzzBatchedVsSingleEngine(f *testing.F) {
 			eng.OnDeliver = func(m sim.Message, slot int) {
 				solo[i] = append(solo[i], delivery{m.ID, m.Src, m.Dst, m.Hops, slot})
 			}
-			soloMetrics[i] = eng.Run(fuzzTraffic(tsel[p], rate, n, pairSeed), slots, drain, cfg)
+			soloMetrics[i] = eng.Run(fuzzTraffic(tsel[p], rate, n, groupSize), slots, drain, cfg)
 		}
 
 		rs := sim.NewReplicaSet(base)

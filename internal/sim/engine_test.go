@@ -54,8 +54,8 @@ func TestDeflectionConservationNoLoss(t *testing.T) {
 
 func TestDeflectionDrainsEventually(t *testing.T) {
 	topo := skTopology(2, 2, 2)
-	m := Run(topo, BurstTraffic{Messages: 200}, 1, 10000, Config{Seed: 23, Deflection: true})
-	if m.Backlog != 0 || m.Delivered != m.Injected {
+	m := Run(topo, UniformTraffic{Rate: 1}, 16, 10000, Config{Seed: 23, Deflection: true})
+	if m.Injected == 0 || m.Backlog != 0 || m.Delivered != m.Injected {
 		t.Fatalf("deflection run failed to drain: %v", m)
 	}
 }

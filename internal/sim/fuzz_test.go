@@ -26,42 +26,45 @@ import (
 	"otisnet/internal/pops"
 	"otisnet/internal/sim"
 	"otisnet/internal/stackkautz"
+	"otisnet/internal/workload"
 )
 
 // fuzzTopology maps three fuzz bytes onto a small instance of one of the
-// four network families. Instances are kept under ~100 nodes so a single
-// fuzz execution stays in the low milliseconds.
-func fuzzTopology(sel, pa, pb uint8) (sim.Topology, string) {
+// four network families, with the group size the group-structured
+// workloads consume (0 for the point-to-point family). Instances are kept
+// under ~100 nodes so a single fuzz execution stays in the low
+// milliseconds.
+func fuzzTopology(sel, pa, pb uint8) (sim.Topology, string, int) {
 	switch sel % 4 {
 	case 0:
 		d, k := 2+int(pa)%2, 2+int(pb)%2
-		return sim.NewPointToPointTopology(kautz.NewDeBruijn(d, k).Digraph()), "deBruijn"
+		return sim.NewPointToPointTopology(kautz.NewDeBruijn(d, k).Digraph()), "deBruijn", 0
 	case 1:
 		s, d := 1+int(pa)%4, 2+int(pb)%2
-		return sim.NewStackTopology(stackkautz.New(s, d, 2).StackGraph()), "SK"
+		return sim.NewStackTopology(stackkautz.New(s, d, 2).StackGraph()), "SK", s
 	case 2:
 		t, g := 1+int(pa)%4, 2+int(pb)%3
-		return sim.NewStackTopology(pops.New(t, g).StackGraph()), "POPS"
+		return sim.NewStackTopology(pops.New(t, g).StackGraph()), "POPS", t
 	default:
 		s, n := 1+int(pa)%3, 6+int(pb)%7
-		return sim.NewStackTopology(stackkautz.NewII(s, 2, n).StackGraph()), "stack-II"
+		return sim.NewStackTopology(stackkautz.NewII(s, 2, n).StackGraph()), "stack-II", s
 	}
 }
 
-// fuzzTraffic maps a fuzz byte onto one of the engine's traffic models.
-// The generator only produces the shared injection schedule — both engines
-// consume the identical schedule — so any model is fair game.
-func fuzzTraffic(sel uint8, rate float64, n int, seed int64) sim.Traffic {
-	switch sel % 4 {
-	case 0:
-		return sim.UniformTraffic{Rate: rate}
-	case 1:
-		return sim.HotspotTraffic{Rate: rate, Hot: 0, Fraction: 0.3}
-	case 2:
-		return sim.NewPermutationTraffic(rate, n, rand.New(rand.NewSource(seed)))
-	default:
-		return sim.BurstTraffic{Messages: 50 + 10*n}
-	}
+// fuzzWorkloads are the production generators the fuzzers draw from, each
+// materialized through workload.Spec.New exactly as sweeps and the CLI do.
+var fuzzWorkloads = []workload.Spec{
+	{},
+	{Kind: workload.KindHotspot, Fraction: 0.3},
+	{Kind: workload.KindTranspose},
+	{Kind: workload.KindBursty, MeanOn: 8, MeanOff: 16, OffFactor: 0.2},
+}
+
+// fuzzTraffic maps a fuzz byte onto a fresh generator of one of
+// fuzzWorkloads. Bursty is stateful, so every engine that generates its
+// own stream needs its own instance.
+func fuzzTraffic(sel uint8, rate float64, n, groupSize int) sim.Traffic {
+	return fuzzWorkloads[int(sel)%len(fuzzWorkloads)].New(rate, n, groupSize)
 }
 
 func FuzzCompiledVsLegacyEngine(f *testing.F) {
@@ -77,7 +80,7 @@ func FuzzCompiledVsLegacyEngine(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, topoSel, pa, pb, trafficSel, ratePct, waves, maxq, faultKind, faultCount uint8,
 		slotsRaw, faultSlotRaw uint16, seed int64, defl bool) {
-		base, family := fuzzTopology(topoSel, pa, pb)
+		base, family, groupSize := fuzzTopology(topoSel, pa, pb)
 		if err := sim.CheckTopology(base); err != nil {
 			t.Skipf("degenerate topology: %v", err)
 		}
@@ -115,7 +118,7 @@ func FuzzCompiledVsLegacyEngine(f *testing.F) {
 		}
 
 		// One shared injection schedule drives both engines in lockstep.
-		tr := fuzzTraffic(trafficSel, rate, n, seed)
+		tr := fuzzTraffic(trafficSel, rate, n, groupSize)
 		rng := rand.New(rand.NewSource(seed))
 		var buf []sim.Injection
 		for s := 0; s < slots; s++ {

@@ -1,32 +1,21 @@
 package sim
 
 // SaturationSearch locates the saturation load of a topology: the largest
-// per-node injection rate the network sustains, meaning it delivers at
-// least the given fraction of injected traffic within the run (injection
-// slots plus an equal drain period). Binary search over the rate with
-// fixed seeds keeps the result deterministic. This reproduces the
-// "saturation throughput" figure style of the multihop lightwave
-// literature.
+// per-node injection rate the network sustains under uniform traffic,
+// meaning it delivers at least the given fraction of injected traffic
+// within the run (injection slots plus an equal drain period). Binary
+// search over the rate with fixed seeds keeps the result deterministic, so
+// concurrent callers (e.g. a sweep worker pool) reproduce single-run
+// results exactly. This reproduces the "saturation throughput" figure
+// style of the multihop lightwave literature.
 func SaturationSearch(topo Topology, slots int, sustainFraction float64, cfg Config) float64 {
-	return SaturationSearchTraffic(topo, UniformAtRate, slots, sustainFraction, cfg)
-}
-
-// UniformAtRate is the default rate-parameterized traffic model used by
-// SaturationSearch: uniform destinations at the given per-node rate.
-func UniformAtRate(rate float64) Traffic { return UniformTraffic{Rate: rate} }
-
-// SaturationSearchTraffic generalizes SaturationSearch to any
-// rate-parameterized traffic family. The search is deterministic for a
-// given (topology, traffic family, slots, fraction, config), so concurrent
-// callers (e.g. a sweep worker pool) reproduce single-run results exactly.
-func SaturationSearchTraffic(topo Topology, traffic func(rate float64) Traffic, slots int, sustainFraction float64, cfg Config) float64 {
 	// One engine serves every probe of the binary search: Engine.Run resets
 	// it per rate, so the topology is compiled and the queues allocated
 	// once for the whole search instead of once per probe, with results
 	// bit-for-bit identical to independent sim.Run calls.
 	e := NewEngine(topo, cfg)
 	sustains := func(rate float64) bool {
-		m := e.Run(traffic(rate), slots, slots, cfg)
+		m := e.Run(UniformTraffic{Rate: rate}, slots, slots, cfg)
 		if m.Injected == 0 {
 			return true
 		}

@@ -1,19 +1,16 @@
 package sim
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "math/rand"
 
 // Injection is a message creation request: src wants to send to dst.
 type Injection struct {
 	Src, Dst int
 }
 
-// Traffic generates the injections of each slot. The models in this file
-// are the engine's built-ins; internal/workload provides the richer
-// structured generators (OTIS transpose, group hotspot, bursty on/off,
-// collective replay) behind the same interface.
+// Traffic generates the injections of each slot. UniformTraffic is the
+// engine's one built-in model; internal/workload names every generator
+// (workload.Spec) and provides the structured ones (OTIS transpose, group
+// hotspot, bursty on/off, trace replay) behind this interface.
 type Traffic interface {
 	// Generate appends the injections of one slot to buf and returns the
 	// extended slice. n is the node count. Appending into a caller-owned
@@ -52,88 +49,6 @@ func (t UniformTraffic) Generate(buf []Injection, _, n int, rng *rand.Rand) []In
 			}
 			buf = append(buf, Injection{Src: u, Dst: dst})
 		}
-	}
-	return buf
-}
-
-// PermutationTraffic injects, with probability Rate per node per slot, a
-// message to a fixed permutation partner — a worst-case pattern with no
-// destination locality.
-type PermutationTraffic struct {
-	Rate float64
-	Perm []int
-}
-
-// NewPermutationTraffic builds a random fixed-point-free-ish permutation
-// pattern over n nodes.
-func NewPermutationTraffic(rate float64, n int, rng *rand.Rand) PermutationTraffic {
-	perm := rng.Perm(n)
-	// Displace fixed points cyclically so nobody sends to itself.
-	for i, p := range perm {
-		if p == i {
-			perm[i] = (i + 1) % n
-		}
-	}
-	return PermutationTraffic{Rate: rate, Perm: perm}
-}
-
-// Generate implements Traffic.
-func (t PermutationTraffic) Generate(buf []Injection, _, n int, rng *rand.Rand) []Injection {
-	if len(t.Perm) != n {
-		panic(fmt.Sprintf("sim: permutation over %d nodes used on %d-node network", len(t.Perm), n))
-	}
-	for u := 0; u < n; u++ {
-		if t.Perm[u] != u && rng.Float64() < t.Rate {
-			buf = append(buf, Injection{Src: u, Dst: t.Perm[u]})
-		}
-	}
-	return buf
-}
-
-// HotspotTraffic is uniform traffic where a fraction of messages is
-// redirected to a single hot node, modeling server-style contention.
-type HotspotTraffic struct {
-	Rate     float64
-	Hot      int
-	Fraction float64
-}
-
-// Generate implements Traffic.
-func (t HotspotTraffic) Generate(buf []Injection, _, n int, rng *rand.Rand) []Injection {
-	for u := 0; u < n; u++ {
-		if rng.Float64() >= t.Rate {
-			continue
-		}
-		dst := t.Hot
-		if u == t.Hot || rng.Float64() >= t.Fraction {
-			dst = rng.Intn(n - 1)
-			if dst >= u {
-				dst++
-			}
-		}
-		buf = append(buf, Injection{Src: u, Dst: dst})
-	}
-	return buf
-}
-
-// BurstTraffic injects a fixed batch of random messages at slot 0 and
-// nothing afterwards — used to measure drain time of a finite workload.
-type BurstTraffic struct {
-	Messages int
-}
-
-// Generate implements Traffic.
-func (t BurstTraffic) Generate(buf []Injection, slot, n int, rng *rand.Rand) []Injection {
-	if slot != 0 || n < 2 {
-		return buf
-	}
-	for i := 0; i < t.Messages; i++ {
-		src := rng.Intn(n)
-		dst := rng.Intn(n - 1)
-		if dst >= src {
-			dst++
-		}
-		buf = append(buf, Injection{Src: src, Dst: dst})
 	}
 	return buf
 }

@@ -49,14 +49,7 @@ func (r Runner) replicas(points []Scenario) int {
 	// the smallest R that captures the sharing (see BENCH_6.json).
 	largest, counts := 0, map[streamKey]int{}
 	for i := range points {
-		p := &points[i]
-		if p.Traffic != nil {
-			continue // explicit traffic: never shared
-		}
-		k := streamKey{
-			workload: p.Workload, groupSize: p.Topology.GroupSize,
-			rate: p.Rate, seed: p.Seed, slots: p.Slots,
-		}
+		k := points[i].streamKey()
 		counts[k]++
 		if counts[k] > largest {
 			largest = counts[k]
@@ -73,14 +66,21 @@ func (r Runner) replicas(points []Scenario) int {
 }
 
 // streamKey identifies an injection stream: scenarios with equal keys
-// (and nil explicit Traffic) consume bit-for-bit the same generated
-// schedule, so a batch feeds them from one shared stream group.
+// consume bit-for-bit the same generated schedule, so a batch feeds them
+// from one shared stream group.
 type streamKey struct {
 	workload  workload.Spec
 	groupSize int
 	rate      float64
 	seed      int64
 	slots     int
+}
+
+func (s *Scenario) streamKey() streamKey {
+	return streamKey{
+		workload: s.Workload, groupSize: s.Topology.GroupSize,
+		rate: s.Rate, seed: s.Seed, slots: s.Slots,
+	}
 }
 
 // planBatches chunks point indices into batches of at most rep scenarios,
@@ -102,34 +102,20 @@ func planBatches(points []Scenario, rep int) [][]int {
 	var batches [][]int
 	for _, fp := range fps {
 		idxs := byFP[fp]
-		// Reorder so stream-siblings are adjacent: keys in
-		// first-appearance order, unhashable points as singletons.
+		// Reorder so stream-siblings are adjacent, keys in
+		// first-appearance order.
 		var keys []streamKey
 		byKey := map[streamKey][]int{}
-		var ordered []int
 		for _, i := range idxs {
-			p := &points[i]
-			if p.Traffic != nil {
-				ordered = append(ordered, -1-i) // singleton marker
-				continue
-			}
-			k := streamKey{
-				workload: p.Workload, groupSize: p.Topology.GroupSize,
-				rate: p.Rate, seed: p.Seed, slots: p.Slots,
-			}
+			k := points[i].streamKey()
 			if _, ok := byKey[k]; !ok {
 				keys = append(keys, k)
-				ordered = append(ordered, len(keys)-1)
 			}
 			byKey[k] = append(byKey[k], i)
 		}
 		flat := idxs[:0:0]
-		for _, o := range ordered {
-			if o < 0 {
-				flat = append(flat, -1-o)
-			} else {
-				flat = append(flat, byKey[keys[o]]...)
-			}
+		for _, k := range keys {
+			flat = append(flat, byKey[k]...)
 		}
 		for len(flat) > 0 {
 			take := rep
@@ -206,7 +192,7 @@ type batchWorker struct {
 	// Per-batch assembly scratch, reused across batches.
 	specs  []sim.ReplicaSpec
 	misses []int    // point index per configured replica slot
-	keys   []string // cache key per configured replica slot ("" when unhashable)
+	keys   []string // cache key per configured replica slot ("" without a cache)
 	gids   map[streamKey]int
 }
 
@@ -277,35 +263,27 @@ func (w *batchWorker) run(batch []int, points []Scenario, results []Result, cach
 	var set *batchSet
 	for _, pi := range batch {
 		p := &points[pi]
-		key, hashable := "", false
+		key := ""
 		if cache != nil {
-			if key, hashable = p.CacheKey(); hashable {
-				if m, ok := cache.Lookup(key); ok {
-					sweepObs.cached.AddShard(w.sh, 1)
-					results[pi] = Result{Scenario: *p, Metrics: m}
-					if progress != nil {
-						progress(pi, results[pi], true)
-					}
-					continue
+			key = p.CacheKey()
+			if m, ok := cache.Lookup(key); ok {
+				sweepObs.cached.AddShard(w.sh, 1)
+				results[pi] = Result{Scenario: *p, Metrics: m}
+				if progress != nil {
+					progress(pi, results[pi], true)
 				}
+				continue
 			}
 		}
 		if set == nil {
 			set = w.set(TopologyFingerprint(p.Topology.Topo), p.Topology.Topo)
 		}
 		slot := len(w.specs)
-		gid := -1
-		if p.Traffic == nil {
-			k := streamKey{
-				workload: p.Workload, groupSize: p.Topology.GroupSize,
-				rate: p.Rate, seed: p.Seed, slots: p.Slots,
-			}
-			if g, ok := w.gids[k]; ok {
-				gid = g
-			} else {
-				gid = len(w.gids)
-				w.gids[k] = gid
-			}
+		k := p.streamKey()
+		gid, ok := w.gids[k]
+		if !ok {
+			gid = len(w.gids)
+			w.gids[k] = gid
 		}
 		sp := sim.ReplicaSpec{
 			Config:      p.Config(),
@@ -342,7 +320,7 @@ func (w *batchWorker) run(batch []int, points []Scenario, results []Result, cach
 
 	for slot, pi := range w.misses {
 		m := set.rset.Metrics(slot)
-		if w.keys[slot] != "" {
+		if cache != nil {
 			cache.Store(w.keys[slot], m)
 		}
 		results[pi] = Result{Scenario: points[pi], Metrics: m}

@@ -92,18 +92,13 @@ func fingerprint(t sim.Topology) string {
 }
 
 // CacheKey returns the scenario's content-addressed key: a hex SHA-256 of
-// the canonical encoding described above. The second return is false when
-// the scenario is not hashable — an explicit Traffic value is an opaque
-// generator whose behavior cannot be canonicalized — in which case the
-// point must always be computed.
-func (s Scenario) CacheKey() (string, bool) {
-	if s.Traffic != nil {
-		return "", false
-	}
+// the canonical encoding described above. Every scenario is hashable: its
+// traffic is always named by a workload.Spec.
+func (s Scenario) CacheKey() string {
 	h := sha256.New()
 	fmt.Fprintf(h, "%s\ntopo %s\n", keyVersion, TopologyFingerprint(s.Topology.Topo))
 	writeKeyFields(h, s)
-	return hex.EncodeToString(h.Sum(nil)), true
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // writeKeyFields streams the canonical parameter encoding into h. Fields

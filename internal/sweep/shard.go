@@ -42,8 +42,7 @@ func ShardPoints(points []Scenario, shard, shards int) (Shard, error) {
 }
 
 // ShardResult is one completed point of a shard run: the point's global
-// index in the grid, its content-addressed cache key ("" when the scenario
-// is not hashable) and its metrics. This is the row shard processes write
+// index in the grid, its content-addressed cache key and its metrics. This is the row shard processes write
 // (NDJSON), the merge step consumes, and the coordinator's worker
 // protocol carries (internal/coordinator). Cached marks a row that was
 // served from the result cache rather than computed — merge ignores it
@@ -61,8 +60,7 @@ type ShardResult struct {
 func (s Shard) ShardResults(results []Result) []ShardResult {
 	rows := make([]ShardResult, len(results))
 	for i, r := range results {
-		key, _ := r.Scenario.CacheKey()
-		rows[i] = ShardResult{Index: s.Indices[i], Key: key, Metrics: r.Metrics}
+		rows[i] = ShardResult{Index: s.Indices[i], Key: r.Scenario.CacheKey(), Metrics: r.Metrics}
 	}
 	return rows
 }
@@ -71,16 +69,13 @@ func (s Shard) ShardResults(results []Result) []ShardResult {
 // points (the same Grid.Points list the shards were cut from). Every index
 // must be covered exactly once, and every row that carries a cache key
 // must match the key of the point it claims — catching shards run against
-// a different grid definition. Conflicting duplicates — same index with
-// different metrics, or same index with different non-empty keys (two
-// writers that disagree about what the point even is, possible only when
-// the point itself is unhashable and the per-point key check cannot
-// arbitrate) — are an error; identical duplicates (e.g. overlapping shard
-// files after a resume, or a steal race in the coordinator) are tolerated.
+// a different grid definition. Conflicting duplicates (same index,
+// different metrics) are an error; identical duplicates (e.g. overlapping
+// shard files after a resume, or a steal race in the coordinator) are
+// tolerated.
 func MergeShardResults(points []Scenario, shards ...[]ShardResult) ([]Result, error) {
 	results := make([]Result, len(points))
 	seen := make([]bool, len(points))
-	keys := make([]string, len(points))
 	for _, rows := range shards {
 		for _, row := range rows {
 			if row.Index < 0 || row.Index >= len(points) {
@@ -88,7 +83,7 @@ func MergeShardResults(points []Scenario, shards ...[]ShardResult) ([]Result, er
 			}
 			p := points[row.Index]
 			if row.Key != "" {
-				if key, ok := p.CacheKey(); ok && key != row.Key {
+				if key := p.CacheKey(); key != row.Key {
 					return nil, fmt.Errorf("sweep: shard row %d key %.12s… does not match grid point key %.12s… (shard run against a different grid?)",
 						row.Index, row.Key, key)
 				}
@@ -97,14 +92,9 @@ func MergeShardResults(points []Scenario, shards ...[]ShardResult) ([]Result, er
 				if results[row.Index].Metrics != row.Metrics {
 					return nil, fmt.Errorf("sweep: conflicting duplicate results for point %d", row.Index)
 				}
-				if row.Key != "" && keys[row.Index] != "" && row.Key != keys[row.Index] {
-					return nil, fmt.Errorf("sweep: duplicate rows for point %d carry different keys %.12s… and %.12s…",
-						row.Index, keys[row.Index], row.Key)
-				}
 				continue
 			}
 			seen[row.Index] = true
-			keys[row.Index] = row.Key
 			results[row.Index] = Result{Scenario: p, Metrics: row.Metrics}
 		}
 	}

@@ -57,16 +57,10 @@ type Topology struct {
 	GroupSize int
 }
 
-// TrafficFactory builds a traffic model for a given offered load. The
-// returned model must be safe for use by a single engine; factories are
-// invoked once per scenario.
-type TrafficFactory func(rate float64) sim.Traffic
-
 // Scenario is one fully specified simulation point.
 type Scenario struct {
 	Topology    Topology
 	TrafficName string
-	Traffic     sim.Traffic // nil means uniform at Rate
 	Rate        float64
 	Seed        int64
 	Mode        Mode
@@ -77,9 +71,8 @@ type Scenario struct {
 	// Fault describes the fault-injection axis; the zero value runs on the
 	// bare topology (bit-for-bit identical to pre-fault sweeps).
 	Fault faults.Spec
-	// Workload selects the traffic generator when Traffic is nil; the zero
-	// spec is the uniform workload, bit-for-bit identical to pre-workload
-	// sweeps. An explicit Traffic value takes precedence.
+	// Workload selects the traffic generator; the zero spec is the uniform
+	// workload, bit-for-bit identical to pre-workload sweeps.
 	Workload workload.Spec
 }
 
@@ -108,15 +101,11 @@ func (s Scenario) Config() sim.Config {
 	}
 }
 
-// traffic returns the scenario's traffic model: an explicit Traffic value
-// wins, else the Workload spec is materialized for this topology (the zero
-// spec is uniform — workload.Uniform delegates to sim.UniformTraffic, so
-// legacy grids reproduce bit for bit). One generator per scenario: bursty
-// workloads are stateful and never shared across engines.
+// traffic materializes the scenario's Workload spec for its topology (the
+// zero spec is sim.UniformTraffic, so legacy grids reproduce bit for bit).
+// One generator per scenario: bursty workloads are stateful and never
+// shared across engines.
 func (s Scenario) traffic() sim.Traffic {
-	if s.Traffic != nil {
-		return s.Traffic
-	}
 	return s.Workload.New(s.Rate, s.Topology.Topo.Nodes(), s.Topology.GroupSize)
 }
 
@@ -131,10 +120,6 @@ type Grid struct {
 	MaxQueue    int
 	Slots       int
 	Drain       int
-	// Traffic builds the traffic model per rate; nil means the Workloads
-	// axis (or uniform). A non-nil factory overrides Workloads entirely.
-	Traffic     TrafficFactory
-	TrafficName string
 	// Faults is the fault-injection axis: each spec is crossed with every
 	// other axis (e.g. node-fault counts 0..d for a degradation curve).
 	// Empty means the single fault-free spec.
@@ -172,10 +157,7 @@ func (g Grid) Points() []Scenario {
 		fspecs = []faults.Spec{{}}
 	}
 	wspecs := g.Workloads
-	if len(wspecs) == 0 || g.Traffic != nil {
-		// An explicit Traffic factory overrides the workload axis entirely;
-		// collapsing the axis here keeps the point count honest (no
-		// duplicated scenarios keyed by specs that had no effect).
+	if len(wspecs) == 0 {
 		wspecs = []workload.Spec{{}}
 	}
 	var pts []Scenario
@@ -184,28 +166,15 @@ func (g Grid) Points() []Scenario {
 			for _, mode := range modes {
 				for _, w := range waves {
 					for _, wl := range wspecs {
-						// The traffic label: an explicit TrafficName wins,
-						// else the workload's own label ("uniform" for the
-						// zero spec, matching the pre-workload default).
-						name := g.TrafficName
-						if name == "" {
-							name = wl.Label()
-						}
+						name := wl.Label()
 						for _, fs := range fspecs {
 							if fs.MTBF > 0 && fs.Horizon == 0 {
 								fs.Horizon = slots
 							}
 							for _, seed := range seeds {
-								// One factory call per scenario: Traffic values
-								// are never shared across engines/goroutines.
-								var tr sim.Traffic
-								if g.Traffic != nil {
-									tr = g.Traffic(rate)
-								}
 								pts = append(pts, Scenario{
 									Topology:    topo,
 									TrafficName: name,
-									Traffic:     tr,
 									Rate:        rate,
 									Seed:        seed,
 									Mode:        mode,
@@ -283,8 +252,8 @@ type PointCache interface {
 type Progress func(i int, res Result, cached bool)
 
 // RunCached is Run with a result cache, per-point progress events and
-// cooperative cancellation. Hashable points (Scenario.CacheKey) found in
-// the cache are reused without touching an engine; computed hashable
+// cooperative cancellation. Points found in the cache (by
+// Scenario.CacheKey) are reused without touching an engine; computed
 // points are stored back, so an interrupted grid resumes where it stopped
 // and overlapping grids share work. Cache hits are bit-for-bit the metrics
 // the engine would have produced — keys cover everything the engine reads
@@ -306,24 +275,23 @@ func (r Runner) RunCached(ctx context.Context, points []Scenario, cache PointCac
 		fn := func(i int) {
 			sweepObs.started.AddShard(sh, 1)
 			p := points[i]
-			key, hashable := "", false
+			key := ""
 			if cache != nil {
-				if key, hashable = p.CacheKey(); hashable {
-					if m, ok := cache.Lookup(key); ok {
-						sweepObs.cached.AddShard(sh, 1)
-						results[i] = Result{Scenario: p, Metrics: m}
-						if progress != nil {
-							progress(i, results[i], true)
-						}
-						return
+				key = p.CacheKey()
+				if m, ok := cache.Lookup(key); ok {
+					sweepObs.cached.AddShard(sh, 1)
+					results[i] = Result{Scenario: p, Metrics: m}
+					if progress != nil {
+						progress(i, results[i], true)
 					}
+					return
 				}
 			}
 			t0 := time.Now()
 			m := engines.run(p)
 			sweepObs.busyNS.AddShard(sh, time.Since(t0).Nanoseconds())
 			sweepObs.completed.AddShard(sh, 1)
-			if hashable {
+			if cache != nil {
 				cache.Store(key, m)
 			}
 			results[i] = Result{Scenario: p, Metrics: m}
@@ -396,9 +364,10 @@ type SaturationPoint struct {
 	Rate        float64
 }
 
-// Saturate binary-searches the saturation rate of every (topology, mode,
-// wavelengths) combination concurrently, delegating each point to
-// sim.SaturationSearchTraffic so results match sequential searches exactly.
+// Saturate binary-searches the uniform-load saturation rate of every
+// (topology, mode, wavelengths) combination concurrently, delegating each
+// point to sim.SaturationSearch so results match sequential searches
+// exactly.
 func (r Runner) Saturate(g Grid, slots int, sustainFraction float64, seed int64) []SaturationPoint {
 	modes := g.Modes
 	if len(modes) == 0 {
@@ -407,10 +376,6 @@ func (r Runner) Saturate(g Grid, slots int, sustainFraction float64, seed int64)
 	waves := g.Wavelengths
 	if len(waves) == 0 {
 		waves = []int{1}
-	}
-	traffic := g.Traffic
-	if traffic == nil {
-		traffic = sim.UniformAtRate
 	}
 	var pts []SaturationPoint
 	var topos []sim.Topology
@@ -429,7 +394,7 @@ func (r Runner) Saturate(g Grid, slots int, sustainFraction float64, seed int64)
 			Deflection:  pts[i].Mode == Deflection,
 			Wavelengths: pts[i].Wavelengths,
 		}
-		pts[i].Rate = sim.SaturationSearchTraffic(topos[i], traffic, slots, sustainFraction, cfg)
+		pts[i].Rate = sim.SaturationSearch(topos[i], slots, sustainFraction, cfg)
 	})
 	return pts
 }

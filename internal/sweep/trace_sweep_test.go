@@ -116,13 +116,7 @@ func TestTraceCacheKeyTracksContent(t *testing.T) {
 			Workload: spec,
 		}
 	}
-	key := func(s sweep.Scenario) string {
-		k, ok := s.CacheKey()
-		if !ok {
-			t.Fatal("trace scenario not hashable")
-		}
-		return k
-	}
+	key := sweep.Scenario.CacheKey
 
 	base := key(scenario(write("a.csv", "0,1,2\n1,2,3\n")))
 	if moved := key(scenario(write("b.csv", "0,1,2\n1,2,3\n"))); moved != base {

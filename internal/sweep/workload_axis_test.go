@@ -135,31 +135,3 @@ func TestWorkloadColumnInOutputs(t *testing.T) {
 		t.Errorf("curve JSON workload field = %v", cpts[0]["workload"])
 	}
 }
-
-// TestExplicitTrafficOverridesWorkloadAxis documents the precedence rule:
-// a non-nil Traffic factory wins over the workload axis, which collapses
-// entirely (no duplicated points keyed by ineffective specs).
-func TestExplicitTrafficOverridesWorkloadAxis(t *testing.T) {
-	topo := skTopology()
-	g := Grid{
-		Topologies:  []Topology{topo},
-		Rates:       []float64{0.2},
-		Seeds:       []int64{1},
-		Slots:       200,
-		Drain:       200,
-		Traffic:     func(rate float64) sim.Traffic { return sim.UniformTraffic{Rate: rate} },
-		TrafficName: "uniform",
-		Workloads: []workload.Spec{
-			{Kind: workload.KindTranspose},
-			{Kind: workload.KindHotspot, HotGroup: 1, Fraction: 0.5},
-		},
-	}
-	res := Runner{}.RunGrid(g)
-	if len(res) != 1 {
-		t.Fatalf("factory grid expanded to %d points; the workload axis should collapse to 1", len(res))
-	}
-	seq := sim.Run(topo.Topo, sim.UniformTraffic{Rate: 0.2}, 200, 200, res[0].Scenario.Config())
-	if res[0].Metrics != seq {
-		t.Fatal("explicit Traffic factory should override the workload axis")
-	}
-}

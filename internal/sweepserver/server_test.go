@@ -248,30 +248,46 @@ func TestCancel(t *testing.T) {
 
 func TestBadRequests(t *testing.T) {
 	ts := newTestServer(t)
+	// The fault rows fail faults.Spec.Validate, with its exact error.
+	faultErrors := map[string]string{
+		"bad fault":      "faults: mtbf and mttr must be set together",
+		"neg fault cnt":  "faults: bad count -3 (want >= 0)",
+		"neg fault slot": "faults: bad slot -1 (want >= 0)",
+		"neg mtbf":       "faults: bad mtbf -5 (want >= 0)",
+		"neg mttr":       "faults: bad mttr -1 (want >= 0)",
+	}
 	for name, body := range map[string]string{
-		"empty grid":    `{}`,
-		"unknown field": `{"topologies":[{"net":"sk"}],"frobnicate":1}`,
-		"bad topology":  `{"topologies":[{"net":"torus"}]}`,
-		"bad mode":      `{"topologies":[{"net":"sk"}],"modes":["fly"]}`,
-		"bad rate":      `{"topologies":[{"net":"sk"}],"rates":[1.5]}`,
-		"bad workload":  `{"topologies":[{"net":"sk"}],"workloads":[{"kind":"chaos"}]}`,
-		"hot group neg": `{"topologies":[{"net":"sk","s":3,"d":2,"k":2}],"workloads":[{"kind":"hotspot","hot_group":-1}]}`,
-		"traceless":     `{"topologies":[{"net":"sk"}],"workloads":[{"kind":"trace"}]}`,
-		"trace + rates": `{"topologies":[{"net":"sk"}],"rates":[0.3],"workloads":[{"kind":"trace","trace_file":"testdata/burst_events.ndjson"}]}`,
-		"bad mperiod":   `{"topologies":[{"net":"sk"}],"workloads":[{"kind":"multiperiod","amplitude":2}]}`,
-		"bad fault":     `{"topologies":[{"net":"sk"}],"faults":[{"kind":"node","count":1,"mtbf":5}]}`,
-		"bad replicas":  `{"topologies":[{"net":"sk"}],"replicas":-3}`,
-		"neg slots":     `{"topologies":[{"net":"sk"}],"slots":-5}`,
-		"neg drain":     `{"topologies":[{"net":"sk"}],"drain":-1}`,
-		"neg max_queue": `{"topologies":[{"net":"sk"}],"max_queue":-2}`,
+		"empty grid":     `{}`,
+		"unknown field":  `{"topologies":[{"net":"sk"}],"frobnicate":1}`,
+		"bad topology":   `{"topologies":[{"net":"torus"}]}`,
+		"bad mode":       `{"topologies":[{"net":"sk"}],"modes":["fly"]}`,
+		"bad rate":       `{"topologies":[{"net":"sk"}],"rates":[1.5]}`,
+		"bad workload":   `{"topologies":[{"net":"sk"}],"workloads":[{"kind":"chaos"}]}`,
+		"hot group neg":  `{"topologies":[{"net":"sk","s":3,"d":2,"k":2}],"workloads":[{"kind":"hotspot","hot_group":-1}]}`,
+		"traceless":      `{"topologies":[{"net":"sk"}],"workloads":[{"kind":"trace"}]}`,
+		"trace + rates":  `{"topologies":[{"net":"sk"}],"rates":[0.3],"workloads":[{"kind":"trace","trace_file":"testdata/burst_events.ndjson"}]}`,
+		"bad mperiod":    `{"topologies":[{"net":"sk"}],"workloads":[{"kind":"multiperiod","amplitude":2}]}`,
+		"bad fault":      `{"topologies":[{"net":"sk"}],"faults":[{"kind":"node","count":1,"mtbf":5}]}`,
+		"bad replicas":   `{"topologies":[{"net":"sk"}],"replicas":-3}`,
+		"neg slots":      `{"topologies":[{"net":"sk"}],"slots":-5}`,
+		"neg drain":      `{"topologies":[{"net":"sk"}],"drain":-1}`,
+		"neg max_queue":  `{"topologies":[{"net":"sk"}],"max_queue":-2}`,
+		"neg fault cnt":  `{"topologies":[{"net":"sk"}],"faults":[{"kind":"node","count":-3}]}`,
+		"neg fault slot": `{"topologies":[{"net":"sk"}],"faults":[{"kind":"node","count":1,"slot":-1}]}`,
+		"neg mtbf":       `{"topologies":[{"net":"sk"}],"faults":[{"kind":"node","count":1,"mtbf":-5,"mttr":10}]}`,
+		"neg mttr":       `{"topologies":[{"net":"sk"}],"faults":[{"kind":"node","count":1,"mtbf":5,"mttr":-1}]}`,
 	} {
 		resp, err := http.Post(ts.URL+"/api/v1/sweeps", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		msg, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		}
+		if want, ok := faultErrors[name]; ok && string(msg) != "bad grid spec: "+want+"\n" {
+			t.Errorf("%s: body %q, want error %q", name, msg, want)
 		}
 	}
 	for _, path := range []string{"/api/v1/sweeps/nope", "/api/v1/sweeps/nope/stream"} {

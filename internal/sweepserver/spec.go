@@ -128,13 +128,8 @@ func (fs FaultSpec) spec() (faults.Spec, error) {
 	default:
 		return faults.Spec{}, fmt.Errorf("unknown fault kind %q (want node, coupler or tx)", fs.Kind)
 	}
-	if fs.Count < 0 {
-		return faults.Spec{}, fmt.Errorf("fault count %d negative", fs.Count)
-	}
-	if (fs.MTBF > 0) != (fs.MTTR > 0) {
-		return faults.Spec{}, fmt.Errorf("mtbf and mttr must be set together")
-	}
-	return faults.Spec{Kind: kind, Count: fs.Count, Slot: fs.Slot, MTBF: fs.MTBF, MTTR: fs.MTTR, Seed: fs.Seed}, nil
+	spec := faults.Spec{Kind: kind, Count: fs.Count, Slot: fs.Slot, MTBF: fs.MTBF, MTTR: fs.MTTR, Seed: fs.Seed}
+	return spec, spec.Validate()
 }
 
 // PointsFromSpec expands a GridSpec JSON payload into the grid's point

@@ -1,18 +1,19 @@
-// Package workload provides the pluggable traffic sources the simulation
-// engine replays: structured load patterns beyond the uniform random
-// messages of sim.UniformTraffic. The multi-OPS evaluation literature the
-// paper builds on compares topologies under permutation, hotspot and bursty
-// load, not uniform traffic alone; this package supplies those patterns as
-// deterministic seeded generators, plus a replay harness that drives the
-// collective-communication schedules of internal/collective through the
-// live engine (the dynamic counterpart of experiment T9).
+// Package workload names every traffic source the simulation engine
+// replays. Spec is the one vocabulary for traffic across the CLI, sweep
+// grids and the sweep service: its zero value is the uniform random load
+// of sim.UniformTraffic, and its other kinds are the structured patterns
+// the multi-OPS evaluation literature compares topologies under (OTIS
+// transpose permutation, group hotspot, bursty on/off, multi-period
+// diurnal load, recorded-trace replay). The package also holds a replay
+// harness that drives the collective-communication schedules of
+// internal/collective through the live engine (the dynamic counterpart of
+// experiment T9).
 //
 // Every generator implements sim.Traffic and appends into the caller's
 // scratch slice, so the whole sim.Run inner loop stays allocation-free in
 // steady state under any workload kind (see TestWorkloadRunLoopAllocFree
 // and BenchmarkStepAllocFree). Given the same seed, a generator produces
-// the same injection stream bit for bit; Uniform is bit-for-bit identical
-// to the legacy sim.UniformTraffic it supersedes.
+// the same injection stream bit for bit.
 package workload
 
 import (
@@ -22,24 +23,6 @@ import (
 	"otisnet/internal/otis"
 	"otisnet/internal/sim"
 )
-
-// Uniform injects, per node per slot, a message with probability Rate to a
-// destination chosen uniformly among the other nodes. It delegates to
-// sim.UniformTraffic so the RNG consumption sequence — and therefore every
-// seeded run — is bit-for-bit identical to the legacy model
-// (TestUniformMatchesLegacyTrafficStream guards this).
-type Uniform struct {
-	Rate float64
-}
-
-// Generate implements sim.Traffic.
-func (t Uniform) Generate(buf []sim.Injection, slot, n int, rng *rand.Rand) []sim.Injection {
-	return sim.UniformTraffic{Rate: t.Rate}.Generate(buf, slot, n, rng)
-}
-
-// UniformRate implements sim.UniformRater: Generate is exactly the uniform
-// model, so Engine.Run may fuse it into its injection loop.
-func (t Uniform) UniformRate() float64 { return t.Rate }
 
 // Transpose injects, with probability Rate per node per slot, a message to
 // the node's fixed OTIS transpose partner: node u sends to Perm[u], the

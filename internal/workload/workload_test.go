@@ -50,12 +50,18 @@ func TestGeneratorsDeterministic(t *testing.T) {
 	}
 }
 
+// TestUniformMatchesLegacyTrafficStream pins the zero Spec to
+// sim.UniformTraffic itself: uniform sweeps keep its RNG stream and the
+// engine's fused UniformRater injection path.
 func TestUniformMatchesLegacyTrafficStream(t *testing.T) {
 	const n, slots = 72, 500
+	tr := Spec{}.New(0.25, n, 6)
+	if tr != sim.Traffic(sim.UniformTraffic{Rate: 0.25}) {
+		t.Fatalf("zero Spec built %#v, want sim.UniformTraffic{Rate: 0.25}", tr)
+	}
 	legacy := stream(sim.UniformTraffic{Rate: 0.25}, slots, n, 11)
-	ours := stream(Uniform{Rate: 0.25}, slots, n, 11)
-	if !reflect.DeepEqual(legacy, ours) {
-		t.Fatal("workload.Uniform stream differs from sim.UniformTraffic")
+	if ours := stream(tr, slots, n, 11); !reflect.DeepEqual(legacy, ours) {
+		t.Fatal("zero-Spec stream differs from sim.UniformTraffic")
 	}
 }
 
@@ -63,15 +69,10 @@ func TestUniformRunMatchesLegacyRunBitForBit(t *testing.T) {
 	topo := sim.NewStackTopology(stackkautz.New(6, 3, 2).StackGraph())
 	cfg := sim.Config{Seed: 3}
 	legacy := sim.Run(topo, sim.UniformTraffic{Rate: 0.2}, 500, 500, cfg)
-	ours := sim.Run(topo, Uniform{Rate: 0.2}, 500, 500, cfg)
+	// Via the Spec path, as sweeps materialize it.
+	ours := sim.Run(topo, Spec{}.New(0.2, topo.Nodes(), 6), 500, 500, cfg)
 	if legacy != ours {
 		t.Fatalf("uniform workload run diverged from legacy traffic run:\nlegacy: %v\nours:   %v", legacy, ours)
-	}
-	// And via the Spec path, as sweeps materialize it.
-	spec := Spec{}
-	viaSpec := sim.Run(topo, spec.New(0.2, topo.Nodes(), 6), 500, 500, cfg)
-	if legacy != viaSpec {
-		t.Fatalf("zero-spec workload run diverged from legacy traffic run")
 	}
 }
 
@@ -99,6 +100,16 @@ func TestTransposeIsOTISPermutation(t *testing.T) {
 			t.Errorf("fixed point %d injected to itself", u)
 		}
 	}
+}
+
+func TestTransposeWrongSizePanics(t *testing.T) {
+	tr := NewTranspose(1.0, 6, 3)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("size mismatch should panic")
+		}
+	}()
+	tr.Generate(nil, 0, 12, rand.New(rand.NewSource(4)))
 }
 
 func TestTransposeDegenerateGroupSizeIsReversal(t *testing.T) {
