@@ -396,6 +396,38 @@ func BenchmarkStepAllocFree(b *testing.B) {
 	})
 }
 
+// BenchmarkUniformGenerate times one slot of uniform Bernoulli traffic
+// generation, on its own: "oracle" is UniformTraffic.Generate's Float64
+// loop, "sampler" the block-replay sim.UniformStream that Engine and
+// ReplicaSet runs draw through (the same injections from the same seed).
+// N=6144 p=0.01 is the paper's SK(4,2,10) at the sk6144-single load; N=54
+// p=0.6 is a small network at high load, where Intn dominates.
+func BenchmarkUniformGenerate(b *testing.B) {
+	for _, c := range []struct {
+		n    int
+		rate float64
+	}{{6144, 0.01}, {54, 0.6}} {
+		name := fmt.Sprintf("N=%d/p=%v", c.n, c.rate)
+		b.Run("oracle/"+name, func(b *testing.B) {
+			tr, rng := sim.UniformTraffic{Rate: c.rate}, rand.New(rand.NewSource(1))
+			var buf []sim.Injection
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buf = tr.Generate(buf[:0], i, c.n, rng)
+			}
+		})
+		b.Run("sampler/"+name, func(b *testing.B) {
+			var s sim.UniformStream
+			s.Start(rand.New(rand.NewSource(1)), c.rate)
+			var buf []sim.Injection
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buf = s.AppendSlot(buf[:0], c.n)
+			}
+		})
+	}
+}
+
 // BenchmarkT6DynamicFaults is the live version of BenchmarkT6FaultRouting:
 // SK(6,3,2) with d-1 = 2 whole groups failing mid-run inside the engine,
 // which purges stranded messages and reroutes the survivors in ≤ k+2 hops

@@ -295,6 +295,8 @@ func TestBadScenarioFlagsExit2(t *testing.T) {
 		{[]string{"-sweep", "-faultset", "0,-2"}, "netsim: faults: bad count -2 (want >= 0)"},
 		{[]string{"-sweep", "-seeds", "0"}, "netsim: bad -seeds 0 (want >= 1)"},
 		{[]string{"-sweep", "-seeds", "-4"}, "netsim: bad -seeds -4 (want >= 1)"},
+		{[]string{"-net", "sk", "-s", "2", "-d", "2", "-k", "2", "-workload", "hotspot", "-hotfrac", "NaN"},
+			"netsim: workload: hotspot fraction NaN outside [0,1]"},
 	} {
 		code, stderr := runNetsim(t, tc.args...)
 		if code != 2 || strings.TrimSpace(stderr) != tc.want {

@@ -133,9 +133,11 @@ type replica struct {
 	ct *CompiledTopology
 
 	cfg Config
-	// rng drives traffic generation in run; replicas inside a ReplicaSet
-	// draw from their stream group's RNG instead and may leave this nil.
+	// rng drives traffic generation in run, through uni for uniform
+	// traffic; replicas inside a ReplicaSet draw from their stream group's
+	// generators instead and leave both nil.
 	rng *rand.Rand
+	uni *UniformStream
 	// rngSeededFor dedups re-seeding: seeding regenerates the full
 	// math/rand state vector, so reset skips it when the RNG is already
 	// virgin for the requested seed (the NewEngine-then-Run path).
@@ -808,20 +810,26 @@ func (e *replica) applyTopologyChange(ch TopologyChange) {
 
 // run resets the replica with cfg and executes a full scenario on it:
 // `slots` slots of traffic generation plus up to `drain` extra slots to
-// let queues empty, returning the metrics.
+// let queues empty, returning the metrics. Uniform traffic (UniformRater)
+// is drawn through the replica's UniformStream, which continues the RNG
+// exactly where Generate would.
 func (e *replica) run(traffic Traffic, slots, drain int, cfg Config) Metrics {
 	e.reset(cfg)
 	e.rngVirgin = false // the generation loop draws from the RNG
-	if ur, ok := traffic.(UniformRater); ok {
-		e.runUniform(ur.UniformRate(), slots)
-	} else {
-		for s := 0; s < slots; s++ {
+	ur, uniform := traffic.(UniformRater)
+	if uniform {
+		e.uni.Start(e.rng, ur.UniformRate())
+	}
+	for s := 0; s < slots; s++ {
+		if uniform {
+			e.injBuf = e.uni.AppendSlot(e.injBuf[:0], e.n)
+		} else {
 			e.injBuf = traffic.Generate(e.injBuf[:0], s, e.n, e.rng)
-			for _, inj := range e.injBuf {
-				e.inject(inj.Src, inj.Dst)
-			}
-			e.step()
 		}
+		for _, inj := range e.injBuf {
+			e.inject(inj.Src, inj.Dst)
+		}
+		e.step()
 	}
 	for s := 0; s < drain && e.backlog > 0; s++ {
 		e.step()
@@ -829,28 +837,6 @@ func (e *replica) run(traffic Traffic, slots, drain int, cfg Config) Metrics {
 	m := e.metricsSnapshot()
 	e.flushObs()
 	return m
-}
-
-// runUniform is run's fused generation loop for uniform Bernoulli traffic
-// (UniformRater): the RNG consumption sequence is exactly
-// UniformTraffic.Generate followed by Inject calls — so runs are
-// bit-for-bit identical — without materializing the Injection buffer.
-func (e *replica) runUniform(rate float64, slots int) {
-	n, rng := e.n, e.rng
-	for s := 0; s < slots; s++ {
-		for u := 0; u < n; u++ {
-			if rng.Float64() < rate {
-				dst := rng.Intn(n - 1)
-				if dst >= u {
-					dst++ // skip self, as the uniform model does
-				}
-				e.metrics.Injected++
-				e.enqueue(u, qmsg{id: int32(e.nextID), src: int32(u), dst: int32(dst), born: int32(e.slot)})
-				e.nextID++
-			}
-		}
-		e.step()
-	}
 }
 
 // finished reports whether a scenario of `slots` generation slots and
@@ -884,6 +870,7 @@ type Engine struct {
 func NewEngine(topo Topology, cfg Config) *Engine {
 	e := &Engine{}
 	e.rng = rand.New(rand.NewSource(cfg.Seed))
+	e.uni = new(UniformStream)
 	e.rngSeededFor = cfg.Seed
 	e.rngVirgin = true
 	e.attach(Compile(topo))

@@ -78,15 +78,17 @@ type ReplicaSpec struct {
 type streamGroup struct {
 	members []int32
 	traffic Traffic
-	uniform bool    // Traffic is a UniformRater: use the fused loop
+	uniform bool    // Traffic is a UniformRater: draw through groupRNG.uni
 	rate    float64 // the uniform rate when uniform
 	slots   int
 	buf     []Injection
 }
 
-// groupRNG is one pooled stream generator with seed-dedup state.
+// groupRNG is one pooled stream generator with seed-dedup state; uni
+// continues rng for uniform groups.
 type groupRNG struct {
 	rng       *rand.Rand
+	uni       *UniformStream
 	seededFor int64
 	virgin    bool
 }
@@ -231,7 +233,7 @@ func (rs *ReplicaSet) buildGroups() {
 
 	// Arm one pooled RNG per group, re-seeding only when needed.
 	for len(rs.rngs) < len(rs.groups) {
-		rs.rngs = append(rs.rngs, groupRNG{rng: rand.New(rand.NewSource(0)), seededFor: 0, virgin: true})
+		rs.rngs = append(rs.rngs, groupRNG{rng: rand.New(rand.NewSource(0)), uni: new(UniformStream), seededFor: 0, virgin: true})
 	}
 	for gi := range rs.groups {
 		seed := rs.specs[rs.groups[gi].members[0]].Config.Seed
@@ -302,45 +304,26 @@ func (rs *ReplicaSet) RunAll() {
 			if rs.slot >= g.slots {
 				continue
 			}
+			// The slot's injections are buffered and fanned one member at
+			// a time, so each replica's queue slab is walked in one
+			// contiguous pass instead of interleaving members per injection.
 			gr := &rs.rngs[gi]
-			gr.virgin = false
 			if g.uniform {
-				rs.generateUniform(g, gr.rng)
+				if gr.virgin {
+					gr.uni.Start(gr.rng, g.rate)
+				}
+				g.buf = gr.uni.AppendSlot(g.buf[:0], rs.base.n)
 			} else {
 				g.buf = g.traffic.Generate(g.buf[:0], rs.slot, rs.base.n, gr.rng)
-				for _, ri := range g.members {
-					rp := &rs.reps[ri]
-					for _, inj := range g.buf {
-						rp.inject(inj.Src, inj.Dst)
-					}
+			}
+			gr.virgin = false
+			for _, ri := range g.members {
+				rp := &rs.reps[ri]
+				for _, inj := range g.buf {
+					rp.inject(inj.Src, inj.Dst)
 				}
 			}
 		}
 		rs.StepAll()
-	}
-}
-
-// generateUniform is the fused uniform-Bernoulli stream: one draw per
-// node, fanned to every member — the RNG consumption (and so the stream)
-// is bit-for-bit Engine.runUniform's. The slot's injections are buffered
-// and fanned one member at a time, so each replica's queue slab is walked
-// in one contiguous pass instead of interleaving members per injection.
-func (rs *ReplicaSet) generateUniform(g *streamGroup, rng *rand.Rand) {
-	n := rs.base.n
-	g.buf = g.buf[:0]
-	for u := 0; u < n; u++ {
-		if rng.Float64() < g.rate {
-			dst := rng.Intn(n - 1)
-			if dst >= u {
-				dst++ // skip self, as the uniform model does
-			}
-			g.buf = append(g.buf, Injection{Src: u, Dst: dst})
-		}
-	}
-	for _, ri := range g.members {
-		rp := &rs.reps[ri]
-		for _, inj := range g.buf {
-			rp.inject(inj.Src, inj.Dst)
-		}
 	}
 }

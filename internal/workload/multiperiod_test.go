@@ -117,3 +117,41 @@ func TestMultiPeriodSpecValidate(t *testing.T) {
 		t.Error("Validate accepted bursty mean_on < 1")
 	}
 }
+
+// TestSpecValidateRejectsNaN pairs a NaN in every float range of
+// Validate with its exact error: a NaN compares false both ways, so a
+// check written as `x < lo || x > hi` would let it through.
+func TestSpecValidateRejectsNaN(t *testing.T) {
+	nan := math.NaN()
+	bursty := func(mutate func(*Spec)) Spec {
+		s := Spec{Kind: KindBursty, MeanOn: 50, MeanOff: 150, OffFactor: 0}
+		mutate(&s)
+		return s
+	}
+	mp := func(mutate func(*Spec)) Spec {
+		s := mpSpec()
+		mutate(&s)
+		return s
+	}
+	for _, tc := range []struct {
+		spec Spec
+		want string
+	}{
+		{Spec{Kind: KindHotspot, Fraction: nan}, "workload: hotspot fraction NaN outside [0,1]"},
+		{bursty(func(s *Spec) { s.MeanOn = nan }), "workload: bursty mean durations NaN/150 must be >= 1 slot"},
+		{bursty(func(s *Spec) { s.MeanOff = nan }), "workload: bursty mean durations 50/NaN must be >= 1 slot"},
+		{bursty(func(s *Spec) { s.OffFactor = nan }), "workload: bursty off factor NaN outside [0,1]"},
+		{mp(func(s *Spec) { s.Amplitude = nan }), "workload: multiperiod amplitude NaN outside [0,1]"},
+		{mp(func(s *Spec) { s.EpisodeOn = nan }), "workload: multiperiod episode means NaN/80 must be >= 1 slot"},
+		{mp(func(s *Spec) { s.EpisodeOff = nan }), "workload: multiperiod episode means 40/NaN must be >= 1 slot"},
+		{mp(func(s *Spec) { s.MeanOn = nan }), "workload: multiperiod flicker means NaN/30 must be >= 1 slot"},
+		{mp(func(s *Spec) { s.MeanOff = nan }), "workload: multiperiod flicker means 10/NaN must be >= 1 slot"},
+		{mp(func(s *Spec) { s.RateSigma = nan }), "workload: multiperiod rate sigma NaN must be >= 0"},
+		{mp(func(s *Spec) { s.OffFactor = nan }), "workload: multiperiod floor factor NaN outside [0,1]"},
+	} {
+		err := tc.spec.Validate()
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("Validate(%+v) = %v, want %q", tc.spec, err, tc.want)
+		}
+	}
+}

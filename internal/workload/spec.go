@@ -177,20 +177,21 @@ func NewTraceSpec(path string) (Spec, error) {
 // Validate checks the parameter ranges of the spec's kind. Parameters
 // belonging to other kinds are not inspected (the cache key zeroes them
 // anyway); callers building specs from user input should zero them.
+// Every range check is written as !(in range), so NaN fails it.
 func (s Spec) Validate() error {
 	switch s.Kind {
 	case KindHotspot:
 		if s.HotGroup < 0 {
 			return fmt.Errorf("workload: hotspot group %d is negative (indices wrap modulo each topology's group count, but must be >= 0)", s.HotGroup)
 		}
-		if s.Fraction < 0 || s.Fraction > 1 {
+		if !(s.Fraction >= 0 && s.Fraction <= 1) {
 			return fmt.Errorf("workload: hotspot fraction %g outside [0,1]", s.Fraction)
 		}
 	case KindBursty:
-		if s.MeanOn < 1 || s.MeanOff < 1 {
+		if !(s.MeanOn >= 1 && s.MeanOff >= 1) {
 			return fmt.Errorf("workload: bursty mean durations %g/%g must be >= 1 slot", s.MeanOn, s.MeanOff)
 		}
-		if s.OffFactor < 0 || s.OffFactor > 1 {
+		if !(s.OffFactor >= 0 && s.OffFactor <= 1) {
 			return fmt.Errorf("workload: bursty off factor %g outside [0,1]", s.OffFactor)
 		}
 	case KindTrace:
@@ -201,19 +202,19 @@ func (s Spec) Validate() error {
 		if s.Period < 0 {
 			return fmt.Errorf("workload: multiperiod period %d is negative", s.Period)
 		}
-		if s.Amplitude < 0 || s.Amplitude > 1 {
+		if !(s.Amplitude >= 0 && s.Amplitude <= 1) {
 			return fmt.Errorf("workload: multiperiod amplitude %g outside [0,1]", s.Amplitude)
 		}
-		if s.EpisodeOn < 1 || s.EpisodeOff < 1 {
+		if !(s.EpisodeOn >= 1 && s.EpisodeOff >= 1) {
 			return fmt.Errorf("workload: multiperiod episode means %g/%g must be >= 1 slot", s.EpisodeOn, s.EpisodeOff)
 		}
-		if s.MeanOn < 1 || s.MeanOff < 1 {
+		if !(s.MeanOn >= 1 && s.MeanOff >= 1) {
 			return fmt.Errorf("workload: multiperiod flicker means %g/%g must be >= 1 slot", s.MeanOn, s.MeanOff)
 		}
-		if s.RateSigma < 0 {
-			return fmt.Errorf("workload: multiperiod rate sigma %g is negative", s.RateSigma)
+		if !(s.RateSigma >= 0) {
+			return fmt.Errorf("workload: multiperiod rate sigma %g must be >= 0", s.RateSigma)
 		}
-		if s.OffFactor < 0 || s.OffFactor > 1 {
+		if !(s.OffFactor >= 0 && s.OffFactor <= 1) {
 			return fmt.Errorf("workload: multiperiod floor factor %g outside [0,1]", s.OffFactor)
 		}
 	}
