@@ -1,35 +1,324 @@
 package main
 
-// Scenario flag handling, extracted from main so every error path returns
-// a testable (value, error) pair instead of exiting inline. Two invariants
-// hold for the workload flags:
-//
-//   - an explicitly-set workload flag that no selected workload can honor
-//     is an error, never silently ignored;
-//   - hotspot group indices are validated by sign only: workload.Hotspot
-//     documents modulo-group semantics, so any non-negative index is
-//     valid on every topology of a mixed-scale sweep, and no check may
-//     privilege the first topology's group count.
+// Scenario flags → sweepserver.GridSpec. Every single run and sweep is
+// described by the GridSpec the service and every `netsim work` process
+// also expand, so the command line checks only what is about flags
+// themselves (combinations, list syntax, flags no selected workload
+// honors) and leaves every scenario rule to GridSpec.Grid. A single run
+// is the one-point grid.
 
 import (
+	"cmp"
+	"flag"
 	"fmt"
+	"io"
+	"slices"
+	"strconv"
 	"strings"
 
-	"otisnet/internal/faults"
+	"otisnet/internal/sweep"
+	"otisnet/internal/sweepserver"
 	"otisnet/internal/workload"
 )
 
-// workloadFlags carries every workload-family flag value plus the set of
-// flag names the user spelled explicitly (flag.Visit), which drives the
-// cannot-honor checks.
-type workloadFlags struct {
-	HotGroup                                    int
-	HotFrac                                     float64
-	BurstOn, BurstOff, BurstLow                 float64
-	TraceFile                                   string
-	Period                                      int
-	Amplitude, EpisodeOn, EpisodeOff, RateSigma float64
-	Explicit                                    map[string]bool
+// simFlags are the flags of a simulation command line (single run or
+// sweep), plus the names the user spelled explicitly (flag.Visit).
+type simFlags struct {
+	net                              *string
+	t, g, s, d, k, n                 *int
+	rate                             *float64
+	slots, drain                     *int
+	seed                             *int64
+	deflect                          *bool
+	maxQ, waves                      *int
+	saturate                         *bool
+	repeat                           *int
+	trace                            *string
+	traceSample                      *int
+	logJSON                          *bool
+	workload                         *string
+	hotGroup                         *int
+	hotFrac, burstOn, burstOff       *float64
+	burstLow                         *float64
+	traceFile                        *string
+	period                           *int
+	amplitude, episodeOn, episodeOff *float64
+	rateSigma                        *float64
+	collective                       *string
+	faultN                           *int
+	faultKind                        *string
+	faultSlot                        *int
+	mtbf, mttr                       *float64
+	sweep                            *bool
+	cacheDir                         *string
+	shards, shard                    *int
+	merge, rates, faultSet           *string
+	seeds                            *int
+	modes, waveset                   *string
+	workers                          *int
+	replicas, format                 *string
+	raw                              *bool
+
+	explicit map[string]bool
+}
+
+// parseSimFlags parses a simulation command line; the FlagSet reports
+// parse errors and -h on stderr.
+func parseSimFlags(args []string, stderr io.Writer) (*simFlags, error) {
+	fs := flag.NewFlagSet("netsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	f := newSimFlags(fs)
+	if err := parseFlags(fs, args); err != nil {
+		return nil, err
+	}
+	fs.Visit(func(fl *flag.Flag) { f.explicit[fl.Name] = true })
+	return f, nil
+}
+
+func newSimFlags(fs *flag.FlagSet) *simFlags {
+	return &simFlags{
+		net:      fs.String("net", "sk", `topology: "sk", "pops", "stackii", "debruijn" or "all" (sweep only)`),
+		t:        fs.Int("t", 4, "POPS group size t"),
+		g:        fs.Int("g", 4, "POPS group count g"),
+		s:        fs.Int("s", 6, "stack network group size s"),
+		d:        fs.Int("d", 3, "degree d"),
+		k:        fs.Int("k", 2, "diameter k"),
+		n:        fs.Int("n", 12, "stack-Imase-Itoh group count n"),
+		rate:     fs.Float64("rate", 0.2, "per-node injection probability per slot"),
+		slots:    fs.Int("slots", 2000, "traffic slots"),
+		drain:    fs.Int("drain", 2000, "extra drain slots"),
+		seed:     fs.Int64("seed", 1, "random seed"),
+		deflect:  fs.Bool("deflect", false, "hot-potato deflection instead of store-and-forward"),
+		maxQ:     fs.Int("maxq", 0, "per-node queue cap (0 = unbounded)"),
+		waves:    fs.Int("wavelengths", 1, "wavelengths per coupler (WDM extension)"),
+		saturate: fs.Bool("saturate", false, "binary-search the saturation rate instead of one run"),
+		repeat:   fs.Int("repeat", 1, "repeat the scenario with seeds seed..seed+repeat-1 on one reused engine; reports mean/stddev and engine speed"),
+
+		trace:       fs.String("trace", "", "single run: write sampled engine trace events (NDJSON) to this file"),
+		traceSample: fs.Int("tracesample", 1, "single run: with -trace, emit events every Nth slot"),
+		logJSON:     fs.Bool("logjson", false, "structured logs as JSON on stderr (default: text)"),
+
+		workload:   fs.String("workload", "uniform", `workload: "uniform", "transpose", "hotspot", "bursty", "trace", "multiperiod" or "collective"; sweep: comma list (no collective)`),
+		hotGroup:   fs.Int("hotgroup", 0, "hotspot workload: target group index (wraps modulo each topology's group count)"),
+		hotFrac:    fs.Float64("hotfrac", 0.3, "hotspot workload: fraction of load skewed to the hot group"),
+		burstOn:    fs.Float64("burston", 50, "bursty/multiperiod workload: mean burst duration (slots)"),
+		burstOff:   fs.Float64("burstoff", 150, "bursty/multiperiod workload: mean gap duration (slots)"),
+		burstLow:   fs.Float64("burstlow", 0, "bursty/multiperiod workload: off-state rate factor in [0,1]"),
+		traceFile:  fs.String("tracefile", "", "trace workload: CSV/NDJSON trace file of (slot,src,dst) events or (slot,rate) records (see `netsim synthtrace`)"),
+		period:     fs.Int("period", 1000, "multiperiod workload: diurnal period (slots; <= 1 disables the ramp)"),
+		amplitude:  fs.Float64("amplitude", 0.6, "multiperiod workload: diurnal modulation depth in [0,1]"),
+		episodeOn:  fs.Float64("episodeon", 400, "multiperiod workload: mean busy-episode length (slots)"),
+		episodeOff: fs.Float64("episodeoff", 800, "multiperiod workload: mean gap between episodes (slots)"),
+		rateSigma:  fs.Float64("ratesigma", 0.35, "multiperiod workload: per-episode peak multiplier sigma (log-half-normal)"),
+		collective: fs.String("collective", "broadcast", `collective workload: "broadcast" or "gossip" (gossip: POPS only)`),
+
+		faultN:    fs.Int("faults", 0, "fault injection: number of elements to fail (0 = none)"),
+		faultKind: fs.String("faultkind", "node", `fault injection: element kind, "node", "coupler" or "tx"`),
+		faultSlot: fs.Int("faultslot", 0, "fault injection: slot at which the failures strike"),
+		mtbf:      fs.Float64("mtbf", 0, "fault injection: mean slots between failures (with -mttr: transient faults)"),
+		mttr:      fs.Float64("mttr", 0, "fault injection: mean slots to repair"),
+
+		sweep:    fs.Bool("sweep", false, "run a parallel scenario sweep instead of one run"),
+		cacheDir: fs.String("cachedir", "", "sweep: content-addressed result cache directory (reuses completed points; makes interrupted grids resumable)"),
+		shards:   fs.Int("shards", 1, "sweep: split the grid into this many deterministic shards"),
+		shard:    fs.Int("shard", 0, "sweep: run only this shard (0-based; emits NDJSON shard rows for -mergeshards)"),
+		merge:    fs.String("mergeshards", "", "sweep: merge comma-separated shard NDJSON files (from -shards runs of the same grid) instead of computing"),
+		rates:    fs.String("rates", "0.05,0.1,0.2,0.4,0.8", "sweep: comma-separated offered loads"),
+		faultSet: fs.String("faultset", "", "sweep: comma-separated fault counts (degradation curve axis)"),
+		seeds:    fs.Int("seeds", 3, "sweep: seeds per grid point (1..seeds)"),
+		modes:    fs.String("modes", "sf", `sweep: comma list of "sf" and/or "deflect"`),
+		waveset:  fs.String("waveset", "1", "sweep: comma-separated wavelength counts"),
+		workers:  fs.Int("workers", 0, "sweep: worker goroutines (0 = GOMAXPROCS)"),
+		replicas: fs.String("replicas", "auto", `sweep: scenarios batched per worker on one replica set ("auto", "off", or a count >= 2); results are bit-for-bit identical either way`),
+		format:   fs.String("format", "table", `sweep output: "table", "csv" or "json"`),
+		raw:      fs.Bool("raw", false, "sweep: emit raw per-seed results instead of the aggregated curve"),
+
+		explicit: map[string]bool{},
+	}
+}
+
+// check rejects flag combinations that no run can honor: a flag the
+// selected mode would silently ignore, or two flags that set one axis.
+func (f *simFlags) check() error {
+	ex := f.explicit
+	if err := checkRunFlags(*f.slots, *f.repeat, *f.seeds); err != nil {
+		return err
+	}
+	if ex["tracesample"] && !ex["trace"] {
+		return fmt.Errorf("-tracesample only applies with -trace")
+	}
+	if ex["trace"] {
+		if *f.traceSample < 1 {
+			return fmt.Errorf("-tracesample must be >= 1")
+		}
+		// The trace hooks live on one engine; modes that run many engines
+		// (or replay schedules) would silently interleave or drop events.
+		for _, name := range []string{"sweep", "saturate", "repeat"} {
+			if ex[name] {
+				return fmt.Errorf("-trace records a single run; it conflicts with -%s", name)
+			}
+		}
+		if *f.workload == "collective" {
+			return fmt.Errorf("-trace records a single run; it does not apply to the collective replay workload")
+		}
+	}
+	for _, name := range []string{"cachedir", "shards", "shard", "mergeshards"} {
+		if ex[name] && !*f.sweep {
+			return fmt.Errorf("-%s is a sweep flag; add -sweep", name)
+		}
+	}
+	if *f.sweep {
+		return f.checkSweep()
+	}
+	if *f.saturate && ex["workload"] {
+		// SaturationSearch binary-searches uniform offered load; reject the
+		// combination instead of reporting a misattributed rate.
+		return fmt.Errorf("-workload is not supported with -saturate (the search runs uniform load)")
+	}
+	if *f.saturate && ex["repeat"] {
+		return fmt.Errorf("-repeat does not apply to -saturate (the search already reuses one engine)")
+	}
+	if *f.workload == "collective" {
+		// The replay runs the canonical single-wavelength store-and-forward
+		// engine on the fault-free topology; reject flags it would silently
+		// ignore rather than report a scenario that never ran.
+		for _, name := range []string{"rate", "slots", "drain", "deflect", "wavelengths", "maxq", "saturate",
+			"repeat", "faults", "faultkind", "faultslot", "mtbf", "mttr"} {
+			if ex[name] {
+				return fmt.Errorf("-%s does not apply to the collective replay workload", name)
+			}
+		}
+	}
+	return nil
+}
+
+// checkSweep is check's -sweep half.
+func (f *simFlags) checkSweep() error {
+	ex := f.explicit
+	if strings.Contains(*f.workload, "collective") {
+		return fmt.Errorf("the collective workload replays a schedule and is not sweepable; drop -sweep")
+	}
+	if ex["repeat"] {
+		return fmt.Errorf("-repeat is a single-scenario flag; use -seeds for sweep repetitions")
+	}
+	// Explicit single-run flags pin their sweep axis (see gridSpec), so
+	// setting both a single-run flag and its sweep counterpart is an error.
+	for _, c := range [][2]string{{"rate", "rates"}, {"deflect", "modes"}, {"wavelengths", "waveset"}, {"seed", "seeds"}, {"faults", "faultset"}} {
+		if ex[c[0]] && ex[c[1]] {
+			return fmt.Errorf("-%s conflicts with -%s in sweep mode; use -%s", c[0], c[1], c[1])
+		}
+	}
+	if *f.shards < 1 || *f.shard < 0 || *f.shard >= *f.shards {
+		return fmt.Errorf("bad shard selection %d/%d (want 0 <= shard < shards)", *f.shard, *f.shards)
+	}
+	if ex["mergeshards"] && (ex["shards"] || ex["shard"]) {
+		return fmt.Errorf("-mergeshards consumes shard files; it conflicts with -shards/-shard")
+	}
+	if ex["mergeshards"] && ex["cachedir"] {
+		// The merge path computes nothing, so there is nothing to journal;
+		// reject rather than silently ignore the cache request.
+		return fmt.Errorf("-mergeshards only reassembles shard files; it does not consult or fill a -cachedir (use -cachedir on the shard runs)")
+	}
+	if *f.shards > 1 && (ex["format"] || *f.raw) {
+		return fmt.Errorf("a shard run emits NDJSON shard rows only; format selection happens at -mergeshards time")
+	}
+	if *f.saturate {
+		for _, name := range []string{"cachedir", "shards", "shard", "mergeshards"} {
+			if ex[name] {
+				return fmt.Errorf("-%s does not apply to -sweep -saturate (the search is not a point grid)", name)
+			}
+		}
+		// Saturation sweeps binary-search one seed per point; the rate
+		// and seed-count axes do not apply.
+		for _, name := range []string{"rates", "seeds"} {
+			if ex[name] {
+				return fmt.Errorf("-%s has no effect with -sweep -saturate (use -seed for the search seed)", name)
+			}
+		}
+		// Runner.Saturate does not take a fault axis; reject fault flags
+		// rather than silently reporting healthy-network rates.
+		for _, name := range []string{"faults", "faultset", "faultkind", "faultslot", "mtbf", "mttr"} {
+			if ex[name] {
+				return fmt.Errorf("-%s is not supported with -sweep -saturate (fault injection does not apply to saturation search)", name)
+			}
+		}
+		if ex["workload"] {
+			return fmt.Errorf("-workload is not supported with -sweep -saturate (the search runs uniform load)")
+		}
+	}
+	if *f.raw && ex["format"] && *f.format == "table" {
+		return fmt.Errorf("-raw emits machine-readable output; use -format csv or json")
+	}
+	switch *f.format {
+	case "table", "csv", "json":
+	default:
+		return fmt.Errorf("bad sweep format %q (want table, csv or json)", *f.format)
+	}
+	return nil
+}
+
+// gridSpec maps the flags onto the GridSpec of the run. A single run sets
+// one value per axis from the single-run flags. A sweep takes its axes
+// from the sweep flags, except that an explicit single-run flag pins its
+// axis, so adding -sweep to a command line never silently drops it.
+func (f *simFlags) gridSpec() (sweepserver.GridSpec, error) {
+	topos := []sweep.TopoSpec{{Net: *f.net, T: *f.t, G: *f.g, S: *f.s, D: *f.d, K: *f.k, N: *f.n}}
+	if *f.sweep && *f.net == "all" {
+		topos = sweep.ComparableScaleTrioSpecs()
+	}
+	mode := "sf"
+	if *f.deflect {
+		mode = "deflect"
+	}
+	gs := sweepserver.GridSpec{
+		Topologies:  topos,
+		Rates:       []float64{*f.rate},
+		Seeds:       []int64{*f.seed},
+		Modes:       []string{mode},
+		Wavelengths: []int{*f.waves},
+		MaxQueue:    *f.maxQ,
+		Slots:       *f.slots,
+		Drain:       *f.drain,
+	}
+	counts := []int{*f.faultN}
+	if *f.sweep {
+		var errRates, errModes, errWaves, errFaults error
+		if !f.explicit["rate"] {
+			gs.Rates, errRates = splitList("rates", *f.rates, func(v string) (float64, error) { return strconv.ParseFloat(v, 64) })
+		}
+		if !f.explicit["seed"] {
+			gs.Seeds = seedRange(*f.seeds)
+		}
+		if !(f.explicit["deflect"] && *f.deflect) {
+			gs.Modes, errModes = splitList("modes", *f.modes, func(v string) (string, error) { return v, nil })
+		}
+		if !f.explicit["wavelengths"] {
+			gs.Wavelengths, errWaves = splitList("waveset", *f.waveset, strconv.Atoi)
+		}
+		if f.explicit["faultset"] {
+			counts, errFaults = splitList("faultset", *f.faultSet, strconv.Atoi)
+		}
+		if err := cmp.Or(errRates, errModes, errWaves, errFaults); err != nil {
+			return gs, err
+		}
+	}
+	for _, c := range counts {
+		gs.Faults = append(gs.Faults, sweepserver.FaultSpec{
+			Kind: *f.faultKind, Count: c, Slot: *f.faultSlot, MTBF: *f.mtbf, MTTR: *f.mttr,
+		})
+	}
+	var err error
+	if gs.Workloads, err = f.workloads(); err != nil {
+		return gs, err
+	}
+	if !*f.sweep && len(gs.Workloads) != 1 {
+		return gs, fmt.Errorf("one workload per single run (add -sweep to sweep a comma list)")
+	}
+	rateExplicit := f.explicit["rate"] || (*f.sweep && f.explicit["rates"])
+	if !rateExplicit && slices.ContainsFunc(gs.Workloads, func(ws sweepserver.WorkloadSpec) bool { return ws.Kind == "trace" }) {
+		gs.Rates = nil // GridSpec replays trace workloads at rate 1
+	}
+	return gs, nil
 }
 
 // workloadFlagHonor lists, in reporting order, each workload-family flag
@@ -51,64 +340,36 @@ var workloadFlagHonor = []struct {
 	{"ratesigma", []workload.Kind{workload.KindMultiPeriod}},
 }
 
-// spec builds and validates the workload.Spec for one kind name. Note the
-// hotspot case: the group index is range-checked by Spec.Validate (>= 0
-// only — it wraps modulo each topology's group count), never against any
-// particular topology.
-func (wf workloadFlags) spec(kind string) (workload.Spec, error) {
-	k, err := workload.ParseKind(kind)
-	if err != nil {
-		return workload.Spec{}, err
-	}
-	var s workload.Spec
-	switch k {
-	case workload.KindHotspot:
-		s = workload.Spec{Kind: k, HotGroup: wf.HotGroup, Fraction: wf.HotFrac}
-	case workload.KindBursty:
-		s = workload.Spec{Kind: k, MeanOn: wf.BurstOn, MeanOff: wf.BurstOff, OffFactor: wf.BurstLow}
-	case workload.KindTrace:
-		if wf.TraceFile == "" {
-			return workload.Spec{}, fmt.Errorf("the trace workload needs -tracefile")
-		}
-		return workload.NewTraceSpec(wf.TraceFile)
-	case workload.KindMultiPeriod:
-		// The flicker and floor reuse the bursty flags (-burston/-burstoff/
-		// -burstlow): multiperiod is bursts-of-bursts, with the episode
-		// layer on top.
-		s = workload.Spec{
-			Kind: k, Period: wf.Period, Amplitude: wf.Amplitude,
-			EpisodeOn: wf.EpisodeOn, EpisodeOff: wf.EpisodeOff,
-			MeanOn: wf.BurstOn, MeanOff: wf.BurstOff,
-			RateSigma: wf.RateSigma, OffFactor: wf.BurstLow,
-		}
-	default:
-		s = workload.Spec{Kind: k}
-	}
-	return s, s.Validate()
-}
-
-// specs parses the -workload comma list and then rejects any explicitly
-// set workload flag that no selected kind honors.
-func (wf workloadFlags) specs(list string) ([]workload.Spec, error) {
-	var out []workload.Spec
+// workloads maps the -workload list onto GridSpec workloads and rejects
+// any explicitly set workload flag that no selected kind honors. Each
+// spec carries every workload flag; GridSpec keeps the ones its kind
+// reads. Multiperiod reuses the bursty flags (-burston/-burstoff/
+// -burstlow) for its flicker and floor: it is bursts-of-bursts, with the
+// episode layer on top.
+func (f *simFlags) workloads() ([]sweepserver.WorkloadSpec, error) {
+	var out []sweepserver.WorkloadSpec
 	kinds := map[workload.Kind]bool{}
-	for _, w := range strings.Split(list, ",") {
-		w = strings.TrimSpace(w)
-		if w == "" {
+	for _, name := range strings.Split(*f.workload, ",") {
+		if name = strings.TrimSpace(name); name == "" {
 			continue
 		}
-		s, err := wf.spec(w)
+		k, err := workload.ParseKind(name)
 		if err != nil {
 			return nil, err
 		}
-		kinds[s.Kind] = true
-		out = append(out, s)
+		kinds[k] = true
+		out = append(out, sweepserver.WorkloadSpec{
+			Kind: name, HotGroup: *f.hotGroup, Fraction: *f.hotFrac,
+			MeanOn: *f.burstOn, MeanOff: *f.burstOff, OffFactor: *f.burstLow,
+			TraceFile: *f.traceFile, Period: *f.period, Amplitude: *f.amplitude,
+			EpisodeOn: *f.episodeOn, EpisodeOff: *f.episodeOff, RateSigma: *f.rateSigma,
+		})
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("-workload names no workloads")
 	}
 	for _, fk := range workloadFlagHonor {
-		if !wf.Explicit[fk.flag] {
+		if !f.explicit[fk.flag] {
 			continue
 		}
 		honored := false
@@ -125,53 +386,14 @@ func (wf workloadFlags) specs(list string) ([]workload.Spec, error) {
 	return out, nil
 }
 
-// traceRateOverride applies the trace workloads' rate-axis rules: event
-// traces replay verbatim, so an explicit rate axis cannot be honored and
-// mixing them with rate-driven workloads would make the rate column lie;
-// and any trace workload defaults the rate axis to 1 (replay/scale as
-// recorded) instead of the uniform-load default. The returned force flag
-// tells the caller to pin the axis to the single rate 1.
-func traceRateOverride(specs []workload.Spec, rateExplicit bool) (force bool, err error) {
-	hasEvent, hasTrace, hasOther := false, false, false
-	for _, s := range specs {
-		switch {
-		case s.Kind == workload.KindTrace && s.TraceForm == workload.TraceEvents:
-			hasEvent = true
-			hasTrace = true
-		case s.Kind == workload.KindTrace:
-			hasTrace = true
-			hasOther = true // rate traces honor the axis as a scale factor
-		default:
-			hasOther = true
-		}
-	}
-	if hasEvent {
-		if rateExplicit {
-			return false, fmt.Errorf("event-form traces replay verbatim; drop -rate/-rates (or use a rates-form trace to scale)")
-		}
-		if hasOther {
-			return false, fmt.Errorf("event-form trace workloads cannot share a sweep with rate-driven workloads (the rate axis applies to all)")
-		}
-	}
-	return hasTrace && !rateExplicit, nil
-}
-
-// checkRunFlags validates the scenario flags shared by single runs and
-// sweeps: the offered load is a per-node injection probability, slot
-// counts and the queue cap cannot be negative, a coupler carries at least
-// one wavelength, and -repeat and -seeds run the scenario at least once.
-func checkRunFlags(rate float64, slots, drain, maxQ, waves, repeat, seeds int) error {
+// checkRunFlags validates the run-length flags that exist only on the
+// command line: a run has at least one traffic slot (GridSpec reads 0 as
+// its default), and -repeat and -seeds run the scenario at least once.
+// The rate, drain, queue cap and wavelength ranges are GridSpec's.
+func checkRunFlags(slots, repeat, seeds int) error {
 	switch {
-	case !(rate >= 0 && rate <= 1): // also rejects NaN
-		return fmt.Errorf("bad rate %g (want a probability in [0,1])", rate)
-	case slots < 0:
-		return fmt.Errorf("bad -slots %d (want >= 0)", slots)
-	case drain < 0:
-		return fmt.Errorf("bad -drain %d (want >= 0)", drain)
-	case maxQ < 0:
-		return fmt.Errorf("bad -maxq %d (want >= 0; 0 = unbounded)", maxQ)
-	case waves < 1:
-		return fmt.Errorf("bad -wavelengths %d (want >= 1)", waves)
+	case slots < 1:
+		return fmt.Errorf("bad -slots %d (want >= 1)", slots)
 	case repeat < 1:
 		return fmt.Errorf("bad -repeat %d (want >= 1)", repeat)
 	case seeds < 1:
@@ -180,20 +402,48 @@ func checkRunFlags(rate float64, slots, drain, maxQ, waves, repeat, seeds int) e
 	return nil
 }
 
-// faultSpec assembles and validates the fault-injection spec shared by the
-// single-run and sweep paths. horizon bounds the MTBF/MTTR event stream.
-func faultSpec(kind string, count, slot int, mtbf, mttr float64, horizon int) (faults.Spec, error) {
-	var k faults.Kind
-	switch kind {
-	case "node":
-		k = faults.KindNode
-	case "coupler":
-		k = faults.KindCoupler
-	case "tx":
-		k = faults.KindTransmitter
-	default:
-		return faults.Spec{}, fmt.Errorf("bad fault kind %q (want node, coupler or tx)", kind)
+// splitList parses a comma-separated sweep axis flag, skipping blank
+// fields. Ranges are GridSpec's to check; an axis that names no values
+// is an error, never a silent fall back to the grid default.
+func splitList[T any](name, list string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
+	for _, v := range strings.Split(list, ",") {
+		if v = strings.TrimSpace(v); v == "" {
+			continue
+		}
+		x, err := parse(v)
+		if err != nil {
+			return nil, fmt.Errorf("bad -%s value %q", name, v)
+		}
+		out = append(out, x)
 	}
-	s := faults.Spec{Kind: k, Count: count, Slot: slot, MTBF: mtbf, MTTR: mttr, Horizon: horizon}
-	return s, s.Validate()
+	if len(out) == 0 {
+		return nil, fmt.Errorf("-%s names no values", name)
+	}
+	return out, nil
+}
+
+func seedRange(n int) []int64 {
+	out := make([]int64, n)
+	for i := range out {
+		out[i] = int64(i + 1)
+	}
+	return out
+}
+
+// parseReplicas maps a -replicas flag onto sweep.Runner.Replicas: "auto"
+// sizes batches from the grid's stream-sibling families, "off" (or 0/1)
+// keeps per-scenario dispatch, and a count >= 2 pins the batch size.
+func parseReplicas(s string) (int, error) {
+	switch strings.TrimSpace(s) {
+	case "auto", "":
+		return sweep.AutoReplicas, nil
+	case "off", "0", "1":
+		return 0, nil
+	}
+	r, err := strconv.Atoi(strings.TrimSpace(s))
+	if err != nil || r < 2 {
+		return 0, fmt.Errorf("bad -replicas %q (want auto, off, or a count >= 2)", s)
+	}
+	return r, nil
 }

@@ -10,13 +10,15 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"otisnet/internal/workload"
 )
 
-func runSynthTrace(args []string) {
-	fs := flag.NewFlagSet("netsim synthtrace", flag.ExitOnError)
+func runSynthTrace(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("netsim synthtrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	out := fs.String("out", "", "output trace file (empty = stdout)")
 	form := fs.String("form", "rates", `record form: "rates" (slot,rate) or "events" (slot,src,dst)`)
 	slots := fs.Int("slots", 4000, "trace length in slots (one day spans the trace)")
@@ -25,7 +27,9 @@ func runSynthTrace(args []string) {
 	peak := fs.Float64("peak", 0.5, "midday per-node arrival rate before episode boosts, in (0,1]")
 	seed := fs.Int64("seed", 1, "synthesis seed")
 	ndjson := fs.Bool("ndjson", false, "emit NDJSON records instead of CSV")
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 
 	spec := workload.SynthSpec{
 		NDJSON: *ndjson, Slots: *slots, Nodes: *nodes,
@@ -37,22 +41,28 @@ func runSynthTrace(args []string) {
 	case "events":
 		spec.Form = workload.TraceEvents
 	default:
-		fmt.Fprintf(os.Stderr, "netsim: bad -form %q (want rates or events)\n", *form)
-		os.Exit(2)
+		return usage(fmt.Errorf("bad -form %q (want rates or events)", *form))
 	}
 
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		must(err)
-		w = f
+	if *out == "" {
+		return workload.SynthesizeTrace(stdout, spec)
 	}
-	must(workload.SynthesizeTrace(w, spec))
-	if *out != "" {
-		must(w.Close())
-		info, err := workload.ScanTrace(*out)
-		must(err)
-		fmt.Printf("%s: %d %s records over %d slots, fingerprint %s\n",
-			*out, info.Records, info.Form, info.MaxSlot+1, info.Fingerprint[:12])
+	f, err := os.Create(*out)
+	if err != nil {
+		return err
 	}
+	if err := workload.SynthesizeTrace(f, spec); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	info, err := workload.ScanTrace(*out)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "%s: %d %s records over %d slots, fingerprint %s\n",
+		*out, info.Records, info.Form, info.MaxSlot+1, info.Fingerprint[:12])
+	return nil
 }

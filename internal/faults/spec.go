@@ -78,7 +78,7 @@ func (s Spec) Plan(topo sim.Topology, seed int64) Plan {
 	if s.MTBF > 0 && s.MTTR > 0 {
 		horizon := s.Horizon
 		if horizon == 0 {
-			horizon = 10000 // sweeps override with the scenario's slot count
+			horizon = 10000 // sweep.Grid.Points sets the scenario's slots + drain
 		}
 		return Stochastic(s.Kind, s.Count, topo, s.MTBF, s.MTTR, horizon, s.planSeed(seed))
 	}

@@ -1,21 +1,28 @@
 package sweep
 
-import (
-	"otisnet/internal/kautz"
-	"otisnet/internal/pops"
-	"otisnet/internal/sim"
-	"otisnet/internal/stackkautz"
-)
+import "strings"
 
-// ComparableScaleTrio builds the paper's §5-style comparison set at equal
-// scale: SK(6,3,2) with N=72, POPS(9,8) with N=72, and the point-to-point
-// de Bruijn(3,4) baseline with N=81. Both cmd/netsim ("-net all") and the
-// T7 experiment use this single definition so the trio cannot drift. Group
-// sizes (s, t, none) parameterize group-structured workloads.
+// ComparableScaleTrioSpecs describes the paper's §5-style comparison set
+// at equal scale: SK(6,3,2) with N=72, POPS(9,8) with N=72, and the
+// point-to-point de Bruijn(3,4) baseline with N=81. cmd/netsim ("-net
+// all") and the T7 experiment both build the trio from this single
+// definition so it cannot drift.
+func ComparableScaleTrioSpecs() []TopoSpec {
+	return []TopoSpec{{Net: "sk", S: 6, D: 3, K: 2}, {Net: "pops", T: 9, G: 8}, {Net: "debruijn", D: 3, K: 4}}
+}
+
+// ComparableScaleTrio builds the trio under its short names ("SK(6,3,2)",
+// "POPS(9,8)", "deBruijn(3,4)"). Group sizes (s, t, none) parameterize
+// group-structured workloads.
 func ComparableScaleTrio() []Topology {
-	return []Topology{
-		{Name: "SK(6,3,2)", Topo: sim.NewStackTopology(stackkautz.New(6, 3, 2).StackGraph()), GroupSize: 6},
-		{Name: "POPS(9,8)", Topo: sim.NewStackTopology(pops.New(9, 8).StackGraph()), GroupSize: 9},
-		{Name: "deBruijn(3,4)", Topo: sim.NewPointToPointTopology(kautz.NewDeBruijn(3, 4).Digraph())},
+	var trio []Topology
+	for _, ts := range ComparableScaleTrioSpecs() {
+		t, err := ts.Build()
+		if err != nil {
+			panic(err) // the specs are constants
+		}
+		t.Name, _, _ = strings.Cut(t.Name, " ")
+		trio = append(trio, t)
 	}
+	return trio
 }

@@ -169,7 +169,7 @@ func (g Grid) Points() []Scenario {
 						name := wl.Label()
 						for _, fs := range fspecs {
 							if fs.MTBF > 0 && fs.Horizon == 0 {
-								fs.Horizon = slots
+								fs.Horizon = slots + g.Drain // the whole simulated run
 							}
 							for _, seed := range seeds {
 								pts = append(pts, Scenario{

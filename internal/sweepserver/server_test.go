@@ -248,36 +248,37 @@ func TestCancel(t *testing.T) {
 
 func TestBadRequests(t *testing.T) {
 	ts := newTestServer(t)
-	// The fault rows fail faults.Spec.Validate, with its exact error.
-	faultErrors := map[string]string{
-		"bad fault":      "faults: mtbf and mttr must be set together",
-		"neg fault cnt":  "faults: bad count -3 (want >= 0)",
-		"neg fault slot": "faults: bad slot -1 (want >= 0)",
-		"neg mtbf":       "faults: bad mtbf -5 (want >= 0)",
-		"neg mttr":       "faults: bad mttr -1 (want >= 0)",
-	}
-	for name, body := range map[string]string{
-		"empty grid":     `{}`,
-		"unknown field":  `{"topologies":[{"net":"sk"}],"frobnicate":1}`,
-		"bad topology":   `{"topologies":[{"net":"torus"}]}`,
-		"bad mode":       `{"topologies":[{"net":"sk"}],"modes":["fly"]}`,
-		"bad rate":       `{"topologies":[{"net":"sk"}],"rates":[1.5]}`,
-		"bad workload":   `{"topologies":[{"net":"sk"}],"workloads":[{"kind":"chaos"}]}`,
-		"hot group neg":  `{"topologies":[{"net":"sk","s":3,"d":2,"k":2}],"workloads":[{"kind":"hotspot","hot_group":-1}]}`,
-		"traceless":      `{"topologies":[{"net":"sk"}],"workloads":[{"kind":"trace"}]}`,
-		"trace + rates":  `{"topologies":[{"net":"sk"}],"rates":[0.3],"workloads":[{"kind":"trace","trace_file":"testdata/burst_events.ndjson"}]}`,
-		"bad mperiod":    `{"topologies":[{"net":"sk"}],"workloads":[{"kind":"multiperiod","amplitude":2}]}`,
-		"bad fault":      `{"topologies":[{"net":"sk"}],"faults":[{"kind":"node","count":1,"mtbf":5}]}`,
-		"bad replicas":   `{"topologies":[{"net":"sk"}],"replicas":-3}`,
-		"neg slots":      `{"topologies":[{"net":"sk"}],"slots":-5}`,
-		"neg drain":      `{"topologies":[{"net":"sk"}],"drain":-1}`,
-		"neg max_queue":  `{"topologies":[{"net":"sk"}],"max_queue":-2}`,
-		"neg fault cnt":  `{"topologies":[{"net":"sk"}],"faults":[{"kind":"node","count":-3}]}`,
-		"neg fault slot": `{"topologies":[{"net":"sk"}],"faults":[{"kind":"node","count":1,"slot":-1}]}`,
-		"neg mtbf":       `{"topologies":[{"net":"sk"}],"faults":[{"kind":"node","count":1,"mtbf":-5,"mttr":10}]}`,
-		"neg mttr":       `{"topologies":[{"net":"sk"}],"faults":[{"kind":"node","count":1,"mtbf":5,"mttr":-1}]}`,
+	// Each bad grid is paired with its exact error: workloads fail
+	// workload.Spec.Validate and faults faults.Spec.Validate, the same
+	// checks netsim's flags go through.
+	for name, tc := range map[string]struct{ body, want string }{
+		"empty grid":     {`{}`, "grid names no topologies"},
+		"unknown field":  {`{"topologies":[{"net":"sk"}],"frobnicate":1}`, `json: unknown field "frobnicate"`},
+		"bad topology":   {`{"topologies":[{"net":"torus"}]}`, `sweep: unknown topology family "torus" (want sk, stackii, pops or debruijn)`},
+		"bad mode":       {`{"topologies":[{"net":"sk"}],"modes":["fly"]}`, `unknown mode "fly" (want sf or deflect)`},
+		"bad rate":       {`{"topologies":[{"net":"sk"}],"rates":[1.5]}`, "rate 1.5 not a probability in [0,1]"},
+		"neg rate":       {`{"topologies":[{"net":"sk"}],"rates":[-0.1]}`, "rate -0.1 not a probability in [0,1]"},
+		"zero waves":     {`{"topologies":[{"net":"sk"}],"wavelengths":[0]}`, "wavelength count 0 < 1"},
+		"bad workload":   {`{"topologies":[{"net":"sk"}],"workloads":[{"kind":"chaos"}]}`, `workload: unknown kind "chaos" (want uniform, transpose, hotspot, bursty, trace or multiperiod)`},
+		"hot group neg":  {`{"topologies":[{"net":"sk","s":3,"d":2,"k":2}],"workloads":[{"kind":"hotspot","hot_group":-1}]}`, "workload: hotspot group -1 is negative (indices wrap modulo each topology's group count, but must be >= 0)"},
+		"hot frac oob":   {`{"topologies":[{"net":"sk"}],"workloads":[{"kind":"hotspot","fraction":1.5}]}`, "workload: hotspot fraction 1.5 outside [0,1]"},
+		"bad bursty":     {`{"topologies":[{"net":"sk"}],"workloads":[{"kind":"bursty","mean_on":0.5,"mean_off":10}]}`, "workload: bursty mean durations 0.5/10 must be >= 1 slot"},
+		"traceless":      {`{"topologies":[{"net":"sk"}],"workloads":[{"kind":"trace"}]}`, "the trace workload names no trace file (trace_file, or netsim -tracefile)"},
+		"trace + rates":  {`{"topologies":[{"net":"sk"}],"rates":[0.3],"workloads":[{"kind":"trace","trace_file":"testdata/burst_events.ndjson"}]}`, "event-form trace workloads replay verbatim; omit rates (or use a rates-form trace to scale)"},
+		"trace + other":  {`{"topologies":[{"net":"sk"}],"workloads":[{"kind":"trace","trace_file":"testdata/burst_events.ndjson"},{"kind":"uniform"}]}`, "event-form trace workloads cannot share a grid with rate-driven workloads (the rate axis applies to all)"},
+		"bad mperiod":    {`{"topologies":[{"net":"sk"}],"workloads":[{"kind":"multiperiod","amplitude":2}]}`, "workload: multiperiod amplitude 2 outside [0,1]"},
+		"bad fault":      {`{"topologies":[{"net":"sk"}],"faults":[{"kind":"node","count":1,"mtbf":5}]}`, "faults: mtbf and mttr must be set together"},
+		"bad fault kind": {`{"topologies":[{"net":"sk"}],"faults":[{"kind":"laser","count":1}]}`, `unknown fault kind "laser" (want node, coupler or tx)`},
+		"bad replicas":   {`{"topologies":[{"net":"sk"}],"replicas":-3}`, "replicas -3 invalid (want -1 for auto, 0/1 for off, or >= 2)"},
+		"neg slots":      {`{"topologies":[{"net":"sk"}],"slots":-5}`, "slots -5 negative"},
+		"neg drain":      {`{"topologies":[{"net":"sk"}],"drain":-1}`, "drain -1 negative"},
+		"neg max_queue":  {`{"topologies":[{"net":"sk"}],"max_queue":-2}`, "max_queue -2 negative"},
+		"neg fault cnt":  {`{"topologies":[{"net":"sk"}],"faults":[{"kind":"node","count":-3}]}`, "faults: bad count -3 (want >= 0)"},
+		"neg fault slot": {`{"topologies":[{"net":"sk"}],"faults":[{"kind":"node","count":1,"slot":-1}]}`, "faults: bad slot -1 (want >= 0)"},
+		"neg mtbf":       {`{"topologies":[{"net":"sk"}],"faults":[{"kind":"node","count":1,"mtbf":-5,"mttr":10}]}`, "faults: bad mtbf -5 (want >= 0)"},
+		"neg mttr":       {`{"topologies":[{"net":"sk"}],"faults":[{"kind":"node","count":1,"mtbf":5,"mttr":-1}]}`, "faults: bad mttr -1 (want >= 0)"},
 	} {
-		resp, err := http.Post(ts.URL+"/api/v1/sweeps", "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+"/api/v1/sweeps", "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,8 +287,8 @@ func TestBadRequests(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
 		}
-		if want, ok := faultErrors[name]; ok && string(msg) != "bad grid spec: "+want+"\n" {
-			t.Errorf("%s: body %q, want error %q", name, msg, want)
+		if string(msg) != "bad grid spec: "+tc.want+"\n" {
+			t.Errorf("%s: body %q, want error %q", name, msg, tc.want)
 		}
 	}
 	for _, path := range []string{"/api/v1/sweeps/nope", "/api/v1/sweeps/nope/stream"} {

@@ -10,11 +10,15 @@ import (
 	"otisnet/internal/workload"
 )
 
-// GridSpec is the JSON description of a sweep grid submitted to the
-// service: the serializable counterpart of sweep.Grid, with topologies,
-// workloads and faults given as specs instead of live values. Zero-valued
-// axes take the same defaults as sweep.Grid.Points (one 0.2-load point,
-// seed 1, store-and-forward, one wavelength, 1000 slots).
+// GridSpec is the one description of a sweep grid: the serializable
+// counterpart of sweep.Grid, with topologies, workloads and faults given
+// as specs instead of live values. The service decodes it from JSON, every
+// `netsim work` process re-expands it per lease, and cmd/netsim builds one
+// from its flags (a single run is the one-point grid), so all three
+// expand a grid with the same code. Zero-valued axes take the same
+// defaults as sweep.Grid.Points (one 0.2-load point, seed 1,
+// store-and-forward, one wavelength, 1000 slots), except that a grid with
+// a trace workload and no rates replays at rate 1.
 type GridSpec struct {
 	Topologies  []sweep.TopoSpec `json:"topologies"`
 	Rates       []float64        `json:"rates,omitempty"`
@@ -64,42 +68,33 @@ type WorkloadSpec struct {
 	RateSigma  float64 `json:"rate_sigma,omitempty"`
 }
 
-// spec validates and converts to the sweep-axis value.
+// spec converts to the sweep-axis value, keeping only the parameters of
+// the selected kind, and range-checks it with workload.Spec.Validate.
 func (ws WorkloadSpec) spec() (workload.Spec, error) {
 	kind, err := workload.ParseKind(ws.Kind)
 	if err != nil {
 		return workload.Spec{}, err
 	}
+	s := workload.Spec{Kind: kind}
 	switch kind {
 	case workload.KindHotspot:
-		if ws.Fraction < 0 || ws.Fraction > 1 {
-			return workload.Spec{}, fmt.Errorf("hotspot fraction %g not in [0,1]", ws.Fraction)
-		}
-		if ws.HotGroup < 0 {
-			return workload.Spec{}, fmt.Errorf("hotspot hot_group %d negative", ws.HotGroup)
-		}
-		return workload.Spec{Kind: kind, HotGroup: ws.HotGroup, Fraction: ws.Fraction}, nil
+		s.HotGroup, s.Fraction = ws.HotGroup, ws.Fraction
 	case workload.KindBursty:
-		if ws.MeanOn < 1 || ws.MeanOff < 1 || ws.OffFactor < 0 || ws.OffFactor > 1 {
-			return workload.Spec{}, fmt.Errorf("bursty workload wants mean_on >= 1, mean_off >= 1 and off_factor in [0,1]")
-		}
-		return workload.Spec{Kind: kind, MeanOn: ws.MeanOn, MeanOff: ws.MeanOff, OffFactor: ws.OffFactor}, nil
+		s.MeanOn, s.MeanOff, s.OffFactor = ws.MeanOn, ws.MeanOff, ws.OffFactor
 	case workload.KindTrace:
 		if ws.TraceFile == "" {
-			return workload.Spec{}, fmt.Errorf("trace workload names no trace_file")
+			return workload.Spec{}, fmt.Errorf("the trace workload names no trace file (trace_file, or netsim -tracefile)")
 		}
 		return workload.NewTraceSpec(ws.TraceFile)
 	case workload.KindMultiPeriod:
-		spec := workload.Spec{
+		s = workload.Spec{
 			Kind: kind, Period: ws.Period, Amplitude: ws.Amplitude,
 			EpisodeOn: ws.EpisodeOn, EpisodeOff: ws.EpisodeOff,
 			MeanOn: ws.MeanOn, MeanOff: ws.MeanOff,
 			RateSigma: ws.RateSigma, OffFactor: ws.OffFactor,
 		}
-		return spec, spec.Validate()
-	default:
-		return workload.Spec{Kind: kind}, nil
 	}
+	return s, s.Validate()
 }
 
 // FaultSpec is the JSON form of faults.Spec. MTBF and MTTR select the
@@ -152,10 +147,11 @@ func PointsFromSpec(payload []byte) ([]sweep.Scenario, error) {
 }
 
 // Grid builds the live sweep.Grid: topologies are constructed and
-// validated (sim.CheckTopology), modes parsed, workloads range-checked
-// against every topology's group structure — the same guards cmd/netsim
-// applies to its flags, so a bad submission is a 4xx, never a panic inside
-// a worker goroutine.
+// validated (sim.CheckTopology), rates, wavelengths and modes checked,
+// workloads and faults validated by workload.Spec.Validate and
+// faults.Spec.Validate. These are the only scenario checks, for the
+// service and the command line alike, so a bad grid is a 4xx or a netsim
+// usage error, never a panic inside a worker goroutine.
 func (gs GridSpec) Grid() (sweep.Grid, error) {
 	return gs.grid(buildAndCheck)
 }
@@ -196,7 +192,7 @@ func (gs GridSpec) grid(build func(sweep.TopoSpec) (sweep.Topology, error)) (swe
 		}
 	}
 	for _, r := range gs.Rates {
-		if r < 0 || r > 1 {
+		if !(r >= 0 && r <= 1) { // also rejects NaN
 			return sweep.Grid{}, fmt.Errorf("rate %g not a probability in [0,1]", r)
 		}
 	}
@@ -227,16 +223,17 @@ func (gs GridSpec) grid(build func(sweep.TopoSpec) (sweep.Topology, error)) (swe
 	// non-negative index is valid on every topology in a mixed-scale sweep
 	// (the per-first-topology rejection this replaces contradicted that
 	// contract).
-	eventTraces, otherKinds := 0, 0
+	traces, eventTraces := 0, 0
 	for _, ws := range gs.Workloads {
 		spec, err := ws.spec()
 		if err != nil {
 			return sweep.Grid{}, err
 		}
-		if spec.Kind == workload.KindTrace && spec.TraceForm == workload.TraceEvents {
-			eventTraces++
-		} else {
-			otherKinds++
+		if spec.Kind == workload.KindTrace {
+			traces++
+			if spec.TraceForm == workload.TraceEvents {
+				eventTraces++
+			}
 		}
 		g.Workloads = append(g.Workloads, spec)
 	}
@@ -246,9 +243,13 @@ func (gs GridSpec) grid(build func(sweep.TopoSpec) (sweep.Topology, error)) (swe
 		if len(g.Rates) > 0 {
 			return sweep.Grid{}, fmt.Errorf("event-form trace workloads replay verbatim; omit rates (or use a rates-form trace to scale)")
 		}
-		if otherKinds > 0 {
+		if eventTraces < len(g.Workloads) {
 			return sweep.Grid{}, fmt.Errorf("event-form trace workloads cannot share a grid with rate-driven workloads (the rate axis applies to all)")
 		}
+	}
+	if traces > 0 && len(g.Rates) == 0 {
+		// Traces replay (events) or scale (rates) as recorded unless a
+		// rate axis says otherwise, never at the uniform-load default.
 		g.Rates = []float64{1}
 	}
 	for _, fs := range gs.Faults {
