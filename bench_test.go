@@ -398,8 +398,8 @@ func BenchmarkStepAllocFree(b *testing.B) {
 
 // BenchmarkUniformGenerate times one slot of uniform Bernoulli traffic
 // generation, on its own: "oracle" is UniformTraffic.Generate's Float64
-// loop, "sampler" the block-replay sim.UniformStream that Engine and
-// ReplicaSet runs draw through (the same injections from the same seed).
+// loop, "sampler" the block-replay sim.UniformStream that Engine runs
+// draw through (the same injections from the same seed).
 // N=6144 p=0.01 is the paper's SK(4,2,10) at the sk6144-single load; N=54
 // p=0.6 is a small network at high load, where Intn dominates.
 func BenchmarkUniformGenerate(b *testing.B) {
@@ -529,65 +529,6 @@ func BenchmarkSweepGridLegacyEngine(b *testing.B) {
 			b.Fatalf("expected 6 curve points, got %d", len(curve))
 		}
 	}
-}
-
-// BenchmarkSweepGridBatched runs the identical 24-point grid through the
-// batched dispatcher: points grouped by topology fingerprint, chunked into
-// ReplicaSet batches (auto-sized), stream-siblings sharing one generated
-// injection schedule. Paired with BenchmarkSweepGrid it gives the
-// "batched_speedup" frozen in BENCH_6.json.
-func BenchmarkSweepGridBatched(b *testing.B) {
-	grid := sweepGridT7()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		curve := sweep.Aggregate(sweep.Runner{Replicas: sweep.AutoReplicas}.RunGrid(grid))
-		if len(curve) != 6 {
-			b.Fatalf("expected 6 curve points, got %d", len(curve))
-		}
-	}
-}
-
-// BenchmarkBatchedStep measures the amortized per-scenario cost of
-// stepping a saturated 8-replica batch over one compiled SK(6,3,2) base
-// versus running the same eight scenarios back to back on a solo engine
-// — the engine-level view of the batching win, isolated from sweep
-// orchestration.
-func BenchmarkBatchedStep(b *testing.B) {
-	topo := sim.NewStackTopology(stackkautz.New(6, 3, 2).StackGraph())
-	const reps, slots, drain = 8, 200, 200
-	specs := make([]sim.ReplicaSpec, reps)
-	for i := range specs {
-		specs[i] = sim.ReplicaSpec{
-			Config:      sim.Config{Seed: 1, Deflection: i%2 == 1},
-			Traffic:     sim.UniformTraffic{Rate: 0.5},
-			Slots:       slots,
-			Drain:       drain,
-			StreamGroup: i / 2, // pairs share one injection stream
-		}
-	}
-	b.Run("batched", func(b *testing.B) {
-		rs := sim.NewReplicaSet(topo)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rs.Configure(specs)
-			rs.RunAll()
-			if rs.Metrics(0).Delivered == 0 {
-				b.Fatal("no deliveries")
-			}
-		}
-	})
-	b.Run("solo", func(b *testing.B) {
-		eng := sim.NewEngine(topo, specs[0].Config)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, sp := range specs {
-				m := eng.Run(sp.Traffic, sp.Slots, sp.Drain, sp.Config)
-				if m.Delivered == 0 {
-					b.Fatal("no deliveries")
-				}
-			}
-		}
-	})
 }
 
 // BenchmarkSweepCachedGrid runs the identical 24-point grid against a

@@ -280,7 +280,17 @@ func t7() string {
 	b.WriteString("comparable scale: SK(6,3,2) N=72 | POPS(9,8) N=72 | deBruijn(3,4) N=81 (point-to-point)\n\n")
 	b.WriteString("| network | traffic | rate | throughput/slot | avg latency | avg hops | per-node thr |\n")
 	b.WriteString("|---|---|---|---|---|---|---|\n")
-	cands := sweep.ComparableScaleTrio()
+	// The trio under its short names ("SK(6,3,2)", "POPS(9,8)",
+	// "deBruijn(3,4)").
+	var cands []sweep.Topology
+	for _, ts := range sweep.ComparableScaleTrioSpecs() {
+		c, err := ts.Build()
+		if err != nil {
+			panic(err) // the specs are constants
+		}
+		c.Name, _, _ = strings.Cut(c.Name, " ")
+		cands = append(cands, c)
+	}
 	// Assemble the whole campaign as one scenario list (rows in table
 	// order, each with its display label) and fan it across the sweep
 	// worker pool; every point matches a sequential sim.Run bit for bit.

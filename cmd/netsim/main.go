@@ -355,11 +355,7 @@ func runCollective(stdout io.Writer, net string, t, g, s, d, k int, kind string,
 // shard of the grid, or the whole grid, through the result cache when
 // -cachedir is set.
 func runSweep(stdout io.Writer, f *simFlags, grid sweep.Grid) error {
-	replicas, err := parseReplicas(*f.replicas)
-	if err != nil {
-		return usage(err)
-	}
-	runner := sweep.Runner{Workers: *f.workers, Replicas: replicas}
+	runner := sweep.Runner{Workers: *f.workers}
 	if *f.saturate {
 		return printSaturation(stdout, runner.Saturate(grid, *f.slots, 0.95, *f.seed), *f.format)
 	}
@@ -493,17 +489,12 @@ func runServe(args []string, _, stderr io.Writer) error {
 	addr := fs.String("addr", ":8080", "listen address")
 	cacheDir := fs.String("cachedir", "", "content-addressed result cache directory (empty = in-memory only)")
 	workers := fs.Int("workers", 0, "sweep worker goroutines (0 = GOMAXPROCS)")
-	replicas := fs.String("replicas", "auto", `scenarios batched per worker on one replica set ("auto", "off", or a count >= 2); a grid's "replicas" field overrides`)
 	pprofF := fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 	logJSON := fs.Bool("logjson", false, "structured logs as JSON on stderr (default: text)")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	setupLogging(*logJSON, stderr)
-	r, err := parseReplicas(*replicas)
-	if err != nil {
-		return usage(err)
-	}
 	var cache *sweepcache.Cache
 	if *cacheDir != "" {
 		// The server journals under its own name so a concurrent CLI sweep
@@ -517,7 +508,7 @@ func runServe(args []string, _, stderr io.Writer) error {
 		st := c.Stats()
 		slog.Info("cache loaded", "dir", *cacheDir, "entries", st.Entries, "torn_lines", st.TornLines)
 	}
-	srv := sweepserver.New(sweep.Runner{Workers: *workers, Replicas: r}, cache)
+	srv := sweepserver.New(sweep.Runner{Workers: *workers}, cache)
 	srv.Pprof = *pprofF
 	slog.Info("listening", "addr", *addr, "pprof", *pprofF)
 	return http.ListenAndServe(*addr, srv.Handler())
@@ -533,7 +524,6 @@ func runWork(args []string, _, stderr io.Writer) error {
 	server := fs.String("server", "http://127.0.0.1:8080", "coordinator base URL (a `netsim serve` address)")
 	workerN := fs.Int("workers", 1, "concurrent lease workers in this process")
 	goroutines := fs.Int("goroutines", 0, "sweep goroutines per worker (0 = GOMAXPROCS)")
-	replicas := fs.String("replicas", "auto", `scenarios batched per goroutine on one replica set ("auto", "off", or a count >= 2)`)
 	cacheDir := fs.String("cachedir", "", "content-addressed result cache directory (empty = no cache)")
 	name := fs.String("name", "", "worker name prefix (default host-pid)")
 	poll := fs.Duration("poll", 500*time.Millisecond, "idle poll interval between acquire attempts")
@@ -546,10 +536,6 @@ func runWork(args []string, _, stderr io.Writer) error {
 	if *workerN < 1 {
 		return usage(fmt.Errorf("-workers %d < 1", *workerN))
 	}
-	r, err := parseReplicas(*replicas)
-	if err != nil {
-		return usage(err)
-	}
 	prefix := *name
 	if prefix == "" {
 		host, err := os.Hostname()
@@ -560,7 +546,7 @@ func runWork(args []string, _, stderr io.Writer) error {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	runner := sweep.Runner{Workers: *goroutines, Replicas: r}
+	runner := sweep.Runner{Workers: *goroutines}
 	var fleet []*coordinator.Worker
 	for i := 0; i < *workerN; i++ {
 		w := &coordinator.Worker{

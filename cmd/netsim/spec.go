@@ -56,7 +56,7 @@ type simFlags struct {
 	seeds                            *int
 	modes, waveset                   *string
 	workers                          *int
-	replicas, format                 *string
+	format                           *string
 	raw                              *bool
 
 	explicit map[string]bool
@@ -129,7 +129,6 @@ func newSimFlags(fs *flag.FlagSet) *simFlags {
 		modes:    fs.String("modes", "sf", `sweep: comma list of "sf" and/or "deflect"`),
 		waveset:  fs.String("waveset", "1", "sweep: comma-separated wavelength counts"),
 		workers:  fs.Int("workers", 0, "sweep: worker goroutines (0 = GOMAXPROCS)"),
-		replicas: fs.String("replicas", "auto", `sweep: scenarios batched per worker on one replica set ("auto", "off", or a count >= 2); results are bit-for-bit identical either way`),
 		format:   fs.String("format", "table", `sweep output: "table", "csv" or "json"`),
 		raw:      fs.Bool("raw", false, "sweep: emit raw per-seed results instead of the aggregated curve"),
 
@@ -429,21 +428,4 @@ func seedRange(n int) []int64 {
 		out[i] = int64(i + 1)
 	}
 	return out
-}
-
-// parseReplicas maps a -replicas flag onto sweep.Runner.Replicas: "auto"
-// sizes batches from the grid's stream-sibling families, "off" (or 0/1)
-// keeps per-scenario dispatch, and a count >= 2 pins the batch size.
-func parseReplicas(s string) (int, error) {
-	switch strings.TrimSpace(s) {
-	case "auto", "":
-		return sweep.AutoReplicas, nil
-	case "off", "0", "1":
-		return 0, nil
-	}
-	r, err := strconv.Atoi(strings.TrimSpace(s))
-	if err != nil || r < 2 {
-		return 0, fmt.Errorf("bad -replicas %q (want auto, off, or a count >= 2)", s)
-	}
-	return r, nil
 }

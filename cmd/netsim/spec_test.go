@@ -132,13 +132,11 @@ func TestBadFlags(t *testing.T) {
 		{"saturate repeat", []string{"-saturate", "-repeat", "2"},
 			"-repeat does not apply to -saturate (the search already reuses one engine)", 2},
 
-		// Output and dispatch.
+		// Output and worker settings.
 		{"raw table", []string{"-sweep", "-raw", "-format", "table"}, "-raw emits machine-readable output; use -format csv or json", 2},
 		{"bad format", []string{"-sweep", "-format", "xml"}, `bad sweep format "xml" (want table, csv or json)`, 2},
-		{"bad replicas", sk("-sweep", "-replicas", "1x"), `bad -replicas "1x" (want auto, off, or a count >= 2)`, 2},
-		{"serve bad replicas", []string{"serve", "-replicas", "-1"}, `bad -replicas "-1" (want auto, off, or a count >= 2)`, 2},
+		{"replicas undefined", sk("-sweep", "-replicas", "auto"), "flag provided but not defined: -replicas", 2},
 		{"work zero workers", []string{"work", "-workers", "0"}, "-workers 0 < 1", 2},
-		{"work bad replicas", []string{"work", "-replicas", "one"}, `bad -replicas "one" (want auto, off, or a count >= 2)`, 2},
 		{"synthtrace form", []string{"synthtrace", "-form", "bogus"}, `bad -form "bogus" (want rates or events)`, 2},
 
 		// Sweep axes: list syntax here, ranges in GridSpec.

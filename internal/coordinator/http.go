@@ -19,6 +19,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -76,10 +77,21 @@ func (c *Coordinator) Mount(mux *http.ServeMux) {
 	mux.HandleFunc("POST /api/v1/workers/heartbeat", c.handleHeartbeat)
 }
 
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+// decodeJSON decodes a lease request body into v: exactly one JSON value,
+// with no unknown fields, naming a non-empty worker (worker points into
+// v). Any other body is answered 400 and decodeJSON returns false.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any, worker *string) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	err := dec.Decode(v)
+	if err == nil {
+		if _, tail := dec.Token(); tail != io.EOF {
+			err = errors.New("trailing data after the JSON value")
+		} else if *worker == "" {
+			err = errors.New("empty worker")
+		}
+	}
+	if err != nil {
 		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
 		return false
 	}
@@ -88,7 +100,7 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 
 func (c *Coordinator) handleAcquire(w http.ResponseWriter, r *http.Request) {
 	var req AcquireRequest
-	if !decodeJSON(w, r, &req) {
+	if !decodeJSON(w, r, &req, &req.Worker) {
 		return
 	}
 	g, ok := c.Acquire(req.Worker)
@@ -102,7 +114,7 @@ func (c *Coordinator) handleAcquire(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
 	var req RenewRequest
-	if !decodeJSON(w, r, &req) {
+	if !decodeJSON(w, r, &req, &req.Worker) {
 		return
 	}
 	ttl, err := c.Renew(req.LeaseID, req.Epoch, req.Worker)
@@ -116,7 +128,7 @@ func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req CompleteRequest
-	if !decodeJSON(w, r, &req) {
+	if !decodeJSON(w, r, &req, &req.Worker) {
 		return
 	}
 	st, err := c.Complete(req.Job, req.Shard, req.LeaseID, req.Epoch, req.Worker, req.Rows)
@@ -138,7 +150,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
-	if !decodeJSON(w, r, &req) {
+	if !decodeJSON(w, r, &req, &req.Worker) {
 		return
 	}
 	c.Heartbeat(req.Worker)

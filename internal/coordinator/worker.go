@@ -3,7 +3,7 @@ package coordinator
 // Worker is the acquire -> run -> complete loop behind `netsim work`: it
 // polls the coordinator for leases, rebuilds the leased shard's point
 // list from the job payload, executes it on a sweep.Runner (per-worker
-// batched engines, shared content-addressed cache) and reports the rows.
+// reused engines, shared content-addressed cache) and reports the rows.
 // A background goroutine renews the lease at TTL/3 while the shard runs;
 // losing the lease (expired, superseded, job canceled) cancels the run
 // mid-shard, and the points computed so far survive in the cache for
@@ -32,9 +32,9 @@ type Worker struct {
 	// Build expands a job payload into points (e.g.
 	// sweepserver.PointsFromSpec). Builds are memoized per payload.
 	Build PointsBuilder
-	// Runner executes shard points; its Workers/Replicas settings are the
-	// worker process's local parallelism (each point itself runs the
-	// serial slot loop).
+	// Runner executes shard points; its Workers setting is the worker
+	// process's local parallelism (each point itself runs the serial slot
+	// loop).
 	Runner sweep.Runner
 	// Cache is the shared content-addressed result cache; nil disables
 	// caching (and with it crash-resume incrementality).

@@ -74,14 +74,10 @@ type FaultedTopology struct {
 // Wrap prepares a faulted view of base driven by plan. Event element ids
 // are validated against the base topology.
 //
-// A wrapper is private mutable state: it may be shared between a solo
-// engine run and a later one (SetPlan re-arms it), but never between two
-// concurrently live replicas. Batched execution (sim.ReplicaSet) therefore
-// holds one wrapper per replica slot; each replica polls its own event
-// stream and the per-entry invalidation bitmap behind TopologyChange.
-// EntryChanged only ever marks rows of that replica's compiled view, so a
-// fault firing mid-batch cannot leak into siblings sharing the base
-// snapshot or an injection stream.
+// A wrapper is private mutable state: it may be shared between one engine
+// run and a later one (SetPlan re-arms it), but never between two
+// concurrently live engines. A sweep worker therefore holds one wrapper
+// per base topology, with the engine compiled over it.
 func Wrap(base sim.Topology, plan Plan) *FaultedTopology {
 	n, m := base.Nodes(), base.Couplers()
 	ft := &FaultedTopology{

@@ -11,12 +11,6 @@ package sim
 // faults.FaultedTopology are visible to the engine without any copying or
 // invalidation protocol. Arbitrary Topology implementations are compiled
 // into per-node blocks by querying the interface once per (u, dst) pair.
-//
-// The snapshot is its own type, CompiledTopology, because it is immutable
-// between fault events and therefore shareable: a ReplicaSet runs many
-// replicas (independent seeds, loads, workloads) over one compiled base,
-// and only replicas with a private dynamic topology (a fault wrapper)
-// compile a private view.
 
 // deliverFlag marks a RouteEntry whose destination hears the chosen
 // coupler, so delivery needs no head-set scan on the hot path.
@@ -124,10 +118,9 @@ type BlockTabled interface {
 }
 
 // CompiledTopology is the flat, step-ready form of a Topology: CSR
-// out-coupler and head lists and the route/distance blocks. It is
-// immutable between topology events, so any number of replicas may share
-// one instance; a replica whose topology is dynamic (fault events) must
-// own a private instance, because events repair the tables in place.
+// out-coupler and head lists and the route/distance blocks. Each Engine
+// owns one; fault events on a dynamic topology repair its tables in
+// place.
 type CompiledTopology struct {
 	topo Topology
 	n, m int

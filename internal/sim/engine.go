@@ -108,14 +108,12 @@ func (m Metrics) String() string {
 	return s
 }
 
-// replica is the mutable half of a simulation: queues, cursors, scratch,
-// metrics and the slot clock, stepping over an immutable CompiledTopology.
-// It is the one engine core — Engine wraps exactly one replica, and
-// ReplicaSet runs R of them (with slab-allocated state) over a shared
-// snapshot. Inside step there are no Topology interface calls — routing is
-// one load from the route blocks (a cell per row class × column class)
-// whose delivers-here bit replaces the per-transmission head-set scan, and
-// the coupler structure is read from CSR arrays. A node whose head-of-line
+// Engine simulates a Topology slot by slot: queues, cursors, scratch,
+// metrics and the slot clock, stepping over a private CompiledTopology.
+// Inside Step there are no Topology interface calls — routing is one load
+// from the route blocks (a cell per row class × column class) whose
+// delivers-here bit replaces the per-transmission head-set scan, and the
+// coupler structure is read from CSR arrays. A node whose head-of-line
 // message changes is put on a pending list, and the whole list is resolved
 // in one pass at the top of the next step, so the route loads — most of
 // them cache misses on a large network — are independent and overlap
@@ -123,23 +121,28 @@ func (m Metrics) String() string {
 // O(active nodes + touched couplers), not O(N + M): nodes with queued
 // traffic live on an active list, and only couplers that saw a request or
 // grant this slot are arbitrated, transmitted and cleared. The hot path is
-// allocation-free once scratch high-water marks are reached, and reset
-// re-arms the replica for another scenario without reallocating any of it.
-type replica struct {
-	// ct is the compiled snapshot this replica steps over; the fields below
+// allocation-free once scratch high-water marks are reached, and Reset
+// re-arms the engine for another scenario without reallocating any of it.
+type Engine struct {
+	// OnDeliver, when non-nil, is invoked for every delivered message with
+	// its final hop count and the delivery slot. It lets experiments record
+	// per-(src,dst) path lengths — e.g. to cross-check the §2.5 fault bound
+	// against kautz.RouteAvoiding — without burdening Metrics.
+	OnDeliver func(msg Message, slot int)
+
+	// ct is the compiled snapshot this engine steps over; the fields below
 	// through dist are aliases of its arrays, re-synced after topology
 	// events (syncTables). Keeping local slice headers keeps the hot path
-	// one indirection flat, exactly as when the arrays lived on the engine.
+	// one indirection flat.
 	ct *CompiledTopology
 
 	cfg Config
-	// rng drives traffic generation in run, through uni for uniform
-	// traffic; replicas inside a ReplicaSet draw from their stream group's
-	// generators instead and leave both nil.
+	// rng drives traffic generation in Run, through uni for uniform
+	// traffic.
 	rng *rand.Rand
 	uni *UniformStream
 	// rngSeededFor dedups re-seeding: seeding regenerates the full
-	// math/rand state vector, so reset skips it when the RNG is already
+	// math/rand state vector, so Reset skips it when the RNG is already
 	// virgin for the requested seed (the NewEngine-then-Run path).
 	rngSeededFor int64
 	rngVirgin    bool
@@ -208,11 +211,11 @@ type replica struct {
 	w         int // window width: the wavelength count, capped at n
 	bestKey   []int32
 	grantSlot []txRequest
-	injBuf    []Injection // run's traffic-generation scratch
+	injBuf    []Injection // Run's traffic-generation scratch
 
 	// dyn is non-nil when the topology injects fault/repair events; the
-	// replica polls it for changes at the top of every step. An event marks
-	// the compiled snapshot dirty (ct.dirty), so reset only re-syncs it
+	// engine polls it for changes at the top of every step. An event marks
+	// the compiled snapshot dirty (ct.dirty), so Reset only re-syncs it
 	// when something changed.
 	dyn DynamicTopology
 	// Recovery tracking: while recovering, backlog has not yet returned to
@@ -220,10 +223,6 @@ type replica struct {
 	recovering      bool
 	recoverStart    int
 	recoverBaseline int
-
-	// onDeliver mirrors Engine.OnDeliver (and ReplicaSpec.OnDeliver):
-	// invoked per delivered message with its final hop count and slot.
-	onDeliver func(msg Message, slot int)
 
 	// obs holds the scenario's local observability tallies (plain memory,
 	// single writer), flushed into the shared registry once per completed
@@ -236,16 +235,9 @@ type replica struct {
 	traceSlot bool
 }
 
-// attach points the replica at a compiled snapshot.
-func (e *replica) attach(ct *CompiledTopology) {
-	e.ct = ct
-	e.n, e.m = ct.n, ct.m
-	e.syncTables()
-}
-
 // syncTables re-reads the table aliases from the snapshot. Needed after
 // any recompile, because an exotic relayout may reallocate the CSR lists.
-func (e *replica) syncTables() {
+func (e *Engine) syncTables() {
 	ct := e.ct
 	e.outStart, e.outCount, e.outList = ct.outStart, ct.outCount, ct.outList
 	e.headStart, e.headCount, e.headList = ct.headStart, ct.headCount, ct.headList
@@ -253,29 +245,46 @@ func (e *replica) syncTables() {
 	e.rowOf, e.colOf, e.cols, e.route, e.dist = b.Row, b.Col, b.Cols, b.Routes, b.Dists
 }
 
-// allocState allocates the replica's private per-node/per-coupler state
-// (the Engine path; ReplicaSet carves the same fields out of shared
-// slabs instead).
-func (e *replica) allocState() {
-	e.queues = make([]ring, e.n)
-	e.rr = make([]int32, e.m)
-	e.touched = make([]uint64, (e.m+63)/64)
-	e.winners = make([]bool, e.n)
-	e.reqMask = make([]uint64, (e.n+63)/64)
-	e.activePos = make([]int32, e.n)
-	e.headReq = make([]txRequest, e.n)
+// NewEngine compiles the topology and prepares a simulation over it. A
+// topology that also implements DynamicTopology (e.g.
+// faults.FaultedTopology) is reset to its pre-event state — so the
+// compiled snapshot covers the full (pristine) structure — and polled for
+// fault events every Step.
+func NewEngine(topo Topology, cfg Config) *Engine {
+	ct := Compile(topo)
+	n, m := ct.n, ct.m
+	e := &Engine{
+		ct:           ct,
+		n:            n,
+		m:            m,
+		rng:          rand.New(rand.NewSource(cfg.Seed)),
+		uni:          new(UniformStream),
+		rngSeededFor: cfg.Seed,
+		rngVirgin:    true,
+		queues:       make([]ring, n),
+		rr:           make([]int32, m),
+		touched:      make([]uint64, (m+63)/64),
+		winners:      make([]bool, n),
+		reqMask:      make([]uint64, (n+63)/64),
+		activePos:    make([]int32, n),
+		headReq:      make([]txRequest, n),
+	}
 	e.obs.shard = obs.NextShard()
+	e.dyn, _ = topo.(DynamicTopology)
+	e.syncTables()
+	e.Reset(cfg)
+	return e
 }
 
-// reset re-arms the replica for a fresh scenario under cfg: queues,
+// Reset re-arms the engine for a fresh scenario under cfg: queues,
 // cursors, metrics, the RNG and the slot clock return to their initial
 // state while every buffer (rings, scratch, compiled snapshot) keeps its
-// capacity, so repeated scenarios on one replica allocate nothing. A run
-// after reset is bit-for-bit identical to a run on a newly constructed
+// capacity, so repeated scenarios on one engine allocate nothing. A run
+// after Reset is bit-for-bit identical to a run on a newly constructed
 // engine. Dynamic topologies are rewound to their pre-event state.
-func (e *replica) reset(cfg Config) {
+func (e *Engine) Reset(cfg Config) {
 	e.cfg = cfg
-	if e.rng != nil && (!e.rngVirgin || e.rngSeededFor != cfg.Seed) {
+	if !e.rngVirgin || e.rngSeededFor != cfg.Seed {
 		e.rng.Seed(cfg.Seed)
 		e.rngSeededFor = cfg.Seed
 		e.rngVirgin = true
@@ -328,10 +337,10 @@ func (e *replica) reset(cfg Config) {
 	}
 }
 
-// metricsSnapshot returns the accumulated metrics, with Backlog and Slots
-// refreshed. Backlog is tracked incrementally, so this is O(1). A recovery
-// still in progress contributes its elapsed slots.
-func (e *replica) metricsSnapshot() Metrics {
+// Metrics returns a snapshot of the accumulated metrics, with Backlog and
+// Slots refreshed. Backlog is tracked incrementally, so this is O(1). A
+// recovery still in progress contributes its elapsed slots.
+func (e *Engine) Metrics() Metrics {
 	m := e.metrics
 	m.Slots = e.slot
 	m.Backlog = e.backlog
@@ -341,8 +350,12 @@ func (e *replica) metricsSnapshot() Metrics {
 	return m
 }
 
-// inject enqueues a message at its source, honoring MaxQueue.
-func (e *replica) inject(src, dst int) {
+// Backlog returns the number of currently queued messages, O(1). Drain
+// loops test it directly instead of materializing a Metrics copy per slot.
+func (e *Engine) Backlog() int { return e.backlog }
+
+// Inject enqueues a message at its source, honoring MaxQueue.
+func (e *Engine) Inject(src, dst int) {
 	if src == dst {
 		return
 	}
@@ -351,7 +364,7 @@ func (e *replica) inject(src, dst int) {
 	e.nextID++
 }
 
-func (e *replica) enqueue(node int, msg qmsg) {
+func (e *Engine) enqueue(node int, msg qmsg) {
 	q := &e.queues[node]
 	if e.cfg.MaxQueue > 0 && q.len() >= e.cfg.MaxQueue {
 		e.metrics.Dropped++
@@ -361,7 +374,7 @@ func (e *replica) enqueue(node int, msg qmsg) {
 	e.backlog++
 	d := q.len()
 	// Queue-depth histogram tally: a bits.Len bucket pick and two plain
-	// adds on replica-local memory, published only at scenario flush.
+	// adds on engine-local memory, published only at scenario flush.
 	e.obs.qDepth[qDepthBucket(d)]++
 	e.obs.qDepthSum += int64(d)
 	if d > e.metrics.PeakQueue {
@@ -381,7 +394,7 @@ type pendHead struct {
 }
 
 // deferHead queues node's head-of-line request for resolveHeads.
-func (e *replica) deferHead(node int, dst int32) {
+func (e *Engine) deferHead(node int, dst int32) {
 	e.pend = append(e.pend, pendHead{node: int32(node), dst: dst})
 }
 
@@ -391,7 +404,7 @@ func (e *replica) deferHead(node int, dst int32) {
 // listed twice ends with its latest head; nodes that went idle since are
 // skipped. The tables are held in locals: the headReq stores would
 // otherwise make the compiler reload every slice header per entry.
-func (e *replica) resolveHeads() {
+func (e *Engine) resolveHeads() {
 	activePos, headReq := e.activePos, e.headReq
 	rowOf, colOf, cols, route := e.rowOf, e.colOf, e.cols, e.route
 	for _, p := range e.pend {
@@ -404,13 +417,13 @@ func (e *replica) resolveHeads() {
 
 // routeOf returns the route block cell for (u, dst), u != dst. A
 // delivering cell's next hop is not meaningful; transmit never reads it.
-func (e *replica) routeOf(u, dst int) RouteEntry {
+func (e *Engine) routeOf(u, dst int) RouteEntry {
 	return e.route[int(e.rowOf[u])*e.cols+int(e.colOf[dst])]
 }
 
 // computeHeadReq refreshes node's precompiled head-of-line request from
 // the route blocks; dst is the head message's destination.
-func (e *replica) computeHeadReq(node int, dst int32) {
+func (e *Engine) computeHeadReq(node int, dst int32) {
 	e.headReq[node] = headRequest(int32(node), e.routeOf(node, int(dst)))
 }
 
@@ -427,7 +440,7 @@ func headRequest(node int32, r RouteEntry) txRequest {
 // keeps backlog and the active list in sync. The emptied-queue bookkeeping
 // lives in deactivate so dropFront stays within the inlining budget of the
 // Phase 4 loop.
-func (e *replica) dropFront(node int) {
+func (e *Engine) dropFront(node int) {
 	e.backlog--
 	q := &e.queues[node]
 	q.head++
@@ -443,7 +456,7 @@ func (e *replica) dropFront(node int) {
 }
 
 // deactivate swap-removes a now-idle node from the active list, O(1).
-func (e *replica) deactivate(node int) {
+func (e *Engine) deactivate(node int) {
 	p := e.activePos[node]
 	last := int32(len(e.active) - 1)
 	moved := e.active[last]
@@ -453,13 +466,13 @@ func (e *replica) deactivate(node int) {
 	e.activePos[node] = -1
 }
 
-// step advances the simulation by one slot: head-of-line resolution, fault
+// Step advances the simulation by one slot: head-of-line resolution, fault
 // events, then the slot kernel (arbitrateAndTransmit), which serves every
 // wavelength count W. No Topology interface calls and no allocations
 // happen here in steady state; per-slot work is proportional to the active
 // nodes and touched couplers (plus an O(M/64 + N/64) bitmap-word scan), not
 // to N or M.
-func (e *replica) step() {
+func (e *Engine) Step() {
 	// Heads changed by the last slot's transmissions and by the injections
 	// since are resolved first, against the tables those changes saw: fault
 	// events only repair the tables in Phase 0, below.
@@ -497,7 +510,7 @@ func (e *replica) step() {
 // the W smallest keys — the argmin at W = 1, sort-then-take-W above it —
 // and no request or candidate list is built. Keys are distinct because a
 // node makes at most one request per slot.
-func (e *replica) arbitrateAndTransmit() {
+func (e *Engine) arbitrateAndTransmit() {
 	// Phase 1: requests, each inserted into its coupler's window. The
 	// active list replaces the full O(N) queue scan; its order is
 	// irrelevant because the windows and every later phase order their own
@@ -663,7 +676,7 @@ const (
 )
 
 // openWindow starts the window at base with the one grant r under key.
-func (e *replica) openWindow(base int, key int32, r txRequest) {
+func (e *Engine) openWindow(base int, key int32, r txRequest) {
 	e.bestKey[base], e.grantSlot[base] = key, r
 	for k := base + 1; k < base+e.w; k++ {
 		e.bestKey[k] = emptyKey
@@ -671,7 +684,7 @@ func (e *replica) openWindow(base int, key int32, r txRequest) {
 }
 
 // windowLen returns the number of grants in the open window at base.
-func (e *replica) windowLen(base int) int {
+func (e *Engine) windowLen(base int) int {
 	g := 1
 	for g < e.w && e.bestKey[base+g] != emptyKey {
 		g++
@@ -682,7 +695,7 @@ func (e *replica) windowLen(base int) int {
 // deflectTarget scans coupler c's compiled head set for the live head
 // closest to dst (the deflection target), reporting whether dst itself
 // hears the coupler. bestHop is -1 when no head has a live path to dst.
-func (e *replica) deflectTarget(c, dst int) (bestHop int32, delivers bool) {
+func (e *Engine) deflectTarget(c, dst int) (bestHop int32, delivers bool) {
 	bestHop, bestDist := int32(-1), int32(1<<30)
 	hb, hc := e.headStart[c], e.headCount[c]
 	dcol := int(e.colOf[dst])
@@ -706,7 +719,7 @@ func (e *replica) deflectTarget(c, dst int) (bestHop int32, delivers bool) {
 // head-of-line message, which is delivered if the destination hears the
 // coupler (the precompiled delivers bit) and relayed to the chosen next
 // hop otherwise.
-func (e *replica) transmit(r txRequest) {
+func (e *Engine) transmit(r txRequest) {
 	src := int(r.node)
 	msg := e.queues[src].front()
 	if r.delivers {
@@ -715,8 +728,8 @@ func (e *replica) transmit(r txRequest) {
 		e.metrics.Delivered++
 		e.metrics.TotalLatency += e.slot + 1 - int(msg.born)
 		e.metrics.TotalHops += hops
-		if e.onDeliver != nil {
-			e.onDeliver(Message{
+		if e.OnDeliver != nil {
+			e.OnDeliver(Message{
 				ID: int(msg.id), Src: int(msg.src), Dst: int(msg.dst),
 				Born: int(msg.born), Hops: hops,
 			}, e.slot+1)
@@ -748,7 +761,7 @@ func (e *replica) transmit(r txRequest) {
 // with table routing they silently follow the new path at their next
 // transmission (messages left without any route are not reroutes; they
 // surface as Unroutable when they reach the head of their queue).
-func (e *replica) applyTopologyChange(ch TopologyChange) {
+func (e *Engine) applyTopologyChange(ch TopologyChange) {
 	e.ct.dirty = true
 	disrupted := false
 	for _, u := range ch.FailedNodes {
@@ -808,13 +821,16 @@ func (e *replica) applyTopologyChange(ch TopologyChange) {
 	e.recoverBaseline = e.backlog
 }
 
-// run resets the replica with cfg and executes a full scenario on it:
+// Run resets the engine with cfg and executes a full scenario on it:
 // `slots` slots of traffic generation plus up to `drain` extra slots to
-// let queues empty, returning the metrics. Uniform traffic (UniformRater)
-// is drawn through the replica's UniformStream, which continues the RNG
-// exactly where Generate would.
-func (e *replica) run(traffic Traffic, slots, drain int, cfg Config) Metrics {
-	e.reset(cfg)
+// let queues empty, returning the metrics. All scratch — including the
+// traffic-generation buffer — lives on the engine, so a warmed engine runs
+// whole scenarios without allocating; results are bit-for-bit identical to
+// sim.Run on a fresh engine. Uniform traffic (UniformRater) is drawn
+// through the engine's UniformStream, which continues the RNG exactly
+// where Generate would.
+func (e *Engine) Run(traffic Traffic, slots, drain int, cfg Config) Metrics {
+	e.Reset(cfg)
 	e.rngVirgin = false // the generation loop draws from the RNG
 	ur, uniform := traffic.(UniformRater)
 	if uniform {
@@ -827,92 +843,16 @@ func (e *replica) run(traffic Traffic, slots, drain int, cfg Config) Metrics {
 			e.injBuf = traffic.Generate(e.injBuf[:0], s, e.n, e.rng)
 		}
 		for _, inj := range e.injBuf {
-			e.inject(inj.Src, inj.Dst)
+			e.Inject(inj.Src, inj.Dst)
 		}
-		e.step()
+		e.Step()
 	}
 	for s := 0; s < drain && e.backlog > 0; s++ {
-		e.step()
+		e.Step()
 	}
-	m := e.metricsSnapshot()
+	m := e.Metrics()
 	e.flushObs()
 	return m
-}
-
-// finished reports whether a scenario of `slots` generation slots and
-// `drain` drain budget is complete: the generation phase has run and
-// either the backlog emptied or the drain budget is spent. This is
-// exactly the loop exit condition of run, checked before each step, so
-// ReplicaSet retirement matches solo runs slot for slot.
-func (e *replica) finished(slots, drain int) bool {
-	return e.slot >= slots && (e.backlog == 0 || e.slot >= slots+drain)
-}
-
-// Engine simulates a Topology slot by slot: the single-replica wrapper
-// around the replica core, owning a private CompiledTopology. See
-// ReplicaSet for running many replicas over one shared snapshot; both
-// paths execute the identical step code.
-type Engine struct {
-	replica
-
-	// OnDeliver, when non-nil, is invoked for every delivered message with
-	// its final hop count and the delivery slot. It lets experiments record
-	// per-(src,dst) path lengths — e.g. to cross-check the §2.5 fault bound
-	// against kautz.RouteAvoiding — without burdening Metrics.
-	OnDeliver func(msg Message, slot int)
-}
-
-// NewEngine compiles the topology and prepares a simulation over it. A
-// topology that also implements DynamicTopology (e.g.
-// faults.FaultedTopology) is reset to its pre-event state — so the
-// compiled snapshot covers the full (pristine) structure — and polled for
-// fault events every Step.
-func NewEngine(topo Topology, cfg Config) *Engine {
-	e := &Engine{}
-	e.rng = rand.New(rand.NewSource(cfg.Seed))
-	e.uni = new(UniformStream)
-	e.rngSeededFor = cfg.Seed
-	e.rngVirgin = true
-	e.attach(Compile(topo))
-	if dyn, ok := topo.(DynamicTopology); ok {
-		e.dyn = dyn
-	}
-	e.allocState()
-	e.Reset(cfg)
-	return e
-}
-
-// Reset re-arms the engine for a fresh scenario under cfg; see
-// replica.reset. A run after Reset is bit-for-bit identical to a run on a
-// newly constructed engine.
-func (e *Engine) Reset(cfg Config) { e.reset(cfg) }
-
-// Metrics returns a snapshot of the accumulated metrics, with Backlog and
-// Slots refreshed; O(1).
-func (e *Engine) Metrics() Metrics { return e.metricsSnapshot() }
-
-// Backlog returns the number of currently queued messages, O(1). Drain
-// loops test it directly instead of materializing a Metrics copy per slot.
-func (e *Engine) Backlog() int { return e.backlog }
-
-// Inject enqueues a message at its source, honoring MaxQueue.
-func (e *Engine) Inject(src, dst int) { e.inject(src, dst) }
-
-// Step advances the simulation by one slot; see replica.step.
-func (e *Engine) Step() {
-	e.onDeliver = e.OnDeliver
-	e.step()
-}
-
-// Run resets the engine with cfg and executes a full scenario on it:
-// `slots` slots of traffic generation plus up to `drain` extra slots to
-// let queues empty, returning the metrics. All scratch — including the
-// traffic-generation buffer — lives on the engine, so a warmed engine runs
-// whole scenarios without allocating; results are bit-for-bit identical to
-// sim.Run on a fresh engine.
-func (e *Engine) Run(traffic Traffic, slots, drain int, cfg Config) Metrics {
-	e.onDeliver = e.OnDeliver
-	return e.run(traffic, slots, drain, cfg)
 }
 
 // txRequest is one node's wish to drive one coupler toward one next hop.

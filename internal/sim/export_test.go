@@ -6,12 +6,7 @@ import "fmt"
 // request, once the pending list is applied the way the next step will
 // apply it, differs from the route entry of its queue front. The engine is
 // not modified.
-func HeadsError(e *Engine) error { return e.replica.headsError() }
-
-// ReplicaHeadsError is HeadsError for replica i of a set.
-func ReplicaHeadsError(rs *ReplicaSet, i int) error { return rs.reps[i].headsError() }
-
-func (e *replica) headsError() error {
+func HeadsError(e *Engine) error {
 	heads := map[int32]txRequest{}
 	for _, u := range e.active {
 		heads[u] = e.headReq[u]

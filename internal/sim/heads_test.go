@@ -20,12 +20,11 @@ func TestDeferredHeadsMatchRoutes(t *testing.T) {
 		return faults.Wrap(base, faults.Random(faults.KindNode, 3, 60, base, 5))
 	}
 	for _, tc := range []struct {
-		name     string
-		topo     func() sim.Topology
-		cfg      sim.Config
-		rate     float64
-		replicas int // > 0 runs a ReplicaSet of that many seeds instead
-		check    func(m sim.Metrics) bool
+		name  string
+		topo  func() sim.Topology
+		cfg   sim.Config
+		rate  float64
+		check func(m sim.Metrics) bool
 	}{
 		{name: "serial W=1", cfg: sim.Config{Seed: 1}, rate: 0.3,
 			check: func(m sim.Metrics) bool { return m.Delivered > 0 && m.PeakQueue > 1 }},
@@ -37,8 +36,6 @@ func TestDeferredHeadsMatchRoutes(t *testing.T) {
 			check: func(m sim.Metrics) bool { return m.Dropped > 0 }},
 		{name: "fault events", topo: nodeFaults, cfg: sim.Config{Seed: 5}, rate: 0.4,
 			check: func(m sim.Metrics) bool { return m.Unroutable > 0 && m.LostToFaults > 0 }},
-		{name: "ReplicaSet", cfg: sim.Config{Seed: 8, MaxQueue: 3}, rate: 0.5, replicas: 3,
-			check: func(m sim.Metrics) bool { return m.Delivered > 0 && m.Dropped > 0 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			topo := sim.Topology(base)
@@ -55,49 +52,18 @@ func TestDeferredHeadsMatchRoutes(t *testing.T) {
 				}
 			}
 			const slots, drain = 150, 400
-			var ms []sim.Metrics
-			if tc.replicas > 0 {
-				rs := sim.NewReplicaSet(topo)
-				specs := make([]sim.ReplicaSpec, tc.replicas)
-				for i := range specs {
-					cfg := tc.cfg
-					cfg.Seed += int64(i)
-					specs[i] = sim.ReplicaSpec{Config: cfg, Traffic: sim.UniformTraffic{Rate: tc.rate}, Slots: slots, Drain: drain, StreamGroup: -1}
+			e := sim.NewEngine(topo, tc.cfg)
+			for s := 0; s < slots+drain && (s < slots || e.Backlog() > 0); s++ {
+				if s < slots {
+					inject(e.Inject)
 				}
-				rs.Configure(specs)
-				for s := 0; s < slots+drain; s++ {
-					for i := range specs {
-						if s < slots || i == 0 { // replica 0 keeps receiving, the others drain
-							inject(func(src, dst int) { rs.Inject(i, src, dst) })
-						}
-					}
-					rs.StepAll()
-					for i := range specs {
-						if err := sim.ReplicaHeadsError(rs, i); err != nil {
-							t.Fatalf("replica %d: %v", i, err)
-						}
-					}
+				e.Step()
+				if err := sim.HeadsError(e); err != nil {
+					t.Fatal(err)
 				}
-				for i := range specs {
-					ms = append(ms, rs.Metrics(i))
-				}
-			} else {
-				e := sim.NewEngine(topo, tc.cfg)
-				for s := 0; s < slots+drain && (s < slots || e.Backlog() > 0); s++ {
-					if s < slots {
-						inject(e.Inject)
-					}
-					e.Step()
-					if err := sim.HeadsError(e); err != nil {
-						t.Fatal(err)
-					}
-				}
-				ms = append(ms, e.Metrics())
 			}
-			for i, m := range ms {
-				if !tc.check(m) {
-					t.Errorf("run %d did not exercise %s: %v", i, tc.name, m)
-				}
+			if m := e.Metrics(); !tc.check(m) {
+				t.Errorf("run did not exercise %s: %v", tc.name, m)
 			}
 		})
 	}

@@ -1,6 +1,6 @@
 package sim
 
-// Engine observability: the replica core accumulates plain local tallies
+// Engine observability: the engine accumulates plain local tallies
 // while it steps (no atomics, no locks, no interface calls — the hot
 // path's overhead contract) and flushes them into the shared obs.Default
 // registry once per completed scenario, through a counter shard picked at
@@ -32,11 +32,9 @@ var engineObs = struct {
 	activeNodes *obs.Counter
 	touched     *obs.Counter
 	queueDepth  *obs.Histogram
-	batchRuns   *obs.Counter
-	batchSize   *obs.Histogram
 }{
 	scenarios: obs.Default().Counter("netsim_engine_scenarios_total",
-		"Completed engine scenarios (Engine.Run and retired ReplicaSet replicas)."),
+		"Completed engine scenarios (Engine.Run)."),
 	slots: obs.Default().Counter("netsim_engine_slots_total",
 		"Simulated slots across completed scenarios."),
 	injected: obs.Default().Counter("netsim_engine_messages_injected_total",
@@ -54,14 +52,9 @@ var engineObs = struct {
 	queueDepth: obs.Default().Histogram("netsim_engine_queue_depth",
 		"Queue length observed at each enqueue, across completed scenarios.",
 		[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}),
-	batchRuns: obs.Default().Counter("netsim_engine_batch_runs_total",
-		"ReplicaSet.RunAll batch executions."),
-	batchSize: obs.Default().Histogram("netsim_engine_batch_replicas",
-		"Replicas configured per ReplicaSet batch (per-replica batch utilization).",
-		[]float64{1, 2, 4, 8, 16, 32}),
 }
 
-// obsState is the replica's embedded local tally block. Everything here
+// obsState is the engine's embedded local tally block. Everything here
 // is plain memory written by exactly one goroutine; flush pushes it into
 // the sharded registry counters and re-zeros it.
 type obsState struct {
@@ -85,9 +78,9 @@ func qDepthBucket(d int) int {
 // flushObs publishes the scenario's tallies into the registry — a dozen
 // sharded atomic adds once per scenario, nothing per slot — and re-zeros
 // the local block for the next scenario. Called when a run completes
-// (Engine.Run, ReplicaSet retirement); manually stepped engines
-// accumulate until their next completed run.
-func (e *replica) flushObs() {
+// (Engine.Run); manually stepped engines accumulate until their next
+// completed run.
+func (e *Engine) flushObs() {
 	sh := e.obs.shard
 	engineObs.scenarios.AddShard(sh, 1)
 	engineObs.slots.AddShard(sh, int64(e.slot))
@@ -138,12 +131,12 @@ func (e *Engine) SetTrace(t *obs.Trace) { e.trace = t }
 
 // traceSampled reports whether the current slot is sampled; called only
 // when e.trace != nil.
-func (e *replica) traceSampled() bool {
+func (e *Engine) traceSampled() bool {
 	return e.slot%e.trace.SampleEvery() == 0
 }
 
 // emitTraceSlot writes the sampled slot's summary line.
-func (e *replica) emitTraceSlot() {
+func (e *Engine) emitTraceSlot() {
 	e.trace.Emit(TraceSlotEvent{
 		Kind:        "slot",
 		Slot:        e.slot,

@@ -3,7 +3,7 @@ package sim
 // Engine observability tests: the NDJSON trace export (sampling, event
 // schema, consistency with the run's metrics), the queue-depth bucket
 // mapping against the registered histogram, and the once-per-scenario
-// flush contract on both the solo-engine and ReplicaSet paths.
+// flush contract of Engine.Run.
 
 import (
 	"bytes"
@@ -120,11 +120,10 @@ func TestTraceSingleRun(t *testing.T) {
 	}
 }
 
-// TestObsFlushOnRunAndRetirement checks the once-per-scenario flush on
-// both execution paths: a solo Engine.Run and ReplicaSet retirement must
-// each publish their scenario's tallies into the shared registry. Deltas
-// are >=-checks because the registry is process-global.
-func TestObsFlushOnRunAndRetirement(t *testing.T) {
+// TestObsFlushOnRun checks the once-per-scenario flush: a completed
+// Engine.Run must publish its scenario's tallies into the shared
+// registry. Deltas are >=-checks because the registry is process-global.
+func TestObsFlushOnRun(t *testing.T) {
 	topo := skTopology(3, 2, 2)
 	before := engineObs.scenarios.Value()
 	beforeDelivered := engineObs.delivered.Value()
@@ -138,20 +137,5 @@ func TestObsFlushOnRunAndRetirement(t *testing.T) {
 	}
 	if d := engineObs.slots.Value() - beforeSlots; d < int64(m.Slots) {
 		t.Fatalf("slots counter moved %d, want >= %d", d, m.Slots)
-	}
-
-	before = engineObs.scenarios.Value()
-	beforeBatches := engineObs.batchRuns.Value()
-	rs := NewReplicaSet(topo)
-	rs.Configure([]ReplicaSpec{
-		{Config: Config{Seed: 4}, Traffic: UniformTraffic{Rate: 0.2}, Slots: 50, Drain: 50, StreamGroup: -1},
-		{Config: Config{Seed: 5}, Traffic: UniformTraffic{Rate: 0.5}, Slots: 80, Drain: 80, StreamGroup: -1},
-	})
-	rs.RunAll()
-	if d := engineObs.scenarios.Value() - before; d < 2 {
-		t.Fatalf("batch of 2 flushed %d scenarios, want >= 2", d)
-	}
-	if d := engineObs.batchRuns.Value() - beforeBatches; d < 1 {
-		t.Fatalf("batch runs counter moved %d, want >= 1", d)
 	}
 }

@@ -21,10 +21,10 @@ type Traffic interface {
 
 // UniformRater is implemented by traffic models whose Generate is exactly
 // the uniform Bernoulli model at some per-node rate (bit-for-bit the RNG
-// consumption of UniformTraffic). Engine and ReplicaSet runs draw such
-// models through a UniformStream instead of calling Generate: the same
-// injections from the same seed, at a few cycles per node. So only
-// declare it on models with precisely that Generate behavior.
+// consumption of UniformTraffic). Engine.Run draws such models through a
+// UniformStream instead of calling Generate: the same injections from the
+// same seed, at a few cycles per node. So only declare it on models with
+// precisely that Generate behavior.
 type UniformRater interface {
 	UniformRate() float64
 }

@@ -85,18 +85,6 @@ func TestGoldenSweepOutputStability(t *testing.T) {
 	compareGolden(t, render(t, results), "single-process run")
 }
 
-func TestGoldenOutputFromBatchedRun(t *testing.T) {
-	if *update {
-		t.Skip("goldens are written by TestGoldenSweepOutputStability")
-	}
-	// Batched execution must reproduce the golden bytes exactly, for every
-	// dispatch shape: fixed batch sizes and the auto heuristic.
-	for _, rep := range []int{3, sweep.AutoReplicas} {
-		results := sweep.Runner{Workers: 2, Replicas: rep}.Run(serviceGrid().Points())
-		compareGolden(t, render(t, results), "batched run")
-	}
-}
-
 func TestGoldenOutputFromShardedRun(t *testing.T) {
 	if *update {
 		t.Skip("goldens are written by TestGoldenSweepOutputStability")

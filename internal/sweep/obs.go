@@ -1,6 +1,6 @@
 package sweep
 
-// Sweep observability: per-point and per-batch counters feeding the
+// Sweep observability: per-point counters feeding the
 // shared obs.Default registry. Each worker goroutine takes one counter
 // shard at construction (obs.NextShard) so a saturated pool increments
 // private cache lines; aggregation happens only when the registry is
@@ -17,7 +17,6 @@ var sweepObs = struct {
 	completed *obs.Counter
 	cached    *obs.Counter
 	busyNS    *obs.Counter
-	batchSize *obs.Histogram
 }{
 	started: obs.Default().Counter("netsim_sweep_points_started_total",
 		"Grid points picked up by a sweep worker (computed, cached or skipped)."),
@@ -27,7 +26,4 @@ var sweepObs = struct {
 		"Grid points served from the result cache without touching an engine."),
 	busyNS: obs.Default().Counter("netsim_sweep_worker_busy_ns_total",
 		"Wall-clock nanoseconds sweep workers spent executing engines."),
-	batchSize: obs.Default().Histogram("netsim_sweep_batch_points",
-		"Cache-missing points executed per ReplicaSet batch in batched dispatch.",
-		[]float64{1, 2, 4, 8, 16}),
 }

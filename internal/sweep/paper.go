@@ -1,7 +1,5 @@
 package sweep
 
-import "strings"
-
 // ComparableScaleTrioSpecs describes the paper's §5-style comparison set
 // at equal scale: SK(6,3,2) with N=72, POPS(9,8) with N=72, and the
 // point-to-point de Bruijn(3,4) baseline with N=81. cmd/netsim ("-net
@@ -9,20 +7,4 @@ import "strings"
 // definition so it cannot drift.
 func ComparableScaleTrioSpecs() []TopoSpec {
 	return []TopoSpec{{Net: "sk", S: 6, D: 3, K: 2}, {Net: "pops", T: 9, G: 8}, {Net: "debruijn", D: 3, K: 4}}
-}
-
-// ComparableScaleTrio builds the trio under its short names ("SK(6,3,2)",
-// "POPS(9,8)", "deBruijn(3,4)"). Group sizes (s, t, none) parameterize
-// group-structured workloads.
-func ComparableScaleTrio() []Topology {
-	var trio []Topology
-	for _, ts := range ComparableScaleTrioSpecs() {
-		t, err := ts.Build()
-		if err != nil {
-			panic(err) // the specs are constants
-		}
-		t.Name, _, _ = strings.Cut(t.Name, " ")
-		trio = append(trio, t)
-	}
-	return trio
 }

@@ -238,6 +238,32 @@ func TestRunCachedWarmRunComputesNothing(t *testing.T) {
 			t.Fatalf("point %d: cached results drifted from uncached run", i)
 		}
 	}
+
+	// Partially warm: a cache holding every other point computes and
+	// stores exactly the rest.
+	half := newMapCache()
+	for i, p := range points {
+		if i%2 == 0 {
+			half.m[p.CacheKey()] = cache.m[p.CacheKey()]
+		}
+	}
+	hits := make([]bool, len(points))
+	mixed, err := sweep.Runner{Workers: 2}.RunCached(context.Background(), points, half, func(i int, res sweep.Result, hit bool) {
+		mu.Lock()
+		hits[i] = hit
+		mu.Unlock()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if half.stores != len(points)/2 {
+		t.Fatalf("partially warm run stored %d points, want %d", half.stores, len(points)/2)
+	}
+	for i := range points {
+		if hits[i] != (i%2 == 0) || mixed[i].Metrics != want[i].Metrics {
+			t.Fatalf("partially warm point %d: hit %v, metrics match %v", i, hits[i], mixed[i].Metrics == want[i].Metrics)
+		}
+	}
 }
 
 func TestRunCachedProgressCoversEveryPoint(t *testing.T) {

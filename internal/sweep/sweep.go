@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"otisnet/internal/faults"
@@ -203,17 +204,16 @@ type Result struct {
 
 // Runner executes scenarios across a pool of goroutines. Each scenario
 // steps through the engine's one serial slot loop; a sweep's parallelism
-// is the point worker pool (Workers) and replica batching (Replicas).
+// is the point worker pool (Workers).
 type Runner struct {
 	// Workers is the pool size; <= 0 means GOMAXPROCS.
 	Workers int
-	// Replicas is the batch size: how many scenarios a worker runs
-	// simultaneously on one sim.ReplicaSet over a shared compiled
-	// topology (see batch.go). 0 or 1 selects per-scenario dispatch;
-	// AutoReplicas picks a batch size from the grid shape and worker
-	// count. Results are bit-for-bit identical either way.
+	// Deprecated: ignored; every point runs on its worker's reused Engine.
 	Replicas int
 }
+
+// Deprecated: ignored, like Runner.Replicas.
+const AutoReplicas = -1
 
 func (r Runner) workers() int {
 	if r.Workers > 0 {
@@ -261,18 +261,13 @@ type Progress func(i int, res Result, cached bool)
 // progress may be nil. Cancellation has per-point granularity: in-flight
 // scenarios finish (and are cached), unstarted ones are skipped, and the
 // error reports ctx.Err() with the returned slice holding zero Metrics for
-// every skipped point. With Replicas > 1 (or AutoReplicas) scenarios are
-// dispatched in batches over shared compiled topologies — identical
-// results, identical cache traffic, batch-granular cancellation.
+// every skipped point.
 func (r Runner) RunCached(ctx context.Context, points []Scenario, cache PointCache, progress Progress) ([]Result, error) {
-	if r.Replicas > 1 || r.Replicas == AutoReplicas {
-		return r.runBatched(ctx, points, cache, progress)
-	}
 	results := make([]Result, len(points))
-	err := r.fanScopedCtx(ctx, len(points), func() (func(int), func()) {
+	err := r.fan(ctx, len(points), func() func(int) {
 		engines := &engineCache{}
 		sh := obs.NextShard()
-		fn := func(i int) {
+		return func(i int) {
 			sweepObs.started.AddShard(sh, 1)
 			p := points[i]
 			key := ""
@@ -299,7 +294,6 @@ func (r Runner) RunCached(ctx context.Context, points []Scenario, cache PointCac
 				progress(i, results[i], false)
 			}
 		}
-		return fn, nil
 	})
 	return results, err
 }
@@ -387,7 +381,7 @@ func (r Runner) Saturate(g Grid, slots int, sustainFraction float64, seed int64)
 			}
 		}
 	}
-	r.fan(len(pts), func(i int) {
+	fn := func(i int) {
 		cfg := sim.Config{
 			Seed:        seed,
 			MaxQueue:    g.MaxQueue,
@@ -395,60 +389,35 @@ func (r Runner) Saturate(g Grid, slots int, sustainFraction float64, seed int64)
 			Wavelengths: pts[i].Wavelengths,
 		}
 		pts[i].Rate = sim.SaturationSearch(topos[i], slots, sustainFraction, cfg)
-	})
+	}
+	r.fan(context.Background(), len(pts), func() func(int) { return fn })
 	return pts
 }
 
-// fan runs fn(0..n-1) across the worker pool and waits for completion.
-func (r Runner) fan(n int, fn func(i int)) {
-	r.fanScoped(n, func() (func(int), func()) { return fn, nil })
-}
-
-// fanScoped runs fn(0..n-1) across the worker pool, building one private
-// state (e.g. an engine cache) per worker goroutine via newWorker, and
-// waits for completion.
-func (r Runner) fanScoped(n int, newWorker func() (func(i int), func())) {
-	r.fanScopedCtx(context.Background(), n, newWorker)
-}
-
-// fanScopedCtx is fanScoped with cooperative cancellation: once ctx is
-// done, no further indices are handed out (indices already claimed by a
-// worker finish normally) and ctx.Err() is returned. newWorker returns
-// the per-index body plus an optional teardown, run when the worker
-// drains — the hook that returns warmed replica sets to the recycler.
-func (r Runner) fanScopedCtx(ctx context.Context, n int, newWorker func() (func(i int), func())) error {
-	workers := r.workers()
-	if workers > n {
-		workers = n
-	}
-	if n == 0 {
-		return ctx.Err()
-	}
-	idx := make(chan int)
+// fan runs the indices 0..n-1 across the worker pool and waits for
+// completion. Each worker goroutine builds its private body with
+// newWorker (e.g. over an engine cache) and claims indices one at a time
+// from a shared counter, which costs no goroutine handoff per point (a
+// warm-cache point is only a lookup). Once ctx is done no further indices
+// are claimed (indices already claimed finish normally) and ctx.Err() is
+// returned.
+func (r Runner) fan(ctx context.Context, n int, newWorker func() func(i int)) error {
+	var next atomic.Int64 // indices claimed so far
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(r.workers(), n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			fn, done := newWorker()
-			if done != nil {
-				defer done()
-			}
-			for i := range idx {
+			fn := newWorker()
+			for ctx.Err() == nil {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
 				fn(i)
 			}
 		}()
 	}
-	done := ctx.Done()
-feed:
-	for i := 0; i < n; i++ {
-		select {
-		case idx <- i:
-		case <-done:
-			break feed
-		}
-	}
-	close(idx)
 	wg.Wait()
 	return ctx.Err()
 }

@@ -2,14 +2,15 @@ package sweep_test
 
 // Trace workloads through the sweep service layers: the checked-in
 // example traces must produce bit-for-bit identical metrics across a solo
-// run, batched ReplicaSet dispatch, a sharded run merged back, and a
-// warm-cache rerun; and the content-addressed cache key must track trace
-// bytes, not trace paths.
+// run, other worker counts, a sharded run merged back, and a warm-cache
+// rerun; and the content-addressed cache key must track trace bytes, not
+// trace paths.
 
 import (
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"otisnet/internal/sim"
@@ -51,7 +52,7 @@ func traceGrid(t *testing.T) sweep.Grid {
 	}
 }
 
-func TestTraceSweepSoloBatchedShardedBitForBit(t *testing.T) {
+func TestTraceSweepSoloWorkersShardedBitForBit(t *testing.T) {
 	grid := traceGrid(t)
 	points := grid.Points()
 	solo := sweep.Runner{}.Run(points)
@@ -65,14 +66,11 @@ func TestTraceSweepSoloBatchedShardedBitForBit(t *testing.T) {
 		t.Fatalf("solo sweep diverged from direct run:\nsweep:  %v\ndirect: %v", solo[0].Metrics, direct)
 	}
 
-	for name, runner := range map[string]sweep.Runner{
-		"batched-3":    {Workers: 2, Replicas: 3},
-		"auto-batched": {Workers: 3, Replicas: sweep.AutoReplicas},
-	} {
-		got := runner.Run(points)
+	for _, workers := range []int{1, 3} {
+		got := sweep.Runner{Workers: workers}.Run(points)
 		for i := range solo {
 			if got[i].Metrics != solo[i].Metrics {
-				t.Fatalf("%s: point %d (%s) diverged from solo run", name, i, points[i].Label())
+				t.Fatalf("workers=%d: point %d (%s) diverged from solo run", workers, i, points[i].Label())
 			}
 		}
 	}
@@ -83,7 +81,7 @@ func TestTraceSweepSoloBatchedShardedBitForBit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		shardRows = append(shardRows, shard.ShardResults(sweep.Runner{Replicas: sweep.AutoReplicas}.Run(shard.Points)))
+		shardRows = append(shardRows, shard.ShardResults(sweep.Runner{}.Run(shard.Points)))
 	}
 	merged, err := sweep.MergeShardResults(points, shardRows...)
 	if err != nil {
@@ -169,21 +167,31 @@ func TestTraceCacheKeyTracksContent(t *testing.T) {
 
 // TestGoldenTraceReplayOutput pins the "datacenter day" experiment: the
 // paper trio replaying the checked-in example day trace renders byte for
-// byte the golden curve (regenerate deliberately with -update).
+// byte the golden curve (regenerate deliberately with -update). Rows carry
+// the trio's short names ("SK(6,3,2)", "POPS(9,8)", "deBruijn(3,4)").
 func TestGoldenTraceReplayOutput(t *testing.T) {
 	spec, err := workload.NewTraceSpec(exampleRateTrace)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var trio []sweep.Topology
+	for _, ts := range sweep.ComparableScaleTrioSpecs() {
+		topo, err := ts.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		topo.Name, _, _ = strings.Cut(topo.Name, " ")
+		trio = append(trio, topo)
+	}
 	grid := sweep.Grid{
-		Topologies: sweep.ComparableScaleTrio(),
+		Topologies: trio,
 		Rates:      []float64{1},
 		Seeds:      []int64{1, 2},
 		Slots:      300,
 		Drain:      300,
 		Workloads:  []workload.Spec{spec},
 	}
-	results := sweep.Runner{Replicas: sweep.AutoReplicas}.Run(grid.Points())
+	results := sweep.Runner{}.Run(grid.Points())
 	rendered := render(t, results)
 	golden := map[string][]byte{"golden_trace_curve.csv": rendered["golden_curve.csv"]}
 	compareGolden(t, golden, "trace replay")

@@ -142,7 +142,6 @@ type StreamEvent struct {
 type job struct {
 	id       string
 	points   []sweep.Scenario
-	runner   sweep.Runner // the server runner, with any per-grid replicas override
 	cancel   context.CancelFunc
 	started  time.Time
 	coordJob *coordinator.Job // non-nil for distributed (sharded) jobs
@@ -200,15 +199,8 @@ func (s *Server) submit(spec GridSpec) (*job, error) {
 	if spec.Shards > 0 {
 		return s.submitDistributed(spec, points)
 	}
-	runner := s.runner
-	if spec.Replicas != nil {
-		if r := *spec.Replicas; r < sweep.AutoReplicas {
-			return nil, fmt.Errorf("replicas %d invalid (want -1 for auto, 0/1 for off, or >= 2)", r)
-		}
-		runner.Replicas = *spec.Replicas
-	}
 	ctx, cancel := context.WithCancel(context.Background())
-	j := &job{points: points, runner: runner, cancel: cancel, state: stateRunning, started: time.Now()}
+	j := &job{points: points, cancel: cancel, state: stateRunning, started: time.Now()}
 	j.cond = sync.NewCond(&j.mu)
 	s.mu.Lock()
 	s.seq++
@@ -217,7 +209,7 @@ func (s *Server) submit(spec GridSpec) (*job, error) {
 	s.mu.Unlock()
 	serverObs.submitted.Add(1)
 	serverObs.running.Add(1)
-	s.logger().Info("sweep submitted", "job_id", j.id, "points", len(points), "replicas", runner.Replicas)
+	s.logger().Info("sweep submitted", "job_id", j.id, "points", len(points))
 	go s.run(ctx, j)
 	return j, nil
 }
@@ -313,7 +305,7 @@ func (s *Server) logger() *slog.Logger {
 
 // run executes the job's points and drives its event log.
 func (s *Server) run(ctx context.Context, j *job) {
-	results, err := j.runner.RunCached(ctx, j.points, s.cache, func(i int, res sweep.Result, cached bool) {
+	results, err := s.runner.RunCached(ctx, j.points, s.cache, func(i int, res sweep.Result, cached bool) {
 		ev := StreamEvent{Index: i, Cached: cached, Record: sweep.NewRecord(res)}
 		j.mu.Lock()
 		j.events = append(j.events, ev)

@@ -153,31 +153,6 @@ func TestSubmitStreamAndCurve(t *testing.T) {
 	}
 }
 
-// TestBatchedSubmissionMatchesDirectRun submits the grid with the
-// batched-dispatch override and requires every served record to equal the
-// per-scenario in-process run — the service-level face of the ReplicaSet
-// bit-for-bit contract.
-func TestBatchedSubmissionMatchesDirectRun(t *testing.T) {
-	ts := newTestServer(t)
-	spec := testSpec()
-	auto := -1
-	spec.Replicas = &auto
-	st := submit(t, ts, spec)
-
-	grid, err := spec.Grid()
-	if err != nil {
-		t.Fatal(err)
-	}
-	points := grid.Points()
-	want := sweep.Runner{}.Run(points)
-	for _, ev := range stream(t, ts, st.ID) {
-		if ev.Record != sweep.NewRecord(want[ev.Index]) {
-			t.Fatalf("batched point %d: served record %+v differs from direct run %+v",
-				ev.Index, ev.Record, sweep.NewRecord(want[ev.Index]))
-		}
-	}
-}
-
 func TestResubmissionAnswersFromCache(t *testing.T) {
 	ts := newTestServer(t)
 	spec := testSpec()
@@ -269,7 +244,7 @@ func TestBadRequests(t *testing.T) {
 		"bad mperiod":    {`{"topologies":[{"net":"sk"}],"workloads":[{"kind":"multiperiod","amplitude":2}]}`, "workload: multiperiod amplitude 2 outside [0,1]"},
 		"bad fault":      {`{"topologies":[{"net":"sk"}],"faults":[{"kind":"node","count":1,"mtbf":5}]}`, "faults: mtbf and mttr must be set together"},
 		"bad fault kind": {`{"topologies":[{"net":"sk"}],"faults":[{"kind":"laser","count":1}]}`, `unknown fault kind "laser" (want node, coupler or tx)`},
-		"bad replicas":   {`{"topologies":[{"net":"sk"}],"replicas":-3}`, "replicas -3 invalid (want -1 for auto, 0/1 for off, or >= 2)"},
+		"replicas":       {`{"topologies":[{"net":"sk"}],"replicas":3}`, `json: unknown field "replicas"`},
 		"neg slots":      {`{"topologies":[{"net":"sk"}],"slots":-5}`, "slots -5 negative"},
 		"neg drain":      {`{"topologies":[{"net":"sk"}],"drain":-1}`, "drain -1 negative"},
 		"neg max_queue":  {`{"topologies":[{"net":"sk"}],"max_queue":-2}`, "max_queue -2 negative"},

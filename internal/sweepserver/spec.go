@@ -30,11 +30,6 @@ type GridSpec struct {
 	Drain       int              `json:"drain,omitempty"`
 	Workloads   []WorkloadSpec   `json:"workloads,omitempty"`
 	Faults      []FaultSpec      `json:"faults,omitempty"`
-	// Replicas overrides the server's batched-dispatch setting for this
-	// grid: -1 sizes batches automatically (sweep.AutoReplicas), 0 or 1
-	// keeps per-scenario dispatch, >= 2 pins the batch size. Absent means
-	// the server default. Results are bit-for-bit identical either way.
-	Replicas *int `json:"replicas,omitempty"`
 	// Shards > 0 runs the grid distributed: the point list splits into
 	// this many leased shards executed by `netsim work` processes through
 	// the coordinator (internal/coordinator) instead of the in-process

@@ -128,14 +128,6 @@ func (s Spec) Label() string {
 // injecting at the given per-node rate. Each call returns an independent
 // generator, safe for one concurrent scenario each (KindBursty is
 // stateful).
-//
-// Because generation state lives here — never in the engine — a batched
-// run (sim.ReplicaSet) can drive one generator per stream group rather
-// than per replica: scenarios with equal Spec, rate, seed and slot count
-// consume bit-for-bit the same schedule, so the batch draws it once and
-// fans the injections to every member. A spec's generator scratch
-// (KindBursty's on/off phase) is then per group, armed fresh by each
-// sweep batch exactly as a solo run arms it per scenario.
 func (s Spec) New(rate float64, n, groupSize int) sim.Traffic {
 	switch s.Kind {
 	case KindTranspose:
