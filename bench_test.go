@@ -563,6 +563,41 @@ func BenchmarkSweepCachedGrid(b *testing.B) {
 	}
 }
 
+// BenchmarkCacheKey hashes one point of the paper-trio grid (SK(6,3,2),
+// hotspot workload, a 2-node fault at slot 500) — the key every warm
+// lease looks up, and the server's merge checks once per row. The
+// strconv sub-benchmark is sweep.Scenario.CacheKey (contract: at most
+// 1 alloc/op); fmt-oracle is the fmt.Fprintf encoder it replaced
+// (cachekey_test.go), for the speedup in the same run.
+func BenchmarkCacheKey(b *testing.B) {
+	topo, err := sweep.TopoSpec{Net: "sk", S: 6, D: 3, K: 2}.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := sweep.Scenario{Topology: topo, Rate: 0.3, Seed: 1, Mode: sweep.Deflection, Wavelengths: 2,
+		Slots: 2000, Drain: 1000,
+		Fault:    faults.Spec{Kind: faults.KindNode, Count: 2, Slot: 500},
+		Workload: workload.Spec{Kind: workload.KindHotspot, HotGroup: 1, Fraction: 0.4}}
+	if p.CacheKey() != fmtCacheKey(p) { // also memoizes the fingerprint
+		b.Fatal("CacheKey disagrees with the fmt oracle")
+	}
+	for _, enc := range []struct {
+		name string
+		key  func(sweep.Scenario) string
+	}{{"strconv", sweep.Scenario.CacheKey}, {"fmt-oracle", fmtCacheKey}} {
+		b.Run(enc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var key string
+			for i := 0; i < b.N; i++ {
+				key = enc.key(p)
+			}
+			if len(key) != 64 {
+				b.Fatalf("key %q is not a hex sha256", key)
+			}
+		})
+	}
+}
+
 // BenchmarkT8OTISAsII identifies OTIS(3,12) with II(3,12) and re-verifies
 // Proposition 1 (the conclusion's corollary).
 func BenchmarkT8OTISAsII(b *testing.B) {

@@ -57,10 +57,10 @@ func runArgsCases(t *testing.T, cases []argsCase) {
 	}
 }
 
-func writeEventTrace(t *testing.T) string {
+func writeTrace(t *testing.T, content string) string {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "ev.csv")
-	if err := os.WriteFile(path, []byte("0,1,2\n2,3,4\n"), 0o644); err != nil {
+	path := filepath.Join(t.TempDir(), "trace.csv")
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -69,7 +69,8 @@ func writeEventTrace(t *testing.T) string {
 // TestBadFlags pairs every rejected command line with its exact error and
 // exit status: 2 for a bad command line, 1 for a run that fails.
 func TestBadFlags(t *testing.T) {
-	ev := writeEventTrace(t)
+	ev := writeTrace(t, "0,1,2\n2,3,4\n")
+	nan := writeTrace(t, "0,0.2\n5,NaN\n")
 	missing := filepath.Join(t.TempDir(), "missing.ndjson")
 	small := []string{"-net", "sk", "-s", "2", "-d", "2", "-k", "2"}
 	sk := func(args ...string) []string { return append(append([]string{}, small...), args...) }
@@ -164,6 +165,8 @@ func TestBadFlags(t *testing.T) {
 			"event-form trace workloads replay verbatim; omit rates (or use a rates-form trace to scale)", 2},
 		{"event trace with uniform", sk("-sweep", "-workload", "trace,uniform", "-tracefile", ev),
 			"event-form trace workloads cannot share a grid with rate-driven workloads (the rate axis applies to all)", 2},
+		{"NaN trace rate", sk("-workload", "trace", "-tracefile", nan),
+			"workload: trace " + nan + `:2: bad rate "NaN" (want a probability in [0,1])`, 2},
 
 		// Collective replay.
 		{"collective rate", []string{"-workload", "collective", "-rate", "0.1"}, "-rate does not apply to the collective replay workload", 2},

@@ -186,18 +186,30 @@ func TestChaosWorkerDeathsMergeBitForBit(t *testing.T) {
 	workers := make([]*chaosWorker, fleet)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var wg sync.WaitGroup
-	for i := range workers {
-		cw := &chaosWorker{name: fmt.Sprintf("w%d", i)}
-		if doomed[i] {
-			cw.kill = 1 // die on the first computed point
-		}
-		workers[i] = cw
-		wg.Add(1)
+	// The doomed workers start first and the survivors only once every
+	// doomed worker has died, so each death happens mid-shard on a point
+	// of its own: started together, the survivors could drain every shard
+	// before a doomed worker leased one.
+	var doomedWG, wg sync.WaitGroup
+	start := func(cw *chaosWorker, group *sync.WaitGroup) {
+		group.Add(1)
 		go func() {
-			defer wg.Done()
+			defer group.Done()
 			cw.run(ctx, t, ts.URL, cache)
 		}()
+	}
+	for i := range workers {
+		workers[i] = &chaosWorker{name: fmt.Sprintf("w%d", i)}
+		if doomed[i] {
+			workers[i].kill = 1 // die on the first computed point
+			start(workers[i], &doomedWG)
+		}
+	}
+	doomedWG.Wait()
+	for i, cw := range workers {
+		if !doomed[i] {
+			start(cw, &wg)
+		}
 	}
 
 	results := waitDone(t, job, done)

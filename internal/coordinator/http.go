@@ -77,19 +77,29 @@ func (c *Coordinator) Mount(mux *http.ServeMux) {
 	mux.HandleFunc("POST /api/v1/workers/heartbeat", c.handleHeartbeat)
 }
 
-// decodeJSON decodes a lease request body into v: exactly one JSON value,
-// with no unknown fields, naming a non-empty worker (worker points into
-// v). Any other body is answered 400 and decodeJSON returns false.
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any, worker *string) bool {
-	dec := json.NewDecoder(r.Body)
+// DecodeStrict decodes exactly one JSON value from r into v, rejecting
+// unknown fields and any bytes after the value. Every JSON request body
+// the service accepts — the lease endpoints here and the sweep server's
+// grid submissions — is read through it.
+func DecodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	err := dec.Decode(v)
-	if err == nil {
-		if _, tail := dec.Token(); tail != io.EOF {
-			err = errors.New("trailing data after the JSON value")
-		} else if *worker == "" {
-			err = errors.New("empty worker")
-		}
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
+}
+
+// decodeJSON decodes a lease request body into v with DecodeStrict and
+// requires it to name a non-empty worker (worker points into v). Any
+// other body is answered 400 and decodeJSON returns false.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any, worker *string) bool {
+	err := DecodeStrict(r.Body, v)
+	if err == nil && *worker == "" {
+		err = errors.New("empty worker")
 	}
 	if err != nil {
 		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)

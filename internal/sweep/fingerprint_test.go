@@ -38,6 +38,7 @@ func TestFingerprintsAndCacheKeysPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	const traceFP = "9f86d081884c7d659a2feaa0c55ad015a3bf4f1b2b0b822cd15d6c15b0f00a08"
 	for _, tc := range []struct {
 		sc  sweep.Scenario
 		key string
@@ -46,6 +47,29 @@ func TestFingerprintsAndCacheKeysPinned(t *testing.T) {
 		{sweep.Scenario{Topology: topo, Rate: 0.35, Seed: 97, Mode: sweep.Deflection, Wavelengths: 2, MaxQueue: 8, Slots: 200, Drain: 500,
 			Fault:    faults.Spec{Kind: faults.KindNode, Count: 2, Slot: 50},
 			Workload: workload.Spec{Kind: workload.KindHotspot, HotGroup: 1, Fraction: 0.3}}, "599910d995018a350bcff6f77992c6d1fb1d1231ac4b56a622af1d3d67b1786c"},
+		{sweep.Scenario{Topology: topo, Rate: 0.3, Seed: 2, Slots: 300, Drain: 300,
+			Workload: workload.Spec{Kind: workload.KindTranspose}}, "966a1471cfb03549900a779ed078a02b898ce7ed74c8928a57ac0f5f2fe14a67"},
+		{sweep.Scenario{Topology: topo, Rate: 0.25, Seed: 3, Wavelengths: 3, Slots: 400, Drain: 100,
+			Workload: workload.Spec{Kind: workload.KindBursty, MeanOn: 20, MeanOff: 80, OffFactor: 0.1}}, "7a6bd5daa46b26e3dc467f4a97226e0efd15208559393a4c4a80ddb8545142c8"},
+		// An events trace replays verbatim, so its rate normalizes to 1.
+		{sweep.Scenario{Topology: topo, Rate: 0.4, Seed: 4, Slots: 100, Drain: 100,
+			Workload: workload.Spec{Kind: workload.KindTrace, TraceForm: workload.TraceEvents, TraceFP: traceFP}}, "50a7210ad74b0418ebbf9ab9e6faedbbc6055025ff43d8851b1a9348c6e8d825"},
+		{sweep.Scenario{Topology: topo, Rate: 1, Seed: 4, Slots: 100, Drain: 100,
+			Workload: workload.Spec{Kind: workload.KindTrace, TraceForm: workload.TraceEvents, TraceFP: traceFP}}, "50a7210ad74b0418ebbf9ab9e6faedbbc6055025ff43d8851b1a9348c6e8d825"},
+		// A rates trace treats a scale <= 0 as 1, so rate 0 hashes as rate 1.
+		{sweep.Scenario{Topology: topo, Rate: 0, Seed: 5, Slots: 100, Drain: 100,
+			Workload: workload.Spec{Kind: workload.KindTrace, TraceForm: workload.TraceRates, TraceFP: traceFP}}, "08d1937f793582a5ffb5285e7523e8a7696c7bec101d8d1098a6912b235e4c6e"},
+		{sweep.Scenario{Topology: topo, Rate: 1, Seed: 5, Slots: 100, Drain: 100,
+			Workload: workload.Spec{Kind: workload.KindTrace, TraceForm: workload.TraceRates, TraceFP: traceFP}}, "08d1937f793582a5ffb5285e7523e8a7696c7bec101d8d1098a6912b235e4c6e"},
+		{sweep.Scenario{Topology: topo, Rate: 0.6, Seed: 5, Slots: 100, Drain: 100,
+			Workload: workload.Spec{Kind: workload.KindTrace, TraceForm: workload.TraceRates, TraceFP: traceFP}}, "42bdff41f7a7277ad4f41d6b33f618d56aeaca708064b101e89a875c850c390a"},
+		{sweep.Scenario{Topology: topo, Rate: 0.25, Seed: 11, MaxQueue: 16, Slots: 2000, Drain: 400,
+			Workload: workload.Spec{Kind: workload.KindMultiPeriod, Period: 1000, Amplitude: 0.5, EpisodeOn: 50, EpisodeOff: 200,
+				MeanOn: 5, MeanOff: 10, RateSigma: 0.2, OffFactor: 0.05}}, "6149478070d44dad04fcf51c1224681ed12848d0b010cd532735e7882b6631eb"},
+		{sweep.Scenario{Topology: topo, Rate: 0.1, Seed: 6, Slots: 300, Drain: 300,
+			Fault: faults.Spec{Kind: faults.KindCoupler, Count: 3, MTBF: 500, MTTR: 50, Horizon: 4000, Seed: 7}}, "08ad9ab4c5b2b245f0c12a55bfa16391e962b865c003c7345c7c169f1858d12f"},
+		// Wavelengths 0 (the first row) and 1 are the same engine.
+		{sweep.Scenario{Topology: topo, Rate: 0.2, Seed: 1, Wavelengths: 1, Slots: 300, Drain: 300}, "b324c3bbb162dff26f6141e705ff3d699b97f902ed973df13f0fe554dcf5086c"},
 	} {
 		if key := tc.sc.CacheKey(); key != tc.key {
 			t.Errorf("cache key %s, want %s", key, tc.key)

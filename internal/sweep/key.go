@@ -18,8 +18,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
-	"hash"
 	"strconv"
 	"sync/atomic"
 
@@ -93,23 +91,31 @@ func fingerprint(t sim.Topology) string {
 
 // CacheKey returns the scenario's content-addressed key: a hex SHA-256 of
 // the canonical encoding described above. Every scenario is hashable: its
-// traffic is always named by a workload.Spec.
+// traffic is always named by a workload.Spec. The encoding is appended
+// into a stack buffer with strconv and hashed in one sha256.Sum256, so a
+// call allocates only the returned string.
 func (s Scenario) CacheKey() string {
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\ntopo %s\n", keyVersion, TopologyFingerprint(s.Topology.Topo))
-	writeKeyFields(h, s)
-	return hex.EncodeToString(h.Sum(nil))
+	var buf [512]byte
+	sum := sha256.Sum256(appendKey(buf[:0], s))
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:])
 }
 
-// writeKeyFields streams the canonical parameter encoding into h. Fields
-// are normalized first so that parameter spellings the engine cannot
-// distinguish hash identically: Wavelengths 0 and 1 are the same engine,
-// a fault spec with Count 0 is fault-free regardless of its other fields,
-// workload parameters that the selected kind ignores are zeroed, and the
-// rate normalizes to 1 where the generator would treat it so (event
-// traces replay verbatim at any rate; rate traces treat a scale <= 0 as
-// 1).
-func writeKeyFields(h hash.Hash, s Scenario) {
+// appendKey appends the canonical encoding to b:
+//
+//	<keyVersion>\ntopo <fingerprint>\nrate <r>\nseed <n>\nmode <n>\n
+//	wavelengths <n>\nmaxqueue <n>\nslots <n>\ndrain <n>\n
+//	fault none|stochastic ...|oneshot ...\nworkload <kind> ...\n
+//
+// Fields are normalized first so that parameter spellings the engine
+// cannot distinguish hash identically: Wavelengths 0 and 1 are the same
+// engine, a fault spec with Count 0 is fault-free regardless of its other
+// fields, workload parameters that the selected kind ignores are zeroed,
+// and the rate normalizes to 1 where the generator would treat it so
+// (event traces replay verbatim at any rate; rate traces treat a scale
+// <= 0 as 1). Integers are base 10 and floats go through appendCanonFloat.
+func appendKey(b []byte, s Scenario) []byte {
 	waves := s.Wavelengths
 	if waves < 1 {
 		waves = 1
@@ -119,48 +125,69 @@ func writeKeyFields(h hash.Hash, s Scenario) {
 		(s.Workload.TraceForm == workload.TraceEvents || rate <= 0) {
 		rate = 1
 	}
-	fmt.Fprintf(h, "rate %s\nseed %d\nmode %d\nwavelengths %d\nmaxqueue %d\nslots %d\ndrain %d\n",
-		canonFloat(rate), s.Seed, s.Mode, waves, s.MaxQueue, s.Slots, s.Drain)
+	b = append(b, keyVersion+"\ntopo "...)
+	b = append(b, TopologyFingerprint(s.Topology.Topo)...)
+	b = appendCanonFloat(append(b, "\nrate "...), rate)
+	b = strconv.AppendInt(append(b, "\nseed "...), s.Seed, 10)
+	b = appendInt(append(b, "\nmode "...), int(s.Mode))
+	b = appendInt(append(b, "\nwavelengths "...), waves)
+	b = appendInt(append(b, "\nmaxqueue "...), s.MaxQueue)
+	b = appendInt(append(b, "\nslots "...), s.Slots)
+	b = appendInt(append(b, "\ndrain "...), s.Drain)
 
 	f := s.Fault
-	if f.IsZero() {
-		fmt.Fprint(h, "fault none\n")
-	} else if f.MTBF > 0 && f.MTTR > 0 {
-		fmt.Fprintf(h, "fault stochastic %d %d %s %s %d %d\n",
-			f.Kind, f.Count, canonFloat(f.MTBF), canonFloat(f.MTTR), f.Horizon, f.Seed)
-	} else {
-		fmt.Fprintf(h, "fault oneshot %d %d %d %d\n", f.Kind, f.Count, f.Slot, f.Seed)
+	switch {
+	case f.IsZero():
+		b = append(b, "\nfault none"...)
+	case f.MTBF > 0 && f.MTTR > 0:
+		b = appendInt(append(b, "\nfault stochastic "...), int(f.Kind))
+		b = appendInt(append(b, ' '), f.Count)
+		b = appendCanonFloat(append(b, ' '), f.MTBF)
+		b = appendCanonFloat(append(b, ' '), f.MTTR)
+		b = appendInt(append(b, ' '), f.Horizon)
+		b = strconv.AppendInt(append(b, ' '), f.Seed, 10)
+	default:
+		b = appendInt(append(b, "\nfault oneshot "...), int(f.Kind))
+		b = appendInt(append(b, ' '), f.Count)
+		b = appendInt(append(b, ' '), f.Slot)
+		b = strconv.AppendInt(append(b, ' '), f.Seed, 10)
 	}
 
 	w := s.Workload
 	switch w.Kind {
 	case workload.KindTranspose: // parameterless beyond the topology's group size
-		fmt.Fprintf(h, "workload transpose %d\n", s.Topology.GroupSize)
+		b = appendInt(append(b, "\nworkload transpose "...), s.Topology.GroupSize)
 	case workload.KindHotspot: // group-structured
-		fmt.Fprintf(h, "workload hotspot %d %d %s\n",
-			s.Topology.GroupSize, w.HotGroup, canonFloat(w.Fraction))
+		b = appendInt(append(b, "\nworkload hotspot "...), s.Topology.GroupSize)
+		b = appendInt(append(b, ' '), w.HotGroup)
+		b = appendCanonFloat(append(b, ' '), w.Fraction)
 	case workload.KindBursty: // ignores group structure
-		fmt.Fprintf(h, "workload bursty %s %s %s\n",
-			canonFloat(w.MeanOn), canonFloat(w.MeanOff), canonFloat(w.OffFactor))
+		b = appendCanonFloat(append(b, "\nworkload bursty "...), w.MeanOn)
+		b = appendCanonFloat(append(b, ' '), w.MeanOff)
+		b = appendCanonFloat(append(b, ' '), w.OffFactor)
 	case workload.KindTrace:
 		// Content-addressed: the fingerprint of the trace bytes, never the
 		// path, so renaming or relocating a trace is a warm cache hit while
 		// editing one record recomputes every affected point.
-		fmt.Fprintf(h, "workload trace %d %s\n", w.TraceForm, w.TraceFP)
+		b = appendInt(append(b, "\nworkload trace "...), int(w.TraceForm))
+		b = append(append(b, ' '), w.TraceFP...)
 	case workload.KindMultiPeriod: // ignores group structure
-		fmt.Fprintf(h, "workload multiperiod %d %s %s %s %s %s %s %s\n",
-			w.Period, canonFloat(w.Amplitude),
-			canonFloat(w.EpisodeOn), canonFloat(w.EpisodeOff),
-			canonFloat(w.MeanOn), canonFloat(w.MeanOff),
-			canonFloat(w.RateSigma), canonFloat(w.OffFactor))
+		b = appendInt(append(b, "\nworkload multiperiod "...), w.Period)
+		for _, v := range [...]float64{w.Amplitude, w.EpisodeOn, w.EpisodeOff,
+			w.MeanOn, w.MeanOff, w.RateSigma, w.OffFactor} {
+			b = appendCanonFloat(append(b, ' '), v)
+		}
 	default: // uniform — ignores every parameter
-		fmt.Fprint(h, "workload uniform\n")
+		b = append(b, "\nworkload uniform"...)
 	}
+	return append(b, '\n')
 }
 
-// canonFloat renders a float canonically: the shortest representation that
-// round-trips (strconv 'g' with precision -1), so 0.30000000000000004 and
-// 0.3 stay distinct but formatting can never drift between writers.
-func canonFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
+func appendInt(b []byte, v int) []byte { return strconv.AppendInt(b, int64(v), 10) }
+
+// appendCanonFloat renders a float canonically: the shortest representation
+// that round-trips (strconv 'g' with precision -1), so 0.30000000000000004
+// and 0.3 stay distinct but formatting can never drift between writers.
+func appendCanonFloat(b []byte, v float64) []byte {
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }

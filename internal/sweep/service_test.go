@@ -176,6 +176,41 @@ func TestMergeShardResultsRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestShardRowsCarryLookedUpKeys checks that a shard row carries the key
+// RunCached looked its point up under, on a miss and on a hit, and that
+// ShardResults does not hash the point again: after the run every
+// result's scenario is perturbed, so a re-hashed row would carry another
+// key.
+func TestShardRowsCarryLookedUpKeys(t *testing.T) {
+	points := serviceGrid().Points()
+	shard, err := sweep.ShardPoints(points, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := newMapCache()
+	for _, phase := range []string{"cold", "warm"} {
+		results, err := sweep.Runner{Workers: 2}.RunCached(context.Background(), shard.Points, cache, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range results {
+			results[i].Scenario.Seed += 1000
+		}
+		for i, row := range shard.ShardResults(results) {
+			key := shard.Points[i].CacheKey()
+			if row.Key != key {
+				t.Fatalf("%s: row %d key %.12s…, want the looked-up key %.12s…", phase, i, row.Key, key)
+			}
+			if cache.lookups[key] == 0 {
+				t.Fatalf("%s: row %d key %.12s… was never looked up", phase, i, key)
+			}
+		}
+	}
+	if len(cache.lookups) != len(shard.Points) {
+		t.Fatalf("%d distinct keys looked up, want %d", len(cache.lookups), len(shard.Points))
+	}
+}
+
 // mapCache is a minimal in-memory PointCache for tests.
 type mapCache struct {
 	mu      sync.Mutex

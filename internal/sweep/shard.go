@@ -56,11 +56,17 @@ type ShardResult struct {
 	Metrics sim.Metrics `json:"metrics"`
 }
 
-// ShardResults converts a shard's in-order results into merge rows.
+// ShardResults converts a shard's in-order results into merge rows. A
+// result that carries the key RunCached looked it up under keeps it; only
+// cacheless results are hashed here.
 func (s Shard) ShardResults(results []Result) []ShardResult {
 	rows := make([]ShardResult, len(results))
 	for i, r := range results {
-		rows[i] = ShardResult{Index: s.Indices[i], Key: r.Scenario.CacheKey(), Metrics: r.Metrics}
+		key := r.Key
+		if key == "" {
+			key = r.Scenario.CacheKey()
+		}
+		rows[i] = ShardResult{Index: s.Indices[i], Key: key, Metrics: r.Metrics}
 	}
 	return rows
 }

@@ -200,6 +200,10 @@ func (g Grid) Points() []Scenario {
 type Result struct {
 	Scenario Scenario
 	Metrics  sim.Metrics
+	// Key is the Scenario.CacheKey that RunCached looked the point up
+	// under, so shard rows reuse it instead of hashing again; empty when
+	// the run had no cache.
+	Key string
 }
 
 // Runner executes scenarios across a pool of goroutines. Each scenario
@@ -275,7 +279,7 @@ func (r Runner) RunCached(ctx context.Context, points []Scenario, cache PointCac
 				key = p.CacheKey()
 				if m, ok := cache.Lookup(key); ok {
 					sweepObs.cached.AddShard(sh, 1)
-					results[i] = Result{Scenario: p, Metrics: m}
+					results[i] = Result{Scenario: p, Metrics: m, Key: key}
 					if progress != nil {
 						progress(i, results[i], true)
 					}
@@ -289,7 +293,7 @@ func (r Runner) RunCached(ctx context.Context, points []Scenario, cache PointCac
 			if cache != nil {
 				cache.Store(key, m)
 			}
-			results[i] = Result{Scenario: p, Metrics: m}
+			results[i] = Result{Scenario: p, Metrics: m, Key: key}
 			if progress != nil {
 				progress(i, results[i], false)
 			}

@@ -374,9 +374,7 @@ func writeJSON(w http.ResponseWriter, v any) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec GridSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	if err := coordinator.DecodeStrict(r.Body, &spec); err != nil {
 		http.Error(w, "bad grid spec: "+err.Error(), http.StatusBadRequest)
 		return
 	}

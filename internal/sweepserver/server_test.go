@@ -252,6 +252,9 @@ func TestBadRequests(t *testing.T) {
 		"neg fault slot": {`{"topologies":[{"net":"sk"}],"faults":[{"kind":"node","count":1,"slot":-1}]}`, "faults: bad slot -1 (want >= 0)"},
 		"neg mtbf":       {`{"topologies":[{"net":"sk"}],"faults":[{"kind":"node","count":1,"mtbf":-5,"mttr":10}]}`, "faults: bad mtbf -5 (want >= 0)"},
 		"neg mttr":       {`{"topologies":[{"net":"sk"}],"faults":[{"kind":"node","count":1,"mtbf":5,"mttr":-1}]}`, "faults: bad mttr -1 (want >= 0)"},
+		"trailing data":  {`{"topologies":[{"net":"sk","s":3,"d":2,"k":2}],"slots":10} trailing garbage`, "trailing data after the JSON value"},
+		"NaN trace rate": {`{"topologies":[{"net":"sk"}],"workloads":[{"kind":"trace","trace_file":"testdata/nan_rates.csv"}]}`,
+			`workload: trace testdata/nan_rates.csv:3: bad rate "NaN" (want a probability in [0,1])`},
 	} {
 		resp, err := http.Post(ts.URL+"/api/v1/sweeps", "application/json", strings.NewReader(tc.body))
 		if err != nil {

@@ -206,7 +206,7 @@ func parseTraceCSV(line []byte) (traceRecord, TraceForm, error) {
 		return traceRecord{slot: slot, src: src, dst: dst}, TraceEvents, nil
 	case 2:
 		rate, ok := parseTraceFloat(fields[1])
-		if !ok || rate < 0 || rate > 1 {
+		if !ok || !(rate >= 0 && rate <= 1) { // NaN fails both comparisons
 			return traceRecord{}, 0, fmt.Errorf("bad rate %q (want a probability in [0,1])", fields[1])
 		}
 		return traceRecord{slot: slot, rate: rate}, TraceRates, nil
@@ -278,7 +278,7 @@ func parseTraceJSON(line []byte) (traceRecord, TraceForm, error) {
 			rec.dst, hasDst = v, true
 		case bytes.Equal(key, []byte("rate")):
 			v, ok := parseTraceFloat(val)
-			if !ok || v < 0 || v > 1 {
+			if !ok || !(v >= 0 && v <= 1) {
 				return traceRecord{}, 0, fmt.Errorf("bad rate %q (want a probability in [0,1])", val)
 			}
 			rec.rate, hasRate = v, true
