@@ -6,7 +6,10 @@
 package otisnet
 
 import (
+	"bytes"
 	"context"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -15,6 +18,7 @@ import (
 	"otisnet/internal/analysis"
 	"otisnet/internal/collective"
 	"otisnet/internal/control"
+	"otisnet/internal/coordinator"
 	"otisnet/internal/core"
 	"otisnet/internal/digraph"
 	"otisnet/internal/embed"
@@ -596,6 +600,55 @@ func BenchmarkCacheKey(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkCompleteBody encodes and decodes one trio-warm completion body
+// per op: 54 cached rows (432 points over 8 shards), each with a 64-hex
+// key. The codec sub-benchmark is CompleteRequest.AppendJSON into a
+// presized buffer plus ParseCanonical, the path Client.Complete and the
+// complete endpoint take; encoding-json is json.Marshal plus DecodeStrict,
+// the path every body took before and non-canonical bodies still take.
+func BenchmarkCompleteBody(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	req := coordinator.CompleteRequest{LeaseID: "L123", Job: "s17", Shard: 5, Epoch: 2, Worker: "w-1",
+		Rows: make([]sweep.ShardResult, 54)}
+	for i := range req.Rows {
+		var key [32]byte
+		rng.Read(key[:])
+		req.Rows[i] = sweep.ShardResult{Index: 5 + 8*i, Key: hex.EncodeToString(key[:]), Cached: true,
+			Metrics: sim.Metrics{Slots: 3000, Injected: 20000 + rng.Intn(40000), Delivered: 20000 + rng.Intn(40000),
+				Dropped: rng.Intn(100), TotalLatency: rng.Intn(1 << 22), TotalHops: rng.Intn(1 << 20),
+				PeakQueue: rng.Intn(50), Backlog: rng.Intn(500)}}
+	}
+	canon := req.AppendJSON(nil)
+	if std, _ := json.Marshal(&req); !bytes.Equal(canon, std) {
+		b.Fatal("AppendJSON disagrees with json.Marshal")
+	}
+	b.Run("codec", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(canon)))
+		for i := 0; i < b.N; i++ {
+			body := req.AppendJSON(make([]byte, 0, 128+len(req.Rows)*384))
+			var got coordinator.CompleteRequest
+			if !got.ParseCanonical(body) {
+				b.Fatal("ParseCanonical turned down a canonical body")
+			}
+		}
+	})
+	b.Run("encoding-json", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(canon)))
+		for i := 0; i < b.N; i++ {
+			body, err := json.Marshal(&req)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var got coordinator.CompleteRequest
+			if err := coordinator.DecodeStrict(bytes.NewReader(body), &got); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkT8OTISAsII identifies OTIS(3,12) with II(3,12) and re-verifies

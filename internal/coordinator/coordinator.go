@@ -262,11 +262,11 @@ func (c *Coordinator) Submit(id string, points []sweep.Scenario, payload []byte,
 	}
 	shardIdx := make([][]int, shards)
 	for i := 0; i < shards; i++ {
-		sh, err := sweep.ShardPoints(points, i, shards)
+		idx, err := sweep.ShardIndices(len(points), i, shards)
 		if err != nil {
 			return nil, err
 		}
-		shardIdx[i] = sh.Indices
+		shardIdx[i] = idx
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -58,6 +59,60 @@ type CompleteRequest struct {
 	Rows    []sweep.ShardResult `json:"rows"`
 }
 
+// AppendJSON appends the request as json.Marshal encodes it, without
+// reflection: the canonical layout ParseCanonical reads.
+func (req *CompleteRequest) AppendJSON(b []byte) []byte {
+	b = sweep.AppendJSONString(append(b, `{"lease_id":`...), req.LeaseID)
+	b = sweep.AppendJSONString(append(b, `,"job":`...), req.Job)
+	b = strconv.AppendInt(append(b, `,"shard":`...), int64(req.Shard), 10)
+	b = strconv.AppendInt(append(b, `,"epoch":`...), int64(req.Epoch), 10)
+	b = sweep.AppendJSONString(append(b, `,"worker":`...), req.Worker)
+	b = sweep.AppendShardResultsJSON(append(b, `,"rows":`...), req.Rows)
+	return append(b, '}')
+}
+
+// ParseCanonical fills req from body when body is in the canonical layout
+// AppendJSON writes, and reports whether it was. On false req is reset to
+// its zero value, and the body must go through DecodeStrict, which decides
+// whether it is valid at all. A canonical body allocates its rows slice,
+// one key string per row and its three envelope strings.
+func (req *CompleteRequest) ParseCanonical(body []byte) bool {
+	c := sweep.NewJSONCursor(body)
+	c.Lit(`{"lease_id":`)
+	req.LeaseID = c.Str()
+	c.Lit(`,"job":`)
+	req.Job = c.Str()
+	c.Lit(`,"shard":`)
+	req.Shard = c.Int()
+	c.Lit(`,"epoch":`)
+	req.Epoch = c.Int()
+	c.Lit(`,"worker":`)
+	req.Worker = c.Str()
+	c.Lit(`,"rows":`)
+	req.Rows = c.ShardResults()
+	c.Lit(`}`)
+	if !c.OK() {
+		*req = CompleteRequest{}
+		return false
+	}
+	return true
+}
+
+// readBody reads a request body whole, into one buffer of the declared
+// length when the client declared one.
+func readBody(r *http.Request) ([]byte, error) {
+	if n := r.ContentLength; n > 0 && n <= maxPresizedBody {
+		body := make([]byte, n)
+		_, err := io.ReadFull(r.Body, body)
+		return body, err
+	}
+	return io.ReadAll(r.Body)
+}
+
+// maxPresizedBody caps the buffer a declared Content-Length may allocate
+// up front; longer bodies grow as they arrive.
+const maxPresizedBody = 64 << 20
+
 // CompleteResponse classifies the completion outcome.
 type CompleteResponse struct {
 	Status CompleteStatus `json:"status"`
@@ -78,9 +133,14 @@ func (c *Coordinator) Mount(mux *http.ServeMux) {
 }
 
 // DecodeStrict decodes exactly one JSON value from r into v, rejecting
-// unknown fields and any bytes after the value. Every JSON request body
-// the service accepts — the lease endpoints here and the sweep server's
-// grid submissions — is read through it.
+// unknown fields and any bytes after the value. It is the judge of every
+// JSON request body the service accepts — the lease endpoints here and
+// the sweep server's grid submissions. One body skips it: a completion in
+// the canonical layout CompleteRequest.AppendJSON writes, which
+// ParseCanonical reads without reflection. That fast path accepts only
+// bodies DecodeStrict accepts with an equal value, and every other
+// completion (curl, hand-written, re-spaced) still goes through here, so
+// each body gets the answer DecodeStrict gives it.
 func DecodeStrict(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -97,8 +157,13 @@ func DecodeStrict(r io.Reader, v any) error {
 // requires it to name a non-empty worker (worker points into v). Any
 // other body is answered 400 and decodeJSON returns false.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any, worker *string) bool {
-	err := DecodeStrict(r.Body, v)
-	if err == nil && *worker == "" {
+	return checkDecoded(w, DecodeStrict(r.Body, v), *worker)
+}
+
+// checkDecoded answers 400 to a body that failed to decode or names no
+// worker, and reports whether the request may go on.
+func checkDecoded(w http.ResponseWriter, err error, worker string) bool {
+	if err == nil && worker == "" {
 		err = errors.New("empty worker")
 	}
 	if err != nil {
@@ -138,7 +203,11 @@ func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req CompleteRequest
-	if !decodeJSON(w, r, &req, &req.Worker) {
+	body, err := readBody(r)
+	if err == nil && !req.ParseCanonical(body) {
+		err = DecodeStrict(bytes.NewReader(body), &req)
+	}
+	if !checkDecoded(w, err, req.Worker) {
 		return
 	}
 	st, err := c.Complete(req.Job, req.Shard, req.LeaseID, req.Epoch, req.Worker, req.Rows)
@@ -192,6 +261,11 @@ func (c *Client) post(ctx context.Context, path string, in, out any) (int, error
 	if err != nil {
 		return 0, err
 	}
+	return c.postBody(ctx, path, body, out)
+}
+
+// postBody is post for a body that is already encoded.
+func (c *Client) postBody(ctx context.Context, path string, body []byte, out any) (int, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+path, bytes.NewReader(body))
 	if err != nil {
 		return 0, err
@@ -253,10 +327,9 @@ func (c *Client) Renew(ctx context.Context, worker string, g Grant) (time.Durati
 // Complete reports the shard rows. The returned status mirrors
 // Coordinator.Complete; transport failures are the error.
 func (c *Client) Complete(ctx context.Context, worker string, g Grant, rows []sweep.ShardResult) (CompleteStatus, error) {
+	req := CompleteRequest{LeaseID: g.LeaseID, Job: g.Job, Shard: g.Shard, Epoch: g.Epoch, Worker: worker, Rows: rows}
 	var resp CompleteResponse
-	code, err := c.post(ctx, "/api/v1/leases/complete", CompleteRequest{
-		LeaseID: g.LeaseID, Job: g.Job, Shard: g.Shard, Epoch: g.Epoch, Worker: worker, Rows: rows,
-	}, &resp)
+	code, err := c.postBody(ctx, "/api/v1/leases/complete", req.AppendJSON(make([]byte, 0, 128+len(rows)*completeRowBytes)), &resp)
 	if err != nil {
 		return "", err
 	}
@@ -270,6 +343,10 @@ func (c *Client) Complete(ctx context.Context, worker string, g Grant, rows []sw
 		return "", fmt.Errorf("coordinator: complete: HTTP %d", code)
 	}
 }
+
+// completeRowBytes sizes a completion body: a canonical row with a key
+// and four- to seven-digit counters takes 300 to 350 bytes.
+const completeRowBytes = 384
 
 // Heartbeat records worker liveness.
 func (c *Client) Heartbeat(ctx context.Context, worker string) error {

@@ -27,18 +27,31 @@ type Shard struct {
 // topology-major, so blocks would pin whole topologies (with very
 // different per-point costs) onto single shards.
 func ShardPoints(points []Scenario, shard, shards int) (Shard, error) {
-	if shards < 1 {
-		return Shard{}, fmt.Errorf("sweep: shard count %d < 1", shards)
+	idx, err := ShardIndices(len(points), shard, shards)
+	if err != nil {
+		return Shard{}, err
 	}
-	if shard < 0 || shard >= shards {
-		return Shard{}, fmt.Errorf("sweep: shard index %d out of range [0,%d)", shard, shards)
-	}
-	var s Shard
-	for i := shard; i < len(points); i += shards {
-		s.Indices = append(s.Indices, i)
-		s.Points = append(s.Points, points[i])
+	s := Shard{Indices: idx, Points: make([]Scenario, len(idx))}
+	for k, i := range idx {
+		s.Points[k] = points[i]
 	}
 	return s, nil
+}
+
+// ShardIndices returns the global indices ShardPoints assigns to the
+// shard-th of shards over an n-point grid, without touching the points.
+func ShardIndices(n, shard, shards int) ([]int, error) {
+	if shards < 1 {
+		return nil, fmt.Errorf("sweep: shard count %d < 1", shards)
+	}
+	if shard < 0 || shard >= shards {
+		return nil, fmt.Errorf("sweep: shard index %d out of range [0,%d)", shard, shards)
+	}
+	idx := make([]int, 0, max(0, (n-shard+shards-1)/shards))
+	for i := shard; i < n; i += shards {
+		idx = append(idx, i)
+	}
+	return idx, nil
 }
 
 // ShardResult is one completed point of a shard run: the point's global

@@ -46,6 +46,7 @@ import (
 	"log/slog"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -446,6 +447,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	})
 	defer stop()
 	next := 0
+	var line []byte // encoded lines not yet written, reused across batches
 	for {
 		j.mu.Lock()
 		for next >= len(j.events) && j.state == stateRunning && r.Context().Err() == nil {
@@ -458,10 +460,26 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		if r.Context().Err() != nil {
 			return
 		}
-		for _, ev := range events {
-			if err := export.WriteNDJSONLine(w, ev); err != nil {
+		for i := range events {
+			var ok bool
+			if line, ok = appendStreamLine(line, &events[i]); ok && len(line) < streamChunk {
+				continue
+			}
+			if _, err := w.Write(line); err != nil {
 				return
 			}
+			line = line[:0]
+			// A NaN or ±Inf metric: encoding/json refuses the event, and
+			// the stream ends at it.
+			if !ok && export.WriteNDJSONLine(w, events[i]) != nil {
+				return
+			}
+		}
+		if len(line) > 0 {
+			if _, err := w.Write(line); err != nil {
+				return
+			}
+			line = line[:0]
 		}
 		if flusher != nil && len(events) > 0 {
 			flusher.Flush()
@@ -473,6 +491,24 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+}
+
+// streamChunk is the most encoded lines handleStream holds before
+// writing them out.
+const streamChunk = 32 << 10
+
+// appendStreamLine appends ev as one NDJSON line, byte-identical to
+// export.WriteNDJSONLine's. It returns b unchanged and false when the
+// event holds a NaN or ±Inf float, which only encoding/json may report.
+func appendStreamLine(b []byte, ev *StreamEvent) ([]byte, bool) {
+	n := len(b)
+	b = strconv.AppendInt(append(b, `{"index":`...), int64(ev.Index), 10)
+	b = strconv.AppendBool(append(b, `,"cached":`...), ev.Cached)
+	b, ok := sweep.AppendRecordFields(append(b, ','), &ev.Record)
+	if !ok {
+		return b[:n], false
+	}
+	return append(b, "}\n"...), true
 }
 
 // handleCurve aggregates a completed job's results into curve points.

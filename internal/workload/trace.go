@@ -67,6 +67,14 @@ func (f TraceForm) String() string {
 	}
 }
 
+// withArticle prefixes the form name with its indefinite article.
+func (f TraceForm) withArticle() string {
+	if f == TraceEvents {
+		return "an events"
+	}
+	return "a " + f.String()
+}
+
 // maxTraceLine bounds one record line; the streaming reader's buffer
 // (and so replay memory) never grows past it.
 const maxTraceLine = 1 << 20
@@ -111,8 +119,8 @@ func ScanTrace(path string) (TraceInfo, error) {
 		if info.Form == 0 {
 			info.Form = form
 		} else if form != info.Form {
-			return TraceInfo{}, fmt.Errorf("workload: trace %s:%d: %s record in a %s trace (one form per file)",
-				path, lineNo, form, info.Form)
+			return TraceInfo{}, fmt.Errorf("workload: trace %s:%d: %s record in %s trace (one form per file)",
+				path, lineNo, form, info.Form.withArticle())
 		}
 		if info.Records > 0 && rec.slot < lastSlot {
 			return TraceInfo{}, fmt.Errorf("workload: trace %s:%d: slot %d after slot %d (records must be slot-sorted)",
@@ -178,16 +186,16 @@ func asciiEqualFold(b []byte, s string) bool {
 }
 
 // parseTraceCSV parses "slot,src,dst" (events) or "slot,rate" (rates).
+// Every other field count gets the same error, after the slot check.
 func parseTraceCSV(line []byte) (traceRecord, TraceForm, error) {
-	var fields [4][]byte
+	var fields [3][]byte
 	n := 0
 	start := 0
 	for i := 0; i <= len(line); i++ {
 		if i == len(line) || line[i] == ',' {
-			if n == len(fields) {
-				return traceRecord{}, 0, fmt.Errorf("too many CSV fields (want slot,src,dst or slot,rate)")
+			if n < len(fields) {
+				fields[n] = bytes.TrimSpace(line[start:i])
 			}
-			fields[n] = bytes.TrimSpace(line[start:i])
 			n++
 			start = i + 1
 		}
@@ -211,7 +219,7 @@ func parseTraceCSV(line []byte) (traceRecord, TraceForm, error) {
 		}
 		return traceRecord{slot: slot, rate: rate}, TraceRates, nil
 	default:
-		return traceRecord{}, 0, fmt.Errorf("%d CSV fields (want slot,src,dst or slot,rate)", n)
+		return traceRecord{}, 0, fmt.Errorf("CSV field count %d (want slot,src,dst or slot,rate)", n)
 	}
 }
 
@@ -515,8 +523,8 @@ func (t *Trace) advance() {
 		}
 		t.first = false
 		if form != t.Form {
-			panic(fmt.Sprintf("workload: trace %s:%d: %s record in a %s trace (edited since it was scanned?)",
-				t.Path, t.lineNo, form, t.Form))
+			panic(fmt.Sprintf("workload: trace %s:%d: %s record in %s trace (edited since it was scanned?)",
+				t.Path, t.lineNo, form, t.Form.withArticle()))
 		}
 		if t.havePending && rec.slot < t.pending.slot {
 			panic(fmt.Sprintf("workload: trace %s:%d: slot %d after slot %d (edited since it was scanned?)",

@@ -59,27 +59,29 @@ func TestScanTraceFormsAndErrors(t *testing.T) {
 	// Each invalid file is paired with its exact error, after the
 	// "workload: trace <path>" prefix.
 	invalid := map[string]struct{ content, want string }{
-		"empty":            {"", ": no records"},
-		"comments only":    {"# nothing\n", ": no records"},
-		"unsorted slots":   {"5,1,2\n3,2,1\n", ":2: slot 3 after slot 5 (records must be slot-sorted)"},
-		"mixed forms":      {"0,1,2\n1,0.5\n", ":2: rates record in a events trace (one form per file)"},
-		"mixed json forms": {`{"slot":0,"src":1,"dst":2}` + "\n" + `{"slot":1,"rate":0.5}` + "\n", ":2: rates record in a events trace (one form per file)"},
-		"negative slot":    {"-1,1,2\n", `:1: bad slot "-1"`},
-		"negative src":     {"0,-1,2\n", `:1: bad event ids "-1","2" (want non-negative node ids)`},
-		"rate above 1":     {"0,1.5\n", `:1: bad rate "1.5" (want a probability in [0,1])`},
-		"negative rate":    {"0,-0.5\n", `:1: bad rate "-0.5" (want a probability in [0,1])`},
-		"NaN rate":         {"0,NaN\n", `:1: bad rate "NaN" (want a probability in [0,1])`},
-		"garbage":          {"hello world\n", `:1: bad slot "hello world"`},
-		"too many fields":  {"0,1,2,3\n", ":1: 4 CSV fields (want slot,src,dst or slot,rate)"},
-		"one field":        {"42\n", ":1: 1 CSV fields (want slot,src,dst or slot,rate)"},
-		"header mid-file":  {"0,1,2\nslot,src,dst\n", `:2: bad slot "slot"`},
-		"json no slot":     {`{"src":1,"dst":2}` + "\n", ":1: record has no slot"},
-		"json mixed keys":  {`{"slot":0,"src":1,"rate":0.5}` + "\n", ":1: record must carry src+dst or rate, not a mix"},
-		"json unknown key": {`{"slot":0,"src":1,"dst":2,"weight":3}` + "\n", `:1: unknown record key "weight" (want slot, src, dst or rate)`},
-		"json unclosed":    {`{"slot":0,"src":1,"dst":2` + "\n", ":1: unterminated record object"},
-		"json trailing":    {`{"slot":0,"src":1,"dst":2} extra` + "\n", `:1: trailing bytes "extra" after record`},
-		"json NaN rate":    {`{"slot":0,"rate":NaN}` + "\n", `:1: bad rate "NaN" (want a probability in [0,1])`},
-		"float slot":       {"0.5,1,2\n", `:1: bad slot "0.5"`},
+		"empty":                    {"", ": no records"},
+		"comments only":            {"# nothing\n", ": no records"},
+		"unsorted slots":           {"5,1,2\n3,2,1\n", ":2: slot 3 after slot 5 (records must be slot-sorted)"},
+		"mixed forms":              {"0,1,2\n1,0.5\n", ":2: rates record in an events trace (one form per file)"},
+		"mixed json forms":         {`{"slot":0,"src":1,"dst":2}` + "\n" + `{"slot":1,"rate":0.5}` + "\n", ":2: rates record in an events trace (one form per file)"},
+		"negative slot":            {"-1,1,2\n", `:1: bad slot "-1"`},
+		"negative src":             {"0,-1,2\n", `:1: bad event ids "-1","2" (want non-negative node ids)`},
+		"rate above 1":             {"0,1.5\n", `:1: bad rate "1.5" (want a probability in [0,1])`},
+		"negative rate":            {"0,-0.5\n", `:1: bad rate "-0.5" (want a probability in [0,1])`},
+		"NaN rate":                 {"0,NaN\n", `:1: bad rate "NaN" (want a probability in [0,1])`},
+		"garbage":                  {"hello world\n", `:1: bad slot "hello world"`},
+		"four fields":              {"0,1,2,3\n", ":1: CSV field count 4 (want slot,src,dst or slot,rate)"},
+		"five fields":              {"0,1,2,3,4\n", ":1: CSV field count 5 (want slot,src,dst or slot,rate)"},
+		"one field":                {"42\n", ":1: CSV field count 1 (want slot,src,dst or slot,rate)"},
+		"mixed forms, rates first": {"0,0.5\n1,1,2\n", ":2: events record in a rates trace (one form per file)"},
+		"header mid-file":          {"0,1,2\nslot,src,dst\n", `:2: bad slot "slot"`},
+		"json no slot":             {`{"src":1,"dst":2}` + "\n", ":1: record has no slot"},
+		"json mixed keys":          {`{"slot":0,"src":1,"rate":0.5}` + "\n", ":1: record must carry src+dst or rate, not a mix"},
+		"json unknown key":         {`{"slot":0,"src":1,"dst":2,"weight":3}` + "\n", `:1: unknown record key "weight" (want slot, src, dst or rate)`},
+		"json unclosed":            {`{"slot":0,"src":1,"dst":2` + "\n", ":1: unterminated record object"},
+		"json trailing":            {`{"slot":0,"src":1,"dst":2} extra` + "\n", `:1: trailing bytes "extra" after record`},
+		"json NaN rate":            {`{"slot":0,"rate":NaN}` + "\n", `:1: bad rate "NaN" (want a probability in [0,1])`},
+		"float slot":               {"0.5,1,2\n", `:1: bad slot "0.5"`},
 	}
 	for name, tc := range invalid {
 		path := writeTrace(t, tc.content)
