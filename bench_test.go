@@ -320,6 +320,33 @@ func BenchmarkStepLargeN(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineRunLargeN runs whole scenarios of the sk6144-single
+// workload on one reused engine: SK(4,2,10) (N=6144, 4608 couplers),
+// uniform load 0.01, 2000 slots plus up to 2000 drain slots. Engine.Run
+// draws the traffic on a producer goroutine while the caller steps, so on
+// two or more CPUs generation overlaps the slot loop. slots/s is simulated
+// slots per wall second. Every iteration repeats the warm-up's scenario,
+// so queues never pass its high-water marks and a scenario allocates
+// nothing.
+func BenchmarkEngineRunLargeN(b *testing.B) {
+	topo := sim.NewStackTopology(stackkautz.New(4, 2, 10).StackGraph())
+	cfg := sim.Config{Seed: 1}
+	e := sim.NewEngine(topo, cfg)
+	var traffic sim.Traffic = sim.UniformTraffic{Rate: 0.01}
+	e.Run(traffic, 2000, 2000, cfg) // warm-up to high-water marks
+	slots := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := e.Run(traffic, 2000, 2000, cfg)
+		if m.Backlog != 0 || m.Delivered == 0 {
+			b.Fatalf("implausible run: %v", m)
+		}
+		slots += m.Slots
+	}
+	b.ReportMetric(float64(slots)/b.Elapsed().Seconds(), "slots/s")
+}
+
 // BenchmarkNewStackTopology times the route-table build of SK(4,2,8)
 // (N=1536): the distance and route blocks, one cell per pair of groups,
 // built once per group rather than once per node. The stack graph is built

@@ -103,6 +103,8 @@ func TestBadFlags(t *testing.T) {
 		{"one workload per single run", []string{"-workload", "uniform,hotspot"}, "one workload per single run (add -sweep to sweep a comma list)", 2},
 		{"all without sweep", []string{"-net", "all"}, `sweep: unknown topology family "all" (want sk, stackii, pops or debruijn)`, 2},
 		{"unknown topology", []string{"-net", "torus"}, `sweep: unknown topology family "torus" (want sk, stackii, pops or debruijn)`, 2},
+		{"one-node pops", []string{"-net", "pops", "-t", "1", "-g", "1"}, "sim: a network needs at least 2 nodes, this topology has 1", 2},
+		{"one-node debruijn", []string{"-net", "debruijn", "-d", "1", "-k", "3"}, "sim: a network needs at least 2 nodes, this topology has 1", 2},
 
 		// Shards and merges.
 		{"shard past shards", []string{"-sweep", "-shards", "2", "-shard", "2"}, "bad shard selection 2/2 (want 0 <= shard < shards)", 2},

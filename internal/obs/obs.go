@@ -47,6 +47,7 @@ type cell struct {
 // read). The zero value is unusable — obtain counters from a Registry.
 type Counter struct {
 	name, help string
+	seconds    bool // fed nanoseconds, read in seconds (SecondsCounter)
 	shards     [shardCount]cell
 }
 
@@ -73,6 +74,15 @@ func (c *Counter) Value() int64 {
 
 // Name returns the registered metric name.
 func (c *Counter) Name() string { return c.name }
+
+// read is the exposed value: Value, or Value in seconds for a counter
+// made by SecondsCounter.
+func (c *Counter) read() float64 {
+	if c.seconds {
+		return float64(c.Value()) / 1e9
+	}
+	return float64(c.Value())
+}
 
 // shardSeq hands out shard hints round-robin; see NextShard.
 var shardSeq atomic.Int64
@@ -270,13 +280,23 @@ func (r *Registry) checkName(name, kind string) {
 // Counter returns the counter registered under name, creating it on
 // first use.
 func (r *Registry) Counter(name, help string) *Counter {
+	return r.counter(name, help, false)
+}
+
+// SecondsCounter returns a counter of elapsed time, creating it on first
+// use: writers add nanoseconds, and /metrics and Snapshot read seconds.
+func (r *Registry) SecondsCounter(name, help string) *Counter {
+	return r.counter(name, help, true)
+}
+
+func (r *Registry) counter(name, help string, seconds bool) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if c, ok := r.counters[name]; ok {
 		return c
 	}
 	r.checkName(name, "counter")
-	c := &Counter{name: name, help: help}
+	c := &Counter{name: name, help: help, seconds: seconds}
 	r.counters[name] = c
 	r.names = append(r.names, name)
 	return c
@@ -336,7 +356,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 
 // Snapshot is a point-in-time JSON-serializable read of a registry.
 type Snapshot struct {
-	Counters   map[string]int64             `json:"counters"`
+	Counters   map[string]float64           `json:"counters"`
 	Gauges     map[string]float64           `json:"gauges"`
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
 }
@@ -346,12 +366,12 @@ func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := Snapshot{
-		Counters:   make(map[string]int64, len(r.counters)),
+		Counters:   make(map[string]float64, len(r.counters)),
 		Gauges:     make(map[string]float64, len(r.gauges)+len(r.funcs)),
 		Histograms: make(map[string]HistogramSnapshot, len(r.hists)),
 	}
 	for name, c := range r.counters {
-		s.Counters[name] = c.Value()
+		s.Counters[name] = c.read()
 	}
 	for name, g := range r.gauges {
 		s.Gauges[name] = float64(g.Value())
@@ -378,7 +398,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		case r.counters[name] != nil:
 			c := r.counters[name]
 			writeHeader(&b, name, c.help, "counter")
-			fmt.Fprintf(&b, "%s %d\n", name, c.Value())
+			if c.seconds {
+				fmt.Fprintf(&b, "%s %s\n", name, formatFloat(c.read()))
+			} else {
+				fmt.Fprintf(&b, "%s %d\n", name, c.Value())
+			}
 		case r.gauges[name] != nil:
 			g := r.gauges[name]
 			writeHeader(&b, name, g.help, "gauge")

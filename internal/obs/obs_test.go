@@ -139,12 +139,13 @@ func TestRegistryIdempotentAndTypeSticky(t *testing.T) {
 func TestSnapshotAndGaugeFunc(t *testing.T) {
 	r := obs.NewRegistry()
 	r.Counter("c_total", "").Add(7)
+	r.SecondsCounter("s_seconds_total", "").Add(250_000_000)
 	r.Gauge("g", "").Set(-3)
 	r.Histogram("h", "", []float64{1}).Observe(2)
 	live := 41.0
 	r.GaugeFunc("gf", "", func() float64 { live++; return live })
 	s := r.Snapshot()
-	if s.Counters["c_total"] != 7 || s.Gauges["g"] != -3 {
+	if s.Counters["c_total"] != 7 || s.Counters["s_seconds_total"] != 0.25 || s.Gauges["g"] != -3 {
 		t.Fatalf("snapshot %+v", s)
 	}
 	if s.Gauges["gf"] != 42 {
@@ -170,6 +171,7 @@ func TestWritePrometheus(t *testing.T) {
 	h.Observe(2)
 	h.Observe(99)
 	r.GaugeFunc("ratio", "hit ratio", func() float64 { return 0.25 })
+	r.SecondsCounter("wait_seconds_total", "time waited").AddShard(3, 1_500_000_000)
 
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
@@ -183,6 +185,8 @@ func TestWritePrometheus(t *testing.T) {
 		"# TYPE depth gauge",
 		"# TYPE lat histogram",
 		"# TYPE ratio gauge",
+		"# TYPE wait_seconds_total counter",
+		"wait_seconds_total 1.5",
 		"req_total 3",
 		"depth 9",
 		`lat_bucket{le="1"} 1`,

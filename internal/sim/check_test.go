@@ -49,6 +49,15 @@ func TestCheckTopologyAcceptsSaneFake(t *testing.T) {
 	}
 }
 
+// A one-node network has no destination for uniform traffic (whose
+// Intn(n-1) would panic in the generator), so it is rejected up front.
+func TestCheckTopologyRejectsSingleNode(t *testing.T) {
+	err := CheckTopology(ringFake(1))
+	if err == nil || err.Error() != "sim: a network needs at least 2 nodes, this topology has 1" {
+		t.Fatalf("expected a too-small error, got %v", err)
+	}
+}
+
 func TestCheckTopologyRejectsMuteNode(t *testing.T) {
 	f := ringFake(4)
 	f.out[2] = nil // node 2 cannot transmit

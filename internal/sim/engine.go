@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"math/rand"
 
 	"otisnet/internal/obs"
 )
@@ -137,15 +136,9 @@ type Engine struct {
 	ct *CompiledTopology
 
 	cfg Config
-	// rng drives traffic generation in Run, through uni for uniform
-	// traffic.
-	rng *rand.Rand
-	uni *UniformStream
-	// rngSeededFor dedups re-seeding: seeding regenerates the full
-	// math/rand state vector, so Reset skips it when the RNG is already
-	// virgin for the requested seed (the NewEngine-then-Run path).
-	rngSeededFor int64
-	rngVirgin    bool
+	// gen is Run's end of the traffic pipeline (pipeline.go), made on
+	// the first Run.
+	gen *genPipe
 
 	// Compiled topology aliases (see ct).
 	n, m      int
@@ -211,7 +204,6 @@ type Engine struct {
 	w         int // window width: the wavelength count, capped at n
 	bestKey   []int32
 	grantSlot []txRequest
-	injBuf    []Injection // Run's traffic-generation scratch
 
 	// dyn is non-nil when the topology injects fault/repair events; the
 	// engine polls it for changes at the top of every step. An event marks
@@ -254,20 +246,16 @@ func NewEngine(topo Topology, cfg Config) *Engine {
 	ct := Compile(topo)
 	n, m := ct.n, ct.m
 	e := &Engine{
-		ct:           ct,
-		n:            n,
-		m:            m,
-		rng:          rand.New(rand.NewSource(cfg.Seed)),
-		uni:          new(UniformStream),
-		rngSeededFor: cfg.Seed,
-		rngVirgin:    true,
-		queues:       make([]ring, n),
-		rr:           make([]int32, m),
-		touched:      make([]uint64, (m+63)/64),
-		winners:      make([]bool, n),
-		reqMask:      make([]uint64, (n+63)/64),
-		activePos:    make([]int32, n),
-		headReq:      make([]txRequest, n),
+		ct:        ct,
+		n:         n,
+		m:         m,
+		queues:    make([]ring, n),
+		rr:        make([]int32, m),
+		touched:   make([]uint64, (m+63)/64),
+		winners:   make([]bool, n),
+		reqMask:   make([]uint64, (n+63)/64),
+		activePos: make([]int32, n),
+		headReq:   make([]txRequest, n),
 	}
 	e.obs.shard = obs.NextShard()
 	e.dyn, _ = topo.(DynamicTopology)
@@ -277,18 +265,13 @@ func NewEngine(topo Topology, cfg Config) *Engine {
 }
 
 // Reset re-arms the engine for a fresh scenario under cfg: queues,
-// cursors, metrics, the RNG and the slot clock return to their initial
+// cursors, metrics and the slot clock return to their initial
 // state while every buffer (rings, scratch, compiled snapshot) keeps its
 // capacity, so repeated scenarios on one engine allocate nothing. A run
 // after Reset is bit-for-bit identical to a run on a newly constructed
 // engine. Dynamic topologies are rewound to their pre-event state.
 func (e *Engine) Reset(cfg Config) {
 	e.cfg = cfg
-	if !e.rngVirgin || e.rngSeededFor != cfg.Seed {
-		e.rng.Seed(cfg.Seed)
-		e.rngSeededFor = cfg.Seed
-		e.rngVirgin = true
-	}
 	for i := range e.queues {
 		e.queues[i].reset()
 	}
@@ -324,7 +307,7 @@ func (e *Engine) Reset(cfg Config) {
 	e.recovering = false
 	// Discard unflushed tallies from an abandoned manual-stepping session;
 	// completed runs flush (and re-zero) them before the next reset.
-	e.obs.activeSum, e.obs.touchedSum, e.obs.qDepthSum = 0, 0, 0
+	e.obs.activeSum, e.obs.touchedSum, e.obs.qDepthSum, e.obs.genWaitNs = 0, 0, 0, 0
 	e.obs.qDepth = [qDepthBuckets]int64{}
 	e.traceSlot = false
 	if e.dyn != nil {
@@ -823,29 +806,18 @@ func (e *Engine) applyTopologyChange(ch TopologyChange) {
 
 // Run resets the engine with cfg and executes a full scenario on it:
 // `slots` slots of traffic generation plus up to `drain` extra slots to
-// let queues empty, returning the metrics. All scratch — including the
-// traffic-generation buffer — lives on the engine, so a warmed engine runs
-// whole scenarios without allocating; results are bit-for-bit identical to
-// sim.Run on a fresh engine. Uniform traffic (UniformRater) is drawn
-// through the engine's UniformStream, which continues the RNG exactly
-// where Generate would.
+// let queues empty, returning the metrics. The traffic is drawn on a
+// producer goroutine from an RNG seeded with cfg.Seed, ahead of the slots
+// this goroutine steps (pipeline.go); uniform traffic (UniformRater) is
+// drawn through a UniformStream, which continues the RNG exactly where
+// Generate would. All scratch lives on the engine and the parked
+// producers, so a warmed engine runs whole scenarios without allocating;
+// results are bit-for-bit identical to sim.Run on a fresh engine. A panic
+// in traffic.Generate is raised again here with its original value.
 func (e *Engine) Run(traffic Traffic, slots, drain int, cfg Config) Metrics {
 	e.Reset(cfg)
-	e.rngVirgin = false // the generation loop draws from the RNG
-	ur, uniform := traffic.(UniformRater)
-	if uniform {
-		e.uni.Start(e.rng, ur.UniformRate())
-	}
-	for s := 0; s < slots; s++ {
-		if uniform {
-			e.injBuf = e.uni.AppendSlot(e.injBuf[:0], e.n)
-		} else {
-			e.injBuf = traffic.Generate(e.injBuf[:0], s, e.n, e.rng)
-		}
-		for _, inj := range e.injBuf {
-			e.Inject(inj.Src, inj.Dst)
-		}
-		e.Step()
+	if slots > 0 {
+		e.generate(traffic, slots, cfg.Seed)
 	}
 	for s := 0; s < drain && e.backlog > 0; s++ {
 		e.Step()

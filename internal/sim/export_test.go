@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"runtime"
+)
 
 // HeadsError reports the first active node of e whose head-of-line
 // request, once the pending list is applied the way the next step will
@@ -25,3 +28,21 @@ func HeadsError(e *Engine) error {
 	}
 	return nil
 }
+
+// OnPipeCollected arranges for f to run once for e's traffic pipeline and
+// once for each of its injection blocks, when each is garbage collected.
+// Call it between runs, when every block sits on the free queue.
+func OnPipeCollected(e *Engine, f func()) {
+	g := e.gen
+	run := func(f func()) { f() }
+	runtime.AddCleanup(g, run, f)
+	for range genBlocks {
+		b := <-g.free
+		runtime.AddCleanup(b, run, f)
+		g.free <- b
+	}
+}
+
+// PipeBlocks is the number of injection blocks each pipeline holds, and
+// PipeBlockSlots the number of slot ends a block holds.
+const PipeBlocks, PipeBlockSlots = genBlocks, genBlockSlots

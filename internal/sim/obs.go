@@ -31,6 +31,7 @@ var engineObs = struct {
 	deflections *obs.Counter
 	activeNodes *obs.Counter
 	touched     *obs.Counter
+	genWait     *obs.Counter
 	queueDepth  *obs.Histogram
 }{
 	scenarios: obs.Default().Counter("netsim_engine_scenarios_total",
@@ -49,6 +50,8 @@ var engineObs = struct {
 		"Sum over slots of nodes with queued traffic; divide by netsim_engine_slots_total for mean active-node occupancy."),
 	touched: obs.Default().Counter("netsim_engine_touched_coupler_slots_total",
 		"Sum over slots of couplers that carried a transmission; divide by netsim_engine_slots_total for mean touched-coupler occupancy."),
+	genWait: obs.Default().SecondsCounter("netsim_engine_gen_wait_seconds_total",
+		"Time Engine.Run spent waiting for its traffic generator; near the run time when generation, not the slot step, bounds a run."),
 	queueDepth: obs.Default().Histogram("netsim_engine_queue_depth",
 		"Queue length observed at each enqueue, across completed scenarios.",
 		[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}),
@@ -63,6 +66,7 @@ type obsState struct {
 	touchedSum int64
 	qDepth     [qDepthBuckets]int64
 	qDepthSum  int64
+	genWaitNs  int64 // time blocked on the traffic producer
 }
 
 // qDepthBucket maps an observed queue length (>= 1) onto its histogram
@@ -90,8 +94,9 @@ func (e *Engine) flushObs() {
 	engineObs.deflections.AddShard(sh, int64(e.metrics.Deflections))
 	engineObs.activeNodes.AddShard(sh, e.obs.activeSum)
 	engineObs.touched.AddShard(sh, e.obs.touchedSum)
+	engineObs.genWait.AddShard(sh, e.obs.genWaitNs)
 	engineObs.queueDepth.AddBuckets(e.obs.qDepth[:], e.obs.qDepthSum)
-	e.obs.activeSum, e.obs.touchedSum, e.obs.qDepthSum = 0, 0, 0
+	e.obs.activeSum, e.obs.touchedSum, e.obs.qDepthSum, e.obs.genWaitNs = 0, 0, 0, 0
 	e.obs.qDepth = [qDepthBuckets]int64{}
 }
 

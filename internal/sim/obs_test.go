@@ -8,7 +8,9 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"testing"
+	"time"
 
 	"otisnet/internal/export"
 	"otisnet/internal/obs"
@@ -138,4 +140,19 @@ func TestObsFlushOnRun(t *testing.T) {
 	if d := engineObs.slots.Value() - beforeSlots; d < int64(m.Slots) {
 		t.Fatalf("slots counter moved %d, want >= %d", d, m.Slots)
 	}
+	// A generator that takes 5 ms a slot keeps the run waiting for its
+	// only block for about the 10 slots' 50 ms.
+	beforeWait := engineObs.genWait.Value()
+	Run(topo, slowTraffic{5 * time.Millisecond}, 10, 10, Config{Seed: 3})
+	if d := time.Duration(engineObs.genWait.Value() - beforeWait); d < 10*time.Millisecond {
+		t.Fatalf("gen wait counter moved %v, want >= 10ms", d)
+	}
+}
+
+// slowTraffic injects nothing and takes d per slot.
+type slowTraffic struct{ d time.Duration }
+
+func (t slowTraffic) Generate(buf []Injection, _, _ int, _ *rand.Rand) []Injection {
+	time.Sleep(t.d)
+	return buf
 }

@@ -290,14 +290,18 @@ func (pt *pointToPoint) scanNextCoupler(u, dst int) (int, int) {
 	return -1, -1
 }
 
-// CheckTopology validates basic sanity: every node has at least one out
-// coupler, every coupler has at least one head, and routing reaches every
+// CheckTopology validates basic sanity: there are at least two nodes (so
+// traffic has somewhere to go), every node has at least one out coupler,
+// every coupler has at least one head, and routing reaches every
 // destination. Returns nil for usable topologies. A BlockTabled topology
 // has its distance blocks scanned directly instead of through N² Distance
 // calls; either way the first failing pair, in (u, v) order, is the one
 // reported.
 func CheckTopology(t Topology) error {
 	n := t.Nodes()
+	if n < 2 {
+		return fmt.Errorf("sim: a network needs at least 2 nodes, this topology has %d", n)
+	}
 	var blocks *RouteBlocks
 	if bt, ok := t.(BlockTabled); ok {
 		blocks = bt.RouteBlocks()

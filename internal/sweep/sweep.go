@@ -207,8 +207,9 @@ type Result struct {
 }
 
 // Runner executes scenarios across a pool of goroutines. Each scenario
-// steps through the engine's one serial slot loop; a sweep's parallelism
-// is the point worker pool (Workers).
+// steps through the engine's one serial slot kernel, with its traffic
+// drawn ahead on a producer goroutine; a sweep's parallelism is the point
+// worker pool (Workers).
 type Runner struct {
 	// Workers is the pool size; <= 0 means GOMAXPROCS.
 	Workers int

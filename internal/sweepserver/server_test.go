@@ -230,6 +230,7 @@ func TestBadRequests(t *testing.T) {
 		"empty grid":     {`{}`, "grid names no topologies"},
 		"unknown field":  {`{"topologies":[{"net":"sk"}],"frobnicate":1}`, `json: unknown field "frobnicate"`},
 		"bad topology":   {`{"topologies":[{"net":"torus"}]}`, `sweep: unknown topology family "torus" (want sk, stackii, pops or debruijn)`},
+		"one-node pops":  {`{"topologies":[{"net":"pops","t":1,"g":1}],"slots":10}`, "sim: a network needs at least 2 nodes, this topology has 1"},
 		"bad mode":       {`{"topologies":[{"net":"sk"}],"modes":["fly"]}`, `unknown mode "fly" (want sf or deflect)`},
 		"bad rate":       {`{"topologies":[{"net":"sk"}],"rates":[1.5]}`, "rate 1.5 not a probability in [0,1]"},
 		"neg rate":       {`{"topologies":[{"net":"sk"}],"rates":[-0.1]}`, "rate -0.1 not a probability in [0,1]"},
