@@ -5,19 +5,24 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
+	"sync"
 	"testing"
 
 	"otisnet/internal/faults"
+	"otisnet/internal/sim"
 	"otisnet/internal/sweep"
 	"otisnet/internal/workload"
 )
 
 // fmtCacheKey is the fmt.Fprintf encoder that sweep.Scenario.CacheKey
-// replaced, kept verbatim as the oracle for its canonical bytes: every
-// cache journal ever written is addressed by this encoding, so the
-// strconv encoder must reproduce it byte for byte (FuzzCacheKeyMatchesFmtOracle),
-// and BenchmarkCacheKey measures it as the baseline.
+// replaced, kept as the oracle for its canonical bytes: every cache
+// journal ever written is addressed by this encoding, so the strconv
+// encoder must reproduce it byte for byte (FuzzCacheKeyMatchesFmtOracle),
+// and BenchmarkCacheKey measures it as the baseline. Its one addition is
+// the fan-in fold of wavelengths and mode, computed from its own naive
+// fan-in count (oracleFanIn) rather than sim.FanIn.
 func fmtCacheKey(s sweep.Scenario) string {
 	canon := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 	h := sha256.New()
@@ -26,13 +31,22 @@ func fmtCacheKey(s sweep.Scenario) string {
 	if waves < 1 {
 		waves = 1
 	}
+	// No coupler has more senders than its fan-in F: W beyond F grants
+	// nothing more, and at W >= F nothing loses arbitration to deflect.
+	mode, fanIn := s.Mode, oracleFanIn(s.Topology.Topo)
+	if waves >= fanIn && mode == sweep.Deflection {
+		mode = sweep.StoreAndForward
+	}
+	if fanIn >= 1 && waves > fanIn {
+		waves = fanIn
+	}
 	rate := s.Rate
 	if s.Workload.Kind == workload.KindTrace &&
 		(s.Workload.TraceForm == workload.TraceEvents || rate <= 0) {
 		rate = 1
 	}
 	fmt.Fprintf(h, "rate %s\nseed %d\nmode %d\nwavelengths %d\nmaxqueue %d\nslots %d\ndrain %d\n",
-		canon(rate), s.Seed, s.Mode, waves, s.MaxQueue, s.Slots, s.Drain)
+		canon(rate), s.Seed, mode, waves, s.MaxQueue, s.Slots, s.Drain)
 
 	f := s.Fault
 	if f.IsZero() {
@@ -66,6 +80,30 @@ func fmtCacheKey(s sweep.Scenario) string {
 		fmt.Fprint(h, "workload uniform\n")
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// oracleFanIns memoizes oracleFanIn per topology, so BenchmarkCacheKey
+// times the fmt encoder rather than the quadratic count.
+var oracleFanIns sync.Map // sim.Topology -> int
+
+// oracleFanIn counts, for each coupler, the nodes whose out-couplers
+// include it, and returns the largest count.
+func oracleFanIn(t sim.Topology) int {
+	if f, ok := oracleFanIns.Load(t); ok {
+		return f.(int)
+	}
+	f := 0
+	for c := 0; c < t.Couplers(); c++ {
+		senders := 0
+		for u := 0; u < t.Nodes(); u++ {
+			if slices.Contains(t.OutCouplers(u), c) {
+				senders++
+			}
+		}
+		f = max(f, senders)
+	}
+	oracleFanIns.Store(t, f)
+	return f
 }
 
 // FuzzCacheKeyMatchesFmtOracle drives every field the key reads — engine

@@ -133,6 +133,12 @@ type CompiledTopology struct {
 	headList  []int32
 	blocks    RouteBlocks
 	ownsTable bool
+	// fanIn bounds the senders any one coupler can have in a slot: the
+	// largest FanIn of every structure the snapshot has held (fanCount is
+	// its scratch). Compile starts from the pristine structure and fault
+	// masks only shrink it, so this is the pristine fan-in.
+	fanIn    int
+	fanCount []int32
 
 	// dirty records that a topology event mutated the snapshot since the
 	// last sync, so a Reset recompiles only when something actually changed.
@@ -148,7 +154,7 @@ func Compile(topo Topology) *CompiledTopology {
 		dyn.Reset()
 	}
 	n, m := topo.Nodes(), topo.Couplers()
-	ct := &CompiledTopology{topo: topo, n: n, m: m}
+	ct := &CompiledTopology{topo: topo, n: n, m: m, fanCount: make([]int32, m)}
 	ct.outStart = make([]int32, n+1)
 	for u := 0; u < n; u++ {
 		ct.outStart[u+1] = ct.outStart[u] + int32(len(topo.OutCouplers(u)))
@@ -183,11 +189,11 @@ func (ct *CompiledTopology) Couplers() int { return ct.m }
 func (ct *CompiledTopology) Topology() Topology { return ct.topo }
 
 // refreshStructure copies the topology's current out-coupler and head sets
-// into the CSR arrays. Called at compile time and again after every
-// topology change; between changes Step reads only the arrays. Live sets
-// normally stay within the capacity reserved at compile time (fault masks
-// only shrink them); if an exotic dynamic topology outgrows a slot, the
-// CSR is re-laid-out.
+// into the CSR arrays and raises fanIn to cover them. Called at compile
+// time and again after every topology change; between changes Step reads
+// only the arrays. Live sets normally stay within the capacity reserved
+// at compile time (fault masks only shrink them); if an exotic dynamic
+// topology outgrows a slot, the CSR is re-laid-out.
 func (ct *CompiledTopology) refreshStructure() {
 	for u := 0; u < ct.n; u++ {
 		oc := ct.topo.OutCouplers(u)
@@ -213,6 +219,31 @@ func (ct *CompiledTopology) refreshStructure() {
 		}
 		ct.headCount[c] = int32(len(hs))
 	}
+	ct.fanIn = max(ct.fanIn, countFanIn(ct.fanCount, ct.n, func(u int) []int32 {
+		return ct.outList[ct.outStart[u] : ct.outStart[u]+ct.outCount[u]]
+	}))
+}
+
+// FanIn returns the topology's coupler fan-in F: the most nodes that list
+// any one coupler in OutCouplers. A node makes at most one request per
+// slot, on one of its out-couplers, so no coupler ever has more than F
+// senders in a slot (Config.Canonical).
+func FanIn(t Topology) int {
+	return countFanIn(make([]int32, t.Couplers()), t.Nodes(), t.OutCouplers)
+}
+
+// countFanIn returns the most entries that name any one coupler in the
+// out-lists of nodes 0..n-1, counting in cnt (one cell per coupler).
+func countFanIn[C int | int32](cnt []int32, n int, out func(u int) []C) int {
+	clear(cnt)
+	f := int32(0)
+	for u := 0; u < n; u++ {
+		for _, c := range out(u) {
+			cnt[c]++
+			f = max(f, cnt[c])
+		}
+	}
+	return int(f)
 }
 
 // relayoutOut rebuilds the out-coupler CSR with fresh slot capacities, then

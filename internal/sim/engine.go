@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"math/bits"
 
@@ -41,6 +42,26 @@ func (c Config) wavelengths() int {
 		return 1
 	}
 	return c.Wavelengths
+}
+
+// Canonical returns the configuration that runs exactly as c on a
+// topology of coupler fan-in fanIn (FanIn): Wavelengths becomes
+// min(max(W, 1), F), and Deflection is off when W >= F. The proof: a node
+// makes at most one request per slot, on one of its out-couplers, so a
+// coupler never has more than F requests; a window of min(W, F) grants
+// therefore grants every request W grants, in the same round-robin order.
+// When W >= F every request is granted, no message loses arbitration,
+// and deflection, which acts only on losers, never fires. Faults only
+// shrink out-lists, so a base topology's F bounds every fault plan on
+// it. The engine runs this form, and sweep cache keys hash it, so
+// scenarios the model cannot tell apart share one key.
+func (c Config) Canonical(fanIn int) Config {
+	w := c.wavelengths()
+	if w >= fanIn {
+		c.Deflection = false
+	}
+	c.Wavelengths = min(w, max(fanIn, 1))
+	return c
 }
 
 // Metrics accumulates run statistics.
@@ -199,11 +220,14 @@ type Engine struct {
 	// round-robin key for an arbitration grant, deflectKey for a
 	// deflection grant, which so sorts after every arbitration grant —
 	// and followed by emptyKey entries. A window is valid only while c's
-	// touched bit is set, so it is never cleared. reset sizes the windows
+	// touched bit is set, so it is never cleared. fold sizes the windows
 	// from the scenario's w and only ever grows them.
-	w         int // window width: the wavelength count, capped at n
+	w         int // window width: the canonical wavelength count, min(W, F)
 	bestKey   []int32
 	grantSlot []txRequest
+	// defl is the canonical Deflection: off when w covers the fan-in, as
+	// no request can then lose arbitration (Config.Canonical).
+	defl bool
 
 	// dyn is non-nil when the topology injects fault/repair events; the
 	// engine polls it for changes at the top of every step. An event marks
@@ -294,13 +318,6 @@ func (e *Engine) Reset(cfg Config) {
 	for i := range e.reqMask {
 		e.reqMask[i] = 0
 	}
-	// A coupler never has more than n senders in a slot, so capping the
-	// window at n changes no outcome and bounds its memory.
-	e.w = min(cfg.wavelengths(), e.n)
-	if need := e.m * e.w; len(e.grantSlot) < need {
-		e.bestKey = make([]int32, need)
-		e.grantSlot = make([]txRequest, need)
-	}
 	e.pend = e.pend[:0]
 	e.nextID, e.slot, e.backlog = 0, 0, 0
 	e.metrics = Metrics{}
@@ -317,6 +334,20 @@ func (e *Engine) Reset(cfg Config) {
 			e.ct.dirty = false
 			e.syncTables()
 		}
+	}
+	e.fold()
+}
+
+// fold applies the fan-in rule (Config.Canonical) to the scenario's
+// configuration: the grant windows are min(W, F) wide, and Phases 2 and 3
+// run only while a request can lose arbitration. A topology change folds
+// again, in case it raised the snapshot's fan-in.
+func (e *Engine) fold() {
+	run := e.cfg.Canonical(e.ct.fanIn)
+	e.w, e.defl = run.Wavelengths, run.Deflection
+	if need := e.m * e.w; len(e.grantSlot) < need {
+		e.bestKey = make([]int32, need)
+		e.grantSlot = make([]txRequest, need)
 	}
 }
 
@@ -500,7 +531,7 @@ func (e *Engine) arbitrateAndTransmit() {
 	// work.
 	n32 := int32(e.n)
 	w := e.w
-	defl := e.cfg.Deflection
+	defl := e.defl
 	bestKey, grantSlot := e.bestKey, e.grantSlot
 	for i := 0; i < len(e.active); {
 		u := int(e.active[i])
@@ -548,11 +579,12 @@ func (e *Engine) arbitrateAndTransmit() {
 		bestKey[j], grantSlot[j] = key, r
 	}
 
-	// Phase 2 + 3 (deflection only). Without deflection the winners set is
-	// never read — every arbitration outcome already sits in the windows —
-	// so both the winner-marking scan and its cleanup are skipped and the
-	// round-robin cursors advance in Phase 4 instead (they are not read
-	// again until the next slot).
+	// Phase 2 + 3 (deflection only, and only while w < F: at w >= F every
+	// request is granted, so no loser exists). Without them the winners
+	// set is never read — every arbitration outcome already sits in the
+	// windows — so both the winner-marking scan and its cleanup are
+	// skipped and the round-robin cursors advance in Phase 4 instead (they
+	// are not read again until the next slot).
 	if defl {
 		// Finalize the winners and advance each cursor past its window's
 		// last grant (the cursors must stay fixed while keys are being
@@ -757,6 +789,7 @@ func (e *Engine) applyTopologyChange(ch TopologyChange) {
 	}
 	e.ct.recompileDynamic()
 	e.syncTables()
+	e.fold()
 	// Refresh the precompiled head-of-line requests, immediately: the
 	// pending list was resolved at the top of the step, so every active
 	// head is current for the pre-event tables. Only heads whose route row
@@ -812,12 +845,17 @@ func (e *Engine) applyTopologyChange(ch TopologyChange) {
 // drawn through a UniformStream, which continues the RNG exactly where
 // Generate would. All scratch lives on the engine and the parked
 // producers, so a warmed engine runs whole scenarios without allocating;
-// results are bit-for-bit identical to sim.Run on a fresh engine. A panic
-// in traffic.Generate is raised again here with its original value.
+// results are bit-for-bit identical to sim.Run on a fresh engine. A
+// traffic that implements io.Closer (a trace replay holding its file) is
+// closed once its last slot is drawn. A panic in traffic.Generate is
+// raised again here with its original value.
 func (e *Engine) Run(traffic Traffic, slots, drain int, cfg Config) Metrics {
 	e.Reset(cfg)
 	if slots > 0 {
 		e.generate(traffic, slots, cfg.Seed)
+	}
+	if c, ok := traffic.(io.Closer); ok {
+		c.Close() // generators only read: a close error loses nothing
 	}
 	for s := 0; s < drain && e.backlog > 0; s++ {
 		e.Step()

@@ -106,9 +106,10 @@ func TestWavelengthsDeterminism(t *testing.T) {
 
 func TestWavelengthsBeyondNodeCountCapTheWindow(t *testing.T) {
 	// No coupler has more than N senders in a slot, so any W >= N runs as
-	// W = N, and the grant windows stay N entries wide however large W is.
+	// W = N, and the grant windows stay at most F (the fan-in, here t=3 <
+	// N) entries wide however large W is.
 	topo := popsTopology(3, 3)
-	n := topo.Nodes()
+	n, f := topo.Nodes(), FanIn(topo)
 	for _, defl := range []bool{false, true} {
 		want := Run(topo, UniformTraffic{Rate: 0.9}, 200, 200, Config{Seed: 53, Deflection: defl, Wavelengths: n})
 		cfg := Config{Seed: 53, Deflection: defl, Wavelengths: 1 << 16}
@@ -116,9 +117,9 @@ func TestWavelengthsBeyondNodeCountCapTheWindow(t *testing.T) {
 		if got := e.Run(UniformTraffic{Rate: 0.9}, 200, 200, cfg); got != want {
 			t.Fatalf("deflection=%v: W=2^16 run differs from W=N:\n%v\n%v", defl, got, want)
 		}
-		if len(e.grantSlot) > topo.Couplers()*n {
-			t.Fatalf("deflection=%v: %d window entries for %d couplers, want at most N=%d each",
-				defl, len(e.grantSlot), topo.Couplers(), n)
+		if f != 3 || len(e.grantSlot) > topo.Couplers()*f {
+			t.Fatalf("deflection=%v: %d window entries for %d couplers, want at most F=%d (want 3) each",
+				defl, len(e.grantSlot), topo.Couplers(), f)
 		}
 	}
 }

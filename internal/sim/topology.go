@@ -33,6 +33,8 @@ type Topology interface {
 	Heads(c int) []int
 	// NextCoupler returns the coupler a message at u bound for dst should
 	// take under shortest-path routing, and the preferred next-hop node.
+	// The coupler is one of OutCouplers(u), or -1 when there is no route:
+	// the engine bounds each coupler's senders by FanIn.
 	NextCoupler(u, dst int) (coupler, nextHop int)
 	// Distance returns the hop distance from u to dst.
 	Distance(u, dst int) int
@@ -44,7 +46,7 @@ type stackTopology struct {
 	sg     *hypergraph.StackGraph
 	out    [][]int
 	blocks RouteBlocks
-	fp     atomic.Pointer[string] // see FingerprintSlot
+	id     atomic.Pointer[Identity] // see FingerprintSlot
 }
 
 // NewStackTopology wraps a stack-graph for simulation. Distances are hop
@@ -206,10 +208,18 @@ func (st *stackTopology) Distance(u, dst int) int { return st.blocks.Distance(u,
 // RouteBlocks lends the engine the quotient blocks (BlockTabled).
 func (st *stackTopology) RouteBlocks() *RouteBlocks { return &st.blocks }
 
-// FingerprintSlot is where sweep.TopologyFingerprint keeps the topology's
-// structural fingerprint once computed, so the memo is collected with the
-// topology instead of pinning it in a process-wide map.
-func (st *stackTopology) FingerprintSlot() *atomic.Pointer[string] { return &st.fp }
+// Identity is a topology's structural identity as the sweep cache key
+// reads it: the fingerprint sweep.TopologyFingerprint computes, and the
+// coupler fan-in (FanIn) the key folds wavelengths and mode by.
+type Identity struct {
+	Fingerprint string
+	FanIn       int
+}
+
+// FingerprintSlot is where the sweep cache key keeps the topology's
+// Identity once computed, so the memo is collected with the topology
+// instead of pinning it in a process-wide map.
+func (st *stackTopology) FingerprintSlot() *atomic.Pointer[Identity] { return &st.id }
 
 func (st *stackTopology) NextCoupler(u, dst int) (int, int) {
 	r := st.blocks.Entry(u, dst)
@@ -224,7 +234,7 @@ type pointToPoint struct {
 	out    [][]int // coupler ids per node
 	head   []int   // head node per coupler
 	blocks RouteBlocks
-	fp     atomic.Pointer[string] // see FingerprintSlot
+	id     atomic.Pointer[Identity] // see FingerprintSlot
 }
 
 // NewPointToPointTopology wraps a digraph where each arc is a dedicated
@@ -265,9 +275,8 @@ func (pt *pointToPoint) Distance(u, dst int) int { return pt.blocks.Distance(u, 
 // RouteBlocks lends the engine the per-node blocks (BlockTabled).
 func (pt *pointToPoint) RouteBlocks() *RouteBlocks { return &pt.blocks }
 
-// FingerprintSlot holds the topology's structural fingerprint, as for
-// stack topologies.
-func (pt *pointToPoint) FingerprintSlot() *atomic.Pointer[string] { return &pt.fp }
+// FingerprintSlot holds the topology's Identity, as for stack topologies.
+func (pt *pointToPoint) FingerprintSlot() *atomic.Pointer[Identity] { return &pt.id }
 
 func (pt *pointToPoint) NextCoupler(u, dst int) (int, int) {
 	r := pt.blocks.Entry(u, dst)

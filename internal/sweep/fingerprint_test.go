@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"otisnet/internal/faults"
+	"otisnet/internal/sim"
 	"otisnet/internal/sweep"
 	"otisnet/internal/workload"
 )
@@ -35,6 +36,14 @@ func TestFingerprintsAndCacheKeysPinned(t *testing.T) {
 		}
 	}
 	topo, err := sweep.TopoSpec{Net: "sk", S: 3, D: 2, K: 2}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := sweep.TopoSpec{Net: "debruijn", D: 2, K: 3}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pops, err := sweep.TopoSpec{Net: "pops", T: 4, G: 2}.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,6 +79,16 @@ func TestFingerprintsAndCacheKeysPinned(t *testing.T) {
 			Fault: faults.Spec{Kind: faults.KindCoupler, Count: 3, MTBF: 500, MTTR: 50, Horizon: 4000, Seed: 7}}, "08ad9ab4c5b2b245f0c12a55bfa16391e962b865c003c7345c7c169f1858d12f"},
 		// Wavelengths 0 (the first row) and 1 are the same engine.
 		{sweep.Scenario{Topology: topo, Rate: 0.2, Seed: 1, Wavelengths: 1, Slots: 300, Drain: 300}, "b324c3bbb162dff26f6141e705ff3d699b97f902ed973df13f0fe554dcf5086c"},
+		// Every de Bruijn arc is its own coupler (fan-in 1), so W=2 with
+		// deflection runs, and hashes, as W=1 store-and-forward.
+		{sweep.Scenario{Topology: db, Rate: 0.3, Seed: 1, Slots: 300, Drain: 300}, "7f6dc3985af3798077f659da68b8ced4d16401552a9cc94b55f215fe43fe5ccb"},
+		{sweep.Scenario{Topology: db, Rate: 0.3, Seed: 1, Mode: sweep.Deflection, Wavelengths: 2, Slots: 300, Drain: 300}, "7f6dc3985af3798077f659da68b8ced4d16401552a9cc94b55f215fe43fe5ccb"},
+		// POPS(4,2) couplers have 4 senders: below W=4 both W and the
+		// mode keep their own keys; from W=4 on they fold.
+		{sweep.Scenario{Topology: pops, Rate: 0.3, Seed: 1, Mode: sweep.Deflection, Wavelengths: 1, Slots: 300, Drain: 300}, "c3d0b05dd484cc3adcf8897de9584d64dd928478d792777f6346f3ccdc2e7bdf"},
+		{sweep.Scenario{Topology: pops, Rate: 0.3, Seed: 1, Mode: sweep.Deflection, Wavelengths: 3, Slots: 300, Drain: 300}, "ba9a43b564fd3dc5b6e99e539c42b176e7f9e52623fd8762277a9a0b6b4e6b25"},
+		{sweep.Scenario{Topology: pops, Rate: 0.3, Seed: 1, Wavelengths: 4, Slots: 300, Drain: 300}, "58c7280e2c6441e4c707c9e9261ec459bf9ce0260af031b33e972c1645e25d4a"},
+		{sweep.Scenario{Topology: pops, Rate: 0.3, Seed: 1, Mode: sweep.Deflection, Wavelengths: 9, Slots: 300, Drain: 300}, "58c7280e2c6441e4c707c9e9261ec459bf9ce0260af031b33e972c1645e25d4a"},
 	} {
 		if key := tc.sc.CacheKey(); key != tc.key {
 			t.Errorf("cache key %s, want %s", key, tc.key)
@@ -89,7 +108,7 @@ func TestFingerprintedTopologyIsCollected(t *testing.T) {
 		}
 		sweep.TopologyFingerprint(topo.Topo)
 		slot := topo.Topo.(interface {
-			FingerprintSlot() *atomic.Pointer[string]
+			FingerprintSlot() *atomic.Pointer[sim.Identity]
 		}).FingerprintSlot()
 		runtime.AddCleanup(slot, func(b *atomic.Bool) { b.Store(true) }, &collected)
 	}()

@@ -10,6 +10,20 @@ package sweep
 // deliberately excluded: they label output rows but cannot change a single
 // simulated bit.
 //
+// Wavelengths and mode are folded by the topology's coupler fan-in F (the
+// most nodes that list any one coupler as an out-coupler; sim.FanIn), the
+// rule sim.Config.Canonical states and the engine runs: W hashes as
+// min(max(W, 1), F), and the mode as store-and-forward when W >= F. The
+// proof: a node requests at most one of its own out-couplers per slot, so
+// a coupler never has more than F requests; W beyond F grants nothing
+// more, and at W >= F no request loses arbitration, which is the only
+// place deflection acts. Faults only shrink the live out-lists
+// (faults.FaultedTopology), so the base topology's F bounds every fault
+// plan. The paper's de Bruijn baseline has F = 1 (every arc is its own
+// degree-1 coupler), so its four (mode, W in {1, 2}) siblings share one
+// key. A scenario already in canonical form hashes exactly as it did
+// before the fold, so the fold needed no keyVersion bump.
+//
 // The key is versioned (keyVersion). Any change to engine semantics that
 // keeps the Scenario type but alters results for the same field values
 // must bump the version, which invalidates every cache entry at once.
@@ -35,30 +49,33 @@ const keyVersion = "otisnet-scenario-v1"
 // coupler's head list, in index order. Routing and distances are derived
 // deterministically from exactly that structure (the construction-time
 // scan oracles break ties in list order), so two topologies with equal
-// fingerprints are simulation-equivalent. A topology with a
-// fingerprintMemo slot (the stack and point-to-point topologies) keeps its
-// fingerprint there once computed, so the memo lives exactly as long as
-// the topology; others are hashed on every call. The fingerprint is
-// computed from the pristine structure, so it must be taken from the base
+// fingerprints are simulation-equivalent. The fingerprint is computed
+// from the pristine structure, so it must be taken from the base
 // topology, never from a live fault wrapper.
-func TopologyFingerprint(t sim.Topology) string {
+func TopologyFingerprint(t sim.Topology) string { return identity(t).Fingerprint }
+
+// identity returns the topology's fingerprint and fan-in. A topology with
+// a fingerprintMemo slot (the stack and point-to-point topologies) keeps
+// them there once computed, so the memo lives exactly as long as the
+// topology; others are scanned on every call.
+func identity(t sim.Topology) sim.Identity {
 	memo, ok := t.(fingerprintMemo)
 	if !ok {
-		return fingerprint(t)
+		return sim.Identity{Fingerprint: fingerprint(t), FanIn: sim.FanIn(t)}
 	}
 	slot := memo.FingerprintSlot()
-	if fp := slot.Load(); fp != nil {
-		return *fp
+	if id := slot.Load(); id != nil {
+		return *id
 	}
-	fp := fingerprint(t)
-	slot.Store(&fp)
-	return fp
+	id := sim.Identity{Fingerprint: fingerprint(t), FanIn: sim.FanIn(t)}
+	slot.Store(&id)
+	return id
 }
 
 // fingerprintMemo is implemented by topologies that carry a slot for their
-// own fingerprint.
+// own identity.
 type fingerprintMemo interface {
-	FingerprintSlot() *atomic.Pointer[string]
+	FingerprintSlot() *atomic.Pointer[sim.Identity]
 }
 
 // fingerprint hashes the structure TopologyFingerprint describes.
@@ -109,16 +126,20 @@ func (s Scenario) CacheKey() string {
 //	fault none|stochastic ...|oneshot ...\nworkload <kind> ...\n
 //
 // Fields are normalized first so that parameter spellings the engine
-// cannot distinguish hash identically: Wavelengths 0 and 1 are the same
-// engine, a fault spec with Count 0 is fault-free regardless of its other
-// fields, workload parameters that the selected kind ignores are zeroed,
-// and the rate normalizes to 1 where the generator would treat it so
-// (event traces replay verbatim at any rate; rate traces treat a scale
-// <= 0 as 1). Integers are base 10 and floats go through appendCanonFloat.
+// cannot distinguish hash identically: wavelengths and mode are folded by
+// the topology's fan-in (see the file comment; Wavelengths 0 and 1 are
+// the same engine), a fault spec with Count 0 is fault-free regardless of
+// its other fields, workload parameters that the selected kind ignores
+// are zeroed, and the rate normalizes to 1 where the generator would
+// treat it so (event traces replay verbatim at any rate; rate traces
+// treat a scale <= 0 as 1). Integers are base 10 and floats go through
+// appendCanonFloat.
 func appendKey(b []byte, s Scenario) []byte {
-	waves := s.Wavelengths
-	if waves < 1 {
-		waves = 1
+	id := identity(s.Topology.Topo)
+	run := s.Config().Canonical(id.FanIn)
+	mode := s.Mode
+	if mode == Deflection && !run.Deflection {
+		mode = StoreAndForward
 	}
 	rate := s.Rate
 	if s.Workload.Kind == workload.KindTrace &&
@@ -126,11 +147,11 @@ func appendKey(b []byte, s Scenario) []byte {
 		rate = 1
 	}
 	b = append(b, keyVersion+"\ntopo "...)
-	b = append(b, TopologyFingerprint(s.Topology.Topo)...)
+	b = append(b, id.Fingerprint...)
 	b = appendCanonFloat(append(b, "\nrate "...), rate)
 	b = strconv.AppendInt(append(b, "\nseed "...), s.Seed, 10)
-	b = appendInt(append(b, "\nmode "...), int(s.Mode))
-	b = appendInt(append(b, "\nwavelengths "...), waves)
+	b = appendInt(append(b, "\nmode "...), int(mode))
+	b = appendInt(append(b, "\nwavelengths "...), run.Wavelengths)
 	b = appendInt(append(b, "\nmaxqueue "...), s.MaxQueue)
 	b = appendInt(append(b, "\nslots "...), s.Slots)
 	b = appendInt(append(b, "\ndrain "...), s.Drain)

@@ -478,9 +478,10 @@ func (t *Trace) Generate(buf []sim.Injection, slot, n int, rng *rand.Rand) []sim
 	return buf
 }
 
-// open arms the streaming cursor. The finalizer covers generators whose
-// run ends before the trace does (slots < MaxSlot) — the reader closes
-// itself at EOF otherwise.
+// open arms the streaming cursor. A run that ends before the trace does
+// (slots < MaxSlot) releases it through Close, which sim.Engine.Run calls;
+// the finalizer covers callers that step a Trace by hand, and the reader
+// closes itself at EOF.
 func (t *Trace) open() {
 	f, err := os.Open(t.Path)
 	if err != nil {
@@ -494,18 +495,21 @@ func (t *Trace) open() {
 	t.havePending = false
 	t.rate = 0
 	t.lineNo = 0
-	runtime.SetFinalizer(t, func(tr *Trace) { tr.stop() })
+	runtime.SetFinalizer(t, func(tr *Trace) { tr.Close() })
 	t.advance()
 }
 
-// stop releases the file handle; the cursor stays logically at EOF.
-func (t *Trace) stop() {
-	if t.f != nil {
-		t.f.Close()
-		t.f = nil
-		t.sc = nil
-		runtime.SetFinalizer(t, nil)
+// Close releases the trace file and its line buffer. Replay after Close
+// continues as at EOF: only the record already read can still inject.
+func (t *Trace) Close() error {
+	if t.f == nil {
+		return nil
 	}
+	err := t.f.Close()
+	t.f = nil
+	t.sc = nil
+	runtime.SetFinalizer(t, nil)
+	return err
 }
 
 // advance reads the next data record into pending, closing the file at
@@ -540,5 +544,5 @@ func (t *Trace) advance() {
 		}
 	}
 	t.havePending = false
-	t.stop()
+	t.Close() // read-only: a close error loses nothing
 }

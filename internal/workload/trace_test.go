@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"otisnet/internal/sim"
+	"otisnet/internal/stackkautz"
 )
 
 // writeTrace drops trace content into a temp file and returns its path.
@@ -349,4 +350,26 @@ func TestTraceReplayPanicsWhenFileVanishes(t *testing.T) {
 		}
 	}()
 	spec.New(1, 10, 1).Generate(nil, 0, 10, rand.New(rand.NewSource(1)))
+}
+
+// TestTraceClosedWhenRunEndsEarly runs a trace for fewer slots than it
+// holds: Engine.Run must release its file and line buffer on return,
+// instead of leaving them to the finalizer.
+func TestTraceClosedWhenRunEndsEarly(t *testing.T) {
+	spec, err := NewTraceSpec("../../examples/traces/day_rates.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo := sim.NewStackTopology(stackkautz.New(3, 2, 2).StackGraph())
+	tr := spec.New(1, topo.Nodes(), 3).(*Trace)
+	cfg := sim.Config{Seed: 1}
+	if m := sim.NewEngine(topo, cfg).Run(tr, 100, 0, cfg); m.Injected == 0 {
+		t.Fatal("the trace injected nothing")
+	}
+	if !tr.opened || !tr.havePending {
+		t.Fatalf("the run did not stop inside the trace (opened %v, record pending %v)", tr.opened, tr.havePending)
+	}
+	if tr.f != nil || tr.sc != nil {
+		t.Fatal("Engine.Run returned with the trace file still open")
+	}
 }
