@@ -11,7 +11,11 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
+	"log/slog"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"unsafe"
 
@@ -36,6 +40,7 @@ import (
 	"otisnet/internal/stackkautz"
 	"otisnet/internal/sweep"
 	"otisnet/internal/sweepcache"
+	"otisnet/internal/sweepserver"
 	"otisnet/internal/workload"
 )
 
@@ -592,6 +597,72 @@ func BenchmarkSweepCachedGrid(b *testing.B) {
 	if st := cache.Stats(); st.Misses != coldMisses {
 		b.Fatalf("warm-cache grid computed %d points, want 0", st.Misses-coldMisses)
 	}
+}
+
+// BenchmarkServerGrid is BenchmarkSweepCachedGrid's 24-point grid
+// submitted to the sweep server over loopback HTTP without shards, timed
+// from submit to the end of its result stream: the job path a `netsim
+// serve` client takes, through the in-process workers. warm resubmits the
+// grid onto a cache that holds every point; cold gives each job a fresh
+// server and cache.
+func BenchmarkServerGrid(b *testing.B) {
+	body, err := json.Marshal(sweepserver.GridSpec{
+		Topologies: []sweep.TopoSpec{{Net: "sk", S: 6, D: 3, K: 2}},
+		Rates:      []float64{0.05, 0.2, 0.5},
+		Seeds:      []int64{1, 2, 3, 4},
+		Modes:      []string{"sf", "deflect"},
+		Slots:      200,
+		Drain:      200,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	serve := func() *httptest.Server {
+		srv := sweepserver.New(sweep.Runner{}, sweepcache.NewMemory())
+		srv.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+		return httptest.NewServer(srv.Handler())
+	}
+	job := func(url string) {
+		resp, err := http.Post(url+"/api/v1/sweeps", "application/json", bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		var st struct{ ID string }
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusAccepted {
+			b.Fatalf("submit: %d %v", resp.StatusCode, err)
+		}
+		resp, err = http.Get(url + "/api/v1/sweeps/" + st.ID + "/stream")
+		if err != nil {
+			b.Fatal(err)
+		}
+		lines, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if n := bytes.Count(lines, []byte("\n")); err != nil || n != 24 {
+			b.Fatalf("stream: %d lines, %v", n, err)
+		}
+	}
+	b.Run("warm", func(b *testing.B) {
+		ts := serve()
+		defer ts.Close()
+		job(ts.URL)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			job(ts.URL)
+		}
+	})
+	b.Run("cold", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			ts := serve()
+			b.StartTimer()
+			job(ts.URL)
+			b.StopTimer()
+			ts.Close()
+			b.StartTimer()
+		}
+	})
 }
 
 // BenchmarkCacheKey hashes one point of the paper-trio grid (SK(6,3,2),

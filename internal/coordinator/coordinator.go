@@ -2,10 +2,10 @@
 // distributed system: a submitted grid is split into deterministic strided
 // shards (sweep.ShardPoints), each shard is handed to a worker as a
 // *lease* — id, job, shard index, epoch, deadline — over a small HTTP
-// protocol (see http.go), and the coordinator reassembles completed shard
-// rows with sweep.MergeShardResults so the final result slice is
-// bit-for-bit equal to a single-process Runner.RunCached over the same
-// points.
+// protocol (see http.go) or in process (Leases), and the coordinator
+// reassembles completed shard rows with sweep.MergeShardResults so the
+// final result slice is bit-for-bit equal to a single-process
+// Runner.RunCached over the same points.
 //
 // The lease state machine is what makes worker failure survivable:
 //
@@ -39,8 +39,10 @@
 package coordinator
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -154,6 +156,13 @@ type Grant struct {
 	Payload []byte `json:"payload,omitempty"`
 }
 
+// Leases is a worker's view of a coordinator: *Coordinator or HTTP *Client.
+type Leases interface {
+	Acquire(ctx context.Context, worker string) (g Grant, ok bool, err error)
+	Renew(ctx context.Context, worker string, g Grant) (time.Duration, error)
+	Complete(ctx context.Context, worker string, g Grant, rows []sweep.ShardResult) (CompleteStatus, error)
+}
+
 // shardState is the per-shard slot state.
 type shardState int
 
@@ -166,9 +175,9 @@ const (
 // shardSlot tracks one shard of a job.
 type shardSlot struct {
 	state shardState
-	epoch int // epoch of the newest lease ever granted for this shard
-	live  int // live leases (0, 1, or 2 after a steal)
-	rows  []sweep.ShardResult
+	epoch int                 // epoch of the newest lease ever granted for this shard
+	live  int                 // live leases (0, 1, or 2 after a steal)
+	rows  []sweep.ShardResult // the accepted rows, until the job ends
 }
 
 // lease is one live lease record.
@@ -207,9 +216,7 @@ type Job struct {
 
 // Progress is a snapshot of a job's distributed execution.
 type Progress struct {
-	ID           string   `json:"id"`
 	State        JobState `json:"state"`
-	Points       int      `json:"points"`
 	ShardsTotal  int      `json:"shards_total"`
 	ShardsDone   int      `json:"shards_done"`
 	ShardsLeased int      `json:"shards_leased"`
@@ -224,11 +231,12 @@ type Coordinator struct {
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
-	order    []*Job // submission order
+	order    []*Job // running jobs in submission order
 	leases   map[string]*lease
 	leaseSeq int
 	jobSeq   int
 	workers  map[string]time.Time // worker name -> last seen
+	mounted  bool                 // Mount ran: this coordinator serves the fleet
 }
 
 // New builds a coordinator with the given configuration.
@@ -240,9 +248,6 @@ func New(cfg Config) *Coordinator {
 		workers: make(map[string]time.Time),
 	}
 }
-
-// TTL returns the configured lease time-to-live.
-func (c *Coordinator) TTL() time.Duration { return c.cfg.LeaseTTL }
 
 // Submit registers a job: points are the expanded grid (the merge
 // reference), payload the opaque grid description shipped to workers,
@@ -298,8 +303,8 @@ func (c *Coordinator) Submit(id string, points []sweep.Scenario, payload []byte,
 // running job (ties broken by submission order). With no pending shard
 // anywhere, the slowest singly-leased shard older than StealAfter is
 // duplicated to the caller (a steal) — never a shard the caller already
-// holds.
-func (c *Coordinator) Acquire(worker string) (Grant, bool) {
+// holds. The error is always nil; it is there for the Leases shape.
+func (c *Coordinator) Acquire(_ context.Context, worker string) (Grant, bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.cfg.Clock.Now()
@@ -307,9 +312,6 @@ func (c *Coordinator) Acquire(worker string) (Grant, bool) {
 	c.workers[worker] = now
 	var best *Job
 	for _, j := range c.order {
-		if j.state != JobRunning {
-			continue
-		}
 		if best == nil || j.priority > best.priority {
 			if j.hasPendingShard() {
 				best = j
@@ -319,7 +321,7 @@ func (c *Coordinator) Acquire(worker string) (Grant, bool) {
 	if best != nil {
 		for si := range best.shards {
 			if best.shards[si].state == shardPending {
-				return c.grantLocked(best, si, worker, false, now), true
+				return c.grantLocked(best, si, worker, false, now), true, nil
 			}
 		}
 	}
@@ -342,9 +344,9 @@ func (c *Coordinator) Acquire(worker string) (Grant, bool) {
 	}
 	if victim != nil {
 		coordObs.leasesStolen.Add(1)
-		return c.grantLocked(victim.job, victim.shard, worker, true, now), true
+		return c.grantLocked(victim.job, victim.shard, worker, true, now), true, nil
 	}
-	return Grant{}, false
+	return Grant{}, false, nil
 }
 
 func (j *Job) hasPendingShard() bool {
@@ -387,18 +389,18 @@ func (c *Coordinator) grantLocked(j *Job, shard int, worker string, stolen bool,
 	}
 }
 
-// Renew extends the lease deadline by one TTL. ErrLeaseLost means the
+// Renew extends g's lease deadline by one TTL. ErrLeaseLost means the
 // lease is gone (expired, superseded or its job ended): the worker should
 // abandon the shard — any points it already computed live on in the
 // shared cache.
-func (c *Coordinator) Renew(leaseID string, epoch int, worker string) (time.Duration, error) {
+func (c *Coordinator) Renew(_ context.Context, worker string, g Grant) (time.Duration, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.cfg.Clock.Now()
 	c.sweepLocked(now)
 	c.workers[worker] = now
-	l := c.leases[leaseID]
-	if l == nil || l.epoch != epoch {
+	l := c.leases[g.LeaseID]
+	if l == nil || l.epoch != g.Epoch {
 		return 0, ErrLeaseLost
 	}
 	l.deadline = now.Add(c.cfg.LeaseTTL)
@@ -415,41 +417,41 @@ func (c *Coordinator) Heartbeat(worker string) {
 	c.workers[worker] = now
 }
 
-// Complete reports a shard's result rows under a lease. The returned
+// Complete reports a shard's result rows under g's lease. The returned
 // status classifies the outcome (see CompleteStatus); err is non-nil only
 // for malformed requests (unknown job, shard out of range) and for
 // StatusInvalid, where it describes the row mismatch.
-func (c *Coordinator) Complete(jobID string, shard int, leaseID string, epoch int, worker string, rows []sweep.ShardResult) (CompleteStatus, error) {
+func (c *Coordinator) Complete(_ context.Context, worker string, g Grant, rows []sweep.ShardResult) (CompleteStatus, error) {
 	c.mu.Lock()
 	now := c.cfg.Clock.Now()
 	c.sweepLocked(now)
 	c.workers[worker] = now
-	j := c.jobs[jobID]
+	j := c.jobs[g.Job]
 	if j == nil {
 		c.mu.Unlock()
-		return StatusStale, fmt.Errorf("coordinator: unknown job %s", jobID)
+		return StatusStale, fmt.Errorf("coordinator: unknown job %s", g.Job)
 	}
-	if shard < 0 || shard >= len(j.shards) {
+	if g.Shard < 0 || g.Shard >= len(j.shards) {
 		c.mu.Unlock()
-		return StatusStale, fmt.Errorf("coordinator: job %s has no shard %d", jobID, shard)
+		return StatusStale, fmt.Errorf("coordinator: job %s has no shard %d", g.Job, g.Shard)
 	}
 	if j.state != JobRunning {
 		c.mu.Unlock()
 		coordObs.completionsStale.Add(1)
 		return StatusStale, nil
 	}
-	slot := &j.shards[shard]
+	slot := &j.shards[g.Shard]
 	if slot.state == shardDone {
 		c.mu.Unlock()
 		return StatusDuplicate, nil
 	}
-	l := c.leases[leaseID]
-	if l == nil || l.job != j || l.shard != shard || l.epoch != epoch {
+	l := c.leases[g.LeaseID]
+	if l == nil || l.job != j || l.shard != g.Shard || l.epoch != g.Epoch {
 		c.mu.Unlock()
 		coordObs.completionsStale.Add(1)
 		return StatusStale, nil
 	}
-	if err := j.validateRows(shard, rows); err != nil {
+	if err := j.validateRows(g.Shard, rows); err != nil {
 		// The worker ran the wrong thing; revoke its lease so the shard
 		// can go to someone else, and tell it why.
 		c.dropLeaseLocked(l)
@@ -465,7 +467,7 @@ func (c *Coordinator) Complete(jobID string, shard int, leaseID string, epoch in
 	slot.state = shardDone
 	slot.rows = rows
 	for id, other := range c.leases {
-		if other.job == j && other.shard == shard {
+		if other.job == j && other.shard == g.Shard {
 			delete(c.leases, id)
 			coordObs.leasesOutstanding.Add(-1)
 		}
@@ -486,6 +488,7 @@ func (c *Coordinator) Complete(jobID string, shard int, leaseID string, epoch in
 			j.results = results
 			coordObs.jobsCompleted.Add(1)
 		}
+		c.order = slices.DeleteFunc(c.order, func(o *Job) bool { return o == j })
 		coordObs.jobsRunning.Add(-1)
 		if onDone := j.hooks.OnDone; onDone != nil {
 			j.pending = append(j.pending, func() { onDone(results, jobErr) })
@@ -537,12 +540,13 @@ func (j *Job) validateRows(shard int, rows []sweep.ShardResult) error {
 }
 
 // mergeLocked reassembles the job's shard rows into the full result
-// slice. A merge error (index conflicts, key mismatches — a worker ran a
-// different grid) fails the job; it must never panic.
+// slice and drops them: no completion reads them once the job ends. A
+// merge error (index conflicts, key mismatches — a worker ran a different
+// grid) fails the job; it must never panic.
 func (j *Job) mergeLocked() ([]sweep.Result, error) {
 	all := make([][]sweep.ShardResult, len(j.shards))
 	for i := range j.shards {
-		all[i] = j.shards[i].rows
+		all[i], j.shards[i].rows = j.shards[i].rows, nil
 	}
 	return sweep.MergeShardResults(j.points, all...)
 }
@@ -576,6 +580,10 @@ func (c *Coordinator) Cancel(jobID string) {
 			coordObs.leasesOutstanding.Add(-1)
 		}
 	}
+	for i := range j.shards {
+		j.shards[i].rows = nil
+	}
+	c.order = slices.DeleteFunc(c.order, func(o *Job) bool { return o == j })
 	coordObs.jobsRunning.Add(-1)
 	coordObs.jobsCanceled.Add(1)
 	if onDone := j.hooks.OnDone; onDone != nil {
@@ -587,8 +595,8 @@ func (c *Coordinator) Cancel(jobID string) {
 // sweepLocked expires leases whose deadline has passed: the lease record
 // dies (its completion becomes stale) and a shard with no remaining live
 // lease returns to pending, to be re-leased at a higher epoch. It also
-// refreshes the live-worker gauge (workers seen within three TTLs) and
-// prunes stale worker entries. Caller holds mu.
+// prunes stale worker entries and, once mounted, refreshes the live-worker
+// gauge (workers seen within three TTLs). Caller holds mu.
 func (c *Coordinator) sweepLocked(now time.Time) {
 	for id, l := range c.leases {
 		if !now.After(l.deadline) {
@@ -612,7 +620,9 @@ func (c *Coordinator) sweepLocked(now time.Time) {
 		}
 		live++
 	}
-	coordObs.workersLive.Set(int64(live))
+	if c.mounted {
+		coordObs.workersLive.Set(int64(live))
+	}
 }
 
 // Progress returns a snapshot of the job's execution state.
@@ -620,9 +630,7 @@ func (j *Job) Progress() Progress {
 	j.c.mu.Lock()
 	defer j.c.mu.Unlock()
 	p := Progress{
-		ID:          j.id,
 		State:       j.state,
-		Points:      len(j.points),
 		ShardsTotal: len(j.shards),
 		ShardsDone:  j.done,
 	}

@@ -7,8 +7,10 @@ package coordinator_test
 // tests' job.
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -17,6 +19,9 @@ import (
 	"otisnet/internal/sim"
 	"otisnet/internal/sweep"
 )
+
+// bg is the context of the tests' direct lease calls.
+var bg = context.Background()
 
 // fakeClock is a manually advanced coordinator.Clock.
 type fakeClock struct {
@@ -125,7 +130,7 @@ func newHarness(t *testing.T, shards, priority int) *harness {
 
 func (h *harness) acquire(t *testing.T, worker string) coordinator.Grant {
 	t.Helper()
-	g, ok := h.coord.Acquire(worker)
+	g, ok, _ := h.coord.Acquire(bg, worker)
 	if !ok {
 		t.Fatalf("%s: acquire returned nothing", worker)
 	}
@@ -133,7 +138,7 @@ func (h *harness) acquire(t *testing.T, worker string) coordinator.Grant {
 }
 
 func (h *harness) complete(g coordinator.Grant, worker string, rows []sweep.ShardResult) (coordinator.CompleteStatus, error) {
-	return h.coord.Complete(g.Job, g.Shard, g.LeaseID, g.Epoch, worker, rows)
+	return h.coord.Complete(bg, worker, g, rows)
 }
 
 func TestSubmitValidation(t *testing.T) {
@@ -187,11 +192,11 @@ func TestLeaseTransitions(t *testing.T) {
 			// Renew at 8s, so at 14s the lease (TTL 10s) is alive only if the
 			// renewal actually moved the deadline.
 			h.clock.Advance(8 * time.Second)
-			if _, err := h.coord.Renew(g.LeaseID, g.Epoch, "w1"); err != nil {
+			if _, err := h.coord.Renew(bg, "w1", g); err != nil {
 				t.Fatal(err)
 			}
 			h.clock.Advance(6 * time.Second)
-			if _, err := h.coord.Renew(g.LeaseID, g.Epoch, "w1"); err != nil {
+			if _, err := h.coord.Renew(bg, "w1", g); err != nil {
 				t.Fatalf("renewed lease expired anyway: %v", err)
 			}
 			if st, _ := h.complete(g, "w1", rowsFor(t, h.points, g.Shard, h.shards)); st != coordinator.StatusAccepted {
@@ -202,7 +207,7 @@ func TestLeaseTransitions(t *testing.T) {
 		{"expiry re-pends at a higher epoch and stales the old lease", func(t *testing.T, h *harness) {
 			g := h.acquire(t, "w1")
 			h.clock.Advance(11 * time.Second) // past TTL
-			if _, err := h.coord.Renew(g.LeaseID, g.Epoch, "w1"); !errors.Is(err, coordinator.ErrLeaseLost) {
+			if _, err := h.coord.Renew(bg, "w1", g); !errors.Is(err, coordinator.ErrLeaseLost) {
 				t.Fatalf("renew of expired lease: %v, want ErrLeaseLost", err)
 			}
 			// The shard comes back at a higher epoch.
@@ -231,10 +236,12 @@ func TestLeaseTransitions(t *testing.T) {
 		{"wrong epoch is stale even while the lease lives", func(t *testing.T, h *harness) {
 			g := h.acquire(t, "w1")
 			rows := rowsFor(t, h.points, g.Shard, h.shards)
-			if st, _ := h.coord.Complete(g.Job, g.Shard, g.LeaseID, g.Epoch+1, "w1", rows); st != coordinator.StatusStale {
+			bumped := g
+			bumped.Epoch++
+			if st, _ := h.coord.Complete(bg, "w1", bumped, rows); st != coordinator.StatusStale {
 				t.Fatalf("wrong-epoch completion: %s, want stale", st)
 			}
-			if _, err := h.coord.Renew(g.LeaseID, g.Epoch+1, "w1"); !errors.Is(err, coordinator.ErrLeaseLost) {
+			if _, err := h.coord.Renew(bg, "w1", bumped); !errors.Is(err, coordinator.ErrLeaseLost) {
 				t.Fatalf("wrong-epoch renew: %v, want ErrLeaseLost", err)
 			}
 			// The correctly named lease is untouched by the bad calls.
@@ -264,13 +271,13 @@ func TestLeaseTransitions(t *testing.T) {
 			g1 := h.acquire(t, "w1")
 			h.clock.Advance(2 * time.Second)
 			g2 := h.acquire(t, "w2") // both shards now leased; nothing pending
-			if _, ok := h.coord.Acquire("w3"); ok {
+			if _, ok, _ := h.coord.Acquire(bg, "w3"); ok {
 				t.Fatalf("steal granted before StealAfter elapsed")
 			}
 			// g1 is now 6s old (past StealAfter 5s, under TTL 10s); g2 only
 			// 4s old — the steal victim is unambiguous.
 			h.clock.Advance(4 * time.Second)
-			stolen, ok := h.coord.Acquire("w3")
+			stolen, ok, _ := h.coord.Acquire(bg, "w3")
 			if !ok || !stolen.Stolen {
 				t.Fatalf("idle worker got no steal grant (ok=%v, grant=%+v)", ok, stolen)
 			}
@@ -282,7 +289,7 @@ func TestLeaseTransitions(t *testing.T) {
 			}
 			// The victim must not be stolen from twice, and the holder never
 			// steals its own shard.
-			if g, ok := h.coord.Acquire("w4"); ok && g.Shard == g1.Shard {
+			if g, ok, _ := h.coord.Acquire(bg, "w4"); ok && g.Shard == g1.Shard {
 				t.Fatalf("doubly-leased shard stolen again")
 			}
 			// First valid completion wins — here the thief...
@@ -309,7 +316,7 @@ func TestLeaseTransitions(t *testing.T) {
 				t.Fatalf("mismatched rows: status %s err %v, want invalid + error", st, err)
 			}
 			// The lease is gone and the shard immediately re-leasable.
-			if _, err := h.coord.Renew(g.LeaseID, g.Epoch, "w1"); !errors.Is(err, coordinator.ErrLeaseLost) {
+			if _, err := h.coord.Renew(bg, "w1", g); !errors.Is(err, coordinator.ErrLeaseLost) {
 				t.Fatalf("renew after invalid completion: %v", err)
 			}
 			seen := map[int]bool{}
@@ -325,13 +332,13 @@ func TestLeaseTransitions(t *testing.T) {
 		{"cancel invalidates leases and reports ErrCanceled once", func(t *testing.T, h *harness) {
 			g := h.acquire(t, "w1")
 			h.coord.Cancel(g.Job)
-			if _, err := h.coord.Renew(g.LeaseID, g.Epoch, "w1"); !errors.Is(err, coordinator.ErrLeaseLost) {
+			if _, err := h.coord.Renew(bg, "w1", g); !errors.Is(err, coordinator.ErrLeaseLost) {
 				t.Fatalf("renew after cancel: %v", err)
 			}
 			if st, _ := h.complete(g, "w1", rowsFor(t, h.points, g.Shard, h.shards)); st != coordinator.StatusStale {
 				t.Fatalf("complete after cancel: %s, want stale", st)
 			}
-			if _, ok := h.coord.Acquire("w2"); ok {
+			if _, ok, _ := h.coord.Acquire(bg, "w2"); ok {
 				t.Fatalf("canceled job still hands out leases")
 			}
 			h.coord.Cancel(g.Job) // idempotent: OnDone must not refire
@@ -392,6 +399,51 @@ func TestJobCompletesAndMerges(t *testing.T) {
 	}
 }
 
+// TestCompletionAfterJobEndKeepsResults: the coordinator lets go of a
+// job's shard rows once the job ends. A steal racer's completion still
+// gets its answer — duplicate while the job runs, stale once it has
+// ended, both without reading the rows — and the merged results do not
+// change.
+func TestCompletionAfterJobEndKeepsResults(t *testing.T) {
+	h := newHarness(t, 2, 0)
+	g0 := h.acquire(t, "w0")
+	h.clock.Advance(2 * time.Second)
+	g1 := h.acquire(t, "w1")
+	h.clock.Advance(4 * time.Second) // only g0 is past StealAfter
+	racer := h.acquire(t, "w2")
+	if !racer.Stolen || racer.Shard != g0.Shard {
+		t.Fatalf("steal grant %+v, want a steal of shard %d", racer, g0.Shard)
+	}
+	rows0 := rowsFor(t, h.points, g0.Shard, 2)
+	if st, err := h.complete(g0, "w0", rows0); st != coordinator.StatusAccepted {
+		t.Fatalf("first completion: %s %v", st, err)
+	}
+	if st, _ := h.complete(racer, "w2", rows0); st != coordinator.StatusDuplicate {
+		t.Fatalf("racer completion on a running job: %s, want duplicate", st)
+	}
+	if st, err := h.complete(g1, "w1", rowsFor(t, h.points, g1.Shard, 2)); st != coordinator.StatusAccepted {
+		t.Fatalf("last completion: %s %v", st, err)
+	}
+	want, err := h.job.Results()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = append([]sweep.Result(nil), want...)
+	poisoned := rowsFor(t, h.points, g0.Shard, 2)
+	for i := range poisoned {
+		poisoned[i].Metrics.Delivered = -1
+	}
+	for _, g := range []coordinator.Grant{racer, g0, g1} {
+		if st, _ := h.complete(g, "late", poisoned); st != coordinator.StatusStale {
+			t.Fatalf("completion of shard %d after the job ended: %s, want stale", g.Shard, st)
+		}
+	}
+	got, err := h.job.Results()
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("results after late completions differ (err %v)", err)
+	}
+}
+
 // TestMergeFailureFailsJob: a worker that ran a *different grid* produces
 // rows whose cache keys don't match the coordinator's points. The merge
 // must fail the job (OnDone with the error), not panic.
@@ -434,7 +486,7 @@ func TestAcquirePriorityOrder(t *testing.T) {
 
 	var got []string
 	for i := 0; i < 3; i++ {
-		g, ok := c.Acquire("w")
+		g, ok, _ := c.Acquire(bg, "w")
 		if !ok {
 			t.Fatalf("acquire %d returned nothing", i)
 		}

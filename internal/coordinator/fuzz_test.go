@@ -125,18 +125,18 @@ func FuzzLeaseProtocol(f *testing.F) {
 		for ops := 0; len(data) > 0 && ops < 256; ops++ {
 			switch next() % 6 {
 			case 0: // acquire
-				if g, ok := coord.Acquire(workerName(next())); ok {
+				if g, ok, _ := coord.Acquire(bg, workerName(next())); ok {
 					grants = append(grants, g)
 				}
 			case 1: // renew a remembered grant (possibly long dead)
 				if g, ok := pick(next()); ok {
-					coord.Renew(g.LeaseID, g.Epoch, "A")
+					coord.Renew(bg, "A", g)
 				}
 			case 2: // time passes; leases may expire
 				clock.Advance(time.Duration(next()) * ttl / 64)
 			case 3: // honest completion of a remembered grant
 				if g, ok := pick(next()); ok {
-					coord.Complete(g.Job, g.Shard, g.LeaseID, g.Epoch, "A", honestRows(points, g.Shard, shards))
+					coord.Complete(bg, "A", g, honestRows(points, g.Shard, shards))
 				}
 			case 4: // stale-epoch completion carrying poisoned metrics
 				if g, ok := pick(next()); ok {
@@ -144,7 +144,9 @@ func FuzzLeaseProtocol(f *testing.F) {
 					for i := range rows {
 						rows[i].Metrics = sim.Metrics{Delivered: 1000 + rows[i].Index}
 					}
-					st, _ := coord.Complete(g.Job, g.Shard, g.LeaseID, g.Epoch+1, "A", rows)
+					bumped := g
+					bumped.Epoch++
+					st, _ := coord.Complete(bg, "A", bumped, rows)
 					if st == coordinator.StatusAccepted {
 						t.Fatalf("stale-epoch completion accepted on shard %d", g.Shard)
 					}
@@ -155,7 +157,7 @@ func FuzzLeaseProtocol(f *testing.F) {
 					for i := range rows {
 						rows[i].Metrics = sim.Metrics{Delivered: 2000 + rows[i].Index}
 					}
-					st, _ := coord.Complete(g.Job, g.Shard, g.LeaseID, g.Epoch, "A", rows)
+					st, _ := coord.Complete(bg, "A", g, rows)
 					if st == coordinator.StatusAccepted {
 						t.Fatalf("wrong-shard rows accepted on shard %d", g.Shard)
 					}
@@ -174,8 +176,8 @@ func FuzzLeaseProtocol(f *testing.F) {
 			if d {
 				break
 			}
-			if g, ok := coord.Acquire("drain"); ok {
-				coord.Complete(g.Job, g.Shard, g.LeaseID, g.Epoch, "drain", honestRows(points, g.Shard, shards))
+			if g, ok, _ := coord.Acquire(bg, "drain"); ok {
+				coord.Complete(bg, "drain", g, honestRows(points, g.Shard, shards))
 				continue
 			}
 			clock.Advance(ttl + time.Second)

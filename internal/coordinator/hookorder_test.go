@@ -86,7 +86,7 @@ func startBlockedCompletion(t *testing.T) (*coordinator.Coordinator, *blockedHoo
 		t.Fatal(err)
 	}
 	for i := range grants {
-		g, ok := c.Acquire(fmt.Sprintf("w%d", i))
+		g, ok, _ := c.Acquire(bg, fmt.Sprintf("w%d", i))
 		if !ok || g.Shard != i {
 			t.Fatalf("acquire %d: %+v %v", i, g, ok)
 		}
@@ -96,7 +96,7 @@ func startBlockedCompletion(t *testing.T) (*coordinator.Coordinator, *blockedHoo
 	go func() {
 		defer close(returned)
 		g := grants[0]
-		if st, err := c.Complete(g.Job, g.Shard, g.LeaseID, g.Epoch, "w0", rows[0]); st != coordinator.StatusAccepted {
+		if st, err := c.Complete(bg, "w0", g, rows[0]); st != coordinator.StatusAccepted {
 			t.Errorf("completion 1: %s %v", st, err)
 		}
 	}()
@@ -107,7 +107,7 @@ func startBlockedCompletion(t *testing.T) (*coordinator.Coordinator, *blockedHoo
 func TestHookOrderCompleteWhileRowsBlocked(t *testing.T) {
 	c, b, grants, rows, returned := startBlockedCompletion(t)
 	g := grants[1]
-	if st, err := c.Complete(g.Job, g.Shard, g.LeaseID, g.Epoch, "w1", rows[1]); st != coordinator.StatusAccepted {
+	if st, err := c.Complete(bg, "w1", g, rows[1]); st != coordinator.StatusAccepted {
 		t.Errorf("completion 2: %s %v", st, err)
 	}
 	if log := b.snapshot(); len(log) != 0 {

@@ -124,8 +124,12 @@ type HeartbeatRequest struct {
 	Worker string `json:"worker"`
 }
 
-// Mount registers the worker protocol endpoints on mux.
+// Mount registers the worker protocol endpoints on mux; from then on
+// netsim_coord_workers_live counts this coordinator's workers.
 func (c *Coordinator) Mount(mux *http.ServeMux) {
+	c.mu.Lock()
+	c.mounted = true
+	c.mu.Unlock()
 	mux.HandleFunc("POST /api/v1/leases/acquire", c.handleAcquire)
 	mux.HandleFunc("POST /api/v1/leases/renew", c.handleRenew)
 	mux.HandleFunc("POST /api/v1/leases/complete", c.handleComplete)
@@ -178,7 +182,7 @@ func (c *Coordinator) handleAcquire(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req, &req.Worker) {
 		return
 	}
-	g, ok := c.Acquire(req.Worker)
+	g, ok, _ := c.Acquire(r.Context(), req.Worker)
 	if !ok {
 		w.WriteHeader(http.StatusNoContent)
 		return
@@ -192,7 +196,7 @@ func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req, &req.Worker) {
 		return
 	}
-	ttl, err := c.Renew(req.LeaseID, req.Epoch, req.Worker)
+	ttl, err := c.Renew(r.Context(), req.Worker, Grant{LeaseID: req.LeaseID, Epoch: req.Epoch})
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusConflict)
 		return
@@ -210,7 +214,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	if !checkDecoded(w, err, req.Worker) {
 		return
 	}
-	st, err := c.Complete(req.Job, req.Shard, req.LeaseID, req.Epoch, req.Worker, req.Rows)
+	st, err := c.Complete(r.Context(), req.Worker, Grant{LeaseID: req.LeaseID, Job: req.Job, Shard: req.Shard, Epoch: req.Epoch}, req.Rows)
 	resp := CompleteResponse{Status: st}
 	if err != nil {
 		resp.Error = err.Error()
@@ -347,15 +351,3 @@ func (c *Client) Complete(ctx context.Context, worker string, g Grant, rows []sw
 // completeRowBytes sizes a completion body: a canonical row with a key
 // and four- to seven-digit counters takes 300 to 350 bytes.
 const completeRowBytes = 384
-
-// Heartbeat records worker liveness.
-func (c *Client) Heartbeat(ctx context.Context, worker string) error {
-	code, err := c.post(ctx, "/api/v1/workers/heartbeat", HeartbeatRequest{Worker: worker}, nil)
-	if err != nil {
-		return err
-	}
-	if code != http.StatusNoContent && code != http.StatusOK {
-		return fmt.Errorf("coordinator: heartbeat: HTTP %d", code)
-	}
-	return nil
-}

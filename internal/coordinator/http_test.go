@@ -122,7 +122,7 @@ func TestCompleteBodiesKeepTheirAnswers(t *testing.T) {
 		if _, err := coord.Submit("j", points, nil, 1, 0, coordinator.Hooks{}); err != nil {
 			t.Fatal(err)
 		}
-		g, ok := coord.Acquire("w1")
+		g, ok, _ := coord.Acquire(bg, "w1")
 		if !ok || g.Epoch != 1 {
 			t.Fatalf("acquire: %+v %v", g, ok)
 		}

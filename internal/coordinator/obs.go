@@ -2,9 +2,9 @@ package coordinator
 
 // Coordinator observability: lease-protocol and job-lifecycle counters in
 // the shared obs.Default registry, registered at package init so
-// `netsim serve` exposes the families on /metrics before the first
-// distributed job arrives. All increments happen on cold control-plane
-// paths (HTTP handlers), so the unsharded Counter.Add is fine. Per-job
+// `netsim serve` exposes the families on /metrics before the first job
+// arrives. All increments happen on cold control-plane paths (lease
+// calls), so the unsharded Counter.Add is fine. Per-job
 // shard progress is not a labeled metric — the registry is label-free by
 // design — it is served as JSON through /api/v1/observe instead
 // (Job.Progress via the sweep server's job table).
@@ -39,17 +39,17 @@ var coordObs = struct {
 	completionsInvalid: obs.Default().Counter("netsim_coord_completions_invalid_total",
 		"Completions rejected because the rows did not describe the leased shard."),
 	jobsSubmitted: obs.Default().Counter("netsim_coord_jobs_submitted_total",
-		"Distributed jobs registered with the coordinator."),
+		"Jobs registered with a coordinator."),
 	jobsCompleted: obs.Default().Counter("netsim_coord_jobs_completed_total",
-		"Distributed jobs whose shards all completed and merged cleanly."),
+		"Jobs whose shards all completed and merged cleanly."),
 	jobsFailed: obs.Default().Counter("netsim_coord_jobs_failed_total",
-		"Distributed jobs that failed at merge (conflicting or mismatched shard rows)."),
+		"Jobs that failed at merge (conflicting or mismatched shard rows)."),
 	jobsCanceled: obs.Default().Counter("netsim_coord_jobs_canceled_total",
-		"Distributed jobs canceled before completion."),
+		"Jobs canceled before completion."),
 	leasesOutstanding: obs.Default().Gauge("netsim_coord_leases_outstanding",
 		"Live leases currently held by workers."),
 	workersLive: obs.Default().Gauge("netsim_coord_workers_live",
-		"Workers seen within the last three lease TTLs."),
+		"Workers seen within the last three lease TTLs by the coordinator serving the lease endpoints."),
 	jobsRunning: obs.Default().Gauge("netsim_coord_jobs_running",
-		"Distributed jobs currently executing."),
+		"Jobs currently executing."),
 }

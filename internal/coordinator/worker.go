@@ -1,9 +1,9 @@
 package coordinator
 
-// Worker is the acquire -> run -> complete loop behind `netsim work`: it
-// polls the coordinator for leases, rebuilds the leased shard's point
-// list from the job payload, executes it on a sweep.Runner (per-worker
-// reused engines, shared content-addressed cache) and reports the rows.
+// Worker is the acquire -> run -> complete loop of `netsim work` and of the
+// sweep server's in-process workers: it takes leases, rebuilds the leased
+// shard's points from the job payload, runs them on a sweep.Runner (reused
+// engines, shared content-addressed cache) and reports the rows.
 // A background goroutine renews the lease at TTL/3 while the shard runs;
 // losing the lease (expired, superseded, job canceled) cancels the run
 // mid-shard, and the points computed so far survive in the cache for
@@ -27,7 +27,7 @@ type PointsBuilder func(payload []byte) ([]sweep.Scenario, error)
 
 // Worker runs leases until its context is canceled (or IdleExit fires).
 type Worker struct {
-	// Client talks to the coordinator.
+	// Client is the coordinator Run talks to.
 	Client *Client
 	// Build expands a job payload into points (e.g.
 	// sweepserver.PointsFromSpec). Builds are memoized per payload.
@@ -69,24 +69,19 @@ func (w *Worker) poll() time.Duration {
 	return 500 * time.Millisecond
 }
 
-// Run loops acquire -> execute until ctx is canceled, returning ctx's
-// error (or nil after IdleExit). Transport errors are retried at the
+// Run drains Client, polling while idle, until ctx is canceled, returning
+// ctx's error (or nil after IdleExit). Transport errors are retried at the
 // poll interval — a worker outliving a coordinator restart reconnects by
 // itself.
 func (w *Worker) Run(ctx context.Context) error {
 	idleSince := time.Now()
 	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		g, ok, err := w.Client.Acquire(ctx, w.Name)
+		n, err := w.Drain(ctx, w.Client)
 		if err != nil && ctx.Err() == nil {
 			w.log().Warn("acquire failed; retrying", "worker", w.Name, "err", err)
 		}
-		if err == nil && ok {
+		if n > 0 {
 			idleSince = time.Now()
-			w.execute(ctx, g)
-			continue
 		}
 		if w.IdleExit > 0 && time.Since(idleSince) >= w.IdleExit {
 			w.log().Info("idle limit reached; exiting", "worker", w.Name, "idle", w.IdleExit)
@@ -100,10 +95,24 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 }
 
+// Drain runs leases from l until Acquire reports none or fails, or ctx is
+// done, and returns how many it ran and the acquire (or ctx) error.
+func (w *Worker) Drain(ctx context.Context, l Leases) (int, error) {
+	n := 0
+	for ; ctx.Err() == nil; n++ {
+		g, ok, err := l.Acquire(ctx, w.Name)
+		if err != nil || !ok {
+			return n, err
+		}
+		w.execute(ctx, l, g)
+	}
+	return n, ctx.Err()
+}
+
 // execute runs one leased shard and reports its rows. Errors end the
 // lease, not the worker: a failed build or a lost lease is logged and
 // the loop moves on — the coordinator re-leases the shard elsewhere.
-func (w *Worker) execute(ctx context.Context, g Grant) {
+func (w *Worker) execute(ctx context.Context, l Leases, g Grant) {
 	log := w.log().With("worker", w.Name, "job", g.Job, "shard", g.Shard, "lease", g.LeaseID, "epoch", g.Epoch)
 	points, err := w.pointsFor(g.Payload)
 	if err != nil {
@@ -121,6 +130,7 @@ func (w *Worker) execute(ctx context.Context, g Grant) {
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	renewDone := make(chan struct{})
+	defer func() { <-renewDone }() // after Complete, off the job's critical path
 	go func() {
 		defer close(renewDone)
 		interval := g.TTL / 3
@@ -134,7 +144,7 @@ func (w *Worker) execute(ctx context.Context, g Grant) {
 			case <-runCtx.Done():
 				return
 			case <-ticker.C:
-				if _, err := w.Client.Renew(runCtx, w.Name, g); errors.Is(err, ErrLeaseLost) {
+				if _, err := l.Renew(runCtx, w.Name, g); errors.Is(err, ErrLeaseLost) && runCtx.Err() == nil {
 					log.Warn("lease lost mid-run; dropping shard (computed points stay cached)")
 					cancel()
 					return
@@ -153,7 +163,6 @@ func (w *Worker) execute(ctx context.Context, g Grant) {
 		}
 	})
 	cancel()
-	<-renewDone
 	if runErr != nil {
 		log.Info("shard run interrupted; not completing", "err", runErr)
 		return
@@ -162,7 +171,7 @@ func (w *Worker) execute(ctx context.Context, g Grant) {
 	for i := range rows {
 		rows[i].Cached = cached[i]
 	}
-	st, err := w.Client.Complete(ctx, w.Name, g, rows)
+	st, err := l.Complete(ctx, w.Name, g, rows)
 	if err != nil && st == "" {
 		log.Warn("complete failed", "err", err)
 		return

@@ -20,6 +20,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -365,8 +366,9 @@ type SaturationPoint struct {
 
 // Saturate binary-searches the uniform-load saturation rate of every
 // (topology, mode, wavelengths) combination concurrently, delegating each
-// point to sim.SaturationSearch so results match sequential searches
-// exactly.
+// search to sim.SaturationSearch so results match sequential searches
+// exactly. Combinations of one topology with the same sim.Config.Canonical
+// run the same engine bit for bit, so each is searched once.
 func (r Runner) Saturate(g Grid, slots int, sustainFraction float64, seed int64) []SaturationPoint {
 	modes := g.Modes
 	if len(modes) == 0 {
@@ -376,26 +378,36 @@ func (r Runner) Saturate(g Grid, slots int, sustainFraction float64, seed int64)
 	if len(waves) == 0 {
 		waves = []int{1}
 	}
+	type search struct {
+		topo sim.Topology
+		cfg  sim.Config
+		rate float64
+	}
 	var pts []SaturationPoint
-	var topos []sim.Topology
+	var searches []search
+	var of []int // pts[i]'s rate is searches[of[i]].rate
 	for _, topo := range g.Topologies {
+		fanIn := identity(topo.Topo).FanIn
 		for _, mode := range modes {
 			for _, w := range waves {
+				s := search{topo: topo.Topo, cfg: sim.Config{Seed: seed, MaxQueue: g.MaxQueue, Deflection: mode == Deflection, Wavelengths: w}.Canonical(fanIn)}
+				k := slices.Index(searches, s)
+				if k < 0 {
+					k = len(searches)
+					searches = append(searches, s)
+				}
 				pts = append(pts, SaturationPoint{Topology: topo.Name, Mode: mode, Wavelengths: w})
-				topos = append(topos, topo.Topo)
+				of = append(of, k)
 			}
 		}
 	}
 	fn := func(i int) {
-		cfg := sim.Config{
-			Seed:        seed,
-			MaxQueue:    g.MaxQueue,
-			Deflection:  pts[i].Mode == Deflection,
-			Wavelengths: pts[i].Wavelengths,
-		}
-		pts[i].Rate = sim.SaturationSearch(topos[i], slots, sustainFraction, cfg)
+		searches[i].rate = sim.SaturationSearch(searches[i].topo, slots, sustainFraction, searches[i].cfg)
 	}
-	r.fan(context.Background(), len(pts), func() func(int) { return fn })
+	r.fan(context.Background(), len(searches), func() func(int) { return fn })
+	for i := range pts {
+		pts[i].Rate = searches[of[i]].rate
+	}
 	return pts
 }
 
@@ -409,19 +421,24 @@ func (r Runner) Saturate(g Grid, slots int, sustainFraction float64, seed int64)
 func (r Runner) fan(ctx context.Context, n int, newWorker func() func(i int)) error {
 	var next atomic.Int64 // indices claimed so far
 	var wg sync.WaitGroup
-	for w := 0; w < min(r.workers(), n); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fn := newWorker()
-			for ctx.Err() == nil {
-				i := int(next.Add(1) - 1)
-				if i >= n {
-					return
-				}
-				fn(i)
+	work := func() {
+		defer wg.Done()
+		fn := newWorker()
+		for ctx.Err() == nil {
+			i := int(next.Add(1) - 1)
+			if i >= n {
+				return
 			}
-		}()
+			fn(i)
+		}
+	}
+	workers := min(r.workers(), n)
+	wg.Add(workers)
+	for w := 1; w < workers; w++ {
+		go work()
+	}
+	if workers > 0 {
+		work() // the caller is the last worker: a one-worker run starts no goroutine
 	}
 	wg.Wait()
 	return ctx.Err()

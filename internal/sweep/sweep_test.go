@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"otisnet/internal/faults"
+	"otisnet/internal/obs"
 	"otisnet/internal/pops"
 	"otisnet/internal/sim"
 	"otisnet/internal/stackkautz"
@@ -156,6 +157,36 @@ func TestSaturateMatchesSequentialSearch(t *testing.T) {
 		if p.Rate != want {
 			t.Fatalf("%s w=%d: concurrent saturation %v != sequential %v",
 				p.Topology, p.Wavelengths, p.Rate, want)
+		}
+	}
+}
+
+// TestSaturateSearchesEachCanonicalConfigOnce: de Bruijn's arcs are
+// degree-1 couplers (fan-in 1), so its four (mode, W in {1, 2})
+// combinations are one canonical config. Saturate must run one search for
+// them, as many engine runs as a single combination takes, and report its
+// rate four times.
+func TestSaturateSearchesEachCanonicalConfigOnce(t *testing.T) {
+	db, err := TopoSpec{Net: "debruijn", D: 2, K: 4}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := func(g Grid) ([]SaturationPoint, float64) {
+		before := obs.Default().Snapshot().Counters["netsim_engine_scenarios_total"]
+		pts := Runner{Workers: 2}.Saturate(g, 150, 0.95, 11)
+		return pts, obs.Default().Snapshot().Counters["netsim_engine_scenarios_total"] - before
+	}
+	one, oneRuns := runs(Grid{Topologies: []Topology{db}})
+	all, allRuns := runs(Grid{Topologies: []Topology{db}, Modes: []Mode{StoreAndForward, Deflection}, Wavelengths: []int{1, 2}})
+	if oneRuns == 0 || allRuns != oneRuns {
+		t.Fatalf("four folded combinations took %v engine runs, one combination %v", allRuns, oneRuns)
+	}
+	if len(all) != 4 {
+		t.Fatalf("got %d saturation points, want 4", len(all))
+	}
+	for _, p := range all {
+		if p.Rate != one[0].Rate {
+			t.Fatalf("%v w=%d: rate %v, want the shared %v", p.Mode, p.Wavelengths, p.Rate, one[0].Rate)
 		}
 	}
 }

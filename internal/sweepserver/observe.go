@@ -63,8 +63,8 @@ type Observation struct {
 }
 
 // observation reads one job's live progress. Status (via j.status())
-// includes per-shard progress for distributed jobs, so one observe call
-// covers the in-process pool and the worker fleet alike.
+// includes per-shard progress, for jobs on in-process workers and on the
+// fleet alike.
 func (j *job) observation(now time.Time) JobObservation {
 	st := j.status()
 	j.mu.Lock()
@@ -72,9 +72,8 @@ func (j *job) observation(now time.Time) JobObservation {
 	if !j.finished.IsZero() {
 		end = j.finished
 	}
-	started := j.started
 	j.mu.Unlock()
-	o := JobObservation{Status: st, ElapsedSec: end.Sub(started).Seconds()}
+	o := JobObservation{Status: st, ElapsedSec: end.Sub(j.started).Seconds()}
 	if o.ElapsedSec > 0 {
 		o.PointsPerSec = float64(o.Done) / o.ElapsedSec
 	}
@@ -93,12 +92,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // like the job list).
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	now := time.Now()
-	s.mu.Lock()
-	jobs := make([]*job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		jobs = append(jobs, j)
-	}
-	s.mu.Unlock()
+	jobs := s.jobList()
 	out := Observation{
 		Metrics: obs.Default().Snapshot(),
 		Jobs:    make([]JobObservation, len(jobs)),
@@ -112,7 +106,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		out.Jobs[i] = j.observation(now)
 	}
 	sortStatuses(out.Jobs, func(o JobObservation) string { return o.ID })
-	writeJSON(w, out)
+	writeJSON(w, http.StatusOK, out)
 }
 
 // registerPprof wires the net/http/pprof handlers onto mux — explicit

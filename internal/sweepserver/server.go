@@ -2,9 +2,12 @@
 // submit a scenario grid, stream its per-point results as NDJSON while
 // workers complete them, poll job status, cancel a running grid, and read
 // result-cache statistics. It is the `netsim serve` subcommand's engine
-// room. Jobs run on a sweep.Runner whose workers reuse compiled engines
-// per topology, and every completed point flows through the shared
-// content-addressed cache (internal/sweepcache), so repeated or
+// room.
+//
+// Every grid runs as a job of a lease coordinator (internal/coordinator):
+// with "shards" on the one the server mounts, for `netsim work` processes;
+// without, on a private one, one shard per in-process worker, against the
+// server's content-addressed cache (internal/sweepcache), so repeated or
 // overlapping submissions answer from cache instead of simulating again.
 //
 // API (all under /api/v1):
@@ -12,10 +15,11 @@
 //	POST /api/v1/sweeps        — submit a GridSpec; returns {id, points}
 //	GET  /api/v1/sweeps        — list jobs
 //	GET  /api/v1/sweeps/{id}   — job status
-//	GET  /api/v1/sweeps/{id}/stream — NDJSON, one line per completed point
-//	                             (already-completed points replay first)
+//	GET  /api/v1/sweeps/{id}/stream — NDJSON, one line per completed point,
+//	                             a shard at a time (completed points
+//	                             replay first)
 //	GET  /api/v1/sweeps/{id}/curve  — aggregated curve (completed jobs)
-//	POST /api/v1/sweeps/{id}/cancel — stop handing out points
+//	POST /api/v1/sweeps/{id}/cancel — stop handing out shards
 //	GET  /api/v1/cache/stats   — sweepcache counters
 //	GET  /api/v1/observe       — one-call observability snapshot: every
 //	                             registry instrument, cache hit rate, and
@@ -23,12 +27,6 @@
 //	GET  /metrics              — Prometheus text exposition of the shared
 //	                             obs registry (and /debug/pprof/ when the
 //	                             server is built with Pprof set)
-//
-// Distributed execution (internal/coordinator): a grid submitted with
-// "shards" > 0 is not run in-process — its points split into leased
-// shards executed by `netsim work` processes over the worker protocol
-// the server also mounts:
-//
 //	POST /api/v1/leases/acquire    — worker asks for a shard lease
 //	POST /api/v1/leases/renew      — keep a lease alive
 //	POST /api/v1/leases/complete   — report a shard's result rows
@@ -44,7 +42,9 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
+	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -64,14 +64,17 @@ type Server struct {
 	// Logger receives job-lifecycle events (submitted/done/canceled) with
 	// a job_id attribute on every record; nil means slog.Default().
 	Logger *slog.Logger
-	// Coord executes distributed submissions (GridSpec.Shards > 0) over
-	// the worker-lease protocol; Handler mounts its endpoints. New
-	// installs a default-configured coordinator — replace it before the
-	// first submission to tune lease TTLs (tests use short ones).
+	// Coord executes sharded submissions (GridSpec.Shards > 0) over the
+	// worker-lease protocol; Handler mounts its endpoints. New installs a
+	// default-configured coordinator — replace it before the first
+	// submission to tune lease TTLs (tests use short ones).
 	Coord *coordinator.Coordinator
 
-	runner sweep.Runner
-	cache  *sweepcache.Cache
+	cache *sweepcache.Cache
+	// local runs grids without shards on `workers` in-process workers; it
+	// is never mounted, so no fleet worker leases their shards.
+	local   *coordinator.Coordinator
+	workers int
 
 	mu   sync.Mutex
 	jobs map[string]*job
@@ -86,18 +89,27 @@ type Server struct {
 	topos  map[sweep.TopoSpec]sweep.Topology
 }
 
-// New builds a server running grids on runner, caching through cache (a
-// sweepcache.NewMemory() when nil).
+// localLeaseTTL is s.local's lease TTL: a renewal there is a mutex, so a
+// short TTL costs nothing and stops a canceled job's workers within TTL/3.
+// s.local never steals: its workers die only with the server.
+const localLeaseTTL = 600 * time.Millisecond
+
+// New builds a server with runner.Workers in-process workers (GOMAXPROCS
+// at 0), caching through cache (a sweepcache.NewMemory() when nil).
 func New(runner sweep.Runner, cache *sweepcache.Cache) *Server {
 	if cache == nil {
 		cache = sweepcache.NewMemory()
 	}
+	if runner.Workers <= 0 {
+		runner.Workers = runtime.GOMAXPROCS(0)
+	}
 	return &Server{
-		Coord:  coordinator.New(coordinator.Config{}),
-		runner: runner,
-		cache:  cache,
-		jobs:   make(map[string]*job),
-		topos:  make(map[sweep.TopoSpec]sweep.Topology),
+		Coord:   coordinator.New(coordinator.Config{}),
+		local:   coordinator.New(coordinator.Config{LeaseTTL: localLeaseTTL, StealAfter: math.MaxInt64}),
+		workers: runner.Workers,
+		cache:   cache,
+		jobs:    make(map[string]*job),
+		topos:   make(map[sweep.TopoSpec]sweep.Topology),
 	}
 }
 
@@ -123,9 +135,7 @@ const (
 	stateRunning  = "running"
 	stateDone     = "done"
 	stateCanceled = "canceled"
-	// stateFailed is reached only by distributed jobs whose shard rows
-	// fail to merge (a worker ran a different grid definition); in-process
-	// runs cannot produce conflicting rows.
+	// stateFailed: the shard rows failed to merge (a worker ran another grid).
 	stateFailed = "failed"
 )
 
@@ -137,57 +147,55 @@ type StreamEvent struct {
 	sweep.Record
 }
 
-// job is one submitted grid. cond (over mu) broadcasts every append and
-// the terminal state change, which is what lets any number of stream
-// handlers tail the events slice without channels per subscriber.
+// job is one submitted grid, run as a job of coord (s.Coord or s.local).
+// cond (over mu) broadcasts every append and the terminal state change,
+// which is what lets any number of stream handlers tail the events slice
+// without channels per subscriber.
 type job struct {
-	id       string
-	points   []sweep.Scenario
-	cancel   context.CancelFunc
-	started  time.Time
-	coordJob *coordinator.Job // non-nil for distributed (sharded) jobs
+	id      string
+	points  []sweep.Scenario
+	started time.Time
+	coord   *coordinator.Coordinator
+	cj      *coordinator.Job
 
 	mu       sync.Mutex
 	cond     *sync.Cond
 	events   []StreamEvent
 	cached   int
 	state    string
-	errMsg   string         // set when state == stateFailed
-	results  []sweep.Result // set when state == stateDone
-	finished time.Time      // set at the terminal state change
+	finished time.Time // set at the terminal state change
 }
 
-// Status is the JSON status of a job. The Shards* fields appear only for
-// distributed jobs; Error only for failed ones.
+// Status is the JSON status of a job. Error appears only for failed jobs.
 type Status struct {
 	ID           string `json:"id"`
 	State        string `json:"state"`
 	Points       int    `json:"points"`
 	Done         int    `json:"done"`
 	Cached       int    `json:"cached"`
-	ShardsTotal  int    `json:"shards_total,omitempty"`
-	ShardsDone   int    `json:"shards_done,omitempty"`
-	ShardsLeased int    `json:"shards_leased,omitempty"`
+	ShardsTotal  int    `json:"shards_total"`
+	ShardsDone   int    `json:"shards_done"`
+	ShardsLeased int    `json:"shards_leased"`
 	Error        string `json:"error,omitempty"`
 }
 
 func (j *job) status() Status {
 	j.mu.Lock()
-	st := Status{ID: j.id, State: j.state, Points: len(j.points), Done: len(j.events), Cached: j.cached, Error: j.errMsg}
+	st := Status{ID: j.id, State: j.state, Points: len(j.points), Done: len(j.events), Cached: j.cached}
 	j.mu.Unlock()
 	// Shard progress reads the coordinator after j.mu is released: hooks
 	// take j.mu with no coordinator lock held, so the two locks must never
 	// nest in the other order here.
-	if j.coordJob != nil {
-		p := j.coordJob.Progress()
-		st.ShardsTotal, st.ShardsDone, st.ShardsLeased = p.ShardsTotal, p.ShardsDone, p.ShardsLeased
+	p := j.cj.Progress()
+	st.ShardsTotal, st.ShardsDone, st.ShardsLeased = p.ShardsTotal, p.ShardsDone, p.ShardsLeased
+	if st.State == stateFailed {
+		st.Error = p.Error
 	}
 	return st
 }
 
-// submit registers a grid and starts executing it, returning the job
-// immediately. Grids with Shards > 0 go to the coordinator's worker
-// fleet instead of the in-process runner.
+// submit registers a grid as a job of s.Coord (with shards) or of s.local
+// (without: one shard per in-process worker, started here).
 func (s *Server) submit(spec GridSpec) (*job, error) {
 	grid, err := spec.grid(s.buildTopo)
 	if err != nil {
@@ -197,51 +205,77 @@ func (s *Server) submit(spec GridSpec) (*job, error) {
 	if spec.Shards < 0 {
 		return nil, fmt.Errorf("shards %d invalid (want >= 0)", spec.Shards)
 	}
-	if spec.Shards > 0 {
-		return s.submitDistributed(spec, points)
+	coord, shards, payload := s.Coord, spec.Shards, []byte(nil)
+	if shards == 0 {
+		coord, shards = s.local, min(s.workers, len(points))
+	} else if payload, err = json.Marshal(spec); err != nil {
+		return nil, err
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	j := &job{points: points, cancel: cancel, state: stateRunning, started: time.Now()}
+	j := &job{points: points, coord: coord, state: stateRunning, started: time.Now()}
 	j.cond = sync.NewCond(&j.mu)
 	s.mu.Lock()
 	s.seq++
 	j.id = fmt.Sprintf("s%d", s.seq)
-	s.jobs[j.id] = j
+	if coord == s.local {
+		payload = []byte(j.id) // see localPoints
+	}
+	if j.cj, err = coord.Submit(j.id, points, payload, shards, spec.Priority, s.hooks(j)); err == nil {
+		s.jobs[j.id] = j // j.cj is set: handlers read it unlocked
+	}
 	s.mu.Unlock()
-	serverObs.submitted.Add(1)
-	serverObs.running.Add(1)
-	s.logger().Info("sweep submitted", "job_id", j.id, "points", len(points))
-	go s.run(ctx, j)
-	return j, nil
-}
-
-// submitDistributed hands the grid to the coordinator: points become
-// leased shards executed by `netsim work` processes, accepted shard rows
-// stream into the job's event log exactly like in-process progress
-// events, and the merged results (bit-for-bit equal to an in-process
-// RunCached) arrive through the OnDone hook. A merge failure — a worker
-// ran a different grid definition — lands the job in stateFailed with
-// the merge error in its status, never a panic.
-func (s *Server) submitDistributed(spec GridSpec, points []sweep.Scenario) (*job, error) {
-	payload, err := json.Marshal(spec)
 	if err != nil {
 		return nil, err
 	}
-	j := &job{points: points, state: stateRunning, started: time.Now()}
-	j.cond = sync.NewCond(&j.mu)
+	serverObs.submitted.Add(1)
+	serverObs.running.Add(1)
+	// A local job's workers drain s.local against the server's cache; their
+	// lease logs are plumbing, as the server logs each job's lifecycle.
+	for i := 0; coord == s.local && i < shards; i++ {
+		w := &coordinator.Worker{
+			Build:  s.localPoints,
+			Runner: sweep.Runner{Workers: 1},
+			Cache:  s.cache,
+			Name:   "local",
+			Log:    slog.New(slog.DiscardHandler),
+		}
+		go w.Drain(context.Background(), ownLeases{s.local})
+	}
+	s.logger().Info("sweep submitted", "job_id", j.id, "points", len(points),
+		"shards", shards, "priority", spec.Priority, "fleet", coord == s.Coord)
+	return j, nil
+}
+
+// localPoints is the in-process workers' PointsBuilder: a local job's
+// payload is its id, and they run the server's own expansion of its grid.
+func (s *Server) localPoints(id []byte) ([]sweep.Scenario, error) {
 	s.mu.Lock()
-	s.seq++
-	j.id = fmt.Sprintf("s%d", s.seq)
-	s.mu.Unlock()
-	hooks := coordinator.Hooks{
+	defer s.mu.Unlock()
+	if j := s.jobs[string(id)]; j != nil {
+		return j.points, nil
+	}
+	return nil, fmt.Errorf("sweepserver: no job %s", id)
+}
+
+// ownLeases is s.local as its in-process workers see it. They run the
+// merge reference itself (localPoints), so Complete drops the row keys
+// rather than have the merge hash every point a second time.
+type ownLeases struct{ *coordinator.Coordinator }
+
+func (o ownLeases) Complete(ctx context.Context, worker string, g coordinator.Grant, rows []sweep.ShardResult) (coordinator.CompleteStatus, error) {
+	for i := range rows {
+		rows[i].Key = ""
+	}
+	return o.Coordinator.Complete(ctx, worker, g, rows)
+}
+
+// hooks drive j's event log and terminal state; a merge error fails j.
+func (s *Server) hooks(j *job) coordinator.Hooks {
+	return coordinator.Hooks{
 		OnRows: func(rows []sweep.ShardResult) {
 			j.mu.Lock()
 			for _, row := range rows {
-				j.events = append(j.events, StreamEvent{
-					Index:  row.Index,
-					Cached: row.Cached,
-					Record: sweep.NewRecord(sweep.Result{Scenario: j.points[row.Index], Metrics: row.Metrics}),
-				})
+				rec := sweep.NewRecord(sweep.Result{Scenario: j.points[row.Index], Metrics: row.Metrics})
+				j.events = append(j.events, StreamEvent{Index: row.Index, Cached: row.Cached, Record: rec})
 				if row.Cached {
 					j.cached++
 				}
@@ -249,51 +283,26 @@ func (s *Server) submitDistributed(spec GridSpec, points []sweep.Scenario) (*job
 			j.mu.Unlock()
 			j.cond.Broadcast()
 		},
-		OnDone: func(results []sweep.Result, err error) {
-			j.mu.Lock()
+		OnDone: func(_ []sweep.Result, err error) {
+			state, log, attrs := stateDone, s.logger().Info, []any{"job_id", j.id, "points", len(j.points)}
 			switch {
-			case err == nil:
-				j.state = stateDone
-				j.results = results
 			case errors.Is(err, coordinator.ErrCanceled):
-				j.state = stateCanceled
+				state = stateCanceled
+				serverObs.canceled.Add(1)
+			case err != nil:
+				state, log, attrs = stateFailed, s.logger().Error, append(attrs, "err", err)
 			default:
-				j.state = stateFailed
-				j.errMsg = err.Error()
+				serverObs.completed.Add(1)
 			}
-			j.finished = time.Now()
-			state, done, cached, elapsed := j.state, len(j.events), j.cached, j.finished.Sub(j.started)
+			serverObs.running.Add(-1)
+			j.mu.Lock()
+			j.state, j.finished = state, time.Now()
+			attrs = append(attrs, "done", len(j.events), "cached", j.cached, "elapsed", j.finished.Sub(j.started))
 			j.mu.Unlock()
 			j.cond.Broadcast()
-			serverObs.running.Add(-1)
-			switch state {
-			case stateDone:
-				serverObs.completed.Add(1)
-				s.logger().Info("sweep done", "job_id", j.id, "points", len(j.points), "cached", cached, "elapsed", elapsed, "distributed", true)
-			case stateCanceled:
-				serverObs.canceled.Add(1)
-				s.logger().Info("sweep canceled", "job_id", j.id, "done", done, "points", len(j.points), "elapsed", elapsed, "distributed", true)
-			default:
-				s.logger().Error("sweep failed at merge", "job_id", j.id, "err", err, "distributed", true)
-			}
+			log("sweep "+state, attrs...)
 		},
 	}
-	cj, err := s.Coord.Submit(j.id, points, payload, spec.Shards, spec.Priority, hooks)
-	if err != nil {
-		return nil, err
-	}
-	j.coordJob = cj
-	j.cancel = func() { s.Coord.Cancel(j.id) }
-	// Register only after coordJob is set: the job table is what makes j
-	// visible to status/stream handlers, which read j.coordJob unlocked.
-	s.mu.Lock()
-	s.jobs[j.id] = j
-	s.mu.Unlock()
-	serverObs.submitted.Add(1)
-	serverObs.running.Add(1)
-	s.logger().Info("sweep submitted", "job_id", j.id, "points", len(points),
-		"shards", cj.Progress().ShardsTotal, "priority", spec.Priority, "distributed", true)
-	return j, nil
 }
 
 // logger returns the configured job-lifecycle logger.
@@ -302,39 +311,6 @@ func (s *Server) logger() *slog.Logger {
 		return s.Logger
 	}
 	return slog.Default()
-}
-
-// run executes the job's points and drives its event log.
-func (s *Server) run(ctx context.Context, j *job) {
-	results, err := s.runner.RunCached(ctx, j.points, s.cache, func(i int, res sweep.Result, cached bool) {
-		ev := StreamEvent{Index: i, Cached: cached, Record: sweep.NewRecord(res)}
-		j.mu.Lock()
-		j.events = append(j.events, ev)
-		if cached {
-			j.cached++
-		}
-		j.mu.Unlock()
-		j.cond.Broadcast()
-	})
-	j.mu.Lock()
-	if err != nil {
-		j.state = stateCanceled
-	} else {
-		j.state = stateDone
-		j.results = results
-	}
-	j.finished = time.Now()
-	done, cached, elapsed := len(j.events), j.cached, j.finished.Sub(j.started)
-	j.mu.Unlock()
-	j.cond.Broadcast()
-	serverObs.running.Add(-1)
-	if err != nil {
-		serverObs.canceled.Add(1)
-		s.logger().Info("sweep canceled", "job_id", j.id, "done", done, "points", len(j.points), "elapsed", elapsed)
-	} else {
-		serverObs.completed.Add(1)
-		s.logger().Info("sweep done", "job_id", j.id, "points", len(j.points), "cached", cached, "elapsed", elapsed)
-	}
 }
 
 // Handler returns the API router.
@@ -366,8 +342,9 @@ func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *job {
 	return j
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
+func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
@@ -384,26 +361,28 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad grid spec: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusAccepted)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(j.status())
+	writeJSON(w, http.StatusAccepted, j.status())
 }
 
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
+// jobList snapshots the job table.
+func (s *Server) jobList() []*job {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	jobs := make([]*job, 0, len(s.jobs))
 	for _, j := range s.jobs {
 		jobs = append(jobs, j)
 	}
-	s.mu.Unlock()
+	return jobs
+}
+
+func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
+	jobs := s.jobList()
 	out := make([]Status, len(jobs))
 	for i, j := range jobs {
 		out[i] = j.status()
 	}
 	sortStatuses(out, func(st Status) string { return st.ID })
-	writeJSON(w, out)
+	writeJSON(w, http.StatusOK, out)
 }
 
 // sortStatuses orders job rows by id. Ids are s<seq>, so
@@ -420,7 +399,7 @@ func sortStatuses[T any](rows []T, id func(T) string) {
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if j := s.lookup(w, r); j != nil {
-		writeJSON(w, j.status())
+		writeJSON(w, http.StatusOK, j.status())
 	}
 }
 
@@ -517,11 +496,9 @@ func (s *Server) handleCurve(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	j.mu.Lock()
-	state, results := j.state, j.results
-	j.mu.Unlock()
-	if state != stateDone {
-		http.Error(w, fmt.Sprintf("sweep is %s; the curve needs a completed job", state), http.StatusConflict)
+	results, err := j.cj.Results()
+	if err != nil {
+		http.Error(w, fmt.Sprintf("sweep is %s; the curve needs a completed job", j.cj.Progress().State), http.StatusConflict)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -533,11 +510,11 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	j.cancel()
+	j.coord.Cancel(j.id)
 	s.logger().Info("sweep cancel requested", "job_id", j.id)
-	writeJSON(w, j.status())
+	writeJSON(w, http.StatusOK, j.status())
 }
 
 func (s *Server) handleCacheStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.cache.Stats())
+	writeJSON(w, http.StatusOK, s.cache.Stats())
 }

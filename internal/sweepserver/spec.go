@@ -31,12 +31,12 @@ type GridSpec struct {
 	Workloads   []WorkloadSpec   `json:"workloads,omitempty"`
 	Faults      []FaultSpec      `json:"faults,omitempty"`
 	// Shards > 0 runs the grid distributed: the point list splits into
-	// this many leased shards executed by `netsim work` processes through
-	// the coordinator (internal/coordinator) instead of the in-process
-	// runner. Merged results are bit-for-bit identical to Shards = 0.
+	// this many leased shards executed by `netsim work` processes; 0 runs
+	// one shard per server worker in-process. Merged results are
+	// bit-for-bit identical either way.
 	Shards int `json:"shards,omitempty"`
-	// Priority orders distributed jobs in the lease queue (higher first;
-	// ties go to earlier submissions). Ignored when Shards is 0.
+	// Priority orders jobs of the same kind (sharded or not) in the lease
+	// queue (higher first; ties go to earlier submissions).
 	Priority int `json:"priority,omitempty"`
 }
 
