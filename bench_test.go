@@ -367,9 +367,35 @@ func BenchmarkNewStackTopology(b *testing.B) {
 			b.Fatal("wrong size")
 		}
 	}
-	bl := topo.(sim.BlockTabled).RouteBlocks()
+	b.ReportMetric(tableMiB(topo.(sim.BlockTabled).RouteBlocks()), "table-MiB")
+}
+
+// tableMiB is the size of a topology's route and distance blocks and class
+// maps, in MiB.
+func tableMiB(bl *sim.RouteBlocks) float64 {
 	bytes := len(bl.Routes)*int(unsafe.Sizeof(sim.RouteEntry{})) + 4*(len(bl.Dists)+len(bl.Row)+len(bl.Col))
-	b.ReportMetric(float64(bytes)/(1<<20), "table-MiB")
+	return float64(bytes) / (1 << 20)
+}
+
+// BenchmarkFaultEventLargeN times one fault event on SK(4,2,8) (N=1536):
+// Advance fails 2 nodes at once and rebuilds the route and distance
+// blocks from the live structure, and Reset rewinds the wrapper to the
+// base topology's blocks for the next scenario. table-MiB is the size of
+// the blocks the event built.
+func BenchmarkFaultEventLargeN(b *testing.B) {
+	topo := sim.NewStackTopology(stackkautz.New(4, 2, 8).StackGraph())
+	ft := faults.Wrap(topo, faults.Random(faults.KindNode, 2, 0, topo, 1))
+	var bl *sim.RouteBlocks
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !ft.Advance(0).Changed {
+			b.Fatal("no event fired")
+		}
+		bl = ft.RouteBlocks()
+		ft.Reset()
+	}
+	b.ReportMetric(tableMiB(bl), "table-MiB")
 }
 
 // BenchmarkStepAllocFree drives the engine at a sustained sub-saturation

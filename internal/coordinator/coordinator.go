@@ -407,16 +407,6 @@ func (c *Coordinator) Renew(_ context.Context, worker string, g Grant) (time.Dur
 	return c.cfg.LeaseTTL, nil
 }
 
-// Heartbeat records process-level worker liveness, independent of any
-// lease (idle workers polling Acquire are also recorded there).
-func (c *Coordinator) Heartbeat(worker string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	now := c.cfg.Clock.Now()
-	c.sweepLocked(now)
-	c.workers[worker] = now
-}
-
 // Complete reports a shard's result rows under g's lease. The returned
 // status classifies the outcome (see CompleteStatus); err is non-nil only
 // for malformed requests (unknown job, shard out of range) and for

@@ -500,16 +500,23 @@ func TestAcquirePriorityOrder(t *testing.T) {
 	}
 }
 
+// Every lease RPC records its worker as live, an Acquire that finds
+// nothing to do included; a worker stays live for 3×TTL after its last one.
 func TestWorkerLivenessWindow(t *testing.T) {
 	clock := newFakeClock()
 	c := coordinator.New(coordinator.Config{LeaseTTL: 10 * time.Second, Clock: clock})
-	c.Heartbeat("w1")
-	c.Heartbeat("w2")
+	seen := func(worker string) {
+		if _, ok, err := c.Acquire(bg, worker); ok || err != nil {
+			t.Fatalf("idle acquire by %s: ok %v, err %v", worker, ok, err)
+		}
+	}
+	seen("w1")
+	seen("w2")
 	if got := c.Workers(); got != 2 {
 		t.Fatalf("live workers %d, want 2", got)
 	}
 	clock.Advance(29 * time.Second)
-	c.Heartbeat("w2")
+	seen("w2")
 	clock.Advance(2 * time.Second) // w1 last seen 31s ago > 3*TTL
 	if got := c.Workers(); got != 1 {
 		t.Fatalf("live workers %d after window, want 1", got)

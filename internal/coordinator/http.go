@@ -1,6 +1,6 @@
 package coordinator
 
-// The worker wire protocol: four JSON-over-HTTP endpoints the sweep
+// The worker wire protocol: three JSON-over-HTTP endpoints the sweep
 // server mounts next to its job API, and the matching client used by the
 // Worker loop and `netsim work`.
 //
@@ -9,11 +9,10 @@ package coordinator
 //	POST /api/v1/leases/complete  {"lease_id","job","shard","epoch","worker","rows"}
 //	                              -> 200 {"status":"accepted"|"duplicate"}
 //	                               | 409 {"status":"stale"} | 422 {"status":"invalid","error"}
-//	POST /api/v1/workers/heartbeat {"worker"}                -> 204
 //
-// Every request names the worker, so any lease RPC doubles as a
-// liveness signal; the explicit heartbeat exists for idle workers that
-// want to stay visible without acquiring.
+// Every request names the worker, so every lease RPC doubles as a
+// liveness signal; an idle worker stays visible through the Acquire calls
+// it polls with.
 
 import (
 	"bytes"
@@ -119,11 +118,6 @@ type CompleteResponse struct {
 	Error  string         `json:"error,omitempty"`
 }
 
-// HeartbeatRequest records worker liveness.
-type HeartbeatRequest struct {
-	Worker string `json:"worker"`
-}
-
 // Mount registers the worker protocol endpoints on mux; from then on
 // netsim_coord_workers_live counts this coordinator's workers.
 func (c *Coordinator) Mount(mux *http.ServeMux) {
@@ -133,7 +127,6 @@ func (c *Coordinator) Mount(mux *http.ServeMux) {
 	mux.HandleFunc("POST /api/v1/leases/acquire", c.handleAcquire)
 	mux.HandleFunc("POST /api/v1/leases/renew", c.handleRenew)
 	mux.HandleFunc("POST /api/v1/leases/complete", c.handleComplete)
-	mux.HandleFunc("POST /api/v1/workers/heartbeat", c.handleHeartbeat)
 }
 
 // DecodeStrict decodes exactly one JSON value from r into v, rejecting
@@ -229,15 +222,6 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(resp)
-}
-
-func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	var req HeartbeatRequest
-	if !decodeJSON(w, r, &req, &req.Worker) {
-		return
-	}
-	c.Heartbeat(req.Worker)
-	w.WriteHeader(http.StatusNoContent)
 }
 
 // Client is the worker-side HTTP client for the lease protocol.

@@ -26,7 +26,6 @@ func TestLeaseBadRequestBodies(t *testing.T) {
 		"/api/v1/leases/acquire",
 		"/api/v1/leases/renew",
 		"/api/v1/leases/complete",
-		"/api/v1/workers/heartbeat",
 	} {
 		for _, tc := range []struct {
 			name, body, want string
@@ -57,10 +56,9 @@ func TestLeaseBadRequestBodies(t *testing.T) {
 // requestType names the request struct each endpoint decodes.
 func requestType(path string) string {
 	return map[string]string{
-		"/api/v1/leases/acquire":    "AcquireRequest",
-		"/api/v1/leases/renew":      "RenewRequest",
-		"/api/v1/leases/complete":   "CompleteRequest",
-		"/api/v1/workers/heartbeat": "HeartbeatRequest",
+		"/api/v1/leases/acquire":  "AcquireRequest",
+		"/api/v1/leases/renew":    "RenewRequest",
+		"/api/v1/leases/complete": "CompleteRequest",
 	}[path]
 }
 

@@ -282,23 +282,26 @@ func TestRepairRestoresPristineTables(t *testing.T) {
 	}
 }
 
-func TestIncrementalRebuildTouchesFewerRowsThanFull(t *testing.T) {
-	// A transmitter fault on a POPS network perturbs routing only locally:
-	// the incremental repair must rebuild strictly fewer rows than a full
-	// per-event rebuild (2 events x N rows) would.
-	topo := popsTopo(4, 4)
-	n := topo.Nodes()
-	ft := Wrap(topo, NewPlan("tx2",
-		Event{Slot: 0, Elem: Element{Kind: KindTransmitter, Node: 0, Coupler: topo.OutCouplers(0)[0]}},
-		Event{Slot: 1, Elem: Element{Kind: KindTransmitter, Node: 1, Coupler: topo.OutCouplers(1)[0]}},
-	))
-	stepTo(t, ft, 1)
-	checkRouting(t, ft)
-	if ft.RowsRebuilt() >= 2*n {
-		t.Fatalf("incremental repair rebuilt %d rows, no better than full (%d)", ft.RowsRebuilt(), 2*n)
-	}
-	if ft.RowsRebuilt() == 0 {
-		t.Fatal("transmitter faults must rebuild at least the affected rows")
+// Node faults keep the routing state a quotient: a failed node leaves its
+// group's row and column for the class of the empty lists, so SK(4,2,8)
+// (N=1536, 384 groups) with f node faults keeps at most groups + f block
+// rows and columns, not N.
+func TestNodeFaultsKeepQuotientBlocks(t *testing.T) {
+	const s = 4
+	topo := skTopo(s, 2, 8)
+	groups := topo.Nodes() / s
+	for _, f := range []int{1, 2, 8} {
+		ft := Wrap(topo, Random(KindNode, f, 0, topo, int64(f)))
+		stepTo(t, ft, 0)
+		b := ft.RouteBlocks()
+		if rows := len(b.Routes) / b.Cols; rows > groups+f || b.Cols > groups+f {
+			t.Fatalf("%d node faults: %d×%d blocks, want at most %d×%d", f, rows, b.Cols, groups+f, groups+f)
+		}
+		for _, ev := range ft.Plan().Events {
+			if u := ev.Elem.Node; !ft.NodeDown(u) || ft.Distance((u+1)%topo.Nodes(), u) != digraph.Unreachable {
+				t.Fatalf("%d node faults: node %d is not cut off", f, u)
+			}
+		}
 	}
 }
 

@@ -6,8 +6,9 @@
 // deterministic fault plans schedule permanent and transient failures of
 // processors (nodes), OPS couplers and individual transmitters, and
 // FaultedTopology replays them into a live sim.Engine run, masking failed
-// elements and incrementally repairing the precomputed routing tables so
-// the engine's hot path stays an O(1) table lookup between events.
+// elements and rebuilding the precomputed quotient routing tables at each
+// event, so the engine's hot path stays an O(1) table lookup between
+// events.
 package faults
 
 import (

@@ -5,12 +5,12 @@ package sim
 // CSR out-coupler and head lists, and route/distance blocks (RouteBlocks)
 // of packed entries with a delivers-here bit, one cell per (row class,
 // column class) pair — and the step loop reads only those. Topologies that
-// already maintain their tables as blocks (the stack, point-to-point and
-// fault-wrapped topologies) hand the snapshot their live backing arrays,
-// so compilation is O(n + m + arcs) and dynamic row repairs done by
-// faults.FaultedTopology are visible to the engine without any copying or
-// invalidation protocol. Arbitrary Topology implementations are compiled
-// into per-node blocks by querying the interface once per (u, dst) pair.
+// already keep their tables as blocks (the stack, point-to-point and
+// fault-wrapped topologies) lend the snapshot their arrays, so compilation
+// is O(n + m + arcs); a dynamic topology may lend other blocks after an
+// event, and the snapshot re-reads them after every TopologyChange.
+// Arbitrary Topology implementations are compiled into per-node blocks by
+// querying the interface once per (u, dst) pair (ExpandTopology).
 
 // deliverFlag marks a RouteEntry whose destination hears the chosen
 // coupler, so delivery needs no head-set scan on the hot path.
@@ -66,9 +66,10 @@ func (r RouteEntry) Delivers() bool { return r.c >= 0 && r.c&deliverFlag != 0 }
 // lists of couplers heard); the (Row[u], Col[u]) cell then holds u's
 // route and distance to its twins. A delivering cell names the coupler
 // only: its next hop is the destination itself, whichever member of the
-// column that is (Entry expands it). Identity classes — one row and one
-// column per node — give plain per-node n×n tables, which is what
-// point-to-point and fault-wrapped topologies keep.
+// column that is (Entry expands it). BuildRouteBlocks computes these
+// blocks from the out-coupler and head lists of any network. Identity
+// classes — one row and one column per node — give plain per-node n×n
+// tables, which is what ExpandTopology fills.
 type RouteBlocks struct {
 	Row, Col []int32 // node -> row class, node -> column class
 	Cols     int
@@ -109,18 +110,20 @@ func (b *RouteBlocks) Distance(u, dst int) int {
 }
 
 // BlockTabled is implemented by topologies that keep their routing state
-// as RouteBlocks. The snapshot borrows the blocks instead of copying them,
-// so a dynamic topology that repairs cells in place
-// (faults.FaultedTopology) updates the engine for free. The slice
-// identities must be stable for the topology's lifetime.
+// as RouteBlocks. The snapshot borrows the blocks instead of copying them
+// and never writes them. A dynamic topology may lend different blocks
+// after each Advance or Reset (faults.FaultedTopology rebuilds them per
+// event batch); the snapshot re-reads RouteBlocks after every
+// TopologyChange and after a Reset that follows one, so the lent blocks
+// must stay unchanged until then.
 type BlockTabled interface {
 	RouteBlocks() *RouteBlocks
 }
 
 // CompiledTopology is the flat, step-ready form of a Topology: CSR
 // out-coupler and head lists and the route/distance blocks. Each Engine
-// owns one; fault events on a dynamic topology repair its tables in
-// place.
+// owns one; after a fault event on a dynamic topology it re-reads the
+// structure and the blocks (recompileDynamic).
 type CompiledTopology struct {
 	topo Topology
 	n, m int
@@ -132,7 +135,6 @@ type CompiledTopology struct {
 	headCount []int32
 	headList  []int32
 	blocks    RouteBlocks
-	ownsTable bool
 	// fanIn bounds the senders any one coupler can have in a slot: the
 	// largest FanIn of every structure the snapshot has held (fanCount is
 	// its scratch). Compile starts from the pristine structure and fault
@@ -168,14 +170,7 @@ func Compile(topo Topology) *CompiledTopology {
 	ct.headCount = make([]int32, m)
 	ct.headList = make([]int32, ct.headStart[m])
 	ct.refreshStructure()
-
-	if bt, ok := topo.(BlockTabled); ok {
-		ct.blocks = *bt.RouteBlocks()
-	} else {
-		ct.ownsTable = true
-		ct.blocks = IdentityBlocks(n)
-		ct.rebuildOwnedTable()
-	}
+	ct.syncBlocks()
 	return ct
 }
 
@@ -265,44 +260,50 @@ func (ct *CompiledTopology) relayoutHeads() {
 	ct.refreshStructure()
 }
 
-// rebuildOwnedTable recompiles the snapshot-owned per-node tables by
-// querying the Topology interface once per (u, dst) pair. The delivers-here
-// bit is the exact head-set membership the legacy engine tested per
-// transmission: dst ∈ Heads(chosen coupler).
-func (ct *CompiledTopology) rebuildOwnedTable() {
+// ExpandTopology returns per-node blocks (IdentityBlocks) of t, filled by
+// querying t once per (u, dst) pair. The delivers-here bit is the exact
+// head-set membership the legacy engine tested per transmission:
+// dst ∈ Heads(chosen coupler).
+func ExpandTopology(t Topology) RouteBlocks {
+	n, m := t.Nodes(), t.Couplers()
+	b := IdentityBlocks(n)
 	// hears[c] marks, for the current dst, the couplers dst listens on.
-	hears := make([]bool, ct.m)
-	heardBy := make([][]int32, ct.n)
-	for c := 0; c < ct.m; c++ {
-		base, cnt := ct.headStart[c], ct.headCount[c]
-		for hi := base; hi < base+cnt; hi++ {
-			h := int(ct.headList[hi])
-			heardBy[h] = append(heardBy[h], int32(c))
+	hears := make([]bool, m)
+	heard := make([][]int, n)
+	for c := 0; c < m; c++ {
+		for _, h := range t.Heads(c) {
+			heard[h] = append(heard[h], c)
 		}
 	}
-	for dst := 0; dst < ct.n; dst++ {
-		for _, c := range heardBy[dst] {
+	for dst := 0; dst < n; dst++ {
+		for _, c := range heard[dst] {
 			hears[c] = true
 		}
-		for u := 0; u < ct.n; u++ {
-			c, hop := ct.topo.NextCoupler(u, dst)
-			ct.blocks.Routes[u*ct.n+dst] = MakeRouteEntry(c, hop, c >= 0 && c < ct.m && hears[c])
-			ct.blocks.Dists[u*ct.n+dst] = int32(ct.topo.Distance(u, dst))
+		for u := 0; u < n; u++ {
+			c, hop := t.NextCoupler(u, dst)
+			b.Routes[u*n+dst] = MakeRouteEntry(c, hop, c >= 0 && c < m && hears[c])
+			b.Dists[u*n+dst] = int32(t.Distance(u, dst))
 		}
-		for _, c := range heardBy[dst] {
+		for _, c := range heard[dst] {
 			hears[c] = false
 		}
 	}
+	return b
 }
 
-// recompileDynamic re-syncs the snapshot after a TopologyChange. Borrowed
-// blocks (the BlockTabled fast path) were already repaired in place by the
-// topology — faults.FaultedTopology rebuilds exactly the rows its
-// EntryChanged/RowsRebuilt machinery flags — so only the CSR structure
-// needs copying; snapshot-owned tables are recompiled wholesale.
+// syncBlocks points the snapshot at the blocks the topology lends now, or
+// expands a topology that lends none into snapshot-owned per-node blocks.
+func (ct *CompiledTopology) syncBlocks() {
+	if bt, ok := ct.topo.(BlockTabled); ok {
+		ct.blocks = *bt.RouteBlocks()
+	} else {
+		ct.blocks = ExpandTopology(ct.topo)
+	}
+}
+
+// recompileDynamic re-syncs the snapshot after a TopologyChange: the CSR
+// structure is copied again and the blocks are re-read (or re-expanded).
 func (ct *CompiledTopology) recompileDynamic() {
 	ct.refreshStructure()
-	if ct.ownsTable {
-		ct.rebuildOwnedTable()
-	}
+	ct.syncBlocks()
 }

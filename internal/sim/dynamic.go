@@ -11,9 +11,11 @@ type TopologyChange struct {
 	// them as LostToFaults. The slice is only valid until the next Advance.
 	FailedNodes []int
 	// EntryChanged reports whether the routing decision for (u, dst)
-	// differs from before the advance. The engine uses it to count queued
-	// messages whose path just changed (Metrics.Reroutes). May be nil when
-	// the implementation does not track per-entry deltas.
+	// differs from before the advance: faults.FaultedTopology compares the
+	// per-node entries (RouteBlocks.Entry) of its blocks before and after.
+	// The engine uses it to count queued messages whose path just changed
+	// (Metrics.Reroutes). It is only valid until the next Advance, and may
+	// be nil when the implementation does not track per-entry deltas.
 	EntryChanged func(u, dst int) bool
 }
 

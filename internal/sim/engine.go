@@ -489,7 +489,7 @@ func (e *Engine) deactivate(node int) {
 func (e *Engine) Step() {
 	// Heads changed by the last slot's transmissions and by the injections
 	// since are resolved first, against the tables those changes saw: fault
-	// events only repair the tables in Phase 0, below.
+	// events only replace the tables in Phase 0, below.
 	e.resolveHeads()
 	// Phase 0: apply fault/repair events scheduled for this slot, purging
 	// queues stranded on failed nodes and counting re-routed messages.
@@ -769,13 +769,13 @@ func (e *Engine) transmit(r txRequest) {
 }
 
 // applyTopologyChange reacts to a fault/repair batch: queues at nodes that
-// just failed are purged (LostToFaults), the compiled structure arrays are
-// re-synced (borrowed route/distance tables were already repaired in place
-// by the topology, row by row), and surviving queued messages whose
-// routing decision changed to another live path are counted as Reroutes —
-// with table routing they silently follow the new path at their next
-// transmission (messages left without any route are not reroutes; they
-// surface as Unroutable when they reach the head of their queue).
+// just failed are purged (LostToFaults), the compiled structure arrays and
+// route/distance blocks are re-read from the topology, and surviving
+// queued messages whose routing decision changed to another live path are
+// counted as Reroutes — with table routing they silently follow the new
+// path at their next transmission (messages left without any route are not
+// reroutes; they surface as Unroutable when they reach the head of their
+// queue).
 func (e *Engine) applyTopologyChange(ch TopologyChange) {
 	e.ct.dirty = true
 	disrupted := false
@@ -790,20 +790,14 @@ func (e *Engine) applyTopologyChange(ch TopologyChange) {
 	e.ct.recompileDynamic()
 	e.syncTables()
 	e.fold()
-	// Refresh the precompiled head-of-line requests, immediately: the
-	// pending list was resolved at the top of the step, so every active
-	// head is current for the pre-event tables. Only heads whose route row
-	// the event actually invalidated need recomputing: for an unchanged
-	// (u, dst) entry the recompute is the identity, so the per-entry change
-	// mask (EntryChanged, backed by the fault layer's row-invalidation
-	// bitmap) lets untouched requests stand. With no mask every active head
-	// is refreshed.
+	// Refresh every active head-of-line request, immediately: the pending
+	// list was resolved at the top of the step against the pre-event
+	// blocks, and the new blocks may number their classes differently, so
+	// even a cell whose per-node entry did not change may name another
+	// representative head.
 	for _, ui := range e.active {
 		u := int(ui)
-		dst := e.queues[u].front().dst
-		if ch.EntryChanged == nil || ch.EntryChanged(u, int(dst)) {
-			e.computeHeadReq(u, dst)
-		}
+		e.computeHeadReq(u, e.queues[u].front().dst)
 	}
 	if ch.EntryChanged != nil {
 		// Only active nodes hold queued messages; order does not matter for

@@ -8,14 +8,19 @@ package sim_test
 // column class) pair, so these tests expand the blocks per node and
 // require them to match the reference entry for entry, delivers bit and
 // next hop included. The differential engine fuzzers cannot catch a wrong
-// table: legacysim routes through the same NextCoupler tables.
+// table: legacysim routes through the same NextCoupler tables. Fault plans
+// rebuild the blocks of faults.FaultedTopology from the live lists, so
+// those are checked after every event against the oracle over the live
+// OutCouplers and Heads.
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"otisnet/internal/digraph"
+	"otisnet/internal/faults"
 	"otisnet/internal/hypergraph"
 	"otisnet/internal/sim"
 	"otisnet/internal/sweep"
@@ -123,19 +128,88 @@ func TestTablesMatchOracleEveryFamily(t *testing.T) {
 			t.Fatal(err)
 		}
 		tp := topo.Topo
-		out := make([][]int, tp.Nodes())
-		for u := range out {
-			out[u] = tp.OutCouplers(u)
-		}
-		heads := make([][]int, tp.Couplers())
-		for c := range heads {
-			heads[c] = tp.Heads(c)
-		}
-		dist, route := oracleTables(tp.Nodes(), out, heads)
+		dist, route := liveOracle(tp)
 		// Stack families keep one block row and column per group at most;
 		// point-to-point ones (GroupSize 1) keep per-node tables.
-		checkTablesMatch(t, topo.Name, tp, dist, route, tp.Nodes()/max(topo.GroupSize, 1))
+		groups := tp.Nodes() / max(topo.GroupSize, 1)
+		checkTablesMatch(t, topo.Name, tp, dist, route, groups)
+		for _, plan := range faultPlans(tp, 1) {
+			checkFaultedTablesMatch(t, topo.Name, tp, plan, groups)
+		}
 	}
+}
+
+// liveOracle runs oracleTables over a topology's current OutCouplers and
+// Heads.
+func liveOracle(tp sim.Topology) ([][]int, []sim.RouteEntry) {
+	out := make([][]int, tp.Nodes())
+	for u := range out {
+		out[u] = tp.OutCouplers(u)
+	}
+	heads := make([][]int, tp.Couplers())
+	for c := range heads {
+		heads[c] = tp.Heads(c)
+	}
+	return oracleTables(tp.Nodes(), out, heads)
+}
+
+// faultPlans draws node, coupler and transmitter faults that strike at
+// once, and a stochastic plan that fails and repairs all three kinds.
+func faultPlans(tp sim.Topology, seed int64) []faults.Plan {
+	kinds := []faults.Kind{faults.KindNode, faults.KindCoupler, faults.KindTransmitter}
+	var plans []faults.Plan
+	var mixed []faults.Event
+	for _, k := range kinds {
+		plans = append(plans, faults.Random(k, 2, 1, tp, seed))
+		mixed = append(mixed, faults.Stochastic(k, 2, tp, 8, 4, 40, seed).Events...)
+	}
+	return append(plans, faults.NewPlan("mixed-mtbf", mixed...))
+}
+
+// checkFaultedTablesMatch wraps base in plan and, before the first event
+// and after every event batch, requires the wrapper's blocks to match the
+// oracle over the live structure, with at most baseClasses plus one row
+// and column per event, and EntryChanged to equal the oracle's per-entry
+// diff from the previous batch.
+func checkFaultedTablesMatch(t *testing.T, name string, base sim.Topology, plan faults.Plan, baseClasses int) {
+	t.Helper()
+	ft := faults.Wrap(base, plan)
+	n := ft.Nodes()
+	dist0, prev := liveOracle(ft)
+	checkTablesMatch(t, name+" "+plan.Name+" before any event", ft, dist0, prev, baseClasses)
+	for i, ev := range plan.Events {
+		if i > 0 && plan.Events[i-1].Slot == ev.Slot {
+			continue // applied with the batch of its slot
+		}
+		ch := ft.Advance(ev.Slot)
+		at := fmt.Sprintf("%s %s after slot %d", name, plan.Name, ev.Slot)
+		dist, route := liveOracle(ft)
+		checkTablesMatch(t, at, ft, dist, route, baseClasses+len(plan.Events))
+		for j := range route {
+			if got, want := ch.EntryChanged(j/n, j%n), route[j] != prev[j]; got != want {
+				t.Fatalf("%s: EntryChanged(%d, %d) = %v, oracle diff %v", at, j/n, j%n, got, want)
+			}
+		}
+		prev = route
+	}
+}
+
+// listTopology is a network given by its lists and routed by the oracle.
+// It lends no blocks, so a fault wrapper expands its NextCoupler.
+type listTopology struct {
+	out, heads [][]int
+	dist       [][]int
+	route      []sim.RouteEntry
+}
+
+func (l *listTopology) Nodes() int              { return len(l.out) }
+func (l *listTopology) Couplers() int           { return len(l.heads) }
+func (l *listTopology) OutCouplers(u int) []int { return l.out[u] }
+func (l *listTopology) Heads(c int) []int       { return l.heads[c] }
+func (l *listTopology) Distance(u, v int) int   { return l.dist[u][v] }
+func (l *listTopology) NextCoupler(u, v int) (int, int) {
+	r := l.route[u*len(l.out)+v]
+	return r.Coupler(), r.NextHop()
 }
 
 // randomBase draws a small digraph with loops, parallel arcs and, for most
@@ -183,7 +257,27 @@ func checkRandomStack(t *testing.T, seed int64, s, nv int) (cov randomStackCover
 		heads[c] = sg.Hyperarc(c).Head
 	}
 	dist, route := oracleTables(n, out, heads)
-	checkTablesMatch(t, fmt.Sprintf("seed %d ς(%d, %v)", seed, s, g.Arcs()), sim.NewStackTopology(sg), dist, route, nv)
+	name := fmt.Sprintf("seed %d ς(%d, %v)", seed, s, g.Arcs())
+	topo := sim.NewStackTopology(sg)
+	checkTablesMatch(t, name, topo, dist, route, nv)
+	for _, plan := range faultPlans(topo, seed) {
+		checkFaultedTablesMatch(t, name, topo, plan, nv)
+	}
+	// Reversing every odd node's out list gives twins whose lists hold the
+	// same couplers in another order; with parallel arcs the order breaks
+	// ties, so out-twins must have equal lists, not equal sets.
+	rev := make([][]int, n)
+	for u := range rev {
+		rev[u] = slices.Clone(out[u])
+		if u%2 == 1 {
+			slices.Reverse(rev[u])
+		}
+	}
+	lt := &listTopology{out: rev, heads: heads}
+	lt.dist, lt.route = oracleTables(n, rev, heads)
+	for _, plan := range faultPlans(lt, seed) {
+		checkFaultedTablesMatch(t, name+" reversed", lt, plan, n)
+	}
 	for _, row := range dist {
 		for _, d := range row {
 			cov.unreachable = cov.unreachable || d == digraph.Unreachable

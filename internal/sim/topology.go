@@ -12,6 +12,7 @@
 package sim
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sync/atomic"
@@ -53,33 +54,41 @@ type stackTopology struct {
 // counts through the couplers; routing takes, at each hop, the coupler
 // whose head set contains the node strictly closest to the destination,
 // scanning couplers and heads in topology order so ties break the same way
-// in every run. All routing decisions are precomputed so the per-slot
-// NextCoupler call is a table lookup.
-//
-// The tables are quotient blocks (RouteBlocks): rows are out-twin classes
-// (identical out-coupler lists) and columns are in-twin classes (identical
-// lists of couplers heard); in ς(s, G) both are the groups, except that
-// groups without out-arcs share one row and groups without in-arcs share
-// one column. Each row class runs one BFS and one route scan over the
-// column classes, and nothing is ever expanded to per-node rows.
+// in every run. All routing decisions are precomputed (BuildRouteBlocks) so
+// the per-slot NextCoupler call is a table lookup. In ς(s, G) the row and
+// column classes are the groups, except that groups without out-arcs share
+// one row and groups without in-arcs share one column.
 func NewStackTopology(sg *hypergraph.StackGraph) Topology {
-	n := sg.N()
 	st := &stackTopology{sg: sg, out: sg.OutArcLists()}
 	arcs := sg.Hyperarcs()
-	heard := make([][]int, n)
+	heads := make([][]int, len(arcs))
 	for c, a := range arcs {
-		for _, h := range a.Head {
+		heads[c] = a.Head
+	}
+	BuildRouteBlocks(&st.blocks, st.out, heads)
+	return st
+}
+
+// BuildRouteBlocks fills b with the routing state of the network in which
+// node u transmits on out[u] and coupler c is heard by heads[c], as
+// quotient blocks: rows are out-twin classes (identical out-coupler lists,
+// in the same order) and columns are in-twin classes (identical lists of
+// couplers heard). Each row class runs one BFS and one route scan over the
+// column classes, and nothing is ever expanded to per-node rows. b's route
+// and distance arrays are reused when they are large enough.
+func BuildRouteBlocks(b *RouteBlocks, out, heads [][]int) {
+	heard := make([][]int, len(out))
+	for c, hs := range heads {
+		for _, h := range hs {
 			heard[h] = append(heard[h], c)
 		}
 	}
-	row, rowMembers := twinClasses(st.out)
+	row, rowMembers := twinClasses(out)
 	col, colMembers := twinClasses(heard)
 	rows, cols := len(rowMembers), len(colMembers)
-	b := RouteBlocks{
-		Row: row, Col: col, Cols: cols,
-		Routes: make([]RouteEntry, rows*cols),
-		Dists:  make([]int32, rows*cols),
-	}
+	b.Row, b.Col, b.Cols = row, col, cols
+	b.Routes = slices.Grow(b.Routes[:0], rows*cols)[:rows*cols]
+	b.Dists = slices.Grow(b.Dists[:0], rows*cols)[:rows*cols]
 
 	// kinds[c] keeps, in head order, the first head of coupler c of each
 	// (row, column) class pair: later heads of the same pair have the same
@@ -87,9 +96,9 @@ func NewStackTopology(sg *hypergraph.StackGraph) Topology {
 	// strict-< route scan can learn anything from them. classOut[k] lists
 	// the couplers the members of column class k transmit on, one out list
 	// per distinct row class among them.
-	kinds := make([][]int32, len(arcs))
-	for c, a := range arcs {
-		for _, h := range a.Head {
+	kinds := make([][]int32, len(heads))
+	for c, hs := range heads {
+		for _, h := range hs {
 			if !slices.ContainsFunc(kinds[c], func(k int32) bool { return row[k] == row[h] && col[k] == col[h] }) {
 				kinds[c] = append(kinds[c], int32(h))
 			}
@@ -101,7 +110,7 @@ func NewStackTopology(sg *hypergraph.StackGraph) Topology {
 		for _, v := range members {
 			if rowSeen[row[v]] != k+1 {
 				rowSeen[row[v]] = k + 1
-				classOut[k] = append(classOut[k], st.out[v]...)
+				classOut[k] = append(classOut[k], out[v]...)
 			}
 		}
 	}
@@ -114,7 +123,7 @@ func NewStackTopology(sg *hypergraph.StackGraph) Topology {
 	// D(k) = 1 + min over the heads w of the class's couplers of dist(w, v)
 	// for any v in column k: dist(u, v) for every member u and v != u.
 	queue := make([]int32, 0, cols)
-	expanded := make([]int, sg.M()) // expanded[c] == r+1: row class r's BFS used c
+	expanded := make([]int, len(heads)) // expanded[c] == r+1: row class r's BFS used c
 	for r, members := range rowMembers {
 		d := b.Dists[r*cols : (r+1)*cols]
 		for k := range d {
@@ -130,7 +139,7 @@ func NewStackTopology(sg *hypergraph.StackGraph) Topology {
 				}
 			}
 		}
-		for _, c := range st.out[members[0]] {
+		for _, c := range out[members[0]] {
 			reach(c, 1)
 		}
 		for i := 0; i < len(queue); i++ {
@@ -156,7 +165,7 @@ func NewStackTopology(sg *hypergraph.StackGraph) Topology {
 		for k := range routes {
 			routes[k] = MakeRouteEntry(-1, -1, false)
 		}
-		for _, c := range st.out[members[0]] {
+		for _, c := range out[members[0]] {
 			for _, h := range kinds[c] {
 				hr := int(row[h])
 				for k, dh := range b.Dists[hr*cols : (hr+1)*cols] {
@@ -172,24 +181,27 @@ func NewStackTopology(sg *hypergraph.StackGraph) Topology {
 			}
 		}
 	}
-	st.blocks = b
-	return st
 }
 
 // twinClasses partitions the nodes into classes whose coupler lists are
 // identical, in the same order. It returns each node's class and each
 // class's members, in ascending order; classes are numbered by their
-// smallest member.
+// smallest member. A list's key is its couplers as concatenated uvarints,
+// which no other list shares.
 func twinClasses(lists [][]int) ([]int32, [][]int) {
 	classOf := make([]int32, len(lists))
 	var members [][]int
-	byList := map[string]int32{} // printed coupler list -> class id
+	byList := map[string]int32{} // encoded coupler list -> class id
+	var key []byte
 	for u, list := range lists {
-		key := fmt.Sprint(list)
-		k, ok := byList[key]
+		key = key[:0]
+		for _, c := range list {
+			key = binary.AppendUvarint(key, uint64(c))
+		}
+		k, ok := byList[string(key)]
 		if !ok {
 			k = int32(len(members))
-			byList[key] = k
+			byList[string(key)] = k
 			members = append(members, nil)
 		}
 		classOf[u] = k
@@ -227,8 +239,10 @@ func (st *stackTopology) NextCoupler(u, dst int) (int, int) {
 }
 
 // pointToPoint adapts a digraph as a single-OPS-per-arc network: every arc
-// is its own degree-1 coupler. Its blocks are per node (identity classes):
-// no two nodes share an out-coupler or hear the same one.
+// is its own degree-1 coupler. No two nodes share an out-coupler or hear
+// the same one, so its blocks come out per node: every class is one node,
+// except that nodes without out-arcs (or in-arcs) share the class of the
+// empty list.
 type pointToPoint struct {
 	g      *digraph.Digraph
 	out    [][]int // coupler ids per node
@@ -239,30 +253,19 @@ type pointToPoint struct {
 
 // NewPointToPointTopology wraps a digraph where each arc is a dedicated
 // point-to-point optical link (the single-OPS baseline). Routing decisions
-// are precomputed into a full per-node table, as for stack topologies.
+// are precomputed by BuildRouteBlocks, as for stack topologies.
 func NewPointToPointTopology(g *digraph.Digraph) Topology {
-	n := g.N()
-	pt := &pointToPoint{g: g, blocks: IdentityBlocks(n)}
-	pt.out = make([][]int, n)
+	pt := &pointToPoint{g: g, out: make([][]int, g.N())}
 	for _, a := range g.Arcs() {
 		c := len(pt.head)
 		pt.head = append(pt.head, a[1])
 		pt.out[a[0]] = append(pt.out[a[0]], c)
 	}
-	for u := 0; u < n; u++ {
-		row := pt.blocks.Dists[u*n : (u+1)*n]
-		for v, d := range g.BFS(u) {
-			row[v] = int32(d)
-		}
+	heads := make([][]int, len(pt.head))
+	for c := range heads {
+		heads[c] = pt.head[c : c+1]
 	}
-	// The delivers-here bit is packed from nextHop == dst: the scan picks
-	// the first strictly closer head, and only dst itself is at distance 0.
-	for u := 0; u < n; u++ {
-		for dst := 0; dst < n; dst++ {
-			c, hop := pt.scanNextCoupler(u, dst)
-			pt.blocks.Routes[u*n+dst] = MakeRouteEntry(c, hop, c >= 0 && hop == dst)
-		}
-	}
+	BuildRouteBlocks(&pt.blocks, pt.out, heads)
 	return pt
 }
 
@@ -281,22 +284,6 @@ func (pt *pointToPoint) FingerprintSlot() *atomic.Pointer[Identity] { return &pt
 func (pt *pointToPoint) NextCoupler(u, dst int) (int, int) {
 	r := pt.blocks.Entry(u, dst)
 	return r.Coupler(), r.NextHop()
-}
-
-// scanNextCoupler is the construction-time oracle: first out-arc whose head
-// is strictly closer to the destination (same tie-break as before).
-func (pt *pointToPoint) scanNextCoupler(u, dst int) (int, int) {
-	if u == dst {
-		return -1, u
-	}
-	cur := pt.blocks.Distance(u, dst)
-	for _, c := range pt.out[u] {
-		h := pt.head[c]
-		if d := pt.blocks.Distance(h, dst); d != digraph.Unreachable && d < cur {
-			return c, h
-		}
-	}
-	return -1, -1
 }
 
 // CheckTopology validates basic sanity: there are at least two nodes (so

@@ -27,10 +27,11 @@
 //	GET  /metrics              — Prometheus text exposition of the shared
 //	                             obs registry (and /debug/pprof/ when the
 //	                             server is built with Pprof set)
-//	POST /api/v1/leases/acquire    — worker asks for a shard lease
-//	POST /api/v1/leases/renew      — keep a lease alive
-//	POST /api/v1/leases/complete   — report a shard's result rows
-//	POST /api/v1/workers/heartbeat — idle-worker liveness
+//	POST /api/v1/leases/acquire  — worker asks for a shard lease (every
+//	                               lease call also records the worker
+//	                               as live)
+//	POST /api/v1/leases/renew    — keep a lease alive
+//	POST /api/v1/leases/complete — report a shard's result rows
 //
 // Jobs are in-memory; the cache is what persists across restarts. A
 // resubmitted grid after a restart replays instantly from the cache.
