@@ -353,10 +353,11 @@ func BenchmarkEngineRunLargeN(b *testing.B) {
 }
 
 // BenchmarkNewStackTopology times the route-table build of SK(4,2,8)
-// (N=1536): the distance and route blocks, one cell per pair of groups,
-// built once per group rather than once per node. The stack graph is built
-// outside the timer. table-MiB is the size of the blocks and class maps
-// the topology keeps.
+// (N=1536): the route blocks, one dictionary-coded cell per pair of
+// groups, built once per group rather than once per node, each row packed
+// as soon as its route scan ends. The stack graph is built outside the
+// timer. table-MiB is what the topology keeps: the packed cells, the row
+// dictionaries with their offsets, and the class maps.
 func BenchmarkNewStackTopology(b *testing.B) {
 	sg := stackkautz.New(4, 2, 8).StackGraph()
 	var topo sim.Topology
@@ -370,18 +371,19 @@ func BenchmarkNewStackTopology(b *testing.B) {
 	b.ReportMetric(tableMiB(topo.(sim.BlockTabled).RouteBlocks()), "table-MiB")
 }
 
-// tableMiB is the size of a topology's route and distance blocks and class
-// maps, in MiB.
+// tableMiB is the size of a topology's route blocks, in MiB: the packed
+// cells, the row dictionaries with their offsets, and the class maps.
 func tableMiB(bl *sim.RouteBlocks) float64 {
-	bytes := len(bl.Routes)*int(unsafe.Sizeof(sim.RouteEntry{})) + 4*(len(bl.Dists)+len(bl.Row)+len(bl.Col))
+	bytes := 8*len(bl.Cells) + len(bl.Dict)*int(unsafe.Sizeof(sim.RouteCell{})) + 4*(len(bl.Base)+len(bl.Row)+len(bl.Col))
 	return float64(bytes) / (1 << 20)
 }
 
 // BenchmarkFaultEventLargeN times one fault event on SK(4,2,8) (N=1536):
-// Advance fails 2 nodes at once and rebuilds the route and distance
-// blocks from the live structure, and Reset rewinds the wrapper to the
-// base topology's blocks for the next scenario. table-MiB is the size of
-// the blocks the event built.
+// Advance fails 2 nodes at once and rebuilds the route blocks from the
+// live structure into a reused buffer with the wrapper's reused
+// sim.RouteBuilder, and Reset rewinds the wrapper to the base topology's
+// blocks for the next scenario. table-MiB is the size of the blocks the
+// event built, counted as for BenchmarkNewStackTopology.
 func BenchmarkFaultEventLargeN(b *testing.B) {
 	topo := sim.NewStackTopology(stackkautz.New(4, 2, 8).StackGraph())
 	ft := faults.Wrap(topo, faults.Random(faults.KindNode, 2, 0, topo, 1))

@@ -294,7 +294,7 @@ func TestNodeFaultsKeepQuotientBlocks(t *testing.T) {
 		ft := Wrap(topo, Random(KindNode, f, 0, topo, int64(f)))
 		stepTo(t, ft, 0)
 		b := ft.RouteBlocks()
-		if rows := len(b.Routes) / b.Cols; rows > groups+f || b.Cols > groups+f {
+		if rows := b.Rows(); rows > groups+f || b.Cols > groups+f {
 			t.Fatalf("%d node faults: %d×%d blocks, want at most %d×%d", f, rows, b.Cols, groups+f, groups+f)
 		}
 		for _, ev := range ft.Plan().Events {

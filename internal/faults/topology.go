@@ -8,8 +8,8 @@ import (
 
 // FaultedTopology wraps any sim.Topology and replays a fault Plan into it.
 // Failed elements are masked out of OutCouplers/Heads, and each event
-// batch rebuilds the route and distance blocks from the live lists with
-// sim.BuildRouteBlocks, the builder NewStackTopology uses, so the routing
+// batch rebuilds the route blocks from the live lists with a
+// sim.RouteBuilder, the builder NewStackTopology uses, so the routing
 // state stays a quotient of the live structure: a failed node transmits on
 // nothing and hears nothing, so it lands in the class of the empty lists,
 // and a live node keeps its twins unless its own lists changed. Between
@@ -51,7 +51,8 @@ type FaultedTopology struct {
 	// any event) or the bufs entry the last event batch built.
 	blocks, pristine *sim.RouteBlocks
 	bufs             [2]sim.RouteBlocks
-	failedNodes      []int // nodes that went down in the last batch
+	builder          sim.RouteBuilder // scratch of the per-event rebuild
+	failedNodes      []int            // nodes that went down in the last batch
 }
 
 // Wrap prepares a faulted view of base driven by plan. Event element ids
@@ -250,7 +251,7 @@ func (ft *FaultedTopology) Advance(slot int) sim.TopologyChange {
 	if prev == cur {
 		cur = &ft.bufs[1]
 	}
-	sim.BuildRouteBlocks(cur, ft.liveOut, ft.liveHeads)
+	ft.builder.Build(cur, ft.liveOut, ft.liveHeads)
 	ft.blocks = cur
 	return sim.TopologyChange{
 		Changed:     true,

@@ -95,17 +95,36 @@ func (h *Hypergraph) OutArcs(v int) []int {
 	return out
 }
 
-// OutArcLists returns OutArcs(v) for every node v, built in one pass over
-// the hyperarcs: out[v] lists, in ascending index, the hyperarcs whose
-// tail contains v, each once even when v repeats inside a tail.
+// OutArcLists returns OutArcs(v) for every node v: out[v] lists, in
+// ascending index, the hyperarcs whose tail contains v, each once even
+// when v repeats inside a tail. The lists share one backing array, sized
+// by a counting pass over the hyperarcs and filled by a second.
 func (h *Hypergraph) OutArcLists() [][]int {
-	out := make([][]int, h.n)
-	for i, a := range h.arcs {
-		for _, u := range a.Tail {
-			if k := len(out[u]); k == 0 || out[u][k-1] != i {
-				out[u] = append(out[u], i)
+	last := make([]int, h.n) // last[v] == i+1: arc i is listed for v
+	end := make([]int, h.n+1)
+	each := func(f func(v, i int)) {
+		clear(last)
+		for i, a := range h.arcs {
+			for _, v := range a.Tail {
+				if last[v] != i+1 {
+					last[v] = i + 1
+					f(v, i)
+				}
 			}
 		}
+	}
+	each(func(v, _ int) { end[v+1]++ })
+	for v := 0; v < h.n; v++ {
+		end[v+1] += end[v]
+	}
+	flat := make([]int, end[h.n])
+	each(func(v, i int) {
+		flat[end[v]] = i
+		end[v]++
+	})
+	out := make([][]int, h.n)
+	for v, lo := 0, 0; v < h.n; v++ {
+		out[v], lo = flat[lo:end[v]:end[v]], end[v]
 	}
 	return out
 }

@@ -93,8 +93,9 @@ func TestCheckTopologyRejectsUnreachablePair(t *testing.T) {
 	}
 }
 
-// blockedFake lends a fakeTopology's distances as per-node blocks
-// (BlockTabled), so CheckTopology takes its block-scanning path.
+// blockedFake lends a fakeTopology's routes and distances as per-node
+// blocks (BlockTabled), encoded by ExpandTopology's row writer, so
+// CheckTopology takes its block-scanning path.
 type blockedFake struct {
 	*fakeTopology
 	blocks RouteBlocks
@@ -102,15 +103,7 @@ type blockedFake struct {
 
 func (b blockedFake) RouteBlocks() *RouteBlocks { return &b.blocks }
 
-func withBlocks(f *fakeTopology) blockedFake {
-	b := IdentityBlocks(f.nodes)
-	for u := 0; u < f.nodes; u++ {
-		for v := 0; v < f.nodes; v++ {
-			b.Dists[u*f.nodes+v] = int32(f.dist(u, v))
-		}
-	}
-	return blockedFake{f, b}
-}
+func withBlocks(f *fakeTopology) blockedFake { return blockedFake{f, ExpandTopology(f)} }
 
 // TestCheckTopologyErrors pins the exact error of each rejection, on the
 // block-scanning path and the Distance-only path alike: both must report

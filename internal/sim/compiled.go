@@ -1,10 +1,18 @@
 package sim
 
+import "slices"
+
 // Compiled-topology snapshot: the engine does not call any Topology method
 // inside Step. At construction the topology is compiled into flat arrays —
-// CSR out-coupler and head lists, and route/distance blocks (RouteBlocks)
-// of packed entries with a delivers-here bit, one cell per (row class,
-// column class) pair — and the step loop reads only those. Topologies that
+// CSR out-coupler and head lists, and route blocks (RouteBlocks) with one
+// cell per (row class, column class) pair — and the step loop reads only
+// those. A cell is a bit-packed index into its row class's dictionary of
+// distinct (route entry, distance) pairs, the route entry carrying a
+// delivers-here bit. Every build uses the one cell width that indexes
+// its largest row dictionary, the smallest power of two from 1 to 32 bits
+// (8 bits for SK(4,2,10), whose rows hold at most 21 distinct pairs), and
+// a decode — one shift, one mask, one dictionary load — returns exactly
+// the pair the builder computed for the cell. Topologies that
 // already keep their tables as blocks (the stack, point-to-point and
 // fault-wrapped topologies) lend the snapshot their arrays, so compilation
 // is O(n + m + arcs); a dynamic topology may lend other blocks after an
@@ -52,14 +60,21 @@ func (r RouteEntry) NextHop() int { return int(r.h) }
 // Delivers reports whether the destination hears the chosen coupler.
 func (r RouteEntry) Delivers() bool { return r.c >= 0 && r.c&deliverFlag != 0 }
 
+// RouteCell is one routing decision together with its hop distance: a
+// dictionary entry of RouteBlocks.
+type RouteCell struct {
+	Route RouteEntry
+	Dist  int32 // hop distance, digraph.Unreachable = -1
+}
+
 // RouteBlocks is the quotient form of a topology's routing state. In the
 // paper's ς(s, G) every member of a group transmits on the same couplers
 // and hears the same couplers, so a routing decision depends only on the
 // source's group and the destination's group. RouteBlocks generalizes
-// that: each node has a row class and a column class, and for u != dst
+// that: each node has a row class and a column class, and for u != dst,
+// with r = Row[u],
 //
-//	route(u, dst) = Routes[Row[u]*Cols + Col[dst]]
-//	dist(u, dst)  = Dists[Row[u]*Cols + Col[dst]]
+//	(route, dist)(u, dst) = Dict[Base[r] + cell(r*Cols + Col[dst])]
 //
 // with dist(u, u) = 0. Stack topologies use out-twins as rows (identical
 // out-coupler lists in the same order) and in-twins as columns (identical
@@ -70,21 +85,53 @@ func (r RouteEntry) Delivers() bool { return r.c >= 0 && r.c&deliverFlag != 0 }
 // blocks from the out-coupler and head lists of any network. Identity
 // classes — one row and one column per node — give plain per-node n×n
 // tables, which is what ExpandTopology fills.
+//
+// A row holds few distinct (route, distance) pairs: a group of SK(s,d,k)
+// has d+1 out-couplers and every distance is at most k. Row class r's
+// distinct cells, in order of first appearance, are its dictionary
+// Dict[Base[r]:Base[r+1]], and each cell stores only its index there,
+// bit-packed Width() = 1<<Shift bits wide, 64/Width() cells to a word,
+// low bits first, so no cell straddles two words. The width is the
+// smallest power of two (1 to 32 bits) that indexes the largest row
+// dictionary of the build. Decoding is one shift, one mask and one
+// dictionary load, and it returns exactly the (route, distance) pair the
+// builder computed for the cell.
 type RouteBlocks struct {
 	Row, Col []int32 // node -> row class, node -> column class
 	Cols     int
-	Routes   []RouteEntry // rows × Cols routing decisions
-	Dists    []int32      // rows × Cols hop distances, digraph.Unreachable = -1
+	Shift    uint        // cells are 1<<Shift bits wide
+	Cells    []uint64    // rows × Cols dictionary indexes, row-major, packed
+	Base     []int32     // rows+1 offsets: row class r's dictionary is Dict[Base[r]:Base[r+1]]
+	Dict     []RouteCell // the row dictionaries, concatenated
 }
 
-// IdentityBlocks allocates per-node blocks for n nodes: row and column
-// class of node u are both u, so cell (u, dst) is the entry for (u, dst).
-func IdentityBlocks(n int) RouteBlocks {
-	id := make([]int32, n)
-	for u := range id {
-		id[u] = int32(u)
-	}
-	return RouteBlocks{Row: id, Col: id, Cols: n, Routes: make([]RouteEntry, n*n), Dists: make([]int32, n*n)}
+// Rows returns the number of row classes.
+func (b *RouteBlocks) Rows() int { return len(b.Base) - 1 }
+
+// Width returns the cell width in bits.
+func (b *RouteBlocks) Width() int { return 1 << b.Shift }
+
+// cellMask is the mask of one cell 1<<shift bits wide.
+func cellMask(shift uint) uint64 { return 1<<(1<<shift) - 1 }
+
+// unpack returns the dictionary index held by cell i of cells packed
+// 1<<shift bits wide; mask is cellMask(shift).
+func unpack(cells []uint64, shift uint, mask uint64, i int) int {
+	bit := uint(i) << (shift & 63)
+	return int(cells[bit>>6] >> (bit & 63) & mask)
+}
+
+// pack stores dictionary index x in cell i of cells packed 1<<shift bits
+// wide.
+func pack(cells []uint64, shift uint, i, x int) {
+	bit := uint(i) << shift
+	w := &cells[bit>>6]
+	*w = *w&^(cellMask(shift)<<(bit&63)) | uint64(x)<<(bit&63)
+}
+
+// Cell returns the decoded cell (r, k): row class r, column class k.
+func (b *RouteBlocks) Cell(r, k int) RouteCell {
+	return b.Dict[int(b.Base[r])+unpack(b.Cells, b.Shift, cellMask(b.Shift), r*b.Cols+k)]
 }
 
 // Entry returns the routing decision for (u, dst) in per-node form: the
@@ -94,7 +141,7 @@ func (b *RouteBlocks) Entry(u, dst int) RouteEntry {
 	if u == dst {
 		return RouteEntry{c: -1, h: int32(u)}
 	}
-	r := b.Routes[int(b.Row[u])*b.Cols+int(b.Col[dst])]
+	r := b.Cell(int(b.Row[u]), int(b.Col[dst])).Route
 	if r.Delivers() {
 		r.h = int32(dst)
 	}
@@ -106,7 +153,136 @@ func (b *RouteBlocks) Distance(u, dst int) int {
 	if u == dst {
 		return 0
 	}
-	return int(b.Dists[int(b.Row[u])*b.Cols+int(b.Col[dst])])
+	return int(b.Cell(int(b.Row[u]), int(b.Col[dst])).Dist)
+}
+
+// blockWriter encodes RouteBlocks one row class at a time, in row order:
+// row reads a row's decoded cells, appends its distinct cells to Dict and
+// packs the cells as indexes into them. The width starts at one bit and
+// is doubled as often as a dictionary needs, repacking the cells already
+// written in place, so the finished blocks have the smallest width that
+// indexes their largest dictionary. Between builds the writer keeps its
+// hash table and the blocks keep their arrays, so a rebuild into the same
+// blocks allocates nothing once they are large enough.
+type blockWriter struct {
+	b    *RouteBlocks
+	rows int
+	done int // rows written
+	// slots is an open-addressing table of the current row's dictionary:
+	// 0 is empty, i+1 names entry i. It stays at most half full.
+	slots []int32
+	idx   []int32 // the current row's dictionary indexes
+}
+
+// start points the writer at b, to be filled with rows × cols cells over
+// the row and column maps b already holds.
+func (w *blockWriter) start(b *RouteBlocks, rows, cols int) {
+	w.b, w.rows, w.done = b, rows, 0
+	b.Cols, b.Shift, b.Cells = cols, 0, b.Cells[:0]
+	b.Base = append(b.Base[:0], 0)
+	b.Dict = b.Dict[:0]
+	if len(w.slots) == 0 {
+		w.slots = make([]int32, 16)
+	}
+}
+
+// cellWords is the number of words n cells 1<<shift bits wide fill.
+func cellWords(n int, shift uint) int { return (n<<shift + 63) >> 6 }
+
+// row encodes the next row class from its decoded cells, one per column
+// class. A delivering cell's next hop must be -1: Entry replaces it with
+// the destination, so delivering cells share one dictionary entry per
+// coupler.
+func (w *blockWriter) row(vals []RouteCell) {
+	b := w.b
+	first := len(b.Dict)
+	clear(w.slots)
+	w.idx = grown(w.idx, len(vals))
+	idx := w.idx
+	prev, x := RouteCell{}, -1
+	for k, v := range vals {
+		if x < 0 || v != prev {
+			prev, x = v, w.index(v, first)
+		}
+		idx[k] = int32(x)
+	}
+	if size := len(b.Dict) - first; w.done == 0 || size > 1<<b.Width() {
+		w.widen(size)
+	}
+	// The cells past those written are zero (start, widen), so the row is
+	// ORed into the word it starts in and whole words are stored after it.
+	cells, width, bit := b.Cells, uint(b.Width()), uint(w.done*b.Cols)<<b.Shift
+	acc := cells[bit>>6]
+	for _, x := range idx {
+		acc |= uint64(x) << (bit & 63)
+		if bit += width; bit&63 == 0 {
+			cells[bit>>6-1], acc = acc, 0
+		}
+	}
+	if bit&63 != 0 {
+		cells[bit>>6] = acc
+	}
+	b.Base = append(b.Base, int32(len(b.Dict)))
+	w.done++
+}
+
+// index returns v's index in the dictionary that starts at Dict[first],
+// appending v when it is new.
+func (w *blockWriter) index(v RouteCell, first int) int {
+	for {
+		mask := uint64(len(w.slots) - 1)
+		for i := cellHash(v) & mask; ; i = (i + 1) & mask {
+			s := w.slots[i]
+			if s == 0 {
+				x := len(w.b.Dict) - first
+				if 2*(x+1) > len(w.slots) {
+					break // grow the table first
+				}
+				w.slots[i] = int32(x + 1)
+				w.b.Dict = append(w.b.Dict, v)
+				return x
+			}
+			if w.b.Dict[first+int(s)-1] == v {
+				return int(s) - 1
+			}
+		}
+		w.slots = make([]int32, 2*len(w.slots))
+		mask = uint64(len(w.slots) - 1)
+		for x, d := range w.b.Dict[first:] {
+			i := cellHash(d) & mask
+			for w.slots[i] != 0 {
+				i = (i + 1) & mask
+			}
+			w.slots[i] = int32(x + 1)
+		}
+	}
+}
+
+// cellHash mixes a cell's three fields into a table position.
+func cellHash(v RouteCell) uint64 {
+	x := uint64(uint32(v.Route.c)) | uint64(uint32(v.Route.h))<<32
+	x ^= uint64(uint32(v.Dist)) * 0x9e3779b97f4a7c15
+	x *= 0xff51afd7ed558ccd
+	return x ^ x>>29
+}
+
+// widen makes the cells wide enough to index a dictionary of size
+// entries, sizing Cells for all rows with zero past the cells written,
+// and repacks the rows already written in place, last cell first: cell i
+// moves up to bit i<<Shift, past the cells before it, and the cells after
+// it have already moved.
+func (w *blockWriter) widen(size int) {
+	b := w.b
+	old := b.Shift
+	for 1<<b.Width() < size {
+		b.Shift++
+	}
+	have, need := len(b.Cells), cellWords(w.rows*b.Cols, b.Shift)
+	b.Cells = slices.Grow(b.Cells, need-have)[:need]
+	clear(b.Cells[have:])
+	for i := w.done*b.Cols - 1; i >= 0; i-- {
+		pack(b.Cells, b.Shift, i, unpack(b.Cells, old, cellMask(old), i))
+	}
 }
 
 // BlockTabled is implemented by topologies that keep their routing state
@@ -121,7 +297,7 @@ type BlockTabled interface {
 }
 
 // CompiledTopology is the flat, step-ready form of a Topology: CSR
-// out-coupler and head lists and the route/distance blocks. Each Engine
+// out-coupler and head lists and the route blocks. Each Engine
 // owns one; after a fault event on a dynamic topology it re-reads the
 // structure and the blocks (recompileDynamic).
 type CompiledTopology struct {
@@ -260,33 +436,36 @@ func (ct *CompiledTopology) relayoutHeads() {
 	ct.refreshStructure()
 }
 
-// ExpandTopology returns per-node blocks (IdentityBlocks) of t, filled by
-// querying t once per (u, dst) pair. The delivers-here bit is the exact
-// head-set membership the legacy engine tested per transmission:
-// dst ∈ Heads(chosen coupler).
+// ExpandTopology returns per-node blocks of t, one row and one column
+// class per node, filled by querying t once per (u, dst) pair. The
+// delivers-here bit is the exact head-set membership the legacy engine
+// tested per transmission: dst ∈ Heads(chosen coupler).
 func ExpandTopology(t Topology) RouteBlocks {
 	n, m := t.Nodes(), t.Couplers()
-	b := IdentityBlocks(n)
-	// hears[c] marks, for the current dst, the couplers dst listens on.
-	hears := make([]bool, m)
+	id := make([]int32, n)
+	for u := range id {
+		id[u] = int32(u)
+	}
+	b := RouteBlocks{Row: id, Col: slices.Clone(id)}
 	heard := make([][]int, n)
 	for c := 0; c < m; c++ {
 		for _, h := range t.Heads(c) {
 			heard[h] = append(heard[h], c)
 		}
 	}
-	for dst := 0; dst < n; dst++ {
-		for _, c := range heard[dst] {
-			hears[c] = true
-		}
-		for u := 0; u < n; u++ {
+	var w blockWriter
+	w.start(&b, n, n)
+	vals := make([]RouteCell, n)
+	for u := 0; u < n; u++ {
+		for dst := range vals {
 			c, hop := t.NextCoupler(u, dst)
-			b.Routes[u*n+dst] = MakeRouteEntry(c, hop, c >= 0 && c < m && hears[c])
-			b.Dists[u*n+dst] = int32(t.Distance(u, dst))
+			delivers := c >= 0 && c < m && slices.Contains(heard[dst], c)
+			if delivers {
+				hop = -1 // Entry reads dst
+			}
+			vals[dst] = RouteCell{MakeRouteEntry(c, hop, delivers), int32(t.Distance(u, dst))}
 		}
-		for _, c := range heard[dst] {
-			hears[c] = false
-		}
+		w.row(vals)
 	}
 	return b
 }

@@ -130,12 +130,13 @@ func (m Metrics) String() string {
 
 // Engine simulates a Topology slot by slot: queues, cursors, scratch,
 // metrics and the slot clock, stepping over a private CompiledTopology.
-// Inside Step there are no Topology interface calls — routing is one load
-// from the route blocks (a cell per row class × column class) whose
+// Inside Step there are no Topology interface calls — routing is one
+// packed-cell decode from the route blocks (a cell per row class × column
+// class) and one load from the row's dictionary, whose route entry's
 // delivers-here bit replaces the per-transmission head-set scan, and the
 // coupler structure is read from CSR arrays. A node whose head-of-line
 // message changes is put on a pending list, and the whole list is resolved
-// in one pass at the top of the next step, so the route loads — most of
+// in one batch at the top of the next step, so the route loads — most of
 // them cache misses on a large network — are independent and overlap
 // instead of each stalling the transmit chain. Steady-state slot cost is
 // O(active nodes + touched couplers), not O(N + M): nodes with queued
@@ -151,7 +152,7 @@ type Engine struct {
 	OnDeliver func(msg Message, slot int)
 
 	// ct is the compiled snapshot this engine steps over; the fields below
-	// through dist are aliases of its arrays, re-synced after topology
+	// through dict are aliases of its arrays, re-synced after topology
 	// events (syncTables). Keeping local slice headers keeps the hot path
 	// one indirection flat.
 	ct *CompiledTopology
@@ -172,8 +173,11 @@ type Engine struct {
 	rowOf     []int32 // node -> row class of the blocks (source side)
 	colOf     []int32 // node -> column class of the blocks (destination side)
 	cols      int
-	route     []RouteEntry // route blocks: (u, dst) is cell rowOf[u]*cols+colOf[dst]
-	dist      []int32      // distance blocks, same cells, for deflection choices
+	shift     uint        // packed block cells are 1<<shift bits wide
+	mask      uint64      // cellMask(shift)
+	cells     []uint64    // (u, dst) is cell rowOf[u]*cols+colOf[dst]
+	base      []int32     // row class r's dictionary starts at dict[base[r]]
+	dict      []RouteCell // decoded (route, distance) cells
 
 	queues []ring
 	// rr holds per-coupler round-robin grant cursors for fairness.
@@ -258,7 +262,8 @@ func (e *Engine) syncTables() {
 	e.outStart, e.outCount, e.outList = ct.outStart, ct.outCount, ct.outList
 	e.headStart, e.headCount, e.headList = ct.headStart, ct.headCount, ct.headList
 	b := &ct.blocks
-	e.rowOf, e.colOf, e.cols, e.route, e.dist = b.Row, b.Col, b.Cols, b.Routes, b.Dists
+	e.rowOf, e.colOf, e.cols = b.Row, b.Col, b.Cols
+	e.shift, e.mask, e.cells, e.base, e.dict = b.Shift, cellMask(b.Shift), b.Cells, b.Base, b.Dict
 }
 
 // NewEngine compiles the topology and prepares a simulation over it. A
@@ -402,9 +407,11 @@ func (e *Engine) enqueue(node int, msg qmsg) {
 }
 
 // pendHead is a deferred head-of-line resolution: node's head message
-// changed, and dst is the new head's destination.
+// changed, and dst is the new head's destination. at is scratch of
+// resolveHeads: the position of the (node, dst) cell's entry in the
+// block dictionary.
 type pendHead struct {
-	node, dst int32
+	node, dst, at int32
 }
 
 // deferHead queues node's head-of-line request for resolveHeads.
@@ -412,33 +419,43 @@ func (e *Engine) deferHead(node int, dst int32) {
 	e.pend = append(e.pend, pendHead{node: int32(node), dst: dst})
 }
 
-// resolveHeads computes every pending head-of-line request in one tight
-// loop. The route loads do not depend on each other, so their cache
-// misses overlap. Entries are in the order the heads changed, so a node
-// listed twice ends with its latest head; nodes that went idle since are
-// skipped. The tables are held in locals: the headReq stores would
-// otherwise make the compiler reload every slice header per entry.
+// resolveHeads computes every pending head-of-line request in two tight
+// loops: the first decodes each entry's block cell into its dictionary
+// position, the second loads the route entries. Within each loop the
+// loads do not depend on each other, so their cache misses overlap.
+// Entries are in the order the heads changed, so a node listed twice ends
+// with its latest head; nodes that went idle since are skipped. The
+// tables are held in locals: the stores would otherwise make the compiler
+// reload every slice header per entry.
 func (e *Engine) resolveHeads() {
-	activePos, headReq := e.activePos, e.headReq
-	rowOf, colOf, cols, route := e.rowOf, e.colOf, e.cols, e.route
-	for _, p := range e.pend {
+	pend := e.pend
+	rowOf, colOf, cols := e.rowOf, e.colOf, e.cols
+	shift, mask, cells, base := e.shift, e.mask, e.cells, e.base
+	for i := range pend {
+		p := &pend[i]
+		r := int(rowOf[p.node])
+		p.at = base[r] + int32(unpack(cells, shift, mask, r*cols+int(colOf[p.dst])))
+	}
+	activePos, headReq, dict := e.activePos, e.headReq, e.dict
+	for _, p := range pend {
 		if activePos[p.node] >= 0 {
-			headReq[p.node] = headRequest(p.node, route[int(rowOf[p.node])*cols+int(colOf[p.dst])])
+			headReq[p.node] = headRequest(p.node, dict[p.at].Route)
 		}
 	}
-	e.pend = e.pend[:0]
+	e.pend = pend[:0]
 }
 
-// routeOf returns the route block cell for (u, dst), u != dst. A
+// cellOf returns the decoded block cell for (u, dst), u != dst. A
 // delivering cell's next hop is not meaningful; transmit never reads it.
-func (e *Engine) routeOf(u, dst int) RouteEntry {
-	return e.route[int(e.rowOf[u])*e.cols+int(e.colOf[dst])]
+func (e *Engine) cellOf(u, dst int) RouteCell {
+	r := int(e.rowOf[u])
+	return e.dict[int(e.base[r])+unpack(e.cells, e.shift, e.mask, r*e.cols+int(e.colOf[dst]))]
 }
 
 // computeHeadReq refreshes node's precompiled head-of-line request from
 // the route blocks; dst is the head message's destination.
 func (e *Engine) computeHeadReq(node int, dst int32) {
-	e.headReq[node] = headRequest(int32(node), e.routeOf(node, int(dst)))
+	e.headReq[node] = headRequest(int32(node), e.cellOf(node, int(dst)).Route)
 }
 
 // headRequest is node's request for a head message whose route entry is r.
@@ -713,14 +730,13 @@ func (e *Engine) windowLen(base int) int {
 func (e *Engine) deflectTarget(c, dst int) (bestHop int32, delivers bool) {
 	bestHop, bestDist := int32(-1), int32(1<<30)
 	hb, hc := e.headStart[c], e.headCount[c]
-	dcol := int(e.colOf[dst])
 	for hi := hb; hi < hb+hc; hi++ {
 		h := e.headList[hi]
 		d := int32(0)
 		if int(h) == dst {
 			delivers = true
 		} else {
-			d = e.dist[int(e.rowOf[h])*e.cols+dcol]
+			d = e.cellOf(int(h), dst).Dist
 		}
 		if d >= 0 && d < bestDist {
 			bestDist = d
@@ -770,7 +786,7 @@ func (e *Engine) transmit(r txRequest) {
 
 // applyTopologyChange reacts to a fault/repair batch: queues at nodes that
 // just failed are purged (LostToFaults), the compiled structure arrays and
-// route/distance blocks are re-read from the topology, and surviving
+// route blocks are re-read from the topology, and surviving
 // queued messages whose routing decision changed to another live path are
 // counted as Reroutes — with table routing they silently follow the new
 // path at their next transmission (messages left without any route are not
@@ -811,7 +827,7 @@ func (e *Engine) applyTopologyChange(ch TopologyChange) {
 					continue
 				}
 				disrupted = true
-				if e.routeOf(u, dst).c >= 0 {
+				if e.cellOf(u, dst).Route.c >= 0 {
 					e.metrics.Reroutes++
 				}
 			}

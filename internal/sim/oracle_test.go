@@ -74,16 +74,19 @@ func oracleNext(out, heads, dist [][]int, u, dst int) (int, int) {
 // checkTablesMatch expands the blocks a topology lends the engine per node
 // and compares them with the oracle's tables, reporting the first
 // differing entry; Distance and NextCoupler must agree as well. The blocks
-// must have at most maxClasses rows and columns.
+// must have at most maxClasses rows and columns, and their dictionaries
+// and cell width must be as small as their cells allow
+// (checkDictionaries).
 func checkTablesMatch(t *testing.T, name string, topo sim.Topology, dist [][]int, route []sim.RouteEntry, maxClasses int) {
 	t.Helper()
 	n := topo.Nodes()
 	b := topo.(sim.BlockTabled).RouteBlocks()
-	if len(b.Row) != n || len(b.Col) != n || b.Cols <= 0 || len(b.Routes)%b.Cols != 0 || len(b.Dists) != len(b.Routes) {
-		t.Fatalf("%s: malformed blocks: len(Row) %d, len(Col) %d, Cols %d, %d routes, %d distances",
-			name, len(b.Row), len(b.Col), b.Cols, len(b.Routes), len(b.Dists))
+	rows := b.Rows()
+	if len(b.Row) != n || len(b.Col) != n || b.Cols <= 0 || rows <= 0 || b.Shift > 5 || b.Base[0] != 0 ||
+		int(b.Base[rows]) != len(b.Dict) || len(b.Cells) != (rows*b.Cols<<b.Shift+63)/64 {
+		t.Fatalf("%s: malformed blocks: len(Row) %d, len(Col) %d, Cols %d, %d rows, shift %d, %d words, %d dictionary entries",
+			name, len(b.Row), len(b.Col), b.Cols, rows, b.Shift, len(b.Cells), len(b.Dict))
 	}
-	rows := len(b.Routes) / b.Cols
 	if rows > maxClasses || b.Cols > maxClasses {
 		t.Fatalf("%s: %d×%d blocks, want at most %d×%d", name, rows, b.Cols, maxClasses, maxClasses)
 	}
@@ -92,6 +95,7 @@ func checkTablesMatch(t *testing.T, name string, topo sim.Topology, dist [][]int
 			t.Fatalf("%s: node %d in class (%d, %d) of %d×%d blocks", name, u, b.Row[u], b.Col[u], rows, b.Cols)
 		}
 	}
+	checkDictionaries(t, name, b)
 	for u := 0; u < n; u++ {
 		for v := 0; v < n; v++ {
 			if got := b.Distance(u, v); got != dist[u][v] || topo.Distance(u, v) != got {
@@ -107,6 +111,34 @@ func checkTablesMatch(t *testing.T, name string, topo sim.Topology, dist [][]int
 			}
 		}
 	}
+}
+
+// checkDictionaries decodes every cell of the blocks and requires each
+// row's dictionary to hold exactly the distinct cells of its row, and the
+// cell width to be the smallest power of two that indexes the largest
+// dictionary. It returns that largest dictionary's size.
+func checkDictionaries(t *testing.T, name string, b *sim.RouteBlocks) int {
+	t.Helper()
+	widest := 0
+	for r := 0; r < b.Rows(); r++ {
+		dict := b.Dict[b.Base[r]:b.Base[r+1]]
+		widest = max(widest, len(dict))
+		seen := map[sim.RouteCell]bool{}
+		for k := 0; k < b.Cols; k++ {
+			seen[b.Cell(r, k)] = true
+		}
+		if len(seen) != len(dict) {
+			t.Fatalf("%s: row class %d has %d dictionary entries for %d distinct cells", name, r, len(dict), len(seen))
+		}
+	}
+	want := 1
+	for 1<<want < widest {
+		want *= 2
+	}
+	if b.Width() != want {
+		t.Fatalf("%s: %d-bit cells for dictionaries of up to %d entries, want %d bits", name, b.Width(), widest, want)
+	}
+	return widest
 }
 
 func TestTablesMatchOracleEveryFamily(t *testing.T) {
@@ -137,6 +169,42 @@ func TestTablesMatchOracleEveryFamily(t *testing.T) {
 			checkFaultedTablesMatch(t, topo.Name, tp, plan, groups)
 		}
 	}
+}
+
+// TestTablesMatchOracleEveryWidth covers the narrowest and a wide cell:
+// on the directed 2-cycle each row's dictionary is a relay and a delivery,
+// which fill one bit; on the directed 300-cycle each row holds 300
+// distances, which need 16 bits and, past 254 hops, the wider distance
+// scratch of the build.
+func TestTablesMatchOracleEveryWidth(t *testing.T) {
+	for _, tc := range []struct{ n, widest, width int }{{2, 2, 1}, {300, 300, 16}} {
+		widest, width := checkRandomCycle(t, 1, tc.n, 0)
+		if widest != tc.widest || width != tc.width {
+			t.Fatalf("C_%d: %d-bit cells, dictionaries of up to %d entries; want %d bits, %d entries", tc.n, width, widest, tc.width, tc.widest)
+		}
+	}
+}
+
+// checkRandomCycle builds the directed n-cycle with chords random arcs
+// added as a point-to-point network and compares its tables with the
+// oracle's, before and after the events of fault plans. It returns the
+// largest row dictionary and the cell width of the pristine blocks.
+func checkRandomCycle(t *testing.T, seed int64, n, chords int) (widest, width int) {
+	t.Helper()
+	g := digraph.Cycle(n)
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < chords; i++ {
+		g.AddArc(rng.Intn(n), rng.Intn(n))
+	}
+	tp := sim.NewPointToPointTopology(g)
+	name := fmt.Sprintf("seed %d C_%d + %d chords", seed, n, chords)
+	dist, route := liveOracle(tp)
+	checkTablesMatch(t, name, tp, dist, route, n)
+	for _, plan := range faultPlans(tp, seed) {
+		checkFaultedTablesMatch(t, name, tp, plan, n)
+	}
+	b := tp.(sim.BlockTabled).RouteBlocks()
+	return checkDictionaries(t, name, b), b.Width()
 }
 
 // liveOracle runs oracleTables over a topology's current OutCouplers and
@@ -323,8 +391,10 @@ func TestStackTablesMatchOracleRandom(t *testing.T) {
 func FuzzStackTablesMatchOracle(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(4))
 	f.Add(int64(7), uint8(3), uint8(8))
-	f.Add(int64(42), uint8(1), uint8(0))
+	f.Add(int64(42), uint8(1), uint8(0))  // 1-bit cells on C_2
+	f.Add(int64(5), uint8(0), uint8(255)) // 16-bit cells on C_257
 	f.Fuzz(func(t *testing.T, seed int64, s, nv uint8) {
 		checkRandomStack(t, seed, 1+int(s)%4, 1+int(nv)%12)
+		checkRandomCycle(t, seed, 2+int(nv), int(s)%4)
 	})
 }

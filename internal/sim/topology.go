@@ -8,11 +8,13 @@
 // Acampora, reference [25]) is available as an ablation. Point-to-point
 // digraph networks (the de Bruijn single-OPS baseline of reference [22])
 // are simulated through the same interface by viewing every arc as a
-// degree-1 coupler.
+// degree-1 coupler. Routing and distances are precomputed once per
+// topology, and once per fault event batch, by BuildRouteBlocks into
+// quotient blocks whose cells index small per-row dictionaries
+// (RouteBlocks), so a routing decision is one packed-cell decode.
 package sim
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
 	"sync/atomic"
@@ -74,140 +76,252 @@ func NewStackTopology(sg *hypergraph.StackGraph) Topology {
 // quotient blocks: rows are out-twin classes (identical out-coupler lists,
 // in the same order) and columns are in-twin classes (identical lists of
 // couplers heard). Each row class runs one BFS and one route scan over the
-// column classes, and nothing is ever expanded to per-node rows. b's route
-// and distance arrays are reused when they are large enough.
+// column classes, nothing is ever expanded to per-node rows, and each row
+// is packed into b as soon as its scan ends. b's arrays are reused when
+// they are large enough.
 func BuildRouteBlocks(b *RouteBlocks, out, heads [][]int) {
-	heard := make([][]int, len(out))
-	for c, hs := range heads {
+	var rb RouteBuilder
+	rb.Build(b, out, heads)
+}
+
+// RouteBuilder holds the scratch of a route block build, so a caller that
+// rebuilds blocks often (faults.FaultedTopology, once per event batch)
+// allocates it once. The zero value is ready to use.
+type RouteBuilder struct {
+	heardStart, heard    []int32 // node v hears heard[heardStart[v]:heardStart[v+1]]
+	rowRep, colRep       []int32 // class -> its smallest member
+	colStart, colMembers []int32 // column class k: colMembers[colStart[k]:colStart[k+1]]
+	kindStart, kinds     []int32 // coupler c: kinds[kindStart[c]:kindStart[c+1]]
+	adjStart, adj        []int32 // column class k: adj[adjStart[k]:adjStart[k+1]]
+	byList               map[uint64]int32
+	seen, queue          []int32
+	best                 []uint32
+	vals                 []RouteCell
+	d8                   []uint8
+	d16                  []uint16
+	d32                  []uint32
+	w                    blockWriter
+}
+
+// Build is BuildRouteBlocks on rb's scratch.
+func (rb *RouteBuilder) Build(b *RouteBlocks, out, heads [][]int) {
+	n, m := len(out), len(heads)
+	// heard lists each node's couplers in ascending order, as CSR: count,
+	// then fill at advancing offsets and shift the offsets back.
+	rb.heardStart = grown(rb.heardStart, n+1)
+	clear(rb.heardStart)
+	for _, hs := range heads {
 		for _, h := range hs {
-			heard[h] = append(heard[h], c)
+			rb.heardStart[h+1]++
 		}
 	}
-	row, rowMembers := twinClasses(out)
-	col, colMembers := twinClasses(heard)
-	rows, cols := len(rowMembers), len(colMembers)
-	b.Row, b.Col, b.Cols = row, col, cols
-	b.Routes = slices.Grow(b.Routes[:0], rows*cols)[:rows*cols]
-	b.Dists = slices.Grow(b.Dists[:0], rows*cols)[:rows*cols]
+	for v := 0; v < n; v++ {
+		rb.heardStart[v+1] += rb.heardStart[v]
+	}
+	rb.heard = grown(rb.heard, int(rb.heardStart[n]))
+	for c, hs := range heads {
+		for _, h := range hs {
+			rb.heard[rb.heardStart[h]] = int32(c)
+			rb.heardStart[h]++
+		}
+	}
+	copy(rb.heardStart[1:], rb.heardStart[:n])
+	rb.heardStart[0] = 0
 
-	// kinds[c] keeps, in head order, the first head of coupler c of each
+	if rb.byList == nil {
+		rb.byList = map[uint64]int32{}
+	}
+	b.Row, rb.rowRep = twinClasses(b.Row, rb.rowRep, rb.byList, n, func(u int) []int { return out[u] })
+	b.Col, rb.colRep = twinClasses(b.Col, rb.colRep, rb.byList, n, func(v int) []int32 {
+		return rb.heard[rb.heardStart[v]:rb.heardStart[v+1]]
+	})
+	row, col := b.Row, b.Col
+	cols := len(rb.colRep)
+
+	// The members of each column class, ascending, as CSR.
+	rb.colStart = grown(rb.colStart, cols+1)
+	clear(rb.colStart)
+	for _, k := range col {
+		rb.colStart[k+1]++
+	}
+	for k := 0; k < cols; k++ {
+		rb.colStart[k+1] += rb.colStart[k]
+	}
+	rb.colMembers = grown(rb.colMembers, n)
+	for v, k := range col {
+		rb.colMembers[rb.colStart[k]] = int32(v)
+		rb.colStart[k]++
+	}
+	copy(rb.colStart[1:], rb.colStart[:cols])
+	rb.colStart[0] = 0
+
+	// kinds keeps, in head order, the first head of coupler c of each
 	// (row, column) class pair: later heads of the same pair have the same
 	// distances and hear the same couplers, so neither the BFS nor the
-	// strict-< route scan can learn anything from them. classOut[k] lists
-	// the couplers the members of column class k transmit on, one out list
-	// per distinct row class among them.
-	kinds := make([][]int32, len(heads))
+	// strict-< route scan can learn anything from them.
+	rb.kindStart = grown(rb.kindStart, m+1)
+	rb.kinds = slices.Grow(rb.kinds[:0], len(rb.heard))
 	for c, hs := range heads {
+		first := len(rb.kinds)
+		rb.kindStart[c] = int32(first)
 		for _, h := range hs {
-			if !slices.ContainsFunc(kinds[c], func(k int32) bool { return row[k] == row[h] && col[k] == col[h] }) {
-				kinds[c] = append(kinds[c], int32(h))
+			if !slices.ContainsFunc(rb.kinds[first:], func(k int32) bool { return row[k] == row[h] && col[k] == col[h] }) {
+				rb.kinds = append(rb.kinds, int32(h))
 			}
 		}
 	}
-	classOut := make([][]int, cols)
-	rowSeen := make([]int, rows) // rowSeen[r] == k+1: column class k took row r's list
-	for k, members := range colMembers {
-		for _, v := range members {
-			if rowSeen[row[v]] != k+1 {
-				rowSeen[row[v]] = k + 1
-				classOut[k] = append(classOut[k], out[v]...)
+	rb.kindStart[m] = int32(len(rb.kinds))
+
+	// adj lists the distinct column classes one hop from column class k:
+	// the columns of the heads of every coupler a member of k transmits
+	// on. Every member of a column is at the same distance from a row, so
+	// the BFS expands a column once for all its members.
+	rb.adjStart = grown(rb.adjStart, cols+1)
+	rb.adj = rb.adj[:0]
+	rb.seen = grown(rb.seen, cols) // seen[t] == k+1: t is in adj of k
+	clear(rb.seen)
+	for k := 0; k < cols; k++ {
+		rb.adjStart[k] = int32(len(rb.adj))
+		for _, v := range rb.colMembers[rb.colStart[k]:rb.colStart[k+1]] {
+			for _, c := range out[v] {
+				for _, h := range rb.kinds[rb.kindStart[c]:rb.kindStart[c+1]] {
+					if t := col[h]; rb.seen[t] != int32(k+1) {
+						rb.seen[t] = int32(k + 1)
+						rb.adj = append(rb.adj, t)
+					}
+				}
 			}
 		}
 	}
+	rb.adjStart[cols] = int32(len(rb.adj))
+
+	// Distances fit one byte per cell in all but networks of diameter 254
+	// or more; those are built again with wider scratch.
+	if !routeRows(rb, &rb.d8, b, out) && !routeRows(rb, &rb.d16, b, out) {
+		routeRows(rb, &rb.d32, b, out)
+	}
+}
+
+// grown returns s resliced to length n, reallocated only when its capacity
+// is short. The contents are not cleared.
+func grown[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
+// routeRows computes the distance and route of every (row class, column
+// class) cell into b, keeping every row's distances in scratch, one D per
+// cell with the largest D meaning unreachable. It reports false, leaving
+// b's cells unwritten, when a distance does not fit D.
+func routeRows[D uint8 | uint16 | uint32](rb *RouteBuilder, scratch *[]D, b *RouteBlocks, out [][]int) bool {
+	far := ^D(0)
+	rows, cols := len(rb.rowRep), len(rb.colRep)
+	row, col := b.Row, b.Col
+	*scratch = grown(*scratch, rows*cols)
+	dist := *scratch
+	kinds, kindStart, adj, adjStart := rb.kinds, rb.kindStart, rb.adj, rb.adjStart
 
 	// Distances: one BFS per row class over the column classes, seeded
-	// with the columns of the class's couplers at distance 1. Every member
-	// of a column class is at the same distance, so a dequeued column
-	// expands the couplers of all its members at once, and each coupler is
-	// expanded from its first dequeued column only. The result is
-	// D(k) = 1 + min over the heads w of the class's couplers of dist(w, v)
-	// for any v in column k: dist(u, v) for every member u and v != u.
-	queue := make([]int32, 0, cols)
-	expanded := make([]int, len(heads)) // expanded[c] == r+1: row class r's BFS used c
-	for r, members := range rowMembers {
-		d := b.Dists[r*cols : (r+1)*cols]
+	// with the columns of the class's couplers at distance 1. The result
+	// is D(k) = 1 + min over the heads w of the class's couplers of
+	// dist(w, v) for any v in column k: dist(u, v) for every member u and
+	// v != u.
+	queue := slices.Grow(rb.queue[:0], cols)
+	for r := 0; r < rows; r++ {
+		d := dist[r*cols : (r+1)*cols]
 		for k := range d {
-			d[k] = digraph.Unreachable
+			d[k] = far
 		}
 		queue = queue[:0]
-		reach := func(c int, dist int32) {
-			expanded[c] = r + 1
-			for _, h := range kinds[c] {
-				if k := col[h]; d[k] == digraph.Unreachable {
-					d[k] = dist
+		for _, c := range out[rb.rowRep[r]] {
+			for _, h := range kinds[kindStart[c]:kindStart[c+1]] {
+				if k := col[h]; d[k] == far {
+					d[k] = 1
 					queue = append(queue, k)
 				}
 			}
 		}
-		for _, c := range out[members[0]] {
-			reach(c, 1)
-		}
 		for i := 0; i < len(queue); i++ {
+			x := d[queue[i]]
+			if x == far-1 {
+				return false // one more hop would not fit D
+			}
 			k := queue[i]
-			for _, c := range classOut[k] {
-				if expanded[c] != r+1 {
-					reach(c, d[k]+1)
+			for _, t := range adj[adjStart[k]:adjStart[k+1]] {
+				if d[t] == far {
+					d[t] = x + 1
+					queue = append(queue, t)
 				}
 			}
 		}
 	}
+	rb.queue = queue
 
 	// Routes: one scan per row class over the class's couplers and heads,
 	// in topology order with a strict < so the first strictly closest head
-	// wins; bestDist starts at the class's own distance. A head h is at
+	// wins; best starts at the class's own distance. A head h is at
 	// distance 0 from itself, and every in-twin of h hears the coupler too,
 	// so the first coupler with a head in a column delivers to the whole
-	// column.
-	best := make([]int32, cols)
-	for r, members := range rowMembers {
-		routes := b.Routes[r*cols : (r+1)*cols]
-		copy(best, b.Dists[r*cols:(r+1)*cols])
-		for k := range routes {
-			routes[k] = MakeRouteEntry(-1, -1, false)
+	// column. Each row goes to the writer as soon as its scan ends.
+	rb.best = grown(rb.best, cols)
+	rb.vals = grown(rb.vals, cols)
+	best, vals := rb.best, rb.vals
+	none := RouteCell{Route: MakeRouteEntry(-1, -1, false), Dist: digraph.Unreachable}
+	rb.w.start(b, rows, cols)
+	for r := 0; r < rows; r++ {
+		for k, x := range dist[r*cols : (r+1)*cols] {
+			best[k], vals[k] = uint32(x), none
+			if x != far {
+				vals[k].Dist = int32(x)
+			}
 		}
-		for _, c := range out[members[0]] {
-			for _, h := range kinds[c] {
+		for _, c := range out[rb.rowRep[r]] {
+			for _, h := range kinds[kindStart[c]:kindStart[c+1]] {
+				via := MakeRouteEntry(c, int(h), false)
 				hr := int(row[h])
-				for k, dh := range b.Dists[hr*cols : (hr+1)*cols] {
-					if dh != digraph.Unreachable && dh < best[k] {
-						best[k] = dh
-						routes[k] = MakeRouteEntry(c, int(h), false)
+				for k, dh := range dist[hr*cols : (hr+1)*cols] {
+					if uint32(dh) < best[k] {
+						best[k] = uint32(dh)
+						vals[k].Route = via
 					}
 				}
 				if k := col[h]; best[k] > 0 {
 					best[k] = 0
-					routes[k] = MakeRouteEntry(c, int(h), true)
+					vals[k].Route = MakeRouteEntry(c, -1, true)
 				}
 			}
 		}
+		rb.w.row(vals)
 	}
+	return true
 }
 
-// twinClasses partitions the nodes into classes whose coupler lists are
-// identical, in the same order. It returns each node's class and each
-// class's members, in ascending order; classes are numbered by their
-// smallest member. A list's key is its couplers as concatenated uvarints,
-// which no other list shares.
-func twinClasses(lists [][]int) ([]int32, [][]int) {
-	classOf := make([]int32, len(lists))
-	var members [][]int
-	byList := map[string]int32{} // encoded coupler list -> class id
-	var key []byte
-	for u, list := range lists {
-		key = key[:0]
-		for _, c := range list {
-			key = binary.AppendUvarint(key, uint64(c))
+// twinClasses partitions nodes 0..n-1 into classes whose coupler lists
+// are identical, in the same order, reusing classOf and reps. It returns
+// each node's class and each class's smallest member; classes are
+// numbered by their smallest member. byList maps a hash of a list to its
+// class; a colliding list that differs takes the next free hash.
+func twinClasses[T int | int32](classOf, reps []int32, byList map[uint64]int32, n int, list func(u int) []T) ([]int32, []int32) {
+	clear(byList)
+	classOf, reps = grown(classOf, n), reps[:0]
+	for u := 0; u < n; u++ {
+		l := list(u)
+		h := uint64(len(l))
+		for _, c := range l {
+			h = (h ^ uint64(c)) * 0x100000001b3
 		}
-		k, ok := byList[string(key)]
-		if !ok {
-			k = int32(len(members))
-			byList[string(key)] = k
-			members = append(members, nil)
+		for {
+			k, ok := byList[h]
+			if !ok {
+				k = int32(len(reps))
+				byList[h] = k
+				reps = append(reps, int32(u))
+			} else if !slices.Equal(list(int(reps[k])), l) {
+				h++
+				continue
+			}
+			classOf[u] = k
+			break
 		}
-		classOf[u] = k
-		members[k] = append(members[k], u)
 	}
-	return classOf, members
+	return classOf, reps
 }
 
 func (st *stackTopology) Nodes() int              { return st.sg.N() }
@@ -290,8 +404,9 @@ func (pt *pointToPoint) NextCoupler(u, dst int) (int, int) {
 // traffic has somewhere to go), every node has at least one out coupler,
 // every coupler has at least one head, and routing reaches every
 // destination. Returns nil for usable topologies. A BlockTabled topology
-// has its distance blocks scanned directly instead of through N² Distance
-// calls; either way the first failing pair, in (u, v) order, is the one
+// has each node's row dictionary tested for an unreachable cell instead
+// of N² Distance calls, and only a row whose dictionary holds one is
+// decoded; either way the first failing pair, in (u, v) order, is the one
 // reported.
 func CheckTopology(t Topology) error {
 	n := t.Nodes()
@@ -320,15 +435,16 @@ func CheckTopology(t Topology) error {
 
 // firstUnreachable returns the first node u cannot reach, or -1. It reads
 // the blocks when the topology lends them, and calls Distance otherwise.
+// A row class's dictionary holds every distance of its row, so only a row
+// whose dictionary has an unreachable cell is decoded.
 func firstUnreachable(t Topology, b *RouteBlocks, u int) int {
 	if b != nil {
 		r := int(b.Row[u])
-		dists := b.Dists[r*b.Cols : (r+1)*b.Cols]
-		if !slices.Contains(dists, digraph.Unreachable) {
+		if !slices.ContainsFunc(b.Dict[b.Base[r]:b.Base[r+1]], func(c RouteCell) bool { return c.Dist == digraph.Unreachable }) {
 			return -1 // every member of u's row class reaches every node
 		}
 		for v, k := range b.Col {
-			if dists[k] == digraph.Unreachable && v != u {
+			if v != u && b.Cell(r, int(k)).Dist == digraph.Unreachable {
 				return v
 			}
 		}
