@@ -368,7 +368,7 @@ func BenchmarkNewStackTopology(b *testing.B) {
 			b.Fatal("wrong size")
 		}
 	}
-	b.ReportMetric(tableMiB(topo.(sim.BlockTabled).RouteBlocks()), "table-MiB")
+	b.ReportMetric(tableMiB(topo.RouteBlocks()), "table-MiB")
 }
 
 // tableMiB is the size of a topology's route blocks, in MiB: the packed

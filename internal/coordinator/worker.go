@@ -30,7 +30,7 @@ type Worker struct {
 	// Client is the coordinator Run talks to.
 	Client *Client
 	// Build expands a job payload into points (e.g.
-	// sweepserver.PointsFromSpec). Builds are memoized per payload.
+	// sweepserver.PointsFromSpec). The latest build is memoized.
 	Build PointsBuilder
 	// Runner executes shard points; its Workers setting is the worker
 	// process's local parallelism (each point itself runs the serial slot
@@ -52,7 +52,11 @@ type Worker struct {
 	// this worker runs (the sweep.Progress cadence). Test hook.
 	OnPoint func(job string, index int, cached bool)
 
-	points map[string][]sweep.Scenario // payload -> expanded points
+	// payload and points memoize the latest build. Every lease of a job
+	// carries the job's payload, so a job expands once per worker, and a
+	// long-lived worker keeps only the grid it ran last.
+	payload string
+	points  []sweep.Scenario
 }
 
 func (w *Worker) log() *slog.Logger {
@@ -179,15 +183,12 @@ func (w *Worker) execute(ctx context.Context, l Leases, g Grant) {
 	log.Info("shard completed", "status", string(st), "rows", len(rows))
 }
 
-// pointsFor memoizes payload expansion: one build per distinct grid
-// description, shared by every lease of the same job (and by jobs
-// resubmitting the same grid).
+// pointsFor memoizes payload expansion: one build per run of leases of
+// the same grid description. A lease of another grid replaces the memo, so
+// interleaved jobs cost a re-expansion each, not a grid kept per payload.
 func (w *Worker) pointsFor(payload []byte) ([]sweep.Scenario, error) {
-	if w.points == nil {
-		w.points = make(map[string][]sweep.Scenario)
-	}
-	if pts, ok := w.points[string(payload)]; ok {
-		return pts, nil
+	if w.points != nil && w.payload == string(payload) {
+		return w.points, nil
 	}
 	if w.Build == nil {
 		return nil, errors.New("coordinator: worker has no PointsBuilder")
@@ -196,6 +197,6 @@ func (w *Worker) pointsFor(payload []byte) ([]sweep.Scenario, error) {
 	if err != nil {
 		return nil, err
 	}
-	w.points[string(payload)] = pts
+	w.payload, w.points = string(payload), pts
 	return pts, nil
 }

@@ -305,6 +305,26 @@ func TestNodeFaultsKeepQuotientBlocks(t *testing.T) {
 	}
 }
 
+// An event batch allocates nothing once the wrapper's buffers have grown:
+// Advance rebuilds into reused blocks with reused builder scratch, and the
+// EntryChanged it returns is the one Wrap made.
+func TestFaultEventAllocatesNothing(t *testing.T) {
+	topo := skTopo(3, 2, 3)
+	ft := Wrap(topo, Random(KindNode, 2, 0, topo, 1))
+	event := func() {
+		ch := ft.Advance(0)
+		if !ch.Changed || len(ch.FailedNodes) != 2 {
+			t.Fatalf("event batch: %+v", ch)
+		}
+		ch.EntryChanged(0, 1)
+		ft.Reset()
+	}
+	event() // grows the blocks and the builder scratch
+	if got := testing.AllocsPerRun(20, event); got != 0 {
+		t.Fatalf("Advance+Reset allocates %v times per event batch, want 0", got)
+	}
+}
+
 func TestResetRestoresInitialState(t *testing.T) {
 	topo := skTopo(3, 2, 2)
 	ft := Wrap(topo, FixedNodes(0, 1, 2))

@@ -17,11 +17,10 @@ import (
 // allocation-free steady-state Step.
 //
 // Until the first event the wrapper lends the engine the base topology's
-// blocks (or, for a base that lends none, a per-node expansion of its
-// NextCoupler made once by Wrap); they may be shared with other wrappers
-// and engines, so they are never written. Events build into two
-// wrapper-owned buffers that grow on demand and alternate, so the blocks
-// of the previous batch stay intact for TopologyChange.EntryChanged.
+// blocks; they may be shared with other wrappers and engines, so they are
+// never written. Events build into two wrapper-owned buffers that grow on
+// demand and alternate, so the blocks of the previous batch stay intact
+// for TopologyChange.EntryChanged.
 //
 // FaultedTopology is stateful and single-engine: concurrent scenarios (e.g.
 // sweep workers) must each wrap their own instance around the shared
@@ -48,11 +47,15 @@ type FaultedTopology struct {
 	liveHeads [][]int
 
 	// blocks is the routing state lent now: pristine (the base's, before
-	// any event) or the bufs entry the last event batch built.
-	blocks, pristine *sim.RouteBlocks
-	bufs             [2]sim.RouteBlocks
-	builder          sim.RouteBuilder // scratch of the per-event rebuild
-	failedNodes      []int            // nodes that went down in the last batch
+	// any event) or the bufs entry the last event batch built; prev is
+	// what it was before that batch.
+	blocks, prev, pristine *sim.RouteBlocks
+	bufs                   [2]sim.RouteBlocks
+	builder                sim.RouteBuilder // scratch of the per-event rebuild
+	failedNodes            []int            // nodes that went down in the last batch
+	// entryChanged is every batch's TopologyChange.EntryChanged, made once
+	// so an event allocates nothing: it compares prev with blocks.
+	entryChanged func(u, dst int) bool
 }
 
 // Wrap prepares a faulted view of base driven by plan. Event element ids
@@ -73,7 +76,9 @@ func Wrap(base sim.Topology, plan Plan) *FaultedTopology {
 		txDown:      make([][]bool, n),
 		liveOut:     make([][]int, n),
 		liveHeads:   make([][]int, m),
+		pristine:    base.RouteBlocks(),
 	}
+	ft.entryChanged = func(u, dst int) bool { return ft.prev.Entry(u, dst) != ft.blocks.Entry(u, dst) }
 	for u := 0; u < n; u++ {
 		ft.baseOut[u] = append([]int(nil), base.OutCouplers(u)...)
 		ft.txDown[u] = make([]bool, len(ft.baseOut[u]))
@@ -82,12 +87,6 @@ func Wrap(base sim.Topology, plan Plan) *FaultedTopology {
 	for c := 0; c < m; c++ {
 		ft.baseHeads[c] = append([]int(nil), base.Heads(c)...)
 		ft.liveHeads[c] = make([]int, 0, len(ft.baseHeads[c]))
-	}
-	if bt, ok := base.(sim.BlockTabled); ok {
-		ft.pristine = bt.RouteBlocks()
-	} else {
-		b := sim.ExpandTopology(base)
-		ft.pristine = &b
 	}
 	for _, ev := range plan.Events {
 		ft.validate(ev.Elem)
@@ -186,9 +185,9 @@ func (ft *FaultedTopology) NextCoupler(u, dst int) (int, int) {
 	return r.Coupler(), r.NextHop()
 }
 
-// RouteBlocks lends the engine the current routing state
-// (sim.BlockTabled): the base's blocks until the first event, then the
-// blocks the last event batch built.
+// RouteBlocks lends the engine the current routing state: the base's
+// blocks until the first event, then the blocks the last event batch
+// built.
 func (ft *FaultedTopology) RouteBlocks() *sim.RouteBlocks { return ft.blocks }
 
 // --- sim.DynamicTopology ---
@@ -247,17 +246,11 @@ func (ft *FaultedTopology) Advance(slot int) sim.TopologyChange {
 
 	// 3. Rebuild the blocks into the buffer not lent now, keeping the
 	// previous batch's blocks for EntryChanged.
-	prev, cur := ft.blocks, &ft.bufs[0]
-	if prev == cur {
+	cur := &ft.bufs[0]
+	if ft.blocks == cur {
 		cur = &ft.bufs[1]
 	}
 	ft.builder.Build(cur, ft.liveOut, ft.liveHeads)
-	ft.blocks = cur
-	return sim.TopologyChange{
-		Changed:     true,
-		FailedNodes: ft.failedNodes,
-		EntryChanged: func(u, dst int) bool {
-			return prev.Entry(u, dst) != cur.Entry(u, dst)
-		},
-	}
+	ft.prev, ft.blocks = ft.blocks, cur
+	return sim.TopologyChange{Changed: true, FailedNodes: ft.failedNodes, EntryChanged: ft.entryChanged}
 }

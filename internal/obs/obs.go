@@ -7,7 +7,7 @@
 // snapshot (GET /api/v1/observe).
 //
 // The overhead contract that shapes the design: instrumentation must be
-// free when idle. The simulation hot path (replica.step) performs no
+// free when idle. The simulation hot path (sim.Engine.Step) performs no
 // atomic operations, takes no locks and calls no interfaces — engines
 // accumulate plain local tallies and flush them into sharded counters once
 // per scenario, so BenchmarkStepAllocFree stays 0 B/op and the headline

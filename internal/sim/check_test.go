@@ -26,6 +26,13 @@ func (f *fakeTopology) NextCoupler(u, v int) (int, int) {
 	return f.next(u, v)
 }
 
+// RouteBlocks expands the fake's hand routing on every call, so a test may
+// rewire dist and next until it hands the fake over.
+func (f *fakeTopology) RouteBlocks() *RouteBlocks {
+	b := ExpandTopology(f)
+	return &b
+}
+
 // ringFake wires n nodes into a directed cycle (coupler i: node i -> i+1).
 func ringFake(n int) *fakeTopology {
 	f := &fakeTopology{nodes: n}
@@ -93,21 +100,8 @@ func TestCheckTopologyRejectsUnreachablePair(t *testing.T) {
 	}
 }
 
-// blockedFake lends a fakeTopology's routes and distances as per-node
-// blocks (BlockTabled), encoded by ExpandTopology's row writer, so
-// CheckTopology takes its block-scanning path.
-type blockedFake struct {
-	*fakeTopology
-	blocks RouteBlocks
-}
-
-func (b blockedFake) RouteBlocks() *RouteBlocks { return &b.blocks }
-
-func withBlocks(f *fakeTopology) blockedFake { return blockedFake{f, ExpandTopology(f)} }
-
-// TestCheckTopologyErrors pins the exact error of each rejection, on the
-// block-scanning path and the Distance-only path alike: both must report
-// the first failing node or (u, v) pair.
+// TestCheckTopologyErrors pins the exact error of each rejection: the
+// first failing node or (u, v) pair, read from the route blocks.
 func TestCheckTopologyErrors(t *testing.T) {
 	cut := func(pairs ...[2]int) func(*fakeTopology) {
 		return func(f *fakeTopology) {
@@ -146,14 +140,8 @@ func TestCheckTopologyErrors(t *testing.T) {
 	} {
 		f := ringFake(4)
 		tc.mutate(f)
-		for _, path := range []struct {
-			name string
-			topo Topology
-		}{{"blocks", withBlocks(f)}, {"distance", f}} {
-			err := CheckTopology(path.topo)
-			if err == nil || err.Error() != tc.want {
-				t.Errorf("%s (%s path): got %v, want %q", tc.name, path.name, err, tc.want)
-			}
+		if err := CheckTopology(f); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: got %v, want %q", tc.name, err, tc.want)
 		}
 	}
 }
@@ -184,5 +172,62 @@ func TestEngineDropsUnroutableDestination(t *testing.T) {
 	}
 	if m.Injected != m.Delivered+m.Dropped+m.Backlog {
 		t.Fatalf("conservation violated: %v", m)
+	}
+}
+
+// growFake is a DynamicTopology that breaks the masking contract: its
+// first event adds a coupler to node 0's out-list (out) or a listener to
+// coupler 0 (!out), past the pristine length.
+type growFake struct {
+	*fakeTopology
+	out, grown bool
+}
+
+func (g *growFake) Reset() { g.grown = false }
+
+func (g *growFake) Advance(slot int) TopologyChange {
+	if g.grown || slot < 1 {
+		return TopologyChange{}
+	}
+	g.grown = true
+	return TopologyChange{Changed: true}
+}
+
+func (g *growFake) OutCouplers(u int) []int {
+	if g.grown && g.out && u == 0 {
+		return []int{0, 1}
+	}
+	return g.fakeTopology.OutCouplers(u)
+}
+
+func (g *growFake) Heads(c int) []int {
+	if g.grown && !g.out && c == 0 {
+		return []int{1, 2}
+	}
+	return g.fakeTopology.Heads(c)
+}
+
+// A dynamic topology may only mask its pristine lists: a list that grows
+// past its pristine length after an event makes the engine panic with the
+// contract in the message, instead of running on a snapshot that no
+// longer fits it.
+func TestEngineRejectsGrowingDynamicTopology(t *testing.T) {
+	for _, tc := range []struct {
+		out  bool
+		want string
+	}{
+		{true, "sim: dynamic topology grew the out-list of node 0 to 2 entries, past its pristine 1: a DynamicTopology may only mask its pristine lists"},
+		{false, "sim: dynamic topology grew the head-list of coupler 0 to 2 entries, past its pristine 1: a DynamicTopology may only mask its pristine lists"},
+	} {
+		e := NewEngine(&growFake{fakeTopology: ringFake(4), out: tc.out}, Config{Seed: 1})
+		e.Step()
+		func() {
+			defer func() {
+				if got := recover(); got != tc.want {
+					t.Errorf("out=%v: panic %v, want %q", tc.out, got, tc.want)
+				}
+			}()
+			e.Step()
+		}()
 	}
 }

@@ -25,6 +25,16 @@ type TopologyChange struct {
 // Step, before arbitration, so an event at slot s affects slot s's
 // transmissions; between events every Topology method must remain as cheap
 // as on a static topology (NextCoupler stays an O(1) lookup).
+//
+// A dynamic topology only masks its structure:
+//   - after Reset, OutCouplers and Heads return the pristine lists;
+//   - after any Advance, each live out-list and head-list is a sublist of
+//     its pristine list.
+//
+// The engine sizes its CSR copies and counts the coupler fan-in F once, on
+// the pristine lists, so a mask that shrinks a list fits its slot and can
+// only lower F. A list that grows past its pristine length breaks the
+// contract, and the engine panics saying so.
 type DynamicTopology interface {
 	Topology
 	// Reset restores the initial (pre-event) state. NewEngine calls it so

@@ -129,8 +129,10 @@ func (m Metrics) String() string {
 }
 
 // Engine simulates a Topology slot by slot: queues, cursors, scratch,
-// metrics and the slot clock, stepping over a private CompiledTopology.
-// Inside Step there are no Topology interface calls — routing is one
+// metrics and the slot clock, stepping over its own snapshot of the
+// topology — CSR copies of the out-coupler and head lists, and the route
+// blocks the topology lends (RouteBlocks), re-read after every fault
+// event. Inside Step there are no Topology interface calls — routing is one
 // packed-cell decode from the route blocks (a cell per row class × column
 // class) and one load from the row's dictionary, whose route entry's
 // delivers-here bit replaces the per-transmission head-set scan, and the
@@ -151,18 +153,20 @@ type Engine struct {
 	// against kautz.RouteAvoiding — without burdening Metrics.
 	OnDeliver func(msg Message, slot int)
 
-	// ct is the compiled snapshot this engine steps over; the fields below
-	// through dict are aliases of its arrays, re-synced after topology
-	// events (syncTables). Keeping local slice headers keeps the hot path
-	// one indirection flat.
-	ct *CompiledTopology
+	// fanIn is the topology's F (FanIn), counted once at construction on
+	// the pristine lists: a dynamic topology only masks them, which can
+	// only lower it.
+	fanIn int
 
 	cfg Config
 	// gen is Run's end of the traffic pipeline (pipeline.go), made on
 	// the first Run.
 	gen *genPipe
 
-	// Compiled topology aliases (see ct).
+	// The topology snapshot. The CSR slots are sized by the pristine lists
+	// at construction; the counts follow the live lists (sync). The block
+	// fields alias the arrays of the lent RouteBlocks, held as local slice
+	// headers so the hot path stays one indirection flat.
 	n, m      int
 	outStart  []int32 // node u transmits on outList[outStart[u]:outStart[u]+outCount[u]]
 	outCount  []int32
@@ -235,9 +239,9 @@ type Engine struct {
 
 	// dyn is non-nil when the topology injects fault/repair events; the
 	// engine polls it for changes at the top of every step. An event marks
-	// the compiled snapshot dirty (ct.dirty), so Reset only re-syncs it
-	// when something changed.
-	dyn DynamicTopology
+	// the snapshot dirty, so Reset only re-syncs it when something changed.
+	dyn   DynamicTopology
+	dirty bool
 	// Recovery tracking: while recovering, backlog has not yet returned to
 	// recoverBaseline (its level right after the disrupting event).
 	recovering      bool
@@ -255,29 +259,20 @@ type Engine struct {
 	traceSlot bool
 }
 
-// syncTables re-reads the table aliases from the snapshot. Needed after
-// any recompile, because an exotic relayout may reallocate the CSR lists.
-func (e *Engine) syncTables() {
-	ct := e.ct
-	e.outStart, e.outCount, e.outList = ct.outStart, ct.outCount, ct.outList
-	e.headStart, e.headCount, e.headList = ct.headStart, ct.headCount, ct.headList
-	b := &ct.blocks
-	e.rowOf, e.colOf, e.cols = b.Row, b.Col, b.Cols
-	e.shift, e.mask, e.cells, e.base, e.dict = b.Shift, cellMask(b.Shift), b.Cells, b.Base, b.Dict
-}
-
-// NewEngine compiles the topology and prepares a simulation over it. A
+// NewEngine snapshots the topology and prepares a simulation over it. A
 // topology that also implements DynamicTopology (e.g.
-// faults.FaultedTopology) is reset to its pre-event state — so the
-// compiled snapshot covers the full (pristine) structure — and polled for
-// fault events every Step.
+// faults.FaultedTopology) is reset to its pre-event state first, so the
+// CSR slots fit its pristine lists, and polled for fault events every
+// Step.
 func NewEngine(topo Topology, cfg Config) *Engine {
-	ct := Compile(topo)
-	n, m := ct.n, ct.m
+	n, m := topo.Nodes(), topo.Couplers()
 	e := &Engine{
-		ct:        ct,
 		n:         n,
 		m:         m,
+		outStart:  make([]int32, n+1),
+		outCount:  make([]int32, n),
+		headStart: make([]int32, m+1),
+		headCount: make([]int32, m),
 		queues:    make([]ring, n),
 		rr:        make([]int32, m),
 		touched:   make([]uint64, (m+63)/64),
@@ -287,15 +282,56 @@ func NewEngine(topo Topology, cfg Config) *Engine {
 		headReq:   make([]txRequest, n),
 	}
 	e.obs.shard = obs.NextShard()
-	e.dyn, _ = topo.(DynamicTopology)
-	e.syncTables()
+	if e.dyn, _ = topo.(DynamicTopology); e.dyn != nil {
+		e.dyn.Reset()
+	}
+	for u := 0; u < n; u++ {
+		e.outStart[u+1] = e.outStart[u] + int32(len(topo.OutCouplers(u)))
+	}
+	for c := 0; c < m; c++ {
+		e.headStart[c+1] = e.headStart[c] + int32(len(topo.Heads(c)))
+	}
+	e.outList = make([]int32, e.outStart[n])
+	e.headList = make([]int32, e.headStart[m])
+	e.fanIn = FanIn(topo)
+	e.sync(topo)
 	e.Reset(cfg)
 	return e
 }
 
+// sync copies the topology's current out-coupler and head lists into the
+// CSR slots and points the block fields at the blocks it lends now.
+// Called at construction and again after every topology change; between
+// changes Step reads only the snapshot. A dynamic topology only masks its
+// pristine lists (DynamicTopology), so every list fits its slot.
+func (e *Engine) sync(t Topology) {
+	for u := 0; u < e.n; u++ {
+		copyList(e.outList[e.outStart[u]:e.outStart[u+1]], &e.outCount[u], t.OutCouplers(u), "out-list of node", u)
+	}
+	for c := 0; c < e.m; c++ {
+		copyList(e.headList[e.headStart[c]:e.headStart[c+1]], &e.headCount[c], t.Heads(c), "head-list of coupler", c)
+	}
+	b := t.RouteBlocks()
+	e.rowOf, e.colOf, e.cols = b.Row, b.Col, b.Cols
+	e.shift, e.mask, e.cells, e.base, e.dict = b.Shift, cellMask(b.Shift), b.Cells, b.Base, b.Dict
+}
+
+// copyList copies list into its CSR slot and sets its count, panicking
+// when a dynamic topology grew the list past its pristine length.
+func copyList(slot []int32, count *int32, list []int, what string, i int) {
+	if len(list) > len(slot) {
+		panic(fmt.Sprintf("sim: dynamic topology grew the %s %d to %d entries, past its pristine %d: a DynamicTopology may only mask its pristine lists",
+			what, i, len(list), len(slot)))
+	}
+	for k, x := range list {
+		slot[k] = int32(x)
+	}
+	*count = int32(len(list))
+}
+
 // Reset re-arms the engine for a fresh scenario under cfg: queues,
 // cursors, metrics and the slot clock return to their initial
-// state while every buffer (rings, scratch, compiled snapshot) keeps its
+// state while every buffer (rings, scratch, topology snapshot) keeps its
 // capacity, so repeated scenarios on one engine allocate nothing. A run
 // after Reset is bit-for-bit identical to a run on a newly constructed
 // engine. Dynamic topologies are rewound to their pre-event state.
@@ -334,10 +370,9 @@ func (e *Engine) Reset(cfg Config) {
 	e.traceSlot = false
 	if e.dyn != nil {
 		e.dyn.Reset()
-		if e.ct.dirty {
-			e.ct.recompileDynamic()
-			e.ct.dirty = false
-			e.syncTables()
+		if e.dirty {
+			e.sync(e.dyn)
+			e.dirty = false
 		}
 	}
 	e.fold()
@@ -345,10 +380,9 @@ func (e *Engine) Reset(cfg Config) {
 
 // fold applies the fan-in rule (Config.Canonical) to the scenario's
 // configuration: the grant windows are min(W, F) wide, and Phases 2 and 3
-// run only while a request can lose arbitration. A topology change folds
-// again, in case it raised the snapshot's fan-in.
+// run only while a request can lose arbitration.
 func (e *Engine) fold() {
-	run := e.cfg.Canonical(e.ct.fanIn)
+	run := e.cfg.Canonical(e.fanIn)
 	e.w, e.defl = run.Wavelengths, run.Deflection
 	if need := e.m * e.w; len(e.grantSlot) < need {
 		e.bestKey = make([]int32, need)
@@ -785,15 +819,15 @@ func (e *Engine) transmit(r txRequest) {
 }
 
 // applyTopologyChange reacts to a fault/repair batch: queues at nodes that
-// just failed are purged (LostToFaults), the compiled structure arrays and
-// route blocks are re-read from the topology, and surviving
+// just failed are purged (LostToFaults), the CSR lists and the route
+// blocks are re-read from the topology (sync), and surviving
 // queued messages whose routing decision changed to another live path are
 // counted as Reroutes — with table routing they silently follow the new
 // path at their next transmission (messages left without any route are not
 // reroutes; they surface as Unroutable when they reach the head of their
 // queue).
 func (e *Engine) applyTopologyChange(ch TopologyChange) {
-	e.ct.dirty = true
+	e.dirty = true
 	disrupted := false
 	for _, u := range ch.FailedNodes {
 		for e.queues[u].len() > 0 {
@@ -803,9 +837,7 @@ func (e *Engine) applyTopologyChange(ch TopologyChange) {
 			disrupted = true
 		}
 	}
-	e.ct.recompileDynamic()
-	e.syncTables()
-	e.fold()
+	e.sync(e.dyn)
 	// Refresh every active head-of-line request, immediately: the pending
 	// list was resolved at the top of the step against the pre-event
 	// blocks, and the new blocks may number their classes differently, so
@@ -894,7 +926,7 @@ func rrNext(node, n int32) int32 {
 	return node + 1
 }
 
-// Run executes a full simulation over a freshly compiled engine. Callers
+// Run executes a full simulation over a freshly constructed engine. Callers
 // running many scenarios over one topology should construct the engine
 // once and call Engine.Run per scenario instead (see internal/sweep).
 func Run(topo Topology, traffic Traffic, slots, drain int, cfg Config) Metrics {

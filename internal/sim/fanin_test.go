@@ -24,13 +24,15 @@ import (
 	"otisnet/internal/workload"
 )
 
-// busTopology is an arbitrary Topology that is not BlockTabled: random
-// sender and listener sets per coupler, so couplers differ in fan-in and
-// some pairs are unreachable, routed by the oracle scan.
+// busTopology is an arbitrary Topology: random sender and listener sets
+// per coupler, so couplers differ in fan-in and some pairs are
+// unreachable. The reference engine routes it by the oracle scan, the
+// compiled engine by the blocks BuildRouteBlocks makes from its lists.
 type busTopology struct {
 	out, heads [][]int
 	dist       [][]int
 	route      []sim.RouteEntry
+	blocks     sim.RouteBlocks
 }
 
 func randomBus(seed int64) *busTopology {
@@ -48,14 +50,16 @@ func randomBus(seed int64) *busTopology {
 		}
 	}
 	b.dist, b.route = oracleTables(n, b.out, b.heads)
+	sim.BuildRouteBlocks(&b.blocks, b.out, b.heads)
 	return b
 }
 
-func (b *busTopology) Nodes() int              { return len(b.out) }
-func (b *busTopology) Couplers() int           { return len(b.heads) }
-func (b *busTopology) OutCouplers(u int) []int { return b.out[u] }
-func (b *busTopology) Heads(c int) []int       { return b.heads[c] }
-func (b *busTopology) Distance(u, dst int) int { return b.dist[u][dst] }
+func (b *busTopology) Nodes() int                    { return len(b.out) }
+func (b *busTopology) Couplers() int                 { return len(b.heads) }
+func (b *busTopology) OutCouplers(u int) []int       { return b.out[u] }
+func (b *busTopology) Heads(c int) []int             { return b.heads[c] }
+func (b *busTopology) Distance(u, dst int) int       { return b.dist[u][dst] }
+func (b *busTopology) RouteBlocks() *sim.RouteBlocks { return &b.blocks }
 func (b *busTopology) NextCoupler(u, dst int) (int, int) {
 	r := b.route[u*len(b.out)+dst]
 	return r.Coupler(), r.NextHop()

@@ -80,7 +80,7 @@ func oracleNext(out, heads, dist [][]int, u, dst int) (int, int) {
 func checkTablesMatch(t *testing.T, name string, topo sim.Topology, dist [][]int, route []sim.RouteEntry, maxClasses int) {
 	t.Helper()
 	n := topo.Nodes()
-	b := topo.(sim.BlockTabled).RouteBlocks()
+	b := topo.RouteBlocks()
 	rows := b.Rows()
 	if len(b.Row) != n || len(b.Col) != n || b.Cols <= 0 || rows <= 0 || b.Shift > 5 || b.Base[0] != 0 ||
 		int(b.Base[rows]) != len(b.Dict) || len(b.Cells) != (rows*b.Cols<<b.Shift+63)/64 {
@@ -203,7 +203,7 @@ func checkRandomCycle(t *testing.T, seed int64, n, chords int) (widest, width in
 	for _, plan := range faultPlans(tp, seed) {
 		checkFaultedTablesMatch(t, name, tp, plan, n)
 	}
-	b := tp.(sim.BlockTabled).RouteBlocks()
+	b := tp.RouteBlocks()
 	return checkDictionaries(t, name, b), b.Width()
 }
 
@@ -262,19 +262,21 @@ func checkFaultedTablesMatch(t *testing.T, name string, base sim.Topology, plan 
 	}
 }
 
-// listTopology is a network given by its lists and routed by the oracle.
-// It lends no blocks, so a fault wrapper expands its NextCoupler.
+// listTopology is a network given by its lists and routed by the oracle,
+// lending the blocks BuildRouteBlocks makes from the same lists.
 type listTopology struct {
 	out, heads [][]int
 	dist       [][]int
 	route      []sim.RouteEntry
+	blocks     sim.RouteBlocks
 }
 
-func (l *listTopology) Nodes() int              { return len(l.out) }
-func (l *listTopology) Couplers() int           { return len(l.heads) }
-func (l *listTopology) OutCouplers(u int) []int { return l.out[u] }
-func (l *listTopology) Heads(c int) []int       { return l.heads[c] }
-func (l *listTopology) Distance(u, v int) int   { return l.dist[u][v] }
+func (l *listTopology) Nodes() int                    { return len(l.out) }
+func (l *listTopology) Couplers() int                 { return len(l.heads) }
+func (l *listTopology) OutCouplers(u int) []int       { return l.out[u] }
+func (l *listTopology) Heads(c int) []int             { return l.heads[c] }
+func (l *listTopology) Distance(u, v int) int         { return l.dist[u][v] }
+func (l *listTopology) RouteBlocks() *sim.RouteBlocks { return &l.blocks }
 func (l *listTopology) NextCoupler(u, v int) (int, int) {
 	r := l.route[u*len(l.out)+v]
 	return r.Coupler(), r.NextHop()
@@ -343,6 +345,7 @@ func checkRandomStack(t *testing.T, seed int64, s, nv int) (cov randomStackCover
 	}
 	lt := &listTopology{out: rev, heads: heads}
 	lt.dist, lt.route = oracleTables(n, rev, heads)
+	sim.BuildRouteBlocks(&lt.blocks, rev, heads)
 	for _, plan := range faultPlans(lt, seed) {
 		checkFaultedTablesMatch(t, name+" reversed", lt, plan, n)
 	}

@@ -1,7 +1,8 @@
-// Package sim is a slotted-time simulator for single-wavelength multi-OPS
-// networks. Its semantics follow the POPS / stack-Kautz literature the
-// paper builds on: time advances in synchronous slots; each OPS coupler
-// carries at most one message per slot (single wavelength); a transmission
+// Package sim is a slotted-time simulator for multi-OPS networks. Its
+// semantics follow the POPS / stack-Kautz literature the paper builds on:
+// time advances in synchronous slots; each OPS coupler carries at most one
+// message per slot per wavelength (the paper's networks have one, and
+// Config.Wavelengths runs W on the same slot kernel); a transmission
 // on a coupler is heard by every node on the coupler's output side; each
 // node transmits at most one message per slot. Store-and-forward routing
 // with per-node FIFO queues is the default; hot-potato deflection (Zhang &
@@ -23,8 +24,8 @@ import (
 	"otisnet/internal/hypergraph"
 )
 
-// Topology abstracts a network for the engine: nodes, couplers, and a
-// routing oracle.
+// Topology abstracts a network for the engine: nodes, couplers, and its
+// routing state as route blocks.
 type Topology interface {
 	// Nodes returns the number of processors.
 	Nodes() int
@@ -41,6 +42,29 @@ type Topology interface {
 	NextCoupler(u, dst int) (coupler, nextHop int)
 	// Distance returns the hop distance from u to dst.
 	Distance(u, dst int) int
+	// RouteBlocks lends the topology's routing state, which must agree
+	// with NextCoupler and Distance. The engine borrows the blocks
+	// instead of copying them and never writes them; a DynamicTopology
+	// may lend other blocks after each Advance or Reset, and the engine
+	// re-reads them after every TopologyChange and after a Reset that
+	// follows one, so the lent blocks must stay unchanged until then.
+	RouteBlocks() *RouteBlocks
+}
+
+// FanIn returns the topology's coupler fan-in F: the most nodes that list
+// any one coupler in OutCouplers. A node makes at most one request per
+// slot, on one of its out-couplers, so no coupler ever has more than F
+// senders in a slot (Config.Canonical).
+func FanIn(t Topology) int {
+	cnt := make([]int32, t.Couplers())
+	f := int32(0)
+	for u := 0; u < t.Nodes(); u++ {
+		for _, c := range t.OutCouplers(u) {
+			cnt[c]++
+			f = max(f, cnt[c])
+		}
+	}
+	return int(f)
 }
 
 // stackTopology adapts a stack-graph (multi-OPS network) with precomputed
@@ -331,7 +355,7 @@ func (st *stackTopology) Heads(c int) []int       { return st.sg.Hyperarc(c).Hea
 
 func (st *stackTopology) Distance(u, dst int) int { return st.blocks.Distance(u, dst) }
 
-// RouteBlocks lends the engine the quotient blocks (BlockTabled).
+// RouteBlocks lends the engine the quotient blocks.
 func (st *stackTopology) RouteBlocks() *RouteBlocks { return &st.blocks }
 
 // Identity is a topology's structural identity as the sweep cache key
@@ -389,7 +413,7 @@ func (pt *pointToPoint) OutCouplers(u int) []int { return pt.out[u] }
 func (pt *pointToPoint) Heads(c int) []int       { return pt.head[c : c+1] }
 func (pt *pointToPoint) Distance(u, dst int) int { return pt.blocks.Distance(u, dst) }
 
-// RouteBlocks lends the engine the per-node blocks (BlockTabled).
+// RouteBlocks lends the engine the per-node blocks.
 func (pt *pointToPoint) RouteBlocks() *RouteBlocks { return &pt.blocks }
 
 // FingerprintSlot holds the topology's Identity, as for stack topologies.
@@ -403,25 +427,21 @@ func (pt *pointToPoint) NextCoupler(u, dst int) (int, int) {
 // CheckTopology validates basic sanity: there are at least two nodes (so
 // traffic has somewhere to go), every node has at least one out coupler,
 // every coupler has at least one head, and routing reaches every
-// destination. Returns nil for usable topologies. A BlockTabled topology
-// has each node's row dictionary tested for an unreachable cell instead
-// of N² Distance calls, and only a row whose dictionary holds one is
-// decoded; either way the first failing pair, in (u, v) order, is the one
-// reported.
+// destination. Returns nil for usable topologies. Reachability is read
+// from the route blocks: each node's row dictionary is tested for an
+// unreachable cell, and only a row whose dictionary holds one is decoded,
+// so the first failing pair, in (u, v) order, is the one reported.
 func CheckTopology(t Topology) error {
 	n := t.Nodes()
 	if n < 2 {
 		return fmt.Errorf("sim: a network needs at least 2 nodes, this topology has %d", n)
 	}
-	var blocks *RouteBlocks
-	if bt, ok := t.(BlockTabled); ok {
-		blocks = bt.RouteBlocks()
-	}
+	b := t.RouteBlocks()
 	for u := 0; u < n; u++ {
 		if len(t.OutCouplers(u)) == 0 {
 			return fmt.Errorf("sim: node %d cannot transmit", u)
 		}
-		if v := firstUnreachable(t, blocks, u); v >= 0 {
+		if v := firstUnreachable(b, u); v >= 0 {
 			return fmt.Errorf("sim: node %d cannot reach %d", u, v)
 		}
 	}
@@ -433,25 +453,16 @@ func CheckTopology(t Topology) error {
 	return nil
 }
 
-// firstUnreachable returns the first node u cannot reach, or -1. It reads
-// the blocks when the topology lends them, and calls Distance otherwise.
-// A row class's dictionary holds every distance of its row, so only a row
+// firstUnreachable returns the first node u cannot reach in b, or -1. A
+// row class's dictionary holds every distance of its row, so only a row
 // whose dictionary has an unreachable cell is decoded.
-func firstUnreachable(t Topology, b *RouteBlocks, u int) int {
-	if b != nil {
-		r := int(b.Row[u])
-		if !slices.ContainsFunc(b.Dict[b.Base[r]:b.Base[r+1]], func(c RouteCell) bool { return c.Dist == digraph.Unreachable }) {
-			return -1 // every member of u's row class reaches every node
-		}
-		for v, k := range b.Col {
-			if v != u && b.Cell(r, int(k)).Dist == digraph.Unreachable {
-				return v
-			}
-		}
-		return -1
+func firstUnreachable(b *RouteBlocks, u int) int {
+	r := int(b.Row[u])
+	if !slices.ContainsFunc(b.Dict[b.Base[r]:b.Base[r+1]], func(c RouteCell) bool { return c.Dist == digraph.Unreachable }) {
+		return -1 // every member of u's row class reaches every node
 	}
-	for v, n := 0, t.Nodes(); v < n; v++ {
-		if v != u && t.Distance(u, v) == digraph.Unreachable {
+	for v, k := range b.Col {
+		if v != u && b.Cell(r, int(k)).Dist == digraph.Unreachable {
 			return v
 		}
 	}
