@@ -26,6 +26,11 @@
 //   - Completing a done shard again is idempotent (StatusDuplicate);
 //     canceling a job invalidates its outstanding leases, so renewals and
 //     completions for them fail and workers drop the abandoned work.
+//   - A job that ends — merged, failed at merge or canceled — is removed
+//     from the job table and drops its points and payload; the *Job
+//     Submit returned keeps its Progress and Results. A late completion
+//     names a job the coordinator no longer holds and is stale, so
+//     nothing is kept for it.
 //
 // Workers run shards through sweep.Runner.RunCached against a shared
 // content-addressed cache (internal/sweepcache), so a shard re-leased
@@ -105,7 +110,8 @@ const (
 	// the same worker retried); the rows were ignored. Not an error.
 	StatusDuplicate CompleteStatus = "duplicate"
 	// StatusStale: the named lease is no longer valid — expired, epoch
-	// superseded, job canceled or unknown. The worker must drop the work.
+	// superseded, or its job ended or unknown. The worker must drop the
+	// work.
 	StatusStale CompleteStatus = "stale"
 	// StatusInvalid: the lease was valid but the rows do not describe the
 	// leased shard (wrong indices/length). The lease is revoked and the
@@ -409,8 +415,9 @@ func (c *Coordinator) Renew(_ context.Context, worker string, g Grant) (time.Dur
 
 // Complete reports a shard's result rows under g's lease. The returned
 // status classifies the outcome (see CompleteStatus); err is non-nil only
-// for malformed requests (unknown job, shard out of range) and for
-// StatusInvalid, where it describes the row mismatch.
+// for a job the coordinator does not hold (never submitted, or ended and
+// forgotten), a shard out of range, and StatusInvalid, where it describes
+// the row mismatch.
 func (c *Coordinator) Complete(_ context.Context, worker string, g Grant, rows []sweep.ShardResult) (CompleteStatus, error) {
 	c.mu.Lock()
 	now := c.cfg.Clock.Now()
@@ -418,17 +425,15 @@ func (c *Coordinator) Complete(_ context.Context, worker string, g Grant, rows [
 	c.workers[worker] = now
 	j := c.jobs[g.Job]
 	if j == nil {
+		// Never submitted, or ended and forgotten: either way no lease
+		// on it is live.
 		c.mu.Unlock()
+		coordObs.completionsStale.Add(1)
 		return StatusStale, fmt.Errorf("coordinator: unknown job %s", g.Job)
 	}
 	if g.Shard < 0 || g.Shard >= len(j.shards) {
 		c.mu.Unlock()
 		return StatusStale, fmt.Errorf("coordinator: job %s has no shard %d", g.Job, g.Shard)
-	}
-	if j.state != JobRunning {
-		c.mu.Unlock()
-		coordObs.completionsStale.Add(1)
-		return StatusStale, nil
 	}
 	slot := &j.shards[g.Shard]
 	if slot.state == shardDone {
@@ -478,8 +483,7 @@ func (c *Coordinator) Complete(_ context.Context, worker string, g Grant, rows [
 			j.results = results
 			coordObs.jobsCompleted.Add(1)
 		}
-		c.order = slices.DeleteFunc(c.order, func(o *Job) bool { return o == j })
-		coordObs.jobsRunning.Add(-1)
+		c.forgetLocked(j)
 		if onDone := j.hooks.OnDone; onDone != nil {
 			j.pending = append(j.pending, func() { onDone(results, jobErr) })
 		}
@@ -541,6 +545,18 @@ func (j *Job) mergeLocked() ([]sweep.Result, error) {
 	return sweep.MergeShardResults(j.points, all...)
 }
 
+// forgetLocked removes an ended job from the job table and the acquire
+// order and drops what only a running job reads: the points, the payload
+// and the shard indices. The *Job stays whole for whoever holds it —
+// Progress and Results keep answering — and a later completion naming it
+// is stale as an unknown job's is. Caller holds mu.
+func (c *Coordinator) forgetLocked(j *Job) {
+	delete(c.jobs, j.id)
+	c.order = slices.DeleteFunc(c.order, func(o *Job) bool { return o == j })
+	j.points, j.payload, j.shardIdx = nil, nil, nil
+	coordObs.jobsRunning.Add(-1)
+}
+
 // dropLeaseLocked removes one lease record. Caller holds mu.
 func (c *Coordinator) dropLeaseLocked(l *lease) {
 	if _, ok := c.leases[l.id]; !ok {
@@ -553,11 +569,12 @@ func (c *Coordinator) dropLeaseLocked(l *lease) {
 
 // Cancel moves a running job to canceled, invalidates its outstanding
 // leases (their renewals and completions now fail) and fires OnDone with
-// ErrCanceled. Canceling a terminal job is a no-op.
+// ErrCanceled. Canceling a job that has ended, or an unknown one, is a
+// no-op.
 func (c *Coordinator) Cancel(jobID string) {
 	c.mu.Lock()
 	j := c.jobs[jobID]
-	if j == nil || j.state != JobRunning {
+	if j == nil {
 		c.mu.Unlock()
 		return
 	}
@@ -571,10 +588,14 @@ func (c *Coordinator) Cancel(jobID string) {
 		}
 	}
 	for i := range j.shards {
+		// No lease is live now: a leased shard reads as pending again, so
+		// Progress reports no leased shards for a canceled job.
+		if j.shards[i].state == shardLeased {
+			j.shards[i].state = shardPending
+		}
 		j.shards[i].rows = nil
 	}
-	c.order = slices.DeleteFunc(c.order, func(o *Job) bool { return o == j })
-	coordObs.jobsRunning.Add(-1)
+	c.forgetLocked(j)
 	coordObs.jobsCanceled.Add(1)
 	if onDone := j.hooks.OnDone; onDone != nil {
 		j.pending = append(j.pending, func() { onDone(nil, ErrCanceled) })

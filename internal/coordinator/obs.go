@@ -35,7 +35,7 @@ var coordObs = struct {
 	shardsCompleted: obs.Default().Counter("netsim_coord_shards_completed_total",
 		"Shard completions accepted and recorded."),
 	completionsStale: obs.Default().Counter("netsim_coord_completions_stale_total",
-		"Completions rejected because their lease was expired, superseded or canceled."),
+		"Completions rejected because their lease was expired, superseded or canceled, or their job had ended or was never submitted."),
 	completionsInvalid: obs.Default().Counter("netsim_coord_completions_invalid_total",
 		"Completions rejected because the rows did not describe the leased shard."),
 	jobsSubmitted: obs.Default().Counter("netsim_coord_jobs_submitted_total",

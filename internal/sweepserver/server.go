@@ -33,8 +33,13 @@
 //	POST /api/v1/leases/renew    — keep a lease alive
 //	POST /api/v1/leases/complete — report a shard's result rows
 //
-// Jobs are in-memory; the cache is what persists across restarts. A
-// resubmitted grid after a restart replays instantly from the cache.
+// Jobs are in-memory, and only the 32 most recent ended ones are kept
+// (keepEnded); a running job is never dropped. An ended job's status,
+// stream and curve stay readable while it is kept; after that its id
+// answers 404 saying it was evicted, and a client resubmits. The
+// coordinators forget a job as soon as it ends. Nothing is lost: the
+// cache is what persists, across evictions and restarts alike, so a
+// resubmitted grid replays from it.
 package sweepserver
 
 import (
@@ -48,6 +53,7 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -77,9 +83,10 @@ type Server struct {
 	local   *coordinator.Coordinator
 	workers int
 
-	mu   sync.Mutex
-	jobs map[string]*job
-	seq  int
+	mu    sync.Mutex
+	jobs  map[string]*job
+	seq   int      // the last id issued is s<seq>
+	ended []string // ids of the kept ended jobs, oldest first
 
 	// topos reuses built-and-validated topologies across submissions,
 	// keyed by canonical spec. Built topologies are read-only (fault
@@ -154,13 +161,14 @@ type StreamEvent struct {
 // without channels per subscriber.
 type job struct {
 	id      string
-	points  []sweep.Scenario
+	npoints int
 	started time.Time
 	coord   *coordinator.Coordinator
 	cj      *coordinator.Job
 
 	mu       sync.Mutex
 	cond     *sync.Cond
+	points   []sweep.Scenario // the expanded grid, until the terminal state
 	events   []StreamEvent
 	cached   int
 	state    string
@@ -182,7 +190,7 @@ type Status struct {
 
 func (j *job) status() Status {
 	j.mu.Lock()
-	st := Status{ID: j.id, State: j.state, Points: len(j.points), Done: len(j.events), Cached: j.cached}
+	st := Status{ID: j.id, State: j.state, Points: j.npoints, Done: len(j.events), Cached: j.cached}
 	j.mu.Unlock()
 	// Shard progress reads the coordinator after j.mu is released: hooks
 	// take j.mu with no coordinator lock held, so the two locks must never
@@ -212,15 +220,15 @@ func (s *Server) submit(spec GridSpec) (*job, error) {
 	} else if payload, err = json.Marshal(spec); err != nil {
 		return nil, err
 	}
-	j := &job{points: points, coord: coord, state: stateRunning, started: time.Now()}
+	j := &job{points: points, npoints: len(points), coord: coord, state: stateRunning, started: time.Now()}
 	j.cond = sync.NewCond(&j.mu)
 	s.mu.Lock()
-	s.seq++
-	j.id = fmt.Sprintf("s%d", s.seq)
+	j.id = "s" + strconv.Itoa(s.seq+1)
 	if coord == s.local {
 		payload = []byte(j.id) // see localPoints
 	}
 	if j.cj, err = coord.Submit(j.id, points, payload, shards, spec.Priority, s.hooks(j)); err == nil {
+		s.seq++          // only a registered job uses up an id (see lookup)
 		s.jobs[j.id] = j // j.cj is set: handlers read it unlocked
 	}
 	s.mu.Unlock()
@@ -248,13 +256,20 @@ func (s *Server) submit(spec GridSpec) (*job, error) {
 
 // localPoints is the in-process workers' PointsBuilder: a local job's
 // payload is its id, and they run the server's own expansion of its grid.
+// A job that has ended has dropped its points; a lease granted just
+// before the end gets an error and is abandoned.
 func (s *Server) localPoints(id []byte) ([]sweep.Scenario, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if j := s.jobs[string(id)]; j != nil {
-		return j.points, nil
+	j := s.jobs[string(id)]
+	s.mu.Unlock()
+	if j != nil {
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		if j.points != nil {
+			return j.points, nil
+		}
 	}
-	return nil, fmt.Errorf("sweepserver: no job %s", id)
+	return nil, fmt.Errorf("sweepserver: no running job %s", id)
 }
 
 // ownLeases is s.local as its in-process workers see it. They run the
@@ -285,7 +300,7 @@ func (s *Server) hooks(j *job) coordinator.Hooks {
 			j.cond.Broadcast()
 		},
 		OnDone: func(_ []sweep.Result, err error) {
-			state, log, attrs := stateDone, s.logger().Info, []any{"job_id", j.id, "points", len(j.points)}
+			state, log, attrs := stateDone, s.logger().Info, []any{"job_id", j.id, "points", j.npoints}
 			switch {
 			case errors.Is(err, coordinator.ErrCanceled):
 				state = stateCanceled
@@ -296,13 +311,36 @@ func (s *Server) hooks(j *job) coordinator.Hooks {
 				serverObs.completed.Add(1)
 			}
 			serverObs.running.Add(-1)
+			// Evict before the end is published: once j reads as ended,
+			// the jobs it pushes out of the bound are gone.
+			s.retire(j.id)
 			j.mu.Lock()
-			j.state, j.finished = state, time.Now()
+			// Every OnRows has run, so the points have no use left; a
+			// worker that still asks for them gets an error (localPoints).
+			j.state, j.finished, j.points = state, time.Now(), nil
 			attrs = append(attrs, "done", len(j.events), "cached", j.cached, "elapsed", j.finished.Sub(j.started))
 			j.mu.Unlock()
 			j.cond.Broadcast()
 			log("sweep "+state, attrs...)
 		},
+	}
+}
+
+// keepEnded is how many ended jobs (done, failed or canceled) the server
+// keeps readable; older ones are evicted in the order they ended.
+const keepEnded = 32
+
+// retire queues an ending job's id and evicts the oldest ended jobs past
+// keepEnded. Only ending jobs enter the queue, so no running job is
+// evicted; a stream handler already tailing an evicted job holds its own
+// pointer and finishes.
+func (s *Server) retire(id string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.ended = append(s.ended, id)
+	for len(s.ended) > keepEnded {
+		delete(s.jobs, s.ended[0])
+		s.ended = s.ended[1:]
 	}
 }
 
@@ -333,14 +371,23 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// lookup finds the job a request names, or answers 404. Ids are s<seq>
+// and only registered jobs use one up, so an issued id (s1 to s<seq>, as
+// strconv writes it) missing from the table is a job that was evicted.
 func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *job {
+	id := r.PathValue("id")
 	s.mu.Lock()
-	j := s.jobs[r.PathValue("id")]
+	j, seq := s.jobs[id], s.seq
 	s.mu.Unlock()
-	if j == nil {
-		http.Error(w, "no such sweep", http.StatusNotFound)
+	if j != nil {
+		return j
 	}
-	return j
+	if n, err := strconv.Atoi(strings.TrimPrefix(id, "s")); err == nil && n >= 1 && n <= seq && id == "s"+strconv.Itoa(n) {
+		http.Error(w, "sweep "+id+" ended and was evicted; a resubmission of its grid is answered from the cache", http.StatusNotFound)
+		return nil
+	}
+	http.Error(w, "no such sweep", http.StatusNotFound)
+	return nil
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
