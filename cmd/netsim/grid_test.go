@@ -2,6 +2,10 @@ package main
 
 import (
 	"bytes"
+	"encoding/csv"
+	"fmt"
+	"strconv"
+	"strings"
 	"testing"
 
 	"otisnet/internal/sweep"
@@ -84,5 +88,33 @@ func TestCLISweepMatchesGridSpec(t *testing.T) {
 				t.Fatalf("netsim %q differs from its GridSpec:\ncli:\n%s\ngridspec:\n%s", args, cli.Bytes(), server.Bytes())
 			}
 		})
+	}
+}
+
+// TestRepeatMatchesSweepStatistics: -repeat reports the same mean ± sample
+// stddev of throughput, latency and hops that a sweep over the same seeds
+// gives for the point, at the precision it prints.
+func TestRepeatMatchesSweepStatistics(t *testing.T) {
+	point := []string{"-net", "sk", "-s", "3", "-d", "2", "-k", "2", "-slots", "500", "-drain", "500"}
+	var rep bytes.Buffer
+	if err := run(append([]string{"-rate", "0.3", "-seed", "1", "-repeat", "3"}, point...), &rep, &bytes.Buffer{}); err != nil {
+		t.Fatal(err)
+	}
+	var sw bytes.Buffer
+	if err := run(append([]string{"-sweep", "-rates", "0.3", "-seeds", "3", "-format", "csv"}, point...), &sw, &bytes.Buffer{}); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := csv.NewReader(&sw).ReadAll()
+	if err != nil || len(rows) != 2 {
+		t.Fatalf("sweep csv: %d rows, %v:\n%s", len(rows), err, sw.Bytes())
+	}
+	col := map[string]float64{}
+	for i, name := range rows[0] {
+		col[name], _ = strconv.ParseFloat(rows[1][i], 64)
+	}
+	want := fmt.Sprintf("throughput %.3f ± %.3f msgs/slot  latency %.2f ± %.2f slots  hops %.2f ± %.2f\n",
+		col["throughput_mean"], col["throughput_std"], col["latency_mean"], col["latency_std"], col["hops_mean"], col["hops_std"])
+	if lines := strings.SplitAfter(rep.String(), "\n"); len(lines) < 2 || lines[1] != want {
+		t.Fatalf("-repeat printed\n%s\nwant the sweep's\n%s", rep.Bytes(), want)
 	}
 }

@@ -84,7 +84,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -256,55 +255,30 @@ func runSingle(stdout io.Writer, f *simFlags, p sweep.Scenario) error {
 }
 
 // runRepeated executes the scenario `repeat` times with consecutive seeds
-// on one reused engine (compiled once, Reset per run), reporting per-seed
-// mean/stddev of the headline metrics and the engine's simulation speed.
+// on one reused engine (compiled once, Reset per run), reporting the
+// per-seed mean ± sample stddev of the headline metrics, as a sweep curve
+// (sweep.Aggregate) reports them, and the engine's simulation speed.
 func runRepeated(stdout io.Writer, topo sim.Topology, desc string, p sweep.Scenario, newTraffic func() sim.Traffic, repeat int) {
 	cfg := p.Config()
 	e := sim.NewEngine(topo, cfg)
 	start := time.Now()
-	var thr, lat, hops stats
+	runs := make([]sweep.Result, repeat)
 	totalSlots := 0
-	for i := 0; i < repeat; i++ {
+	for i := range runs {
 		cfg.Seed = p.Seed + int64(i)
-		m := e.Run(newTraffic(), p.Slots, p.Drain, cfg)
-		thr.add(m.Throughput())
-		lat.add(m.AvgLatency())
-		hops.add(m.AvgHops())
-		totalSlots += m.Slots
+		runs[i].Scenario = p
+		runs[i].Scenario.Seed = cfg.Seed
+		runs[i].Metrics = e.Run(newTraffic(), p.Slots, p.Drain, cfg)
+		totalSlots += runs[i].Metrics.Slots
 	}
 	elapsed := time.Since(start)
+	c := sweep.Aggregate(runs)[0]
 	fmt.Fprintf(stdout, "%s  traffic=%s rate=%.2f mode=%s  %d runs, seeds %d..%d, one reused engine\n",
 		desc, p.TrafficName, p.Rate, p.Mode, repeat, p.Seed, p.Seed+int64(repeat)-1)
 	fmt.Fprintf(stdout, "throughput %.3f ± %.3f msgs/slot  latency %.2f ± %.2f slots  hops %.2f ± %.2f\n",
-		thr.mean(), thr.stddev(), lat.mean(), lat.stddev(), hops.mean(), hops.stddev())
+		c.Throughput.Mean, c.Throughput.Std, c.Latency.Mean, c.Latency.Std, c.Hops.Mean, c.Hops.Std)
 	fmt.Fprintf(stdout, "simulated %d slots in %v (%.2f Mslots/s)\n",
 		totalSlots, elapsed.Round(time.Millisecond), float64(totalSlots)/elapsed.Seconds()/1e6)
-}
-
-// stats accumulates mean/stddev over per-run values.
-type stats struct {
-	n          int
-	sum, sumSq float64
-}
-
-func (s *stats) add(v float64) { s.n++; s.sum += v; s.sumSq += v * v }
-
-func (s *stats) mean() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.sum / float64(s.n)
-}
-
-func (s *stats) stddev() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	v := s.sumSq/float64(s.n) - s.mean()*s.mean()
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
 }
 
 // runCollective replays a collective-communication schedule through the

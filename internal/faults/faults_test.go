@@ -52,13 +52,11 @@ func TestFaultFreeWrapMatchesBaseTables(t *testing.T) {
 	ft := Wrap(topo, Plan{})
 	for u := 0; u < topo.Nodes(); u++ {
 		for v := 0; v < topo.Nodes(); v++ {
-			if ft.Distance(u, v) != topo.Distance(u, v) {
+			if ft.RouteBlocks().Distance(u, v) != topo.RouteBlocks().Distance(u, v) {
 				t.Fatalf("Distance(%d,%d) differs", u, v)
 			}
-			gc, gh := ft.NextCoupler(u, v)
-			wc, wh := topo.NextCoupler(u, v)
-			if gc != wc || gh != wh {
-				t.Fatalf("NextCoupler(%d,%d) = (%d,%d), base gives (%d,%d)", u, v, gc, gh, wc, wh)
+			if g, w := ft.RouteBlocks().Entry(u, v), topo.RouteBlocks().Entry(u, v); g != w {
+				t.Fatalf("Entry(%d,%d) = (%d,%d), base gives (%d,%d)", u, v, g.Coupler(), g.NextHop(), w.Coupler(), w.NextHop())
 			}
 		}
 	}
@@ -92,10 +90,10 @@ func TestNodeFaultMasksStructure(t *testing.T) {
 		if u == dead {
 			continue
 		}
-		if ft.Distance(u, dead) != digraph.Unreachable {
+		if ft.RouteBlocks().Distance(u, dead) != digraph.Unreachable {
 			t.Fatalf("node %d can still reach the failed node", u)
 		}
-		if c, _ := ft.NextCoupler(u, dead); c >= 0 {
+		if ft.RouteBlocks().Entry(u, dead).Coupler() >= 0 {
 			t.Fatalf("route table still routes %d -> failed node", u)
 		}
 	}
@@ -174,14 +172,15 @@ func checkRouting(t *testing.T, ft *FaultedTopology) {
 			}
 		}
 		for v := 0; v < n; v++ {
-			if ft.Distance(u, v) != dist[v] {
+			if ft.RouteBlocks().Distance(u, v) != dist[v] {
 				t.Fatalf("Distance(%d,%d) = %d, independent BFS gives %d",
-					u, v, ft.Distance(u, v), dist[v])
+					u, v, ft.RouteBlocks().Distance(u, v), dist[v])
 			}
 			if u == v {
 				continue
 			}
-			c, h := ft.NextCoupler(u, v)
+			r := ft.RouteBlocks().Entry(u, v)
+			c, h := r.Coupler(), r.NextHop()
 			if dist[v] == digraph.Unreachable {
 				if c >= 0 {
 					t.Fatalf("route %d -> unreachable %d exists", u, v)
@@ -209,7 +208,7 @@ func checkRouting(t *testing.T, ft *FaultedTopology) {
 			if !heard {
 				t.Fatalf("route %d -> %d relays via %d which does not hear coupler %d", u, v, h, c)
 			}
-			if ft.Distance(h, v) != ft.Distance(u, v)-1 {
+			if ft.RouteBlocks().Distance(h, v) != ft.RouteBlocks().Distance(u, v)-1 {
 				t.Fatalf("route %d -> %d via %d makes no progress", u, v, h)
 			}
 		}
@@ -250,15 +249,13 @@ func TestIncrementalRebuildMatchesBatchRebuild(t *testing.T) {
 	stepTo(t, batch, 0)
 	for u := 0; u < topo.Nodes(); u++ {
 		for v := 0; v < topo.Nodes(); v++ {
-			if incremental.Distance(u, v) != batch.Distance(u, v) {
+			if incremental.RouteBlocks().Distance(u, v) != batch.RouteBlocks().Distance(u, v) {
 				t.Fatalf("Distance(%d,%d): incremental %d != batch %d",
-					u, v, incremental.Distance(u, v), batch.Distance(u, v))
+					u, v, incremental.RouteBlocks().Distance(u, v), batch.RouteBlocks().Distance(u, v))
 			}
-			ic, ih := incremental.NextCoupler(u, v)
-			bc, bh := batch.NextCoupler(u, v)
-			if ic != bc || ih != bh {
-				t.Fatalf("NextCoupler(%d,%d): incremental (%d,%d) != batch (%d,%d)",
-					u, v, ic, ih, bc, bh)
+			if i, b := incremental.RouteBlocks().Entry(u, v), batch.RouteBlocks().Entry(u, v); i != b {
+				t.Fatalf("Entry(%d,%d): incremental (%d,%d) != batch (%d,%d)",
+					u, v, i.Coupler(), i.NextHop(), b.Coupler(), b.NextHop())
 			}
 		}
 	}
@@ -273,9 +270,8 @@ func TestRepairRestoresPristineTables(t *testing.T) {
 	stepTo(t, ft, 2)
 	for u := 0; u < topo.Nodes(); u++ {
 		for v := 0; v < topo.Nodes(); v++ {
-			gc, gh := ft.NextCoupler(u, v)
-			wc, wh := topo.NextCoupler(u, v)
-			if gc != wc || gh != wh || ft.Distance(u, v) != topo.Distance(u, v) {
+			g, w := ft.RouteBlocks(), topo.RouteBlocks()
+			if g.Entry(u, v) != w.Entry(u, v) || g.Distance(u, v) != w.Distance(u, v) {
 				t.Fatalf("after repair, (%d,%d) differs from pristine", u, v)
 			}
 		}
@@ -298,7 +294,7 @@ func TestNodeFaultsKeepQuotientBlocks(t *testing.T) {
 			t.Fatalf("%d node faults: %d×%d blocks, want at most %d×%d", f, rows, b.Cols, groups+f, groups+f)
 		}
 		for _, ev := range ft.Plan().Events {
-			if u := ev.Elem.Node; !ft.NodeDown(u) || ft.Distance((u+1)%topo.Nodes(), u) != digraph.Unreachable {
+			if u := ev.Elem.Node; !ft.NodeDown(u) || ft.RouteBlocks().Distance((u+1)%topo.Nodes(), u) != digraph.Unreachable {
 				t.Fatalf("%d node faults: node %d is not cut off", f, u)
 			}
 		}
@@ -329,11 +325,11 @@ func TestResetRestoresInitialState(t *testing.T) {
 	topo := skTopo(3, 2, 2)
 	ft := Wrap(topo, FixedNodes(0, 1, 2))
 	stepTo(t, ft, 0)
-	if ft.Distance(5, 1) != digraph.Unreachable {
+	if ft.RouteBlocks().Distance(5, 1) != digraph.Unreachable {
 		t.Fatal("faults did not apply")
 	}
 	ft.Reset()
-	if ft.NodeDown(1) || ft.Distance(5, 1) == digraph.Unreachable {
+	if ft.NodeDown(1) || ft.RouteBlocks().Distance(5, 1) == digraph.Unreachable {
 		t.Fatal("Reset did not restore the pristine state")
 	}
 	// A second engine run over the same wrapped value reproduces the first.
@@ -401,9 +397,8 @@ func TestEngineCountsReroutes(t *testing.T) {
 	src, dst, mid := -1, -1, -1
 	for u := 0; u < n && src < 0; u++ {
 		for v := 0; v < n; v++ {
-			if topo.Distance(u, v) == 2 {
-				_, h := topo.NextCoupler(u, v)
-				src, dst, mid = u, v, h
+			if topo.RouteBlocks().Distance(u, v) == 2 {
+				src, dst, mid = u, v, topo.RouteBlocks().Entry(u, v).NextHop()
 				break
 			}
 		}

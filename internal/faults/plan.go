@@ -6,9 +6,10 @@
 // deterministic fault plans schedule permanent and transient failures of
 // processors (nodes), OPS couplers and individual transmitters, and
 // FaultedTopology replays them into a live sim.Engine run, masking failed
-// elements and rebuilding the precomputed quotient routing tables at each
-// event, so the engine's hot path stays an O(1) table lookup between
-// events.
+// elements out of the base topology's lists and rebuilding the quotient
+// route blocks (sim.RouteBlocks) from the live lists at each event batch,
+// so between events the engine's hot path reads the blocks exactly as on a
+// static topology.
 package faults
 
 import (

@@ -13,14 +13,15 @@ import (
 // state stays a quotient of the live structure: a failed node transmits on
 // nothing and hears nothing, so it lands in the class of the empty lists,
 // and a live node keeps its twins unless its own lists changed. Between
-// events NextCoupler remains an O(1) lookup, preserving the engine's
-// allocation-free steady-state Step.
+// events Advance is two comparisons and allocates nothing, preserving the
+// engine's allocation-free steady-state Step.
 //
-// Until the first event the wrapper lends the engine the base topology's
-// blocks; they may be shared with other wrappers and engines, so they are
-// never written. Events build into two wrapper-owned buffers that grow on
-// demand and alternate, so the blocks of the previous batch stay intact
-// for TopologyChange.EntryChanged.
+// The wrapper borrows the base topology's lists and, until the first
+// event, lends the engine the base's blocks; all of them may be shared
+// with other wrappers and engines, so they are never written. Events build
+// into two wrapper-owned buffers that grow on demand and alternate, so the
+// blocks of the previous batch stay intact for
+// TopologyChange.EntryChanged.
 //
 // FaultedTopology is stateful and single-engine: concurrent scenarios (e.g.
 // sweep workers) must each wrap their own instance around the shared
@@ -33,7 +34,7 @@ type FaultedTopology struct {
 
 	n, m int
 
-	// Immutable caches of the base structure.
+	// The base's pristine lists, borrowed read-only.
 	baseOut   [][]int // node -> couplers it transmits on
 	baseHeads [][]int // coupler -> listening nodes
 
@@ -80,12 +81,12 @@ func Wrap(base sim.Topology, plan Plan) *FaultedTopology {
 	}
 	ft.entryChanged = func(u, dst int) bool { return ft.prev.Entry(u, dst) != ft.blocks.Entry(u, dst) }
 	for u := 0; u < n; u++ {
-		ft.baseOut[u] = append([]int(nil), base.OutCouplers(u)...)
+		ft.baseOut[u] = base.OutCouplers(u)
 		ft.txDown[u] = make([]bool, len(ft.baseOut[u]))
 		ft.liveOut[u] = make([]int, 0, len(ft.baseOut[u]))
 	}
 	for c := 0; c < m; c++ {
-		ft.baseHeads[c] = append([]int(nil), base.Heads(c)...)
+		ft.baseHeads[c] = base.Heads(c)
 		ft.liveHeads[c] = make([]int, 0, len(ft.baseHeads[c]))
 	}
 	for _, ev := range plan.Events {
@@ -174,16 +175,6 @@ func (ft *FaultedTopology) OutCouplers(u int) []int { return ft.liveOut[u] }
 
 // Heads lists the live nodes currently hearing coupler c.
 func (ft *FaultedTopology) Heads(c int) []int { return ft.liveHeads[c] }
-
-// Distance returns the hop distance on the surviving structure
-// (digraph.Unreachable when dst is cut off).
-func (ft *FaultedTopology) Distance(u, dst int) int { return ft.blocks.Distance(u, dst) }
-
-// NextCoupler is the O(1) route-table lookup, same contract as the base.
-func (ft *FaultedTopology) NextCoupler(u, dst int) (int, int) {
-	r := ft.blocks.Entry(u, dst)
-	return r.Coupler(), r.NextHop()
-}
 
 // RouteBlocks lends the engine the current routing state: the base's
 // blocks until the first event, then the blocks the last event batch

@@ -18,7 +18,7 @@ func TestSimRouteTableAdvancesTowardDestination(t *testing.T) {
 		d, n := p[0], p[1]
 		ii := New(d, n)
 		g := ii.Digraph()
-		topo := sim.NewPointToPointTopology(g)
+		b := sim.NewPointToPointTopology(g).RouteBlocks()
 		rows := make([][]int, n)
 		for u := 0; u < n; u++ {
 			rows[u] = g.BFS(u)
@@ -28,7 +28,8 @@ func TestSimRouteTableAdvancesTowardDestination(t *testing.T) {
 				if u == dst {
 					continue
 				}
-				c, hop := topo.NextCoupler(u, dst)
+				r := b.Entry(u, dst)
+				c, hop := r.Coupler(), r.NextHop()
 				if c < 0 || hop < 0 {
 					t.Fatalf("II(%d,%d): no route %d->%d", d, n, u, dst)
 				}

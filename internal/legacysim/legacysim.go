@@ -5,13 +5,16 @@
 // The port keeps the exact phase structure and iteration order, so for any
 // (topology, traffic, seed, config) its metrics — and its per-delivery
 // OnDeliver event stream — define the bit-for-bit contract the compiled
-// engine must reproduce. It is imported only by tests; nothing in the
-// production tree depends on it.
+// engine must reproduce. It reads only a topology's lists, never its route
+// blocks: it routes by its own per-node tables (Oracle), so a wrong cell
+// in the blocks the compiled engine reads shows up as a divergence. It is
+// imported only by tests; nothing in the production tree depends on it.
 package legacysim
 
 import (
 	"math/rand"
 
+	"otisnet/internal/digraph"
 	"otisnet/internal/sim"
 )
 
@@ -38,6 +41,8 @@ type Engine struct {
 	recovering      bool
 	recoverStart    int
 	recoverBaseline int
+	dist            [][]int          // Oracle's tables of the live lists,
+	route           []sim.RouteEntry // rebuilt after every topology change
 
 	// OnDeliver mirrors sim.Engine.OnDeliver: invoked per delivered message
 	// with its final hop count and the delivery slot.
@@ -68,7 +73,60 @@ func NewEngine(topo sim.Topology, cfg sim.Config) *Engine {
 		dyn.Reset()
 		e.dyn = dyn
 	}
+	e.dist, e.route = Oracle(topo)
 	return e
+}
+
+// Oracle computes the per-node routing state of a topology's current
+// lists: dist[u][v] by one BFS per node over the node-to-node digraph, and
+// route[u*n+v] from the first head of u's couplers, in list order,
+// strictly closer to v than u and every head before it (scan).
+func Oracle(t sim.Topology) (dist [][]int, route []sim.RouteEntry) {
+	n := t.Nodes()
+	g := digraph.New(n)
+	for u := 0; u < n; u++ {
+		for _, c := range t.OutCouplers(u) {
+			for _, h := range t.Heads(c) {
+				g.AddArc(u, h)
+			}
+		}
+	}
+	dist = make([][]int, n)
+	for u := range dist {
+		dist[u] = g.BFS(u)
+	}
+	route = make([]sim.RouteEntry, n*n)
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			c, hop := scan(t, dist, u, v)
+			route[u*n+v] = sim.MakeRouteEntry(c, hop, c >= 0 && hop == v)
+		}
+	}
+	return dist, route
+}
+
+// scan returns Oracle's coupler and next hop for (u, v): (-1, u) when
+// u == v and (-1, -1) when v is unreachable.
+func scan(t sim.Topology, dist [][]int, u, v int) (int, int) {
+	if u == v {
+		return -1, u
+	}
+	best, bestHop, bestDist := -1, -1, dist[u][v]
+	for _, c := range t.OutCouplers(u) {
+		for _, h := range t.Heads(c) {
+			if d := dist[h][v]; d != digraph.Unreachable && d < bestDist {
+				best, bestHop, bestDist = c, h, d
+			}
+		}
+	}
+	return best, bestHop
+}
+
+// nextCoupler returns the coupler and next hop Oracle chose for a message
+// at u bound for dst.
+func (e *Engine) nextCoupler(u, dst int) (int, int) {
+	r := e.route[u*e.topo.Nodes()+dst]
+	return r.Coupler(), r.NextHop()
 }
 
 // Metrics returns a snapshot of the accumulated metrics.
@@ -129,7 +187,7 @@ func (e *Engine) Step() {
 			continue
 		}
 		msg := e.queues[u].front()
-		c, hop := e.topo.NextCoupler(u, msg.Dst)
+		c, hop := e.nextCoupler(u, msg.Dst)
 		if c < 0 {
 			e.dequeue(u)
 			e.metrics.Dropped++
@@ -170,7 +228,7 @@ func (e *Engine) Step() {
 				msg := e.queues[r.node].front()
 				bestHop, bestDist := -1, 1<<30
 				for _, h := range e.topo.Heads(c) {
-					if d := e.topo.Distance(h, msg.Dst); d >= 0 && d < bestDist {
+					if d := e.dist[h][msg.Dst]; d >= 0 && d < bestDist {
 						bestDist = d
 						bestHop = h
 					}
@@ -229,17 +287,17 @@ func (e *Engine) applyTopologyChange(ch sim.TopologyChange) {
 			disrupted = true
 		}
 	}
-	if ch.EntryChanged != nil {
-		for u := 0; u < e.topo.Nodes(); u++ {
-			for i := 0; i < e.queues[u].len(); i++ {
-				dst := e.queues[u].at(i).Dst
-				if !ch.EntryChanged(u, dst) {
-					continue
-				}
-				disrupted = true
-				if c, _ := e.topo.NextCoupler(u, dst); c >= 0 {
-					e.metrics.Reroutes++
-				}
+	prev, n := e.route, e.topo.Nodes()
+	e.dist, e.route = Oracle(e.topo)
+	for u := 0; u < n; u++ {
+		for i := 0; i < e.queues[u].len(); i++ {
+			dst := e.queues[u].at(i).Dst
+			if e.route[u*n+dst] == prev[u*n+dst] {
+				continue
+			}
+			disrupted = true
+			if c, _ := e.nextCoupler(u, dst); c >= 0 {
+				e.metrics.Reroutes++
 			}
 		}
 	}

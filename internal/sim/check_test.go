@@ -4,6 +4,7 @@ package sim
 // drop branch on unroutable destinations, using a hand-built fake topology.
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -21,16 +22,34 @@ func (f *fakeTopology) Nodes() int              { return f.nodes }
 func (f *fakeTopology) Couplers() int           { return len(f.heads) }
 func (f *fakeTopology) OutCouplers(u int) []int { return f.out[u] }
 func (f *fakeTopology) Heads(c int) []int       { return f.heads[c] }
-func (f *fakeTopology) Distance(u, v int) int   { return f.dist(u, v) }
-func (f *fakeTopology) NextCoupler(u, v int) (int, int) {
-	return f.next(u, v)
-}
 
-// RouteBlocks expands the fake's hand routing on every call, so a test may
-// rewire dist and next until it hands the fake over.
+// RouteBlocks expands the fake's hand routing into per-node blocks, one
+// row and one column class per node, on every call, so a test may rewire
+// dist and next until it hands the fake over. The delivers-here bit is the
+// exact head-set membership the legacy engine tests per transmission:
+// dst ∈ Heads(chosen coupler).
 func (f *fakeTopology) RouteBlocks() *RouteBlocks {
-	b := ExpandTopology(f)
-	return &b
+	n := f.nodes
+	id := make([]int32, n)
+	for u := range id {
+		id[u] = int32(u)
+	}
+	b := &RouteBlocks{Row: id, Col: slices.Clone(id)}
+	var w blockWriter
+	w.start(b, n, n)
+	vals := make([]RouteCell, n)
+	for u := 0; u < n; u++ {
+		for dst := range vals {
+			c, hop := f.next(u, dst)
+			delivers := c >= 0 && c < len(f.heads) && slices.Contains(f.heads[c], dst)
+			if delivers {
+				hop = -1 // Entry reads dst
+			}
+			vals[dst] = RouteCell{MakeRouteEntry(c, hop, delivers), int32(f.dist(u, dst))}
+		}
+		w.row(vals)
+	}
+	return b
 }
 
 // ringFake wires n nodes into a directed cycle (coupler i: node i -> i+1).

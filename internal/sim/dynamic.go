@@ -23,8 +23,9 @@ type TopologyChange struct {
 // the contract between the engine and a fault-injection layer such as
 // faults.FaultedTopology. The engine calls Advance at the top of every
 // Step, before arbitration, so an event at slot s affects slot s's
-// transmissions; between events every Topology method must remain as cheap
-// as on a static topology (NextCoupler stays an O(1) lookup).
+// transmissions; between events Advance must cost about a comparison, and
+// the engine reads the lists and blocks it copied or borrowed at the last
+// event, never the topology.
 //
 // A dynamic topology only masks its structure:
 //   - after Reset, OutCouplers and Heads return the pristine lists;

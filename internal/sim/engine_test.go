@@ -270,18 +270,19 @@ func TestRingGrowPreservesOrder(t *testing.T) {
 
 // --- precomputed route tables ---
 
-// scanNextStack recomputes the stack routing decision the slow way,
-// mirroring the construction-time oracle, to pin the table against
-// regressions.
+// scanNextStack recomputes the stack routing decision the slow way, over
+// the blocks' distances, mirroring the construction-time scan, to pin the
+// routes against regressions.
 func scanNextStack(topo Topology, u, dst int) (int, int) {
 	if u == dst {
 		return -1, u
 	}
+	b := topo.RouteBlocks()
 	best, bestHop := -1, -1
-	bestDist := topo.Distance(u, dst)
+	bestDist := b.Distance(u, dst)
 	for _, c := range topo.OutCouplers(u) {
 		for _, h := range topo.Heads(c) {
-			d := topo.Distance(h, dst)
+			d := b.Distance(h, dst)
 			if d != digraph.Unreachable && d < bestDist {
 				bestDist = d
 				best, bestHop = c, h
@@ -293,9 +294,11 @@ func scanNextStack(topo Topology, u, dst int) (int, int) {
 
 func TestStackRouteTableMatchesScan(t *testing.T) {
 	topo := NewStackTopology(stackkautz.New(3, 2, 2).StackGraph())
+	b := topo.RouteBlocks()
 	for u := 0; u < topo.Nodes(); u++ {
 		for v := 0; v < topo.Nodes(); v++ {
-			gotC, gotH := topo.NextCoupler(u, v)
+			r := b.Entry(u, v)
+			gotC, gotH := r.Coupler(), r.NextHop()
 			wantC, wantH := scanNextStack(topo, u, v)
 			if gotC != wantC || gotH != wantH {
 				t.Fatalf("route[%d][%d] = (%d,%d), scan gives (%d,%d)",
@@ -308,17 +311,19 @@ func TestStackRouteTableMatchesScan(t *testing.T) {
 func TestPointToPointRouteTableMatchesScan(t *testing.T) {
 	g := kautz.NewDeBruijn(2, 3).Digraph()
 	topo := NewPointToPointTopology(g)
+	b := topo.RouteBlocks()
 	for u := 0; u < topo.Nodes(); u++ {
 		for v := 0; v < topo.Nodes(); v++ {
 			if u == v {
 				continue
 			}
-			c, h := topo.NextCoupler(u, v)
+			r := b.Entry(u, v)
+			c, h := r.Coupler(), r.NextHop()
 			if c < 0 {
 				t.Fatalf("no route %d -> %d on strongly connected digraph", u, v)
 			}
 			// The table must make strict progress via an actual out-coupler.
-			if topo.Distance(h, v) >= topo.Distance(u, v) {
+			if b.Distance(h, v) >= b.Distance(u, v) {
 				t.Fatalf("route %d -> %d via %d makes no progress", u, v, h)
 			}
 			found := false
@@ -336,9 +341,10 @@ func TestPointToPointRouteTableMatchesScan(t *testing.T) {
 
 func TestRouteTableSelfEntries(t *testing.T) {
 	topo := popsTopology(3, 2)
+	b := topo.RouteBlocks()
 	for u := 0; u < topo.Nodes(); u++ {
-		if c, h := topo.NextCoupler(u, u); c != -1 || h != u {
-			t.Fatalf("NextCoupler(%d,%d) = (%d,%d), want (-1,%d)", u, u, c, h, u)
+		if r := b.Entry(u, u); r.Coupler() != -1 || r.NextHop() != u || b.Distance(u, u) != 0 {
+			t.Fatalf("Entry(%d,%d) = (%d,%d), distance %d; want (-1,%d), 0", u, u, r.Coupler(), r.NextHop(), b.Distance(u, u), u)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"runtime"
-	"slices"
 )
 
 // HeadsError reports the first active node of e whose head-of-line
@@ -48,37 +47,8 @@ func OnPipeCollected(e *Engine, f func()) {
 // PipeBlockSlots the number of slot ends a block holds.
 const PipeBlocks, PipeBlockSlots = genBlocks, genBlockSlots
 
-// ExpandTopology returns per-node blocks of t, one row and one column
-// class per node, filled by querying t once per (u, dst) pair: the
-// RouteBlocks of a test fake that routes by hand. The delivers-here bit is
-// the exact head-set membership the legacy engine tests per transmission:
-// dst ∈ Heads(chosen coupler).
-func ExpandTopology(t Topology) RouteBlocks {
-	n, m := t.Nodes(), t.Couplers()
-	id := make([]int32, n)
-	for u := range id {
-		id[u] = int32(u)
-	}
-	b := RouteBlocks{Row: id, Col: slices.Clone(id)}
-	heard := make([][]int, n)
-	for c := 0; c < m; c++ {
-		for _, h := range t.Heads(c) {
-			heard[h] = append(heard[h], c)
-		}
-	}
-	var w blockWriter
-	w.start(&b, n, n)
-	vals := make([]RouteCell, n)
-	for u := 0; u < n; u++ {
-		for dst := range vals {
-			c, hop := t.NextCoupler(u, dst)
-			delivers := c >= 0 && c < m && slices.Contains(heard[dst], c)
-			if delivers {
-				hop = -1 // Entry reads dst
-			}
-			vals[dst] = RouteCell{MakeRouteEntry(c, hop, delivers), int32(t.Distance(u, dst))}
-		}
-		w.row(vals)
-	}
-	return b
-}
+// NewListTopology returns the static topology of the network in which
+// node u transmits on out[u] and coupler c is heard by heads[c], with the
+// blocks BuildRouteBlocks makes from those lists: the type
+// NewStackTopology and NewPointToPointTopology return.
+func NewListTopology(out, heads [][]int) Topology { return newLists(out, heads) }

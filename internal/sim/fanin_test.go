@@ -24,45 +24,25 @@ import (
 	"otisnet/internal/workload"
 )
 
-// busTopology is an arbitrary Topology: random sender and listener sets
-// per coupler, so couplers differ in fan-in and some pairs are
-// unreachable. The reference engine routes it by the oracle scan, the
-// compiled engine by the blocks BuildRouteBlocks makes from its lists.
-type busTopology struct {
-	out, heads [][]int
-	dist       [][]int
-	route      []sim.RouteEntry
-	blocks     sim.RouteBlocks
-}
-
-func randomBus(seed int64) *busTopology {
+// randomBus is an arbitrary network: random sender and listener sets per
+// coupler, so couplers differ in fan-in and some pairs are unreachable. The
+// reference engine routes it by its oracle scan, the compiled engine by
+// the blocks BuildRouteBlocks makes from its lists.
+func randomBus(seed int64) sim.Topology {
 	rng := rand.New(rand.NewSource(seed))
 	n, m := 3+rng.Intn(6), 2+rng.Intn(8)
-	b := &busTopology{out: make([][]int, n), heads: make([][]int, m)}
+	out, heads := make([][]int, n), make([][]int, m)
 	for c := 0; c < m; c++ {
 		for u := 0; u < n; u++ {
 			if rng.Intn(2) == 0 {
-				b.out[u] = append(b.out[u], c)
+				out[u] = append(out[u], c)
 			}
 			if rng.Intn(3) == 0 {
-				b.heads[c] = append(b.heads[c], u)
+				heads[c] = append(heads[c], u)
 			}
 		}
 	}
-	b.dist, b.route = oracleTables(n, b.out, b.heads)
-	sim.BuildRouteBlocks(&b.blocks, b.out, b.heads)
-	return b
-}
-
-func (b *busTopology) Nodes() int                    { return len(b.out) }
-func (b *busTopology) Couplers() int                 { return len(b.heads) }
-func (b *busTopology) OutCouplers(u int) []int       { return b.out[u] }
-func (b *busTopology) Heads(c int) []int             { return b.heads[c] }
-func (b *busTopology) Distance(u, dst int) int       { return b.dist[u][dst] }
-func (b *busTopology) RouteBlocks() *sim.RouteBlocks { return &b.blocks }
-func (b *busTopology) NextCoupler(u, dst int) (int, int) {
-	r := b.route[u*len(b.out)+dst]
-	return r.Coupler(), r.NextHop()
+	return sim.NewListTopology(out, heads)
 }
 
 // fanInTopology maps fuzz bytes onto one of the families of fuzzTopology,

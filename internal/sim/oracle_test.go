@@ -1,17 +1,17 @@
 package sim_test
 
 // Table-level oracle for the precomputed distance and route tables. The
-// reference here is the plain per-node construction: one BFS per source on
-// the node-to-node digraph, and one coupler/head scan per (source,
-// destination) pair, picking the first strictly closest head. The
-// production stack build keeps quotient blocks, one cell per (row class,
-// column class) pair, so these tests expand the blocks per node and
-// require them to match the reference entry for entry, delivers bit and
-// next hop included. The differential engine fuzzers cannot catch a wrong
-// table: legacysim routes through the same NextCoupler tables. Fault plans
-// rebuild the blocks of faults.FaultedTopology from the live lists, so
-// those are checked after every event against the oracle over the live
-// OutCouplers and Heads.
+// reference is legacysim.Oracle, the plain per-node construction the
+// reference engine routes by: one BFS per source on the node-to-node
+// digraph, and one coupler/head scan per (source, destination) pair,
+// picking the first strictly closest head. The production build keeps
+// quotient blocks, one cell per (row class, column class) pair, so these
+// tests expand the blocks per node and require them to match the oracle
+// entry for entry, delivers bit and next hop included, and check the
+// packing of the cells, which the engine differential tests only see
+// through the routes they decode. Fault plans rebuild the blocks of
+// faults.FaultedTopology from the live lists, so those are checked after
+// every event against the oracle over the live OutCouplers and Heads.
 
 import (
 	"fmt"
@@ -22,61 +22,16 @@ import (
 	"otisnet/internal/digraph"
 	"otisnet/internal/faults"
 	"otisnet/internal/hypergraph"
+	"otisnet/internal/legacysim"
 	"otisnet/internal/sim"
 	"otisnet/internal/sweep"
 )
 
-// oracleTables computes dist[u][v] and the row-major route table of a
-// network from each node's out-coupler list and each coupler's heads.
-func oracleTables(n int, out, heads [][]int) ([][]int, []sim.RouteEntry) {
-	g := digraph.New(n)
-	for u, cs := range out {
-		for _, c := range cs {
-			for _, h := range heads[c] {
-				g.AddArc(u, h)
-			}
-		}
-	}
-	dist := make([][]int, n)
-	for u := range dist {
-		dist[u] = g.BFS(u)
-	}
-	route := make([]sim.RouteEntry, n*n)
-	for u := 0; u < n; u++ {
-		for dst := 0; dst < n; dst++ {
-			c, hop := oracleNext(out, heads, dist, u, dst)
-			route[u*n+dst] = sim.MakeRouteEntry(c, hop, c >= 0 && hop == dst)
-		}
-	}
-	return dist, route
-}
-
-// oracleNext scans u's couplers and their heads in topology order and
-// keeps the first head strictly closer to dst than any seen so far.
-func oracleNext(out, heads, dist [][]int, u, dst int) (int, int) {
-	if u == dst {
-		return -1, u
-	}
-	best, bestHop := -1, -1
-	bestDist := dist[u][dst]
-	for _, c := range out[u] {
-		for _, h := range heads[c] {
-			d := dist[h][dst]
-			if d != digraph.Unreachable && d < bestDist {
-				bestDist = d
-				best, bestHop = c, h
-			}
-		}
-	}
-	return best, bestHop
-}
-
 // checkTablesMatch expands the blocks a topology lends the engine per node
 // and compares them with the oracle's tables, reporting the first
-// differing entry; Distance and NextCoupler must agree as well. The blocks
-// must have at most maxClasses rows and columns, and their dictionaries
-// and cell width must be as small as their cells allow
-// (checkDictionaries).
+// differing entry. The blocks must have at most maxClasses rows and
+// columns, and their dictionaries and cell width must be as small as
+// their cells allow (checkDictionaries).
 func checkTablesMatch(t *testing.T, name string, topo sim.Topology, dist [][]int, route []sim.RouteEntry, maxClasses int) {
 	t.Helper()
 	n := topo.Nodes()
@@ -98,16 +53,13 @@ func checkTablesMatch(t *testing.T, name string, topo sim.Topology, dist [][]int
 	checkDictionaries(t, name, b)
 	for u := 0; u < n; u++ {
 		for v := 0; v < n; v++ {
-			if got := b.Distance(u, v); got != dist[u][v] || topo.Distance(u, v) != got {
-				t.Fatalf("%s: dist(%d, %d) = %d (Distance %d), oracle %d", name, u, v, got, topo.Distance(u, v), dist[u][v])
+			if got := b.Distance(u, v); got != dist[u][v] {
+				t.Fatalf("%s: dist(%d, %d) = %d, oracle %d", name, u, v, got, dist[u][v])
 			}
 			g, w := b.Entry(u, v), route[u*n+v]
 			if g != w {
 				t.Fatalf("%s: route(%d, %d) = (c=%d hop=%d delivers=%v), oracle (c=%d hop=%d delivers=%v)",
 					name, u, v, g.Coupler(), g.NextHop(), g.Delivers(), w.Coupler(), w.NextHop(), w.Delivers())
-			}
-			if c, hop := topo.NextCoupler(u, v); c != w.Coupler() || hop != w.NextHop() {
-				t.Fatalf("%s: NextCoupler(%d, %d) = (%d, %d), oracle (%d, %d)", name, u, v, c, hop, w.Coupler(), w.NextHop())
 			}
 		}
 	}
@@ -160,7 +112,7 @@ func TestTablesMatchOracleEveryFamily(t *testing.T) {
 			t.Fatal(err)
 		}
 		tp := topo.Topo
-		dist, route := liveOracle(tp)
+		dist, route := legacysim.Oracle(tp)
 		// Stack families keep one block row and column per group at most;
 		// point-to-point ones (GroupSize 1) keep per-node tables.
 		groups := tp.Nodes() / max(topo.GroupSize, 1)
@@ -198,27 +150,13 @@ func checkRandomCycle(t *testing.T, seed int64, n, chords int) (widest, width in
 	}
 	tp := sim.NewPointToPointTopology(g)
 	name := fmt.Sprintf("seed %d C_%d + %d chords", seed, n, chords)
-	dist, route := liveOracle(tp)
+	dist, route := legacysim.Oracle(tp)
 	checkTablesMatch(t, name, tp, dist, route, n)
 	for _, plan := range faultPlans(tp, seed) {
 		checkFaultedTablesMatch(t, name, tp, plan, n)
 	}
 	b := tp.RouteBlocks()
 	return checkDictionaries(t, name, b), b.Width()
-}
-
-// liveOracle runs oracleTables over a topology's current OutCouplers and
-// Heads.
-func liveOracle(tp sim.Topology) ([][]int, []sim.RouteEntry) {
-	out := make([][]int, tp.Nodes())
-	for u := range out {
-		out[u] = tp.OutCouplers(u)
-	}
-	heads := make([][]int, tp.Couplers())
-	for c := range heads {
-		heads[c] = tp.Heads(c)
-	}
-	return oracleTables(tp.Nodes(), out, heads)
 }
 
 // faultPlans draws node, coupler and transmitter faults that strike at
@@ -243,7 +181,7 @@ func checkFaultedTablesMatch(t *testing.T, name string, base sim.Topology, plan 
 	t.Helper()
 	ft := faults.Wrap(base, plan)
 	n := ft.Nodes()
-	dist0, prev := liveOracle(ft)
+	dist0, prev := legacysim.Oracle(ft)
 	checkTablesMatch(t, name+" "+plan.Name+" before any event", ft, dist0, prev, baseClasses)
 	for i, ev := range plan.Events {
 		if i > 0 && plan.Events[i-1].Slot == ev.Slot {
@@ -251,7 +189,7 @@ func checkFaultedTablesMatch(t *testing.T, name string, base sim.Topology, plan 
 		}
 		ch := ft.Advance(ev.Slot)
 		at := fmt.Sprintf("%s %s after slot %d", name, plan.Name, ev.Slot)
-		dist, route := liveOracle(ft)
+		dist, route := legacysim.Oracle(ft)
 		checkTablesMatch(t, at, ft, dist, route, baseClasses+len(plan.Events))
 		for j := range route {
 			if got, want := ch.EntryChanged(j/n, j%n), route[j] != prev[j]; got != want {
@@ -260,26 +198,6 @@ func checkFaultedTablesMatch(t *testing.T, name string, base sim.Topology, plan 
 		}
 		prev = route
 	}
-}
-
-// listTopology is a network given by its lists and routed by the oracle,
-// lending the blocks BuildRouteBlocks makes from the same lists.
-type listTopology struct {
-	out, heads [][]int
-	dist       [][]int
-	route      []sim.RouteEntry
-	blocks     sim.RouteBlocks
-}
-
-func (l *listTopology) Nodes() int                    { return len(l.out) }
-func (l *listTopology) Couplers() int                 { return len(l.heads) }
-func (l *listTopology) OutCouplers(u int) []int       { return l.out[u] }
-func (l *listTopology) Heads(c int) []int             { return l.heads[c] }
-func (l *listTopology) Distance(u, v int) int         { return l.dist[u][v] }
-func (l *listTopology) RouteBlocks() *sim.RouteBlocks { return &l.blocks }
-func (l *listTopology) NextCoupler(u, v int) (int, int) {
-	r := l.route[u*len(l.out)+v]
-	return r.Coupler(), r.NextHop()
 }
 
 // randomBase draws a small digraph with loops, parallel arcs and, for most
@@ -310,9 +228,9 @@ type randomStackCover struct {
 }
 
 // checkRandomStack builds ς(s, G) for one random base and compares its
-// tables with the oracle's, which reads the out-coupler lists through the
-// per-node Hypergraph.OutArcs rather than the one-pass build. It reports
-// what the instance exercised.
+// tables with the oracle's over lists that read the out-couplers through
+// the per-node Hypergraph.OutArcs rather than the one-pass build. It
+// reports what the instance exercised.
 func checkRandomStack(t *testing.T, seed int64, s, nv int) (cov randomStackCover) {
 	t.Helper()
 	g := randomBase(rand.New(rand.NewSource(seed)), nv)
@@ -326,7 +244,7 @@ func checkRandomStack(t *testing.T, seed int64, s, nv int) (cov randomStackCover
 	for c := range heads {
 		heads[c] = sg.Hyperarc(c).Head
 	}
-	dist, route := oracleTables(n, out, heads)
+	dist, route := legacysim.Oracle(sim.NewListTopology(out, heads))
 	name := fmt.Sprintf("seed %d ς(%d, %v)", seed, s, g.Arcs())
 	topo := sim.NewStackTopology(sg)
 	checkTablesMatch(t, name, topo, dist, route, nv)
@@ -343,9 +261,7 @@ func checkRandomStack(t *testing.T, seed int64, s, nv int) (cov randomStackCover
 			slices.Reverse(rev[u])
 		}
 	}
-	lt := &listTopology{out: rev, heads: heads}
-	lt.dist, lt.route = oracleTables(n, rev, heads)
-	sim.BuildRouteBlocks(&lt.blocks, rev, heads)
+	lt := sim.NewListTopology(rev, heads)
 	for _, plan := range faultPlans(lt, seed) {
 		checkFaultedTablesMatch(t, name+" reversed", lt, plan, n)
 	}

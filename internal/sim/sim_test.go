@@ -61,19 +61,20 @@ func TestStackTopologyShape(t *testing.T) {
 	}
 }
 
-func TestNextCouplerMakesProgress(t *testing.T) {
+func TestRoutesMakeProgress(t *testing.T) {
 	topo := skTopology(2, 2, 3)
+	b := topo.RouteBlocks()
 	for u := 0; u < topo.Nodes(); u++ {
 		for v := 0; v < topo.Nodes(); v++ {
 			if u == v {
 				continue
 			}
-			c, hop := topo.NextCoupler(u, v)
-			if c < 0 {
+			r := b.Entry(u, v)
+			if r.Coupler() < 0 {
 				t.Fatalf("no next coupler %d -> %d", u, v)
 			}
-			if topo.Distance(hop, v) >= topo.Distance(u, v) {
-				t.Fatalf("no progress %d -> %d via %d", u, v, hop)
+			if b.Distance(r.NextHop(), v) >= b.Distance(u, v) {
+				t.Fatalf("no progress %d -> %d via %d", u, v, r.NextHop())
 			}
 		}
 	}
@@ -290,9 +291,8 @@ func TestStackVsPointToPointComparably(t *testing.T) {
 			if u == v {
 				continue
 			}
-			if st.Distance(u, v) != pt.Distance(u, v) {
-				t.Fatalf("distance mismatch %d->%d: stack %d, p2p %d",
-					u, v, st.Distance(u, v), pt.Distance(u, v))
+			if ds, dp := st.RouteBlocks().Distance(u, v), pt.RouteBlocks().Distance(u, v); ds != dp {
+				t.Fatalf("distance mismatch %d->%d: stack %d, p2p %d", u, v, ds, dp)
 			}
 		}
 	}

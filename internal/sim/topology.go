@@ -6,10 +6,12 @@
 // on a coupler is heard by every node on the coupler's output side; each
 // node transmits at most one message per slot. Store-and-forward routing
 // with per-node FIFO queues is the default; hot-potato deflection (Zhang &
-// Acampora, reference [25]) is available as an ablation. Point-to-point
-// digraph networks (the de Bruijn single-OPS baseline of reference [22])
-// are simulated through the same interface by viewing every arc as a
-// degree-1 coupler. Routing and distances are precomputed once per
+// Acampora, reference [25]) is available as an ablation. A topology is
+// its lists, each node's out-couplers and each coupler's heads, and the
+// route blocks built from them. A stack-graph ς(s, G) and a
+// point-to-point digraph (the de Bruijn single-OPS baseline of reference
+// [22], every arc a degree-1 coupler, which is ς(1, G)) both become the
+// one static list type. Routing and distances are precomputed once per
 // topology, and once per fault event batch, by BuildRouteBlocks into
 // quotient blocks whose cells index small per-row dictionaries
 // (RouteBlocks), so a routing decision is one packed-cell decode.
@@ -24,8 +26,9 @@ import (
 	"otisnet/internal/hypergraph"
 )
 
-// Topology abstracts a network for the engine: nodes, couplers, and its
-// routing state as route blocks.
+// Topology abstracts a network for the engine: its nodes and couplers,
+// who transmits on and who hears each coupler, and its routing state as
+// route blocks.
 type Topology interface {
 	// Nodes returns the number of processors.
 	Nodes() int
@@ -35,19 +38,16 @@ type Topology interface {
 	OutCouplers(u int) []int
 	// Heads lists the nodes that hear a transmission on coupler c.
 	Heads(c int) []int
-	// NextCoupler returns the coupler a message at u bound for dst should
-	// take under shortest-path routing, and the preferred next-hop node.
+	// RouteBlocks lends the topology's routing state: for every (u, dst),
+	// Entry names the coupler a message at u bound for dst takes under
+	// shortest-path routing and its next hop, and Distance the hop count.
 	// The coupler is one of OutCouplers(u), or -1 when there is no route:
-	// the engine bounds each coupler's senders by FanIn.
-	NextCoupler(u, dst int) (coupler, nextHop int)
-	// Distance returns the hop distance from u to dst.
-	Distance(u, dst int) int
-	// RouteBlocks lends the topology's routing state, which must agree
-	// with NextCoupler and Distance. The engine borrows the blocks
-	// instead of copying them and never writes them; a DynamicTopology
-	// may lend other blocks after each Advance or Reset, and the engine
-	// re-reads them after every TopologyChange and after a Reset that
-	// follows one, so the lent blocks must stay unchanged until then.
+	// the engine bounds each coupler's senders by FanIn. The engine
+	// borrows the blocks instead of copying them and never writes them; a
+	// DynamicTopology may lend other blocks after each Advance or Reset,
+	// and the engine re-reads them after every TopologyChange and after a
+	// Reset that follows one, so the lent blocks must stay unchanged until
+	// then.
 	RouteBlocks() *RouteBlocks
 }
 
@@ -67,32 +67,58 @@ func FanIn(t Topology) int {
 	return int(f)
 }
 
-// stackTopology adapts a stack-graph (multi-OPS network) with precomputed
-// shortest-path distance and routing blocks.
-type stackTopology struct {
-	sg     *hypergraph.StackGraph
-	out    [][]int
-	blocks RouteBlocks
-	id     atomic.Pointer[Identity] // see FingerprintSlot
+// lists is the static Topology: node u transmits on out[u] and coupler c
+// is heard by heads[c], and its route blocks are built once from those
+// lists by BuildRouteBlocks. A stack-graph and a point-to-point digraph
+// are both given this way, so neither is kept alive by the topology.
+type lists struct {
+	out, heads [][]int
+	blocks     RouteBlocks
+	id         atomic.Pointer[Identity] // see FingerprintSlot
 }
 
-// NewStackTopology wraps a stack-graph for simulation. Distances are hop
-// counts through the couplers; routing takes, at each hop, the coupler
-// whose head set contains the node strictly closest to the destination,
-// scanning couplers and heads in topology order so ties break the same way
-// in every run. All routing decisions are precomputed (BuildRouteBlocks) so
-// the per-slot NextCoupler call is a table lookup. In ς(s, G) the row and
-// column classes are the groups, except that groups without out-arcs share
-// one row and groups without in-arcs share one column.
+// newLists builds the route blocks of the network given by out and heads.
+func newLists(out, heads [][]int) *lists {
+	l := &lists{out: out, heads: heads}
+	BuildRouteBlocks(&l.blocks, out, heads)
+	return l
+}
+
+// NewStackTopology wraps a stack-graph for simulation: node u transmits on
+// its out-arcs in ascending index and coupler c is heard by the head of
+// hyperarc c. Distances are hop counts through the couplers; routing
+// takes, at each hop, the coupler whose head set contains the node
+// strictly closest to the destination, scanning couplers and heads in
+// list order so ties break the same way in every run. All routing
+// decisions are precomputed (BuildRouteBlocks). In ς(s, G) the row and
+// column classes are the groups, except that groups without out-arcs
+// share one row and groups without in-arcs share one column.
 func NewStackTopology(sg *hypergraph.StackGraph) Topology {
-	st := &stackTopology{sg: sg, out: sg.OutArcLists()}
 	arcs := sg.Hyperarcs()
 	heads := make([][]int, len(arcs))
 	for c, a := range arcs {
 		heads[c] = a.Head
 	}
-	BuildRouteBlocks(&st.blocks, st.out, heads)
-	return st
+	return newLists(sg.OutArcLists(), heads)
+}
+
+// NewPointToPointTopology wraps a digraph where each arc is a dedicated
+// point-to-point optical link (the single-OPS baseline): arc i is coupler
+// i, transmitted on by its tail and heard by its head alone. No two nodes
+// share an out-coupler or hear the same one, so its blocks come out per
+// node: every class is one node, except that nodes without out-arcs (or
+// in-arcs) share the class of the empty list.
+func NewPointToPointTopology(g *digraph.Digraph) Topology {
+	out := make([][]int, g.N())
+	arcs := g.Arcs()
+	head := make([]int, len(arcs))
+	heads := make([][]int, len(arcs))
+	for c, a := range arcs {
+		head[c] = a[1]
+		heads[c] = head[c : c+1]
+		out[a[0]] = append(out[a[0]], c)
+	}
+	return newLists(out, heads)
 }
 
 // BuildRouteBlocks fills b with the routing state of the network in which
@@ -348,15 +374,13 @@ func twinClasses[T int | int32](classOf, reps []int32, byList map[uint64]int32, 
 	return classOf, reps
 }
 
-func (st *stackTopology) Nodes() int              { return st.sg.N() }
-func (st *stackTopology) Couplers() int           { return st.sg.M() }
-func (st *stackTopology) OutCouplers(u int) []int { return st.out[u] }
-func (st *stackTopology) Heads(c int) []int       { return st.sg.Hyperarc(c).Head }
+func (l *lists) Nodes() int              { return len(l.out) }
+func (l *lists) Couplers() int           { return len(l.heads) }
+func (l *lists) OutCouplers(u int) []int { return l.out[u] }
+func (l *lists) Heads(c int) []int       { return l.heads[c] }
 
-func (st *stackTopology) Distance(u, dst int) int { return st.blocks.Distance(u, dst) }
-
-// RouteBlocks lends the engine the quotient blocks.
-func (st *stackTopology) RouteBlocks() *RouteBlocks { return &st.blocks }
+// RouteBlocks lends the engine the blocks built from the lists.
+func (l *lists) RouteBlocks() *RouteBlocks { return &l.blocks }
 
 // Identity is a topology's structural identity as the sweep cache key
 // reads it: the fingerprint sweep.TopologyFingerprint computes, and the
@@ -369,60 +393,7 @@ type Identity struct {
 // FingerprintSlot is where the sweep cache key keeps the topology's
 // Identity once computed, so the memo is collected with the topology
 // instead of pinning it in a process-wide map.
-func (st *stackTopology) FingerprintSlot() *atomic.Pointer[Identity] { return &st.id }
-
-func (st *stackTopology) NextCoupler(u, dst int) (int, int) {
-	r := st.blocks.Entry(u, dst)
-	return r.Coupler(), r.NextHop()
-}
-
-// pointToPoint adapts a digraph as a single-OPS-per-arc network: every arc
-// is its own degree-1 coupler. No two nodes share an out-coupler or hear
-// the same one, so its blocks come out per node: every class is one node,
-// except that nodes without out-arcs (or in-arcs) share the class of the
-// empty list.
-type pointToPoint struct {
-	g      *digraph.Digraph
-	out    [][]int // coupler ids per node
-	head   []int   // head node per coupler
-	blocks RouteBlocks
-	id     atomic.Pointer[Identity] // see FingerprintSlot
-}
-
-// NewPointToPointTopology wraps a digraph where each arc is a dedicated
-// point-to-point optical link (the single-OPS baseline). Routing decisions
-// are precomputed by BuildRouteBlocks, as for stack topologies.
-func NewPointToPointTopology(g *digraph.Digraph) Topology {
-	pt := &pointToPoint{g: g, out: make([][]int, g.N())}
-	for _, a := range g.Arcs() {
-		c := len(pt.head)
-		pt.head = append(pt.head, a[1])
-		pt.out[a[0]] = append(pt.out[a[0]], c)
-	}
-	heads := make([][]int, len(pt.head))
-	for c := range heads {
-		heads[c] = pt.head[c : c+1]
-	}
-	BuildRouteBlocks(&pt.blocks, pt.out, heads)
-	return pt
-}
-
-func (pt *pointToPoint) Nodes() int              { return pt.g.N() }
-func (pt *pointToPoint) Couplers() int           { return len(pt.head) }
-func (pt *pointToPoint) OutCouplers(u int) []int { return pt.out[u] }
-func (pt *pointToPoint) Heads(c int) []int       { return pt.head[c : c+1] }
-func (pt *pointToPoint) Distance(u, dst int) int { return pt.blocks.Distance(u, dst) }
-
-// RouteBlocks lends the engine the per-node blocks.
-func (pt *pointToPoint) RouteBlocks() *RouteBlocks { return &pt.blocks }
-
-// FingerprintSlot holds the topology's Identity, as for stack topologies.
-func (pt *pointToPoint) FingerprintSlot() *atomic.Pointer[Identity] { return &pt.id }
-
-func (pt *pointToPoint) NextCoupler(u, dst int) (int, int) {
-	r := pt.blocks.Entry(u, dst)
-	return r.Coupler(), r.NextHop()
-}
+func (l *lists) FingerprintSlot() *atomic.Pointer[Identity] { return &l.id }
 
 // CheckTopology validates basic sanity: there are at least two nodes (so
 // traffic has somewhere to go), every node has at least one out coupler,

@@ -1,8 +1,8 @@
 package stackkautz
 
 // Route-invariant property tests (PR 5 test hardening) for the stack
-// networks' *simulation* route tables — the tables the engine compiles and
-// FaultedTopology patches — complementing the address-level Route tests:
+// networks' *simulation* route tables — the route blocks the engine reads
+// and FaultedTopology rebuilds — complementing the address-level Route tests:
 // every (node, destination) entry names a coupler whose chosen head is
 // strictly closer on the underlying digraph, and RouteAvoiding paths under
 // random masked-group sets of every size up to d-1 never enter a masked
@@ -20,17 +20,18 @@ import (
 // table entry of a stack topology.
 func checkStackRouteAdvance(t *testing.T, name string, topo sim.Topology) {
 	t.Helper()
-	n := topo.Nodes()
+	n, b := topo.Nodes(), topo.RouteBlocks()
 	for u := 0; u < n; u++ {
 		for dst := 0; dst < n; dst++ {
 			if u == dst {
 				continue
 			}
-			c, hop := topo.NextCoupler(u, dst)
+			r := b.Entry(u, dst)
+			c, hop := r.Coupler(), r.NextHop()
 			if c < 0 || hop < 0 {
 				t.Fatalf("%s: no route %d->%d", name, u, dst)
 			}
-			if got, want := topo.Distance(hop, dst), topo.Distance(u, dst)-1; got != want {
+			if got, want := b.Distance(hop, dst), b.Distance(u, dst)-1; got != want {
 				t.Fatalf("%s: hop %d->%d toward %d does not advance (dist %d, want %d)",
 					name, u, hop, dst, got, want)
 			}

@@ -96,16 +96,7 @@ func (t *MultiPeriod) Generate(buf []sim.Injection, slot, n int, rng *rand.Rand)
 	if rate <= 0 {
 		return buf
 	}
-	for u := 0; u < n; u++ {
-		if rng.Float64() < rate {
-			dst := rng.Intn(n - 1)
-			if dst >= u {
-				dst++
-			}
-			buf = append(buf, sim.Injection{Src: u, Dst: dst})
-		}
-	}
-	return buf
+	return sim.UniformTraffic{Rate: rate}.Generate(buf, slot, n, rng)
 }
 
 // drawPeak samples the episode's heavy-tailed rate multiplier.

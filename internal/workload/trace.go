@@ -453,18 +453,10 @@ func (t *Trace) Generate(buf []sim.Injection, slot, n int, rng *rand.Rand) []sim
 		if r > 1 {
 			r = 1
 		}
-		if r > 0 {
-			for u := 0; u < n; u++ {
-				if rng.Float64() < r {
-					dst := rng.Intn(n - 1)
-					if dst >= u {
-						dst++
-					}
-					buf = append(buf, sim.Injection{Src: u, Dst: dst})
-				}
-			}
+		if r <= 0 {
+			return buf
 		}
-		return buf
+		return sim.UniformTraffic{Rate: r}.Generate(buf, slot, n, rng)
 	}
 	for t.havePending && t.pending.slot <= slot {
 		if t.pending.slot == slot {

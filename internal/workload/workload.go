@@ -133,7 +133,7 @@ type Bursty struct {
 }
 
 // Generate implements sim.Traffic.
-func (t *Bursty) Generate(buf []sim.Injection, _, n int, rng *rand.Rand) []sim.Injection {
+func (t *Bursty) Generate(buf []sim.Injection, slot, n int, rng *rand.Rand) []sim.Injection {
 	if !t.started {
 		t.started = true // bursts start in the on state
 	} else if t.off {
@@ -149,14 +149,5 @@ func (t *Bursty) Generate(buf []sim.Injection, _, n int, rng *rand.Rand) []sim.I
 	if t.off {
 		rate = t.OffRate
 	}
-	for u := 0; u < n; u++ {
-		if rng.Float64() < rate {
-			dst := rng.Intn(n - 1)
-			if dst >= u {
-				dst++
-			}
-			buf = append(buf, sim.Injection{Src: u, Dst: dst})
-		}
-	}
-	return buf
+	return sim.UniformTraffic{Rate: rate}.Generate(buf, slot, n, rng)
 }
