@@ -352,23 +352,47 @@ func BenchmarkEngineRunLargeN(b *testing.B) {
 	b.ReportMetric(float64(slots)/b.Elapsed().Seconds(), "slots/s")
 }
 
-// BenchmarkNewStackTopology times the route-table build of SK(4,2,8)
-// (N=1536): the route blocks, one dictionary-coded cell per pair of
-// groups, built once per group rather than once per node, each row packed
-// as soon as its route scan ends. The stack graph is built outside the
+// BenchmarkNewStackTopology times the route-table build: the route
+// blocks, one dictionary-coded cell per pair of row and column classes,
+// whose distances come from reach sets advanced one hop level per pass
+// for all row classes at once, each row packed as soon as its route scan
+// ends. SK(4,2,8) (N=1536) and SK(4,2,10) (N=6144, the sk6144-single
+// topology) have one class per group; the point-to-point de Bruijn
+// B(2,12) (N=4096) has one per node. The graph is built outside the
 // timer. table-MiB is what the topology keeps: the packed cells, the row
 // dictionaries with their offsets, and the class maps.
 func BenchmarkNewStackTopology(b *testing.B) {
-	sg := stackkautz.New(4, 2, 8).StackGraph()
-	var topo sim.Topology
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if topo = sim.NewStackTopology(sg); topo.Nodes() != 1536 {
-			b.Fatal("wrong size")
-		}
+	for _, tc := range []struct {
+		name  string
+		n     int
+		build func() sim.Topology
+	}{
+		{"SK(4,2,8)", 1536, stackBuild(4, 2, 8)},
+		{"SK(4,2,10)", 6144, stackBuild(4, 2, 10)},
+		{"deBruijn(2,12)", 4096, func() func() sim.Topology {
+			g := kautz.NewDeBruijn(2, 12).Digraph()
+			return func() sim.Topology { return sim.NewPointToPointTopology(g) }
+		}()},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			var topo sim.Topology
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if topo = tc.build(); topo.Nodes() != tc.n {
+					b.Fatal("wrong size")
+				}
+			}
+			b.ReportMetric(tableMiB(topo.RouteBlocks()), "table-MiB")
+		})
 	}
-	b.ReportMetric(tableMiB(topo.RouteBlocks()), "table-MiB")
+}
+
+// stackBuild builds the stack graph of SK(s,d,k) once and returns a
+// function that builds its topology.
+func stackBuild(s, d, k int) func() sim.Topology {
+	sg := stackkautz.New(s, d, k).StackGraph()
+	return func() sim.Topology { return sim.NewStackTopology(sg) }
 }
 
 // tableMiB is the size of a topology's route blocks, in MiB: the packed
@@ -378,26 +402,30 @@ func tableMiB(bl *sim.RouteBlocks) float64 {
 	return float64(bytes) / (1 << 20)
 }
 
-// BenchmarkFaultEventLargeN times one fault event on SK(4,2,8) (N=1536):
-// Advance fails 2 nodes at once and rebuilds the route blocks from the
-// live structure into a reused buffer with the wrapper's reused
-// sim.RouteBuilder, and Reset rewinds the wrapper to the base topology's
-// blocks for the next scenario. table-MiB is the size of the blocks the
-// event built, counted as for BenchmarkNewStackTopology.
+// BenchmarkFaultEventLargeN times one fault event on SK(4,2,8) (N=1536)
+// and on SK(4,2,10) (N=6144): Advance fails 2 nodes at once and rebuilds
+// the route blocks from the live structure into a reused buffer with the
+// wrapper's reused sim.RouteBuilder, and Reset rewinds the wrapper to the
+// base topology's blocks for the next scenario. table-MiB is the size of
+// the blocks the event built, counted as for BenchmarkNewStackTopology.
 func BenchmarkFaultEventLargeN(b *testing.B) {
-	topo := sim.NewStackTopology(stackkautz.New(4, 2, 8).StackGraph())
-	ft := faults.Wrap(topo, faults.Random(faults.KindNode, 2, 0, topo, 1))
-	var bl *sim.RouteBlocks
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !ft.Advance(0).Changed {
-			b.Fatal("no event fired")
-		}
-		bl = ft.RouteBlocks()
-		ft.Reset()
+	for _, k := range []int{8, 10} {
+		topo := stackBuild(4, 2, k)()
+		b.Run(fmt.Sprintf("SK(4,2,%d)", k), func(b *testing.B) {
+			ft := faults.Wrap(topo, faults.Random(faults.KindNode, 2, 0, topo, 1))
+			var bl *sim.RouteBlocks
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !ft.Advance(0).Changed {
+					b.Fatal("no event fired")
+				}
+				bl = ft.RouteBlocks()
+				ft.Reset()
+			}
+			b.ReportMetric(tableMiB(bl), "table-MiB")
+		})
 	}
-	b.ReportMetric(tableMiB(bl), "table-MiB")
 }
 
 // BenchmarkStepAllocFree drives the engine at a sustained sub-saturation

@@ -143,6 +143,16 @@ func (f *simFlags) check() error {
 	if err := checkRunFlags(*f.slots, *f.repeat, *f.seeds); err != nil {
 		return err
 	}
+	// A zero TopoSpec field means "the default", so an explicit 0 would
+	// silently run the default network.
+	for _, p := range []struct {
+		name string
+		v    int
+	}{{"t", *f.t}, {"g", *f.g}, {"s", *f.s}, {"d", *f.d}, {"k", *f.k}, {"n", *f.n}} {
+		if p.v < 1 {
+			return fmt.Errorf("bad -%s %d (want >= 1)", p.name, p.v)
+		}
+	}
 	if ex["tracesample"] && !ex["trace"] {
 		return fmt.Errorf("-tracesample only applies with -trace")
 	}

@@ -313,6 +313,28 @@ func TestCheckRunFlags(t *testing.T) {
 	})
 }
 
+// TestTopologyFlagsBelowOne pairs each topology flag below 1 with its
+// error: a GridSpec topology reads 0 as "use the default", so the command
+// line must not pass an explicit 0 on. The smallest values run.
+func TestTopologyFlagsBelowOne(t *testing.T) {
+	short := []string{"-slots", "10", "-drain", "10"}
+	with := func(args ...string) []string { return append(args, short...) }
+	runArgsCases(t, []argsCase{
+		{"sk s zero", with("-net", "sk", "-s", "0", "-d", "2", "-k", "2"), "bad -s 0 (want >= 1)", 2},
+		{"sk d zero", with("-net", "sk", "-s", "2", "-d", "0", "-k", "2"), "bad -d 0 (want >= 1)", 2},
+		{"sk k zero", with("-net", "sk", "-s", "2", "-d", "2", "-k", "0"), "bad -k 0 (want >= 1)", 2},
+		{"sk s negative", with("-net", "sk", "-s", "-3", "-d", "2", "-k", "2"), "bad -s -3 (want >= 1)", 2},
+		{"debruijn k zero", with("-net", "debruijn", "-d", "2", "-k", "0"), "bad -k 0 (want >= 1)", 2},
+		{"pops t zero", with("-net", "pops", "-t", "0", "-g", "2"), "bad -t 0 (want >= 1)", 2},
+		{"pops g zero", with("-net", "pops", "-t", "2", "-g", "0"), "bad -g 0 (want >= 1)", 2},
+		{"stackii n zero", with("-net", "stackii", "-s", "2", "-d", "2", "-n", "0"), "bad -n 0 (want >= 1)", 2},
+		{"sweep s zero", []string{"-sweep", "-net", "sk", "-s", "0", "-rates", "0.1", "-seeds", "1"}, "bad -s 0 (want >= 1)", 2},
+		{"sk smallest", with("-net", "sk", "-s", "1", "-d", "1", "-k", "1"), "", 0},
+		{"pops smallest", with("-net", "pops", "-t", "1", "-g", "2"), "", 0},
+		{"debruijn smallest", with("-net", "debruijn", "-d", "2", "-k", "1"), "", 0},
+	})
+}
+
 // TestFaultSpecFlags pairs each bad fault flag with its exact error from
 // faults.Spec.Validate through GridSpec; the defaults and a valid
 // transient spec run.

@@ -37,17 +37,23 @@ func (f *fakeTopology) RouteBlocks() *RouteBlocks {
 	b := &RouteBlocks{Row: id, Col: slices.Clone(id)}
 	var w blockWriter
 	w.start(b, n, n)
-	vals := make([]RouteCell, n)
+	codes := make([]int32, n)
 	for u := 0; u < n; u++ {
-		for dst := range vals {
+		var cells []RouteCell
+		for dst := range codes {
 			c, hop := f.next(u, dst)
 			delivers := c >= 0 && c < len(f.heads) && slices.Contains(f.heads[c], dst)
 			if delivers {
 				hop = -1 // Entry reads dst
 			}
-			vals[dst] = RouteCell{MakeRouteEntry(c, hop, delivers), int32(f.dist(u, dst))}
+			cell := RouteCell{MakeRouteEntry(c, hop, delivers), int32(f.dist(u, dst))}
+			i := slices.Index(cells, cell)
+			if i < 0 {
+				i, cells = len(cells), append(cells, cell)
+			}
+			codes[dst] = int32(i)
 		}
-		w.row(vals)
+		w.row(codes, cells)
 	}
 	return b
 }

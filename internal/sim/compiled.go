@@ -153,21 +153,23 @@ func (b *RouteBlocks) Distance(u, dst int) int {
 }
 
 // blockWriter encodes RouteBlocks one row class at a time, in row order:
-// row reads a row's decoded cells, appends its distinct cells to Dict and
-// packs the cells as indexes into them. The width starts at one bit and
-// is doubled as often as a dictionary needs, repacking the cells already
-// written in place, so the finished blocks have the smallest width that
-// indexes their largest dictionary. Between builds the writer keeps its
-// hash table and the blocks keep their arrays, so a rebuild into the same
-// blocks allocates nothing once they are large enough.
+// row reads a row's cells as codes into a table of the cells the row may
+// hold, appends its distinct cells to Dict and packs the cells as indexes
+// into them. The width starts at one bit and is doubled as often as a
+// dictionary needs, repacking the cells already written in place, so the
+// finished blocks have the smallest width that indexes their largest
+// dictionary. Between builds the writer keeps its scratch and the blocks
+// keep their arrays, so a rebuild into the same blocks allocates nothing
+// once they are large enough.
 type blockWriter struct {
 	b    *RouteBlocks
 	rows int
 	done int // rows written
-	// slots is an open-addressing table of the current row's dictionary:
-	// 0 is empty, i+1 names entry i. It stays at most half full.
+	// slots maps a code of the current row to its dictionary entry: 0 is
+	// none yet, i+1 names entry i. Only the codes in used are nonzero, and
+	// row clears them before it returns.
 	slots []int32
-	idx   []int32 // the current row's dictionary indexes
+	used  []int32
 }
 
 // start points the writer at b, to be filled with rows × cols cells over
@@ -177,97 +179,95 @@ func (w *blockWriter) start(b *RouteBlocks, rows, cols int) {
 	b.Cols, b.Shift, b.Cells = cols, 0, b.Cells[:0]
 	b.Base = append(b.Base[:0], 0)
 	b.Dict = b.Dict[:0]
-	if len(w.slots) == 0 {
-		w.slots = make([]int32, 16)
-	}
 }
 
 // cellWords is the number of words n cells 1<<shift bits wide fill.
 func cellWords(n int, shift uint) int { return (n<<shift + 63) >> 6 }
 
-// row encodes the next row class from its decoded cells, one per column
-// class. A delivering cell's next hop must be -1: Entry replaces it with
-// the destination, so delivering cells share one dictionary entry per
-// coupler.
-func (w *blockWriter) row(vals []RouteCell) {
+// row encodes the next row class, one cell per column class: cell k is
+// cells[codes[k]]. The cells codes name must be distinct, and a
+// delivering cell's next hop must be -1: Entry replaces it with the
+// destination, so delivering cells share one dictionary entry per
+// coupler. Each cell is packed as soon as its index is known.
+func (w *blockWriter) row(codes []int32, cells []RouteCell) {
 	b := w.b
-	first := len(b.Dict)
-	clear(w.slots)
-	w.idx = grown(w.idx, len(vals))
-	idx := w.idx
-	prev, x := RouteCell{}, -1
-	for k, v := range vals {
-		if x < 0 || v != prev {
-			prev, x = v, w.index(v, first)
+	first, at := len(b.Dict), w.done*b.Cols
+	w.slots = grown(w.slots, len(cells)) // zero: row clears what it sets
+	slots := w.slots
+	if w.done == 0 {
+		// Size the cells once, at the first row's width, rather than
+		// through every width below it.
+		for _, c := range codes {
+			if slots[c] == 0 {
+				slots[c] = -1
+				w.used = append(w.used, c)
+			}
 		}
-		idx[k] = int32(x)
+		for _, c := range w.used {
+			slots[c] = 0
+		}
+		w.widen(len(w.used), 0)
+		w.used = w.used[:0]
 	}
-	if size := len(b.Dict) - first; w.done == 0 || size > 1<<b.Width() {
-		w.widen(size)
-	}
-	// The cells past those written are zero (start, widen), so the row is
-	// ORed into the word it starts in and whole words are stored after it.
-	cells, width, bit := b.Cells, uint(b.Width()), uint(w.done*b.Cols)<<b.Shift
-	acc := cells[bit>>6]
-	for _, x := range idx {
-		acc |= uint64(x) << (bit & 63)
-		if bit += width; bit&63 == 0 {
-			cells[bit>>6-1], acc = acc, 0
+	for k := 0; k < len(codes); {
+		n := packRow(b.Cells, uint(at+k)<<b.Shift, uint(b.Width()), codes[k:], slots)
+		if k += n; k < len(codes) {
+			c := codes[k]
+			w.add(c, cells[c], first, at+k)
 		}
 	}
-	if bit&63 != 0 {
-		cells[bit>>6] = acc
+	for _, c := range w.used {
+		slots[c] = 0
 	}
+	w.used = w.used[:0]
 	b.Base = append(b.Base, int32(len(b.Dict)))
 	w.done++
 }
 
-// index returns v's index in the dictionary that starts at Dict[first],
-// appending v when it is new.
-func (w *blockWriter) index(v RouteCell, first int) int {
-	for {
-		mask := uint64(len(w.slots) - 1)
-		for i := cellHash(v) & mask; ; i = (i + 1) & mask {
-			s := w.slots[i]
-			if s == 0 {
-				x := len(w.b.Dict) - first
-				if 2*(x+1) > len(w.slots) {
-					break // grow the table first
-				}
-				w.slots[i] = int32(x + 1)
-				w.b.Dict = append(w.b.Dict, v)
-				return x
-			}
-			if w.b.Dict[first+int(s)-1] == v {
-				return int(s) - 1
-			}
+// packRow packs the dictionary indexes of codes, slots[c]-1 for code c,
+// into words from bit on, width bits a cell, until it meets a code not in
+// the dictionary, and returns the number of cells it packed. The cells
+// past those written are zero (start, widen), so each is ORed into acc,
+// the word it goes to, and whole words are stored.
+func packRow(words []uint64, bit, width uint, codes, slots []int32) int {
+	acc := words[bit>>6]
+	for k, c := range codes {
+		s := slots[c]
+		if s == 0 {
+			words[bit>>6] = acc
+			return k
 		}
-		w.slots = make([]int32, 2*len(w.slots))
-		mask = uint64(len(w.slots) - 1)
-		for x, d := range w.b.Dict[first:] {
-			i := cellHash(d) & mask
-			for w.slots[i] != 0 {
-				i = (i + 1) & mask
-			}
-			w.slots[i] = int32(x + 1)
+		acc |= uint64(s-1) << (bit & 63)
+		if bit += width; bit&63 == 0 {
+			words[bit>>6-1], acc = acc, 0
 		}
+	}
+	if bit&63 != 0 {
+		words[bit>>6] = acc
+	}
+	return len(codes)
+}
+
+// add appends cell, code c of the current row, to the row's dictionary,
+// which starts at Dict[first]. When its index does not fit the width, the
+// cells are widened, repacking the written ones.
+func (w *blockWriter) add(c int32, cell RouteCell, first, written int) {
+	b := w.b
+	b.Dict = append(b.Dict, cell)
+	s := len(b.Dict) - first
+	w.slots[c] = int32(s)
+	w.used = append(w.used, c)
+	if s > 1<<b.Width() {
+		w.widen(s, written)
 	}
 }
 
-// cellHash mixes a cell's three fields into a table position.
-func cellHash(v RouteCell) uint64 {
-	x := uint64(uint32(v.Route.c)) | uint64(uint32(v.Route.h))<<32
-	x ^= uint64(uint32(v.Dist)) * 0x9e3779b97f4a7c15
-	x *= 0xff51afd7ed558ccd
-	return x ^ x>>29
-}
-
 // widen makes the cells wide enough to index a dictionary of size
-// entries, sizing Cells for all rows with zero past the cells written,
-// and repacks the rows already written in place, last cell first: cell i
-// moves up to bit i<<Shift, past the cells before it, and the cells after
-// it have already moved.
-func (w *blockWriter) widen(size int) {
+// entries, sizing Cells for all rows with zero past the first written
+// cells, and repacks those in place, last cell first: cell i moves up to
+// bit i<<Shift, past the cells before it, and the cells after it have
+// already moved.
+func (w *blockWriter) widen(size, written int) {
 	b := w.b
 	old := b.Shift
 	for 1<<b.Width() < size {
@@ -276,7 +276,7 @@ func (w *blockWriter) widen(size int) {
 	have, need := len(b.Cells), cellWords(w.rows*b.Cols, b.Shift)
 	b.Cells = slices.Grow(b.Cells, need-have)[:need]
 	clear(b.Cells[have:])
-	for i := w.done*b.Cols - 1; i >= 0; i-- {
+	for i := written - 1; i >= 0; i-- {
 		pack(b.Cells, b.Shift, i, unpack(b.Cells, old, cellMask(old), i))
 	}
 }

@@ -413,17 +413,21 @@ func (e *Engine) Inject(src, dst int) {
 		return
 	}
 	e.metrics.Injected++
-	e.enqueue(src, qmsg{id: int32(e.nextID), src: int32(src), dst: int32(dst), born: int32(e.slot)})
+	if m := e.enqueue(src, int32(dst)); m != nil {
+		m.id, m.src, m.dst, m.born, m.hops = int32(e.nextID), int32(src), int32(dst), int32(e.slot), 0
+	}
 	e.nextID++
 }
 
-func (e *Engine) enqueue(node int, msg qmsg) {
+// enqueue appends a message bound for dst to node's queue and returns its
+// slot for the caller to fill, or nil when MaxQueue drops it.
+func (e *Engine) enqueue(node int, dst int32) *qmsg {
 	q := &e.queues[node]
 	if e.cfg.MaxQueue > 0 && q.len() >= e.cfg.MaxQueue {
 		e.metrics.Dropped++
-		return
+		return nil
 	}
-	q.push(msg)
+	m := q.push()
 	e.backlog++
 	d := q.len()
 	// Queue-depth histogram tally: a bits.Len bucket pick and two plain
@@ -436,8 +440,9 @@ func (e *Engine) enqueue(node int, msg qmsg) {
 	if d == 1 {
 		e.activePos[node] = int32(len(e.active))
 		e.active = append(e.active, int32(node))
-		e.deferHead(node, msg.dst)
+		e.deferHead(node, dst)
 	}
+	return m
 }
 
 // pendHead is a deferred head-of-line resolution: node's head message
@@ -508,10 +513,7 @@ func headRequest(node int32, r RouteEntry) txRequest {
 func (e *Engine) dropFront(node int) {
 	e.backlog--
 	q := &e.queues[node]
-	q.head++
-	if q.head == len(q.buf) {
-		q.head = 0
-	}
+	q.head = (q.head + 1) & (len(q.buf) - 1)
 	q.n--
 	if q.n == 0 {
 		e.deactivate(node)
@@ -811,10 +813,14 @@ func (e *Engine) transmit(r txRequest) {
 		// One ring-to-ring copy; dropping the source slot first mirrors
 		// the legacy dequeue-then-enqueue order (it matters when a
 		// deflection relays a message back onto its own bounded queue).
-		m := *msg
-		m.hops++
+		// dropFront leaves the slot's contents in place, so msg still
+		// holds the message when the slot enqueue returns is that same
+		// slot (a full queue relaying to itself) or in a grown buffer.
 		e.dropFront(src)
-		e.enqueue(int(r.nextHop), m)
+		if m := e.enqueue(int(r.nextHop), msg.dst); m != nil {
+			*m = *msg
+			m.hops++
+		}
 	}
 }
 

@@ -9,9 +9,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"otisnet/internal/digraph"
 	"otisnet/internal/kautz"
-	"otisnet/internal/stackkautz"
 )
 
 // --- deflection path ---
@@ -222,7 +220,7 @@ func TestRingFIFOOrderAcrossWraparound(t *testing.T) {
 	next, expect := 0, 0
 	push := func(k int) {
 		for i := 0; i < k; i++ {
-			r.push(qmsg{id: int32(next)})
+			*r.push() = qmsg{id: int32(next)}
 			next++
 		}
 	}
@@ -250,13 +248,13 @@ func TestRingGrowPreservesOrder(t *testing.T) {
 	// Interleave pushes and pops so head is mid-buffer when growth hits.
 	id := 0
 	for i := 0; i < 3; i++ {
-		r.push(qmsg{id: int32(id)})
+		*r.push() = qmsg{id: int32(id)}
 		id++
 	}
 	r.pop()
 	r.pop()
 	for i := 0; i < 20; i++ { // repeated growth with head offset
-		r.push(qmsg{id: int32(id)})
+		*r.push() = qmsg{id: int32(id)}
 		id++
 	}
 	want := 2
@@ -269,44 +267,6 @@ func TestRingGrowPreservesOrder(t *testing.T) {
 }
 
 // --- precomputed route tables ---
-
-// scanNextStack recomputes the stack routing decision the slow way, over
-// the blocks' distances, mirroring the construction-time scan, to pin the
-// routes against regressions.
-func scanNextStack(topo Topology, u, dst int) (int, int) {
-	if u == dst {
-		return -1, u
-	}
-	b := topo.RouteBlocks()
-	best, bestHop := -1, -1
-	bestDist := b.Distance(u, dst)
-	for _, c := range topo.OutCouplers(u) {
-		for _, h := range topo.Heads(c) {
-			d := b.Distance(h, dst)
-			if d != digraph.Unreachable && d < bestDist {
-				bestDist = d
-				best, bestHop = c, h
-			}
-		}
-	}
-	return best, bestHop
-}
-
-func TestStackRouteTableMatchesScan(t *testing.T) {
-	topo := NewStackTopology(stackkautz.New(3, 2, 2).StackGraph())
-	b := topo.RouteBlocks()
-	for u := 0; u < topo.Nodes(); u++ {
-		for v := 0; v < topo.Nodes(); v++ {
-			r := b.Entry(u, v)
-			gotC, gotH := r.Coupler(), r.NextHop()
-			wantC, wantH := scanNextStack(topo, u, v)
-			if gotC != wantC || gotH != wantH {
-				t.Fatalf("route[%d][%d] = (%d,%d), scan gives (%d,%d)",
-					u, v, gotC, gotH, wantC, wantH)
-			}
-		}
-	}
-}
 
 func TestPointToPointRouteTableMatchesScan(t *testing.T) {
 	g := kautz.NewDeBruijn(2, 3).Digraph()

@@ -18,6 +18,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
 
 	"otisnet/internal/digraph"
 	"otisnet/internal/faults"
@@ -99,6 +100,7 @@ func TestTablesMatchOracleEveryFamily(t *testing.T) {
 		{Net: "sk", S: 4, D: 2, K: 4},
 		{Net: "sk", S: 1, D: 2, K: 5},
 		{Net: "sk", S: 2, D: 2, K: 1},
+		{Net: "sk", S: 3, D: 2, K: 2},
 		{Net: "stackii", S: 3, D: 2, N: 10},
 		{Net: "stackii", S: 2, D: 3, N: 7},
 		{Net: "pops", T: 9, G: 8},
@@ -126,13 +128,156 @@ func TestTablesMatchOracleEveryFamily(t *testing.T) {
 // TestTablesMatchOracleEveryWidth covers the narrowest and a wide cell:
 // on the directed 2-cycle each row's dictionary is a relay and a delivery,
 // which fill one bit; on the directed 300-cycle each row holds 300
-// distances, which need 16 bits and, past 254 hops, the wider distance
-// scratch of the build.
+// distances, which need 16 bits and, past 254 hops, 16-bit distance lanes
+// in the build's scratch. The reach sets of the 300-cycle take one pass
+// per hop level, 300 passes, and the build must still take well under a
+// second.
 func TestTablesMatchOracleEveryWidth(t *testing.T) {
+	start := time.Now()
+	sim.NewPointToPointTopology(digraph.Cycle(300))
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("C_300 blocks took %v to build, want under 1s", d)
+	}
 	for _, tc := range []struct{ n, widest, width int }{{2, 2, 1}, {300, 300, 16}} {
 		widest, width := checkRandomCycle(t, 1, tc.n, 0)
 		if widest != tc.widest || width != tc.width {
-			t.Fatalf("C_%d: %d-bit cells, dictionaries of up to %d entries; want %d bits, %d entries", tc.n, width, widest, tc.width, tc.widest)
+			t.Fatalf("C_%d: %d-bit cells, dictionaries of up to %d entries; want %d bits, %d entries", tc.n, width, widest, tc.widest, tc.width)
+		}
+	}
+}
+
+// TestTablesMatchOracleManyWays covers a row class with more ways out
+// than a byte lane can number. Node 0 transmits on one coupler heard by
+// the 299 hubs 1..299, each of a row class of its own; hub i transmits
+// on a coupler heard by leaf 299+i alone, and every leaf answers on a
+// coupler heard by node 0. Node 0 reaches leaf 299+i through its i-th
+// relay head, so its row numbers 301 ways out and the build takes 16-bit
+// lanes.
+func TestTablesMatchOracleManyWays(t *testing.T) {
+	const hubs = 299
+	n := 1 + 2*hubs
+	out, heads := make([][]int, n), make([][]int, n)
+	out[0] = []int{0}
+	for i := 1; i <= hubs; i++ {
+		heads[0] = append(heads[0], i)
+		out[i], heads[i] = []int{i}, []int{hubs + i}
+		out[hubs+i], heads[hubs+i] = []int{hubs + i}, []int{0}
+	}
+	tp := sim.NewListTopology(out, heads)
+	dist, route := legacysim.Oracle(tp)
+	checkTablesMatch(t, "star", tp, dist, route, n)
+}
+
+// TestTablesMatchOracleUnreachable covers reach sets that stop short: in
+// ς(2, G), where G joins the cycle {0, 1} to the cycle {2, 3} by the one
+// arc 1 -> 2 and vertex 4 has only a loop, no node of groups 2 to 4
+// reaches groups 0 and 1, and only group 4 reaches group 4.
+func TestTablesMatchOracleUnreachable(t *testing.T) {
+	g := digraph.New(5)
+	for _, a := range [][2]int{{0, 1}, {1, 0}, {1, 2}, {2, 3}, {3, 2}, {4, 4}} {
+		g.AddArc(a[0], a[1])
+	}
+	topo := sim.NewStackTopology(hypergraph.NewStackGraph(2, g))
+	dist, route := legacysim.Oracle(topo)
+	unreachable := 0
+	for _, row := range dist {
+		for _, d := range row {
+			if d == digraph.Unreachable {
+				unreachable++
+			}
+		}
+	}
+	// 4 nodes of groups 2, 3 miss the 4 of groups 0, 1; the 2 of group 4
+	// miss the other 8, and those 8 miss the 2.
+	if want := 4*4 + 2*8 + 8*2; unreachable != want {
+		t.Fatalf("%d unreachable pairs, want %d", unreachable, want)
+	}
+	checkTablesMatch(t, "bridge", topo, dist, route, 5)
+	for _, plan := range faultPlans(topo, 1) {
+		checkFaultedTablesMatch(t, "bridge", topo, plan, 5)
+	}
+}
+
+// TestTablesMatchOracleDeepFirstWord covers a build whose column sets
+// span many words and whose deepest cells all lie in the first: the
+// chain 0 -> 1 -> ... -> 59 hangs off the de Bruijn digraph B(2,10) on
+// nodes 60..1083, entered only from node 60 and left from every chain
+// node to node 60. Every node reaches every de Bruijn node within 11
+// hops, while chain node 59 lies up to 70 hops away, so the largest
+// distance, which numbers the codes of every row, is found only in
+// columns below 64.
+func TestTablesMatchOracleDeepFirstWord(t *testing.T) {
+	const chain, k = 60, 10
+	n := chain + 1<<k
+	out := make([][]int, n)
+	var heads [][]int
+	arc := func(u, v int) {
+		out[u] = append(out[u], len(heads))
+		heads = append(heads, []int{v})
+	}
+	for i := 0; i < chain; i++ {
+		if i+1 < chain {
+			arc(i, i+1)
+		}
+		arc(i, chain)
+	}
+	for x := 0; x < 1<<k; x++ {
+		arc(chain+x, chain+2*x%(1<<k))
+		arc(chain+x, chain+(2*x+1)%(1<<k))
+	}
+	arc(chain, 0)
+	tp := sim.NewListTopology(out, heads)
+	dist, route := legacysim.Oracle(tp)
+	low, high := 0, 0
+	for _, row := range dist {
+		low, high = max(low, slices.Max(row[:64])), max(high, slices.Max(row[64:]))
+	}
+	if cols := tp.RouteBlocks().Cols; low != 70 || high != 11 || cols < 16*64 {
+		t.Fatalf("deepest cells %d in columns below 64 and %d above, %d columns; want 70, 11 and at least 1024", low, high, cols)
+	}
+	checkTablesMatch(t, "chain+B(2,10)", tp, dist, route, n)
+}
+
+// TestRouteBuilderReuse builds one network after another with one
+// RouteBuilder into one RouteBlocks, as faults.FaultedTopology does at
+// every event batch, through class counts and diameters that grow and
+// shrink and through the fallback from 8- to 16-bit distance lanes, and
+// requires every build to equal a fresh builder's blocks field for field.
+func TestRouteBuilderReuse(t *testing.T) {
+	var topos []sim.Topology
+	for _, spec := range []sweep.TopoSpec{
+		{Net: "sk", S: 6, D: 3, K: 2},
+		{Net: "debruijn", D: 2, K: 6},
+		{Net: "sk", S: 1, D: 2, K: 5},
+		{Net: "pops", T: 3, G: 1},
+		{Net: "sk", S: 4, D: 2, K: 4},
+	} {
+		topo, err := spec.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		topos = append(topos, topo.Topo)
+	}
+	c300 := sim.NewPointToPointTopology(digraph.Cycle(300))
+	c2 := sim.NewPointToPointTopology(digraph.Cycle(2))
+	topos = append(topos, c300, topos[0], c2, c300, topos[2], topos[1], topos[0])
+	var rb sim.RouteBuilder
+	var reused sim.RouteBlocks
+	for i, tp := range topos {
+		out, heads := make([][]int, tp.Nodes()), make([][]int, tp.Couplers())
+		for u := range out {
+			out[u] = tp.OutCouplers(u)
+		}
+		for c := range heads {
+			heads[c] = tp.Heads(c)
+		}
+		rb.Build(&reused, out, heads)
+		var fresh sim.RouteBlocks
+		sim.BuildRouteBlocks(&fresh, out, heads)
+		if !slices.Equal(reused.Row, fresh.Row) || !slices.Equal(reused.Col, fresh.Col) || reused.Cols != fresh.Cols ||
+			reused.Shift != fresh.Shift || !slices.Equal(reused.Cells, fresh.Cells) || !slices.Equal(reused.Base, fresh.Base) ||
+			!slices.Equal(reused.Dict, fresh.Dict) {
+			t.Fatalf("build %d (N=%d): the reused builder's blocks differ from a fresh builder's", i, tp.Nodes())
 		}
 	}
 }
@@ -312,6 +457,8 @@ func FuzzStackTablesMatchOracle(f *testing.F) {
 	f.Add(int64(7), uint8(3), uint8(8))
 	f.Add(int64(42), uint8(1), uint8(0))  // 1-bit cells on C_2
 	f.Add(int64(5), uint8(0), uint8(255)) // 16-bit cells on C_257
+	f.Add(int64(3), uint8(0), uint8(253)) // C_255: 254 hops, the most a byte lane holds
+	f.Add(int64(3), uint8(0), uint8(254)) // C_256: 255 hops, built again with 16-bit lanes
 	f.Fuzz(func(t *testing.T, seed int64, s, nv uint8) {
 		checkRandomStack(t, seed, 1+int(s)%4, 1+int(nv)%12)
 		checkRandomCycle(t, seed, 2+int(nv), int(s)%4)

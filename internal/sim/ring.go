@@ -13,8 +13,9 @@ type qmsg struct {
 	hops int32
 }
 
-// ring is a growable FIFO queue of messages backed by a circular buffer.
-// Unlike the naive `q = q[1:]` slice shift, popping never abandons prefix
+// ring is a growable FIFO queue of messages backed by a circular buffer
+// whose length is a power of two, so positions wrap with a mask. Unlike
+// the naive `q = q[1:]` slice shift, popping never abandons prefix
 // capacity, so sustained traffic reaches a steady state where no step
 // allocates: the buffer grows (amortized doubling) only while the queue's
 // high-water mark is still rising.
@@ -35,48 +36,31 @@ func (r *ring) front() *qmsg { return &r.buf[r.head] }
 
 // at returns a pointer to the i-th queued message (0 = oldest). Only valid
 // for 0 <= i < len().
-func (r *ring) at(i int) *qmsg {
-	j := r.head + i
-	if j >= len(r.buf) {
-		j -= len(r.buf)
-	}
-	return &r.buf[j]
-}
+func (r *ring) at(i int) *qmsg { return &r.buf[(r.head+i)&(len(r.buf)-1)] }
 
-func (r *ring) push(m qmsg) {
+// push appends a slot to the queue and returns it for the caller to fill
+// in place: qmsg has too many fields to travel in registers, so a message
+// passed by value would be spilled to the stack and copied again.
+func (r *ring) push() *qmsg {
 	if r.n == len(r.buf) {
 		r.grow()
 	}
-	i := r.head + r.n
-	if i >= len(r.buf) {
-		i -= len(r.buf)
-	}
-	r.buf[i] = m
+	m := &r.buf[(r.head+r.n)&(len(r.buf)-1)]
 	r.n++
+	return m
 }
 
 func (r *ring) pop() qmsg {
 	m := r.buf[r.head]
-	r.head++
-	if r.head == len(r.buf) {
-		r.head = 0
-	}
+	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
 	return m
 }
 
 func (r *ring) grow() {
-	capNew := 2 * len(r.buf)
-	if capNew < 4 {
-		capNew = 4
-	}
-	buf := make([]qmsg, capNew)
+	buf := make([]qmsg, max(2*len(r.buf), 4))
 	for i := 0; i < r.n; i++ {
-		j := r.head + i
-		if j >= len(r.buf) {
-			j -= len(r.buf)
-		}
-		buf[i] = r.buf[j]
+		buf[i] = *r.at(i)
 	}
 	r.buf, r.head = buf, 0
 }

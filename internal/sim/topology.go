@@ -12,13 +12,16 @@
 // point-to-point digraph (the de Bruijn single-OPS baseline of reference
 // [22], every arc a degree-1 coupler, which is ς(1, G)) both become the
 // one static list type. Routing and distances are precomputed once per
-// topology, and once per fault event batch, by BuildRouteBlocks into
-// quotient blocks whose cells index small per-row dictionaries
-// (RouteBlocks), so a routing decision is one packed-cell decode.
+// topology, and once per fault event batch, by BuildRouteBlocks, which
+// finds the distances of all row classes at once with bitset reach sets,
+// one pass per hop level, into quotient blocks whose cells index small
+// per-row dictionaries (RouteBlocks), so a routing decision is one
+// packed-cell decode.
 package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync/atomic"
 
@@ -125,9 +128,11 @@ func NewPointToPointTopology(g *digraph.Digraph) Topology {
 // node u transmits on out[u] and coupler c is heard by heads[c], as
 // quotient blocks: rows are out-twin classes (identical out-coupler lists,
 // in the same order) and columns are in-twin classes (identical lists of
-// couplers heard). Each row class runs one BFS and one route scan over the
-// column classes, nothing is ever expanded to per-node rows, and each row
-// is packed into b as soon as its scan ends. b's arrays are reused when
+// couplers heard). Distances come from reach sets, one bitset over the
+// column classes per row class, which advance one hop level per pass for
+// all row classes at once (see distances). Then each row class runs one
+// route scan, and each row is packed into b as soon as its scan ends.
+// Nothing is ever expanded to per-node rows. b's arrays are reused when
 // they are large enough.
 func BuildRouteBlocks(b *RouteBlocks, out, heads [][]int) {
 	var rb RouteBuilder
@@ -138,19 +143,19 @@ func BuildRouteBlocks(b *RouteBlocks, out, heads [][]int) {
 // rebuilds blocks often (faults.FaultedTopology, once per event batch)
 // allocates it once. The zero value is ready to use.
 type RouteBuilder struct {
-	heardStart, heard    []int32 // node v hears heard[heardStart[v]:heardStart[v+1]]
-	rowRep, colRep       []int32 // class -> its smallest member
-	colStart, colMembers []int32 // column class k: colMembers[colStart[k]:colStart[k+1]]
-	kindStart, kinds     []int32 // coupler c: kinds[kindStart[c]:kindStart[c+1]]
-	adjStart, adj        []int32 // column class k: adj[adjStart[k]:adjStart[k+1]]
-	byList               map[uint64]int32
-	seen, queue          []int32
-	best                 []uint32
-	vals                 []RouteCell
-	d8                   []uint8
-	d16                  []uint16
-	d32                  []uint32
-	w                    blockWriter
+	heardStart, heard []int32 // node v hears heard[heardStart[v]:heardStart[v+1]]
+	rowRep, colRep    []int32 // class -> its smallest member
+	kindStart, kinds  []int32 // coupler c: kinds[kindStart[c]:kindStart[c+1]]
+	nextStart, next   []int32 // row class r: next[nextStart[r]:nextStart[r+1]]
+	byList            map[uint64]int32
+	seen              []int32
+	reach             []uint64    // two hop levels of reach sets, one bitset over the columns per row
+	dist              []uint64    // every cell's distance, packed in lanes (distances)
+	relays            []int32     // the current row's relay heads, as their row classes
+	vias              []uint64    // the current row's vias and reachable distances, in lanes
+	codes             []int32     // the current row's cells, as codes into cells
+	cells             []RouteCell // the current row's possible cells, by code
+	w                 blockWriter
 }
 
 // Build is BuildRouteBlocks on rb's scratch.
@@ -186,29 +191,12 @@ func (rb *RouteBuilder) Build(b *RouteBlocks, out, heads [][]int) {
 		return rb.heard[rb.heardStart[v]:rb.heardStart[v+1]]
 	})
 	row, col := b.Row, b.Col
-	cols := len(rb.colRep)
-
-	// The members of each column class, ascending, as CSR.
-	rb.colStart = grown(rb.colStart, cols+1)
-	clear(rb.colStart)
-	for _, k := range col {
-		rb.colStart[k+1]++
-	}
-	for k := 0; k < cols; k++ {
-		rb.colStart[k+1] += rb.colStart[k]
-	}
-	rb.colMembers = grown(rb.colMembers, n)
-	for v, k := range col {
-		rb.colMembers[rb.colStart[k]] = int32(v)
-		rb.colStart[k]++
-	}
-	copy(rb.colStart[1:], rb.colStart[:cols])
-	rb.colStart[0] = 0
+	rows := len(rb.rowRep)
 
 	// kinds keeps, in head order, the first head of coupler c of each
 	// (row, column) class pair: later heads of the same pair have the same
-	// distances and hear the same couplers, so neither the BFS nor the
-	// strict-< route scan can learn anything from them.
+	// distances and hear the same couplers, so neither the reach sets nor
+	// the route scan can learn anything from them.
 	rb.kindStart = grown(rb.kindStart, m+1)
 	rb.kinds = slices.Grow(rb.kinds[:0], len(rb.heard))
 	for c, hs := range heads {
@@ -222,33 +210,31 @@ func (rb *RouteBuilder) Build(b *RouteBlocks, out, heads [][]int) {
 	}
 	rb.kindStart[m] = int32(len(rb.kinds))
 
-	// adj lists the distinct column classes one hop from column class k:
-	// the columns of the heads of every coupler a member of k transmits
-	// on. Every member of a column is at the same distance from a row, so
-	// the BFS expands a column once for all its members.
-	rb.adjStart = grown(rb.adjStart, cols+1)
-	rb.adj = rb.adj[:0]
-	rb.seen = grown(rb.seen, cols) // seen[t] == k+1: t is in adj of k
+	// next lists the distinct row classes one hop from row class r: the
+	// rows of the heads of the couplers r transmits on. What a node reaches
+	// within t hops depends only on its row, so the reach set of r grows
+	// from the sets of these rows.
+	rb.nextStart = grown(rb.nextStart, rows+1)
+	rb.next = rb.next[:0]
+	rb.seen = grown(rb.seen, rows) // seen[q] == r+1: q is in next of r
 	clear(rb.seen)
-	for k := 0; k < cols; k++ {
-		rb.adjStart[k] = int32(len(rb.adj))
-		for _, v := range rb.colMembers[rb.colStart[k]:rb.colStart[k+1]] {
-			for _, c := range out[v] {
-				for _, h := range rb.kinds[rb.kindStart[c]:rb.kindStart[c+1]] {
-					if t := col[h]; rb.seen[t] != int32(k+1) {
-						rb.seen[t] = int32(k + 1)
-						rb.adj = append(rb.adj, t)
-					}
+	for r, u := range rb.rowRep {
+		rb.nextStart[r] = int32(len(rb.next))
+		for _, c := range out[u] {
+			for _, h := range rb.kinds[rb.kindStart[c]:rb.kindStart[c+1]] {
+				if q := row[h]; rb.seen[q] != int32(r+1) {
+					rb.seen[q] = int32(r + 1)
+					rb.next = append(rb.next, q)
 				}
 			}
 		}
 	}
-	rb.adjStart[cols] = int32(len(rb.adj))
+	rb.nextStart[rows] = int32(len(rb.next))
 
-	// Distances fit one byte per cell in all but networks of diameter 254
-	// or more; those are built again with wider scratch.
-	if !routeRows(rb, &rb.d8, b, out) && !routeRows(rb, &rb.d16, b, out) {
-		routeRows(rb, &rb.d32, b, out)
+	// Distances fit one byte per cell in all but networks of diameter 255
+	// or more; those are built again with 16-bit, then 32-bit lanes.
+	if !routeRows[uint8](rb, b, out) && !routeRows[uint16](rb, b, out) {
+		routeRows[uint32](rb, b, out)
 	}
 }
 
@@ -256,89 +242,210 @@ func (rb *RouteBuilder) Build(b *RouteBlocks, out, heads [][]int) {
 // is short. The contents are not cleared.
 func grown[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
-// routeRows computes the distance and route of every (row class, column
-// class) cell into b, keeping every row's distances in scratch, one D per
-// cell with the largest D meaning unreachable. It reports false, leaving
-// b's cells unwritten, when a distance does not fit D.
-func routeRows[D uint8 | uint16 | uint32](rb *RouteBuilder, scratch *[]D, b *RouteBlocks, out [][]int) bool {
-	far := ^D(0)
-	rows, cols := len(rb.rowRep), len(rb.colRep)
-	row, col := b.Row, b.Col
-	*scratch = grown(*scratch, rows*cols)
-	dist := *scratch
-	kinds, kindStart, adj, adjStart := rb.kinds, rb.kindStart, rb.adj, rb.adjStart
+// lane is the type of one cell's distance in the build's scratch, where
+// the distances are packed into words, 64 bits/lane of them to a word, low
+// lanes first; a lane of all ones is an unreachable cell.
+type lane interface{ uint8 | uint16 | uint32 }
 
-	// Distances: one BFS per row class over the column classes, seeded
-	// with the columns of the class's couplers at distance 1. The result
-	// is D(k) = 1 + min over the heads w of the class's couplers of
-	// dist(w, v) for any v in column k: dist(u, v) for every member u and
-	// v != u.
-	queue := slices.Grow(rb.queue[:0], cols)
-	for r := 0; r < rows; r++ {
-		d := dist[r*cols : (r+1)*cols]
-		for k := range d {
-			d[k] = far
-		}
-		queue = queue[:0]
-		for _, c := range out[rb.rowRep[r]] {
+// laneBits returns the bits of a lane of type D, a constant in every
+// instance.
+func laneBits[D lane]() uint { return uint(bits.Len64(uint64(^D(0)))) }
+
+// distances fills rb.dist with the distance of every (row class, column
+// class) cell, in lanes of type D, stride words a row, and returns the
+// largest. It reports false when a distance does not fit a lane.
+//
+// The column classes row class r reaches within t hops form its reach
+// set R_t(r): the columns of r's heads and, for t > 1, R_{t-1}(q) of
+// every row q in next(r). A cell's distance is the first t whose R_t
+// holds it. R_t(r) = R_{t-1}(r) ∪ ⋃ R_{t-1}(q), so each pass derives
+// every row's level-t set from the level t-1 sets with word-wide ORs and
+// records the distance of the bits it adds, and the passes end when no
+// set grows, after at most diameter+1 of them: O(diameter × rows ×
+// |next| × cols/64) word operations. The two levels of sets take a
+// quarter of the bytes of the 8-bit distances.
+func distances[D lane](rb *RouteBuilder, out [][]int, col []int32) (int, bool) {
+	far, lb := uint64(^D(0)), int(laneBits[D]())
+	rows, cols := len(rb.rowRep), len(rb.colRep)
+	stride, words := (cols*lb+63)/64, (cols+63)/64
+	rb.dist = grown(rb.dist, rows*stride)
+	for i := range rb.dist {
+		rb.dist[i] = ^uint64(0)
+	}
+	dist, kinds, kindStart := rb.dist, rb.kinds, rb.kindStart
+	rb.reach = grown(rb.reach, 2*rows*words)
+	cur, nxt := rb.reach[:rows*words], rb.reach[rows*words:]
+	clear(cur)
+	maxd := 0
+	for r, u := range rb.rowRep {
+		set := cur[r*words : r*words+words]
+		for _, c := range out[u] {
 			for _, h := range kinds[kindStart[c]:kindStart[c+1]] {
-				if k := col[h]; d[k] == far {
-					d[k] = 1
-					queue = append(queue, k)
-				}
+				set[col[h]>>6] |= 1 << (col[h] & 63)
 			}
 		}
-		for i := 0; i < len(queue); i++ {
-			x := d[queue[i]]
-			if x == far-1 {
-				return false // one more hop would not fit D
-			}
-			k := queue[i]
-			for _, t := range adj[adjStart[k]:adjStart[k+1]] {
-				if d[t] == far {
-					d[t] = x + 1
-					queue = append(queue, t)
-				}
+		for i, x := range set {
+			if x != 0 {
+				maxd = 1
+				setLanes[D](dist[r*stride+i*lb:], x, far^1)
 			}
 		}
 	}
-	rb.queue = queue
-
-	// Routes: one scan per row class over the class's couplers and heads,
-	// in topology order with a strict < so the first strictly closest head
-	// wins; best starts at the class's own distance. A head h is at
-	// distance 0 from itself, and every in-twin of h hears the coupler too,
-	// so the first coupler with a head in a column delivers to the whole
-	// column. Each row goes to the writer as soon as its scan ends.
-	rb.best = grown(rb.best, cols)
-	rb.vals = grown(rb.vals, cols)
-	best, vals := rb.best, rb.vals
-	none := RouteCell{Route: MakeRouteEntry(-1, -1, false), Dist: digraph.Unreachable}
-	rb.w.start(b, rows, cols)
-	for r := 0; r < rows; r++ {
-		for k, x := range dist[r*cols : (r+1)*cols] {
-			best[k], vals[k] = uint32(x), none
-			if x != far {
-				vals[k].Dist = int32(x)
+	for t := uint64(2); ; t++ {
+		grew := false
+		for r := 0; r < rows; r++ {
+			own, set := cur[r*words:r*words+words], nxt[r*words:r*words+words]
+			copy(set, own)
+			for _, q := range rb.next[rb.nextStart[r]:rb.nextStart[r+1]] {
+				for i, x := range cur[int(q)*words : int(q)*words+words] {
+					set[i] |= x
+				}
+			}
+			for i, x := range set {
+				if fresh := x &^ own[i]; fresh != 0 {
+					if t == far {
+						return 0, false
+					}
+					grew = true
+					setLanes[D](dist[r*stride+i*lb:], fresh, far^t)
+				}
 			}
 		}
-		for _, c := range out[rb.rowRep[r]] {
+		if !grew {
+			return maxd, true
+		}
+		maxd = int(t)
+		cur, nxt = nxt, cur
+	}
+}
+
+// laneSpread[i][m] has the low bit of lane j set for every bit j of m,
+// for lanes 8<<i bits wide. It is an array, so it stays off the heap.
+var laneSpread = func() (t [3][256]uint64) {
+	for i := range t {
+		lb, per := 8<<i, 8>>i
+		for m := 0; m < 1<<per; m++ {
+			for j := 0; j < per; j++ {
+				t[i][m] |= uint64(m>>j&1) << (j * lb)
+			}
+		}
+	}
+	return t
+}()
+
+// setLanes XORs x into the lane of d of type D of every bit of fresh: bit
+// j is lane j. A lane that held all ones then holds the distance x was
+// made from.
+func setLanes[D lane](d []uint64, fresh, x uint64) {
+	lb := laneBits[D]()
+	per := 64 / lb
+	m := uint64(1)<<per - 1
+	spread := &laneSpread[bits.Len(lb)-4]
+	for j := 0; fresh != 0; j++ {
+		d[j] ^= spread[fresh&m] * x
+		fresh >>= per
+	}
+}
+
+// zeroLanes returns the high bit of every lane of z that is zero, where
+// low is a word with every bit set but the lanes' high bits.
+func zeroLanes(z, low uint64) uint64 { return ^((z&low + low) | z) &^ low }
+
+// laneCodes sets codes[k] to via*span + distance from lane k of vias and
+// near, whose lanes are of type D. It is a function of its own so that
+// its loop keeps its few values in registers.
+func laneCodes[D lane](codes []int32, vias, near []uint64, span int) {
+	far, lb := uint64(^D(0)), laneBits[D]()
+	per := int(64 / lb)
+	for w, v := range vias {
+		x, c := near[w], codes[w*per:w*per+per]
+		for l := range c {
+			c[l] = int32(int(v&far)*span + int(x&far))
+			v, x = v>>lb, x>>lb
+		}
+	}
+}
+
+// routeRows computes the distance and route of every (row class, column
+// class) cell into b, with distances in lanes of type D. It reports false
+// when a distance, or the number of ways out of a row class, does not fit
+// a lane; b is then only part written, and a build with wider lanes
+// starts it over.
+func routeRows[D lane](rb *RouteBuilder, b *RouteBlocks, out [][]int) bool {
+	maxd, ok := distances[D](rb, out, b.Col)
+	if !ok {
+		return false
+	}
+	far, lb := uint64(^D(0)), laneBits[D]()
+	per := 64 / lb
+	ones := ^uint64(0) / far
+	low := ^(ones << (lb - 1))
+	rows, cols := len(rb.rowRep), len(rb.colRep)
+	stride := (cols*int(lb) + 63) / 64
+	dist, row, col, kinds, kindStart := rb.dist, b.Row, b.Col, rb.kinds, rb.kindStart
+	span := max(maxd, 1) + 1
+	none := RouteCell{Route: MakeRouteEntry(-1, -1, false), Dist: digraph.Unreachable}
+	rb.codes = grown(rb.codes, stride*int(per)) // whole words, past cols
+	rb.vias = grown(rb.vias, 2*stride)
+	codes, vias, near := rb.codes, rb.vias[:stride], rb.vias[stride:]
+	rb.w.start(b, rows, cols)
+	for r, u := range rb.rowRep {
+		// The row's ways out, by via: 0 is no route, 1+p delivers on
+		// out[u][p], and 1+len(out[u])+j relays through the row's j-th head
+		// in list order. Its cells are coded via*span + distance.
+		ds := len(out[u])
+		rb.relays = rb.relays[:0]
+		for _, c := range out[u] {
+			for _, h := range kinds[kindStart[c]:kindStart[c+1]] {
+				rb.relays = append(rb.relays, row[h])
+			}
+		}
+		if uint64(1+ds+len(rb.relays)) > far {
+			return false
+		}
+		rb.cells = grown(rb.cells, (1+ds+len(rb.relays))*span)
+		cells := rb.cells
+		cells[0] = none
+		j := 1 + ds
+		for p, c := range out[u] {
+			cells[(1+p)*span+1] = RouteCell{Route: MakeRouteEntry(c, -1, true), Dist: 1}
 			for _, h := range kinds[kindStart[c]:kindStart[c+1]] {
 				via := MakeRouteEntry(c, int(h), false)
-				hr := int(row[h])
-				for k, dh := range dist[hr*cols : (hr+1)*cols] {
-					if uint32(dh) < best[k] {
-						best[k] = uint32(dh)
-						vals[k].Route = via
-					}
+				for d := 2; d < span; d++ {
+					cells[j*span+d] = RouteCell{Route: via, Dist: int32(d)}
 				}
-				if k := col[h]; best[k] > 0 {
-					best[k] = 0
-					vals[k].Route = MakeRouteEntry(c, -1, true)
-				}
+				j++
 			}
 		}
-		rb.w.row(vals)
+
+		// Relays: a cell at distance D >= 2 goes through the first head in
+		// list order at distance D-1 from its column. Each distance word is
+		// matched against the heads' words, all its lanes at once, and the
+		// vias found go to the same lanes of vias; near is the word with
+		// its unreachable lanes cleared, so that they code 0.
+		for w, x := range dist[r*stride : (r+1)*stride] {
+			unreachable := zeroLanes(^x, low)
+			pend := ^(unreachable | zeroLanes(x^ones, low) | low)
+			target, v := x-ones, uint64(0)
+			for j, q := range rb.relays {
+				hit := zeroLanes(dist[int(q)*stride+w]^target, low) & pend
+				pend &^= hit
+				v |= hit >> (lb - 1) * uint64(1+ds+j)
+			}
+			vias[w], near[w] = v, x&^(unreachable>>(lb-1)*far)
+		}
+		laneCodes[D](codes, vias, near, span)
+		// Deliveries: a head h is at distance 0 from itself, and every
+		// in-twin of h hears the coupler too, so the first coupler with a
+		// head in a column delivers to the whole column. Writing the
+		// couplers last to first leaves the first.
+		for p := ds - 1; p >= 0; p-- {
+			c := out[u][p]
+			for _, h := range kinds[kindStart[c]:kindStart[c+1]] {
+				codes[col[h]] = int32((1+p)*span + 1)
+			}
+		}
+		rb.w.row(codes[:cols], cells)
 	}
 	return true
 }
