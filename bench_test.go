@@ -433,7 +433,7 @@ func BenchmarkFaultEventLargeN(b *testing.B) {
 // state: the "step" variant measures Engine.Step alone under a
 // deterministic injection pattern; the "run-loop" variant measures the
 // full sim.Run inner loop (Traffic.Generate into a reusable scratch,
-// Inject, Step). After warmup the ring buffers, arbitration scratch and
+// Inject, Step). After warmup the message pool, arbitration scratch and
 // injection scratch have reached their high-water marks, so both variants
 // must report 0 B/op.
 func BenchmarkStepAllocFree(b *testing.B) {
@@ -445,7 +445,7 @@ func BenchmarkStepAllocFree(b *testing.B) {
 		step := func() {
 			// Rotating sources and destinations at per-node rate 1/8: below
 			// SK(6,3,2) saturation with no persistent hot flow, so queue
-			// lengths — and therefore ring capacities — stay bounded.
+			// lengths — and therefore the message pool — stay bounded.
 			const stride = 8
 			off := 1 + (slot*7)%(n-1)
 			for u := slot % stride; u < n; u += stride {

@@ -1,7 +1,7 @@
 // Command experiments runs the full reproduction campaign: every numeric
 // claim and construction of the paper (experiments T1-T8 of DESIGN.md) is
-// recomputed and printed as a markdown table, ready to paste into
-// EXPERIMENTS.md. Figures F1-F12 are covered by cmd/figures and the test
+// recomputed and printed as a markdown table; DESIGN.md indexes the
+// experiments and records the paper's errata. Figures F1-F12 are covered by cmd/figures and the test
 // suite; this command covers the quantitative side.
 //
 //	go run ./cmd/experiments          # all experiments

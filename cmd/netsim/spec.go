@@ -210,6 +210,14 @@ func (f *simFlags) checkSweep() error {
 	if ex["repeat"] {
 		return fmt.Errorf("-repeat is a single-scenario flag; use -seeds for sweep repetitions")
 	}
+	if *f.net == "all" {
+		// gridSpec swaps in the fixed comparable-scale trio.
+		for _, name := range []string{"t", "g", "s", "d", "k", "n"} {
+			if ex[name] {
+				return fmt.Errorf("-%s does not apply to -net all, which sweeps the fixed comparable-scale trio", name)
+			}
+		}
+	}
 	// Explicit single-run flags pin their sweep axis (see gridSpec), so
 	// setting both a single-run flag and its sweep counterpart is an error.
 	for _, c := range [][2]string{{"rate", "rates"}, {"deflect", "modes"}, {"wavelengths", "waveset"}, {"seed", "seeds"}, {"faults", "faultset"}} {

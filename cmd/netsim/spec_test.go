@@ -335,6 +335,21 @@ func TestTopologyFlagsBelowOne(t *testing.T) {
 	})
 }
 
+// TestTopologyFlagsWithNetAll pairs each topology flag with its error
+// under -net all -sweep, whose trio has fixed sizes: an explicit flag
+// would otherwise be ignored without a word.
+func TestTopologyFlagsWithNetAll(t *testing.T) {
+	var cases []argsCase
+	for _, name := range []string{"s", "d", "k", "t", "g", "n"} {
+		cases = append(cases, argsCase{"-" + name,
+			[]string{"-net", "all", "-sweep", "-rates", "0.1", "-seeds", "1", "-" + name, "3"},
+			"-" + name + " does not apply to -net all, which sweeps the fixed comparable-scale trio", 2})
+	}
+	cases = append(cases, argsCase{"no topology flag",
+		[]string{"-net", "all", "-sweep", "-rates", "0.1", "-seeds", "1", "-slots", "10", "-drain", "10"}, "", 0})
+	runArgsCases(t, cases)
+}
+
 // TestFaultSpecFlags pairs each bad fault flag with its exact error from
 // faults.Spec.Validate through GridSpec; the defaults and a valid
 // transient spec run.

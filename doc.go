@@ -13,6 +13,5 @@
 // research artifact); see README.md for the architecture map, cmd/ for the
 // executables, and examples/ for runnable walkthroughs. The benchmarks in
 // bench_test.go regenerate every table and figure of the paper (see
-// DESIGN.md for the experiment index and EXPERIMENTS.md for recorded
-// results).
+// DESIGN.md for the experiment index and the paper's errata).
 package otisnet

@@ -14,7 +14,7 @@ func TestNCounts(t *testing.T) {
 		// The paper's §2.5 example says "KG(5,4) has N = 3750 nodes", but by
 		// its own formula d^{k-1}(d+1), KG(5,4) has 5³·6 = 750 nodes; 3750
 		// is KG(5,5). We encode the formula (the definition) and record the
-		// erratum in EXPERIMENTS.md.
+		// erratum in DESIGN.md's experiment index.
 		{5, 4, 750}, {5, 5, 3750},
 	}
 	for _, c := range cases {

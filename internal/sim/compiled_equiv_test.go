@@ -56,42 +56,79 @@ type delivery struct {
 	id, src, dst, hops, slot int
 }
 
-// TestCompiledMatchesLegacyDeliveryStream drives both engines through the
-// same injection schedule and requires the exact same sequence of
-// OnDeliver callbacks — the contract the collective-replay workload
-// depends on.
+// requireSameDeliveries drives the compiled and the legacy engine through
+// the same uniform injection schedule for the given slots and requires the
+// exact same sequence of OnDeliver callbacks and the same metrics.
+func requireSameDeliveries(t *testing.T, topo sim.Topology, cfg sim.Config, rate float64, slots int) sim.Metrics {
+	t.Helper()
+	e := sim.NewEngine(topo, cfg)
+	l := legacysim.NewEngine(topo, cfg)
+	var got, want []delivery
+	e.OnDeliver = func(m sim.Message, slot int) {
+		got = append(got, delivery{m.ID, m.Src, m.Dst, m.Hops, slot})
+	}
+	l.OnDeliver = func(m sim.Message, slot int) {
+		want = append(want, delivery{m.ID, m.Src, m.Dst, m.Hops, slot})
+	}
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	n := topo.Nodes()
+	for s := 0; s < slots; s++ {
+		for _, inj := range (sim.UniformTraffic{Rate: rate}).Generate(nil, s, n, rng) {
+			e.Inject(inj.Src, inj.Dst)
+			l.Inject(inj.Src, inj.Dst)
+		}
+		e.Step()
+		l.Step()
+	}
+	if len(got) != len(want) {
+		t.Fatalf("cfg %+v: %d deliveries vs legacy %d", cfg, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("cfg %+v: delivery %d = %+v, legacy %+v", cfg, i, got[i], want[i])
+		}
+	}
+	if len(got) == 0 {
+		t.Fatalf("cfg %+v: no deliveries; test is vacuous", cfg)
+	}
+	if m, lm := e.Metrics(), l.Metrics(); m != lm {
+		t.Fatalf("cfg %+v:\ncompiled %v\nlegacy   %v", cfg, m, lm)
+	}
+	return e.Metrics()
+}
+
+// TestCompiledMatchesLegacyDeliveryStream requires the exact same
+// sequence of OnDeliver callbacks as the legacy engine — the contract the
+// collective-replay workload depends on.
 func TestCompiledMatchesLegacyDeliveryStream(t *testing.T) {
 	topo := sim.NewStackTopology(stackkautz.New(3, 2, 2).StackGraph())
 	for _, cfg := range []sim.Config{{Seed: 9}, {Seed: 10, Deflection: true}, {Seed: 11, Wavelengths: 2}} {
-		e := sim.NewEngine(topo, cfg)
-		l := legacysim.NewEngine(topo, cfg)
-		var got, want []delivery
-		e.OnDeliver = func(m sim.Message, slot int) {
-			got = append(got, delivery{m.ID, m.Src, m.Dst, m.Hops, slot})
-		}
-		l.OnDeliver = func(m sim.Message, slot int) {
-			want = append(want, delivery{m.ID, m.Src, m.Dst, m.Hops, slot})
-		}
-		rng := rand.New(rand.NewSource(cfg.Seed))
-		n := topo.Nodes()
-		for s := 0; s < 400; s++ {
-			for _, inj := range (sim.UniformTraffic{Rate: 0.5}).Generate(nil, s, n, rng) {
-				e.Inject(inj.Src, inj.Dst)
-				l.Inject(inj.Src, inj.Dst)
-			}
-			e.Step()
-			l.Step()
-		}
-		if len(got) != len(want) {
-			t.Fatalf("cfg %+v: %d deliveries vs legacy %d", cfg, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("cfg %+v: delivery %d = %+v, legacy %+v", cfg, i, got[i], want[i])
-			}
-		}
-		if len(got) == 0 {
-			t.Fatalf("cfg %+v: no deliveries; test is vacuous", cfg)
+		requireSameDeliveries(t, topo, cfg, 0.5, 400)
+	}
+}
+
+// TestPoolBoundedSelfRelayMatchesLegacy runs bounded queues whose losers
+// deflect back onto their own queue: every node drives one shared coupler
+// that all nodes hear, and a private coupler that only it hears. A full
+// queue must take such a relay, because the message leaves the queue
+// before it re-enters it, as in the legacy dequeue-then-enqueue.
+func TestPoolBoundedSelfRelayMatchesLegacy(t *testing.T) {
+	const n = 6
+	out, heads := make([][]int, n), make([][]int, n+1)
+	for u := 0; u < n; u++ {
+		out[u] = []int{0, 1 + u}
+		heads[0] = append(heads[0], u)
+		heads[1+u] = []int{u}
+	}
+	topo := sim.NewListTopology(out, heads)
+	for _, cfg := range []sim.Config{
+		{Seed: 51, MaxQueue: 1, Deflection: true},
+		{Seed: 52, MaxQueue: 2, Deflection: true},
+		{Seed: 53, MaxQueue: 2, Deflection: true, Wavelengths: 2},
+	} {
+		m := requireSameDeliveries(t, topo, cfg, 0.7, 500)
+		if m.Deflections == 0 || m.Dropped == 0 {
+			t.Fatalf("cfg %+v: %v; no self-relay into a full queue was tested", cfg, m)
 		}
 	}
 }
@@ -123,6 +160,29 @@ func TestCompiledMatchesLegacyUnderFaults(t *testing.T) {
 			if got.LostToFaults+got.Unroutable+got.Reroutes == 0 {
 				t.Errorf("plan %d cfg %+v: faults never disturbed the run; test is vacuous", pi, cfg)
 			}
+		}
+	}
+}
+
+// TestPoolRerouteWalkMatchesLegacy runs fault plans over deep queues, so
+// every event walks long queues along their links to count reroutes, and
+// requires the legacy engine's metrics, fault counters included.
+func TestPoolRerouteWalkMatchesLegacy(t *testing.T) {
+	base := sim.NewStackTopology(stackkautz.New(6, 3, 2).StackGraph())
+	plans := []faults.Plan{
+		faults.Random(faults.KindCoupler, 6, 150, base, 3),
+		faults.Stochastic(faults.KindNode, 4, base, 60, 30, 400, 11),
+		faults.Stochastic(faults.KindCoupler, 8, base, 40, 20, 400, 12),
+	}
+	for pi, plan := range plans {
+		cfg := sim.Config{Seed: int64(61 + pi)}
+		got := sim.Run(faults.Wrap(base, plan), sim.UniformTraffic{Rate: 0.9}, 400, 400, cfg)
+		want := legacysim.Run(faults.Wrap(base, plan), sim.UniformTraffic{Rate: 0.9}, 400, 400, cfg)
+		if got != want {
+			t.Errorf("plan %d:\ncompiled %v\nlegacy   %v", pi, got, want)
+		}
+		if got.Reroutes == 0 || got.PeakQueue < 20 {
+			t.Errorf("plan %d: %v; the walk never met a deep queue with a rerouted message", pi, got)
 		}
 	}
 }

@@ -143,9 +143,13 @@ func (m Metrics) String() string {
 // instead of each stalling the transmit chain. Steady-state slot cost is
 // O(active nodes + touched couplers), not O(N + M): nodes with queued
 // traffic live on an active list, and only couplers that saw a request or
-// grant this slot are arbitrated, transmitted and cleared. The hot path is
-// allocation-free once scratch high-water marks are reached, and Reset
-// re-arms the engine for another scenario without reallocating any of it.
+// grant this slot are arbitrated, transmitted and cleared. Every queued
+// message lives in one message pool, chained into its node's FIFO, and a
+// node's queue, active-list position and head-of-line request share one
+// 32-byte record, so a relay relinks a message instead of copying it. The
+// hot path is allocation-free once the pool and scratch high-water marks
+// are reached, and Reset re-arms the engine for another scenario without
+// reallocating any of it.
 type Engine struct {
 	// OnDeliver, when non-nil, is invoked for every delivered message with
 	// its final hop count and the delivery slot. It lets experiments record
@@ -183,30 +187,25 @@ type Engine struct {
 	base      []int32     // row class r's dictionary starts at dict[base[r]]
 	dict      []RouteCell // decoded (route, distance) cells
 
-	queues []ring
+	// nodes holds each node's queue, active-list position and head-of-line
+	// request (nodeRec); the queues chain slots of pool, whose free slots
+	// chain from free (-1 when none is free).
+	nodes []nodeRec
+	pool  []qmsg
+	free  int32
 	// rr holds per-coupler round-robin grant cursors for fairness.
 	rr      []int32
 	nextID  int
 	slot    int
 	backlog int // queued messages, tracked incrementally
 
-	// active lists the nodes with a non-empty queue; activePos[u] is u's
+	// active lists the nodes with a non-empty queue; nodes[u].pos is u's
 	// index in it (-1 when idle). Order is arbitrary — every order-sensitive
 	// consumer sorts its own working set — so activation and deactivation
-	// are O(1) swap-removes.
-	active    []int32
-	activePos []int32
-	// headReq[u] is the precompiled request of u's head-of-line message
-	// (coupler < 0 when it is unroutable), valid while u is active. It is
-	// recomputed when the head changes — enqueue to an empty queue,
-	// dropFront leaving a survivor, topology events — so the per-slot
-	// request scan reads one entry per active node instead of re-deriving
-	// the route. The first two defer the recompute: they append the node
-	// and its new head's destination to pend, and resolveHeads computes
-	// the whole list at the top of the next step, before anything reads
-	// headReq.
-	headReq []txRequest
-	pend    []pendHead
+	// are O(1) swap-removes. pend lists the head-of-line requests to
+	// recompute at the top of the next step (nodeRec).
+	active []int32
+	pend   []pendHead
 
 	metrics Metrics
 
@@ -273,13 +272,11 @@ func NewEngine(topo Topology, cfg Config) *Engine {
 		outCount:  make([]int32, n),
 		headStart: make([]int32, m+1),
 		headCount: make([]int32, m),
-		queues:    make([]ring, n),
+		nodes:     make([]nodeRec, n),
 		rr:        make([]int32, m),
 		touched:   make([]uint64, (m+63)/64),
 		winners:   make([]bool, n),
 		reqMask:   make([]uint64, (n+63)/64),
-		activePos: make([]int32, n),
-		headReq:   make([]txRequest, n),
 	}
 	e.obs.shard = obs.NextShard()
 	if e.dyn, _ = topo.(DynamicTopology); e.dyn != nil {
@@ -330,24 +327,23 @@ func copyList(slot []int32, count *int32, list []int, what string, i int) {
 }
 
 // Reset re-arms the engine for a fresh scenario under cfg: queues,
-// cursors, metrics and the slot clock return to their initial
-// state while every buffer (rings, scratch, topology snapshot) keeps its
-// capacity, so repeated scenarios on one engine allocate nothing. A run
-// after Reset is bit-for-bit identical to a run on a newly constructed
-// engine. Dynamic topologies are rewound to their pre-event state.
+// cursors, metrics and the slot clock return to their initial state while
+// every buffer (the message pool, truncated to empty, scratch, topology
+// snapshot) keeps its capacity, so repeated scenarios on one engine
+// allocate nothing. A run after Reset is bit-for-bit identical to a run on
+// a newly constructed engine. Dynamic topologies are rewound to their
+// pre-event state.
 func (e *Engine) Reset(cfg Config) {
 	e.cfg = cfg
-	for i := range e.queues {
-		e.queues[i].reset()
+	for i := range e.nodes {
+		e.nodes[i] = nodeRec{pos: -1}
 	}
+	e.pool, e.free = e.pool[:0], -1
 	for i := range e.rr {
 		e.rr[i] = 0
 	}
 	for i := range e.winners {
 		e.winners[i] = false
-	}
-	for i := range e.activePos {
-		e.activePos[i] = -1
 	}
 	e.active = e.active[:0]
 	// step leaves the touched bitmap zero; clearing it here is defense
@@ -413,36 +409,13 @@ func (e *Engine) Inject(src, dst int) {
 		return
 	}
 	e.metrics.Injected++
-	if m := e.enqueue(src, int32(dst)); m != nil {
+	if !e.drops(src) {
+		i := e.alloc()
+		m := &e.pool[i]
 		m.id, m.src, m.dst, m.born, m.hops = int32(e.nextID), int32(src), int32(dst), int32(e.slot), 0
+		e.link(src, i)
 	}
 	e.nextID++
-}
-
-// enqueue appends a message bound for dst to node's queue and returns its
-// slot for the caller to fill, or nil when MaxQueue drops it.
-func (e *Engine) enqueue(node int, dst int32) *qmsg {
-	q := &e.queues[node]
-	if e.cfg.MaxQueue > 0 && q.len() >= e.cfg.MaxQueue {
-		e.metrics.Dropped++
-		return nil
-	}
-	m := q.push()
-	e.backlog++
-	d := q.len()
-	// Queue-depth histogram tally: a bits.Len bucket pick and two plain
-	// adds on engine-local memory, published only at scenario flush.
-	e.obs.qDepth[qDepthBucket(d)]++
-	e.obs.qDepthSum += int64(d)
-	if d > e.metrics.PeakQueue {
-		e.metrics.PeakQueue = d
-	}
-	if d == 1 {
-		e.activePos[node] = int32(len(e.active))
-		e.active = append(e.active, int32(node))
-		e.deferHead(node, dst)
-	}
-	return m
 }
 
 // pendHead is a deferred head-of-line resolution: node's head message
@@ -475,10 +448,10 @@ func (e *Engine) resolveHeads() {
 		r := int(rowOf[p.node])
 		p.at = base[r] + int32(unpack(cells, shift, mask, r*cols+int(colOf[p.dst])))
 	}
-	activePos, headReq, dict := e.activePos, e.headReq, e.dict
+	nodes, dict := e.nodes, e.dict
 	for _, p := range pend {
-		if activePos[p.node] >= 0 {
-			headReq[p.node] = headRequest(p.node, dict[p.at].Route)
+		if q := &nodes[p.node]; q.pos >= 0 {
+			q.req = headRequest(p.node, dict[p.at].Route)
 		}
 	}
 	e.pend = pend[:0]
@@ -494,7 +467,7 @@ func (e *Engine) cellOf(u, dst int) RouteCell {
 // computeHeadReq refreshes node's precompiled head-of-line request from
 // the route blocks; dst is the head message's destination.
 func (e *Engine) computeHeadReq(node int, dst int32) {
-	e.headReq[node] = headRequest(int32(node), e.cellOf(node, int(dst)).Route)
+	e.nodes[node].req = headRequest(int32(node), e.cellOf(node, int(dst)).Route)
 }
 
 // headRequest is node's request for a head message whose route entry is r.
@@ -503,34 +476,6 @@ func headRequest(node int32, r RouteEntry) txRequest {
 		return txRequest{node: node, coupler: -1}
 	}
 	return txRequest{node: node, coupler: r.c &^ deliverFlag, nextHop: r.h, delivers: r.c&deliverFlag != 0}
-}
-
-// dropFront discards the head-of-line message at node without copying it
-// out — consumers read the fields they need through front() first — and
-// keeps backlog and the active list in sync. The emptied-queue bookkeeping
-// lives in deactivate so dropFront stays within the inlining budget of the
-// Phase 4 loop.
-func (e *Engine) dropFront(node int) {
-	e.backlog--
-	q := &e.queues[node]
-	q.head = (q.head + 1) & (len(q.buf) - 1)
-	q.n--
-	if q.n == 0 {
-		e.deactivate(node)
-	} else {
-		e.deferHead(node, q.buf[q.head].dst)
-	}
-}
-
-// deactivate swap-removes a now-idle node from the active list, O(1).
-func (e *Engine) deactivate(node int) {
-	p := e.activePos[node]
-	last := int32(len(e.active) - 1)
-	moved := e.active[last]
-	e.active[p] = moved
-	e.activePos[moved] = p
-	e.active = e.active[:last]
-	e.activePos[node] = -1
 }
 
 // Step advances the simulation by one slot: head-of-line resolution, fault
@@ -588,7 +533,7 @@ func (e *Engine) arbitrateAndTransmit() {
 	bestKey, grantSlot := e.bestKey, e.grantSlot
 	for i := 0; i < len(e.active); {
 		u := int(e.active[i])
-		r := e.headReq[u]
+		r := e.nodes[u].req
 		if r.coupler < 0 {
 			// Unroutable: on the static, strongly connected topologies this
 			// cannot happen; under faults it means the destination (or the
@@ -598,7 +543,7 @@ func (e *Engine) arbitrateAndTransmit() {
 			e.dropFront(u)
 			e.metrics.Dropped++
 			e.metrics.Unroutable++
-			if e.activePos[u] >= 0 {
+			if e.nodes[u].pos >= 0 {
 				i++
 			}
 			continue
@@ -673,7 +618,7 @@ func (e *Engine) arbitrateAndTransmit() {
 				if e.winners[u] {
 					continue
 				}
-				msg := e.queues[u].front()
+				dst := int(e.front(u).dst)
 				ob, oc := e.outStart[u], e.outCount[u]
 				for oi := ob; oi < ob+oc; oi++ {
 					c := int(e.outList[oi])
@@ -685,7 +630,7 @@ func (e *Engine) arbitrateAndTransmit() {
 							continue // full window
 						}
 					}
-					bestHop, delivers := e.deflectTarget(c, int(msg.dst))
+					bestHop, delivers := e.deflectTarget(c, dst)
 					if bestHop < 0 {
 						continue
 					}
@@ -782,15 +727,15 @@ func (e *Engine) deflectTarget(c, dst int) (bestHop int32, delivers bool) {
 	return bestHop, delivers
 }
 
-// transmit executes one granted transmission: the sender pops its
-// head-of-line message, which is delivered if the destination hears the
-// coupler (the precompiled delivers bit) and relayed to the chosen next
-// hop otherwise.
+// transmit executes one granted transmission: the sender takes its
+// head-of-line message off its queue; the message is delivered if the
+// destination hears the coupler (the precompiled delivers bit) and
+// relinked onto the chosen next hop's queue otherwise.
 func (e *Engine) transmit(r txRequest) {
 	src := int(r.node)
-	msg := e.queues[src].front()
+	msg := e.front(src)
 	if r.delivers {
-		// Read the delivered message in place; no copy leaves the ring.
+		// Read the delivered message in place; nothing is copied.
 		hops := int(msg.hops) + 1
 		e.metrics.Delivered++
 		e.metrics.TotalLatency += e.slot + 1 - int(msg.born)
@@ -810,16 +755,15 @@ func (e *Engine) transmit(r txRequest) {
 		}
 		e.dropFront(src)
 	} else {
-		// One ring-to-ring copy; dropping the source slot first mirrors
-		// the legacy dequeue-then-enqueue order (it matters when a
-		// deflection relays a message back onto its own bounded queue).
-		// dropFront leaves the slot's contents in place, so msg still
-		// holds the message when the slot enqueue returns is that same
-		// slot (a full queue relaying to itself) or in a grown buffer.
-		e.dropFront(src)
-		if m := e.enqueue(int(r.nextHop), msg.dst); m != nil {
-			*m = *msg
-			m.hops++
+		// Unlinking first mirrors the legacy dequeue-then-enqueue order:
+		// it matters when a deflection relays a message back onto its own
+		// bounded queue, which the unlink has just made room in.
+		i := e.unlink(src)
+		if next := int(r.nextHop); e.drops(next) {
+			e.release(i)
+		} else {
+			msg.hops++
+			e.link(next, i)
 		}
 	}
 }
@@ -836,7 +780,7 @@ func (e *Engine) applyTopologyChange(ch TopologyChange) {
 	e.dirty = true
 	disrupted := false
 	for _, u := range ch.FailedNodes {
-		for e.queues[u].len() > 0 {
+		for e.nodes[u].n > 0 {
 			e.dropFront(u)
 			e.metrics.Dropped++
 			e.metrics.LostToFaults++
@@ -851,16 +795,15 @@ func (e *Engine) applyTopologyChange(ch TopologyChange) {
 	// representative head.
 	for _, ui := range e.active {
 		u := int(ui)
-		e.computeHeadReq(u, e.queues[u].front().dst)
+		e.computeHeadReq(u, e.front(u).dst)
 	}
 	if ch.EntryChanged != nil {
 		// Only active nodes hold queued messages; order does not matter for
 		// counting.
 		for _, ui := range e.active {
 			u := int(ui)
-			q := &e.queues[u]
-			for i := 0; i < q.len(); i++ {
-				dst := int(q.at(i).dst)
+			for i := e.nodes[u].head; i >= 0; i = e.pool[i].next {
+				dst := int(e.pool[i].dst)
 				if !ch.EntryChanged(u, dst) {
 					continue
 				}

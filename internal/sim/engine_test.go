@@ -2,7 +2,7 @@ package sim
 
 // Focused engine tests for the paths the original suite under-covered:
 // hot-potato deflection, multi-wavelength arbitration, round-robin
-// fairness, the ring-buffer FIFOs, and the precomputed routing tables.
+// fairness, the message pool's FIFOs, and the precomputed routing tables.
 
 import (
 	"fmt"
@@ -164,7 +164,7 @@ func TestRoundRobinGrantsCycleFairly(t *testing.T) {
 			for s := 0; s < n; s++ {
 				e.Step()
 				for u := 0; u < n; u++ {
-					l := e.queues[u].len()
+					l := int(e.nodes[u].n)
 					sent, want := prev[u]-l, 0
 					if (u-cursor+n)%n < w {
 						want = 1 // one of the W nodes that follow the cursor
@@ -199,7 +199,7 @@ func TestRRCursorAdvancesPastLastWinner(t *testing.T) {
 	for s := 0; s < 4; s++ {
 		e.Step()
 		for u := 0; u < 2; u++ {
-			if l := e.queues[u].len(); l != prev[u] {
+			if l := int(e.nodes[u].n); l != prev[u] {
 				winners = append(winners, u)
 				prev[u] = l
 			}
@@ -213,56 +213,137 @@ func TestRRCursorAdvancesPastLastWinner(t *testing.T) {
 	}
 }
 
-// --- ring buffer ---
+// --- message pool ---
 
-func TestRingFIFOOrderAcrossWraparound(t *testing.T) {
-	var r ring
-	next, expect := 0, 0
-	push := func(k int) {
-		for i := 0; i < k; i++ {
-			*r.push() = qmsg{id: int32(next)}
-			next++
+// queueIDs walks node u's queue along its links and returns the message
+// ids from head to tail. It fails when the walk does not end (next = -1)
+// exactly at the queue's recorded length and tail.
+func queueIDs(t *testing.T, e *Engine, u int) []int {
+	t.Helper()
+	q := e.nodes[u]
+	var ids []int
+	last := int32(-1)
+	for i := q.head; q.n > 0 && i >= 0; i = e.pool[i].next {
+		if len(ids) == int(q.n) {
+			t.Fatalf("node %d: queue of length %d links on past its tail to slot %d", u, q.n, i)
 		}
+		ids = append(ids, int(e.pool[i].id))
+		last = i
 	}
-	pop := func(k int) {
-		for i := 0; i < k; i++ {
-			if m := r.pop(); int(m.id) != expect {
-				t.Fatalf("popped ID %d, want %d", m.id, expect)
-			}
-			expect++
-		}
+	if len(ids) != int(q.n) || (q.n > 0 && last != q.tail) {
+		t.Fatalf("node %d: walk read %d messages ending at slot %d, record says %d ending at %d", u, len(ids), last, q.n, q.tail)
 	}
-	push(3)
-	pop(2)  // head advances, leaving wrap room
-	push(6) // forces wraparound and growth
-	pop(7)
-	if r.len() != 0 {
-		t.Fatalf("ring should be empty, len=%d", r.len())
-	}
-	push(5)
-	pop(5)
+	return ids
 }
 
-func TestRingGrowPreservesOrder(t *testing.T) {
-	var r ring
-	// Interleave pushes and pops so head is mid-buffer when growth hits.
-	id := 0
-	for i := 0; i < 3; i++ {
-		*r.push() = qmsg{id: int32(id)}
-		id++
-	}
-	r.pop()
-	r.pop()
-	for i := 0; i < 20; i++ { // repeated growth with head offset
-		*r.push() = qmsg{id: int32(id)}
-		id++
-	}
-	want := 2
-	for r.len() > 0 {
-		if m := r.pop(); int(m.id) != want {
-			t.Fatalf("popped %d, want %d", m.id, want)
+// checkPool requires every node's queue to hold want[u] in FIFO order and
+// the queued and free slots to partition the pool.
+func checkPool(t *testing.T, e *Engine, want [][]int) {
+	t.Helper()
+	queued := 0
+	for u := range want {
+		got := queueIDs(t, e, u)
+		if fmt.Sprint(got) != fmt.Sprint(want[u]) {
+			t.Fatalf("node %d queue %v, want %v", u, got, want[u])
 		}
-		want++
+		if (e.nodes[u].pos >= 0) != (len(got) > 0) {
+			t.Fatalf("node %d with %d queued has active position %d", u, len(got), e.nodes[u].pos)
+		}
+		queued += len(got)
+	}
+	free := 0
+	for i := e.free; i >= 0; i = e.pool[i].next {
+		if free++; free > len(e.pool) {
+			t.Fatal("free list does not end")
+		}
+	}
+	if queued != e.backlog || queued+free != len(e.pool) {
+		t.Fatalf("%d queued (backlog %d) and %d free slots in a pool of %d", queued, e.backlog, free, len(e.pool))
+	}
+}
+
+// TestPoolFIFOPerNodeInterleaved drives injections, drops and relays on
+// many nodes at once, so every node's queue is spread over slots freed
+// and reused in an order set by the other queues, and checks each queue
+// against a per-node FIFO after every operation.
+func TestPoolFIFOPerNodeInterleaved(t *testing.T) {
+	const n = 12
+	e := NewEngine(popsTopology(n, 1), Config{Seed: 1})
+	rng := rand.New(rand.NewSource(7))
+	for round := 0; round < 2; round++ {
+		want := make([][]int, n)
+		for op := 0; op < 3000; op++ {
+			u := rng.Intn(n)
+			switch k := rng.Intn(6); {
+			case k < 3 || len(want[u]) == 0:
+				id := e.nextID
+				e.Inject(u, (u+1+rng.Intn(n-1))%n)
+				want[u] = append(want[u], id)
+			case k < 5:
+				// A relay: the head moves to v's tail, v = u included.
+				v := rng.Intn(n)
+				e.link(v, e.unlink(u))
+				want[v] = append(want[v], want[u][0])
+				want[u] = want[u][1:]
+			default:
+				e.dropFront(u)
+				want[u] = want[u][1:]
+			}
+			e.pend = e.pend[:0]
+			checkPool(t, e, want)
+		}
+		e.Reset(Config{Seed: 1})
+		checkPool(t, e, make([][]int, n))
+	}
+}
+
+// TestPoolReusesFreedSlots runs long scenarios and requires the pool to
+// end exactly at the high-water mark of the backlog: every delivered,
+// purged or dropped message gives its slot back, and a slot is appended
+// only when none is free. Reset empties the pool but keeps its array.
+func TestPoolReusesFreedSlots(t *testing.T) {
+	topo := skTopology(3, 2, 2)
+	n := topo.Nodes()
+	run := func(e *Engine, cfg Config, rate float64) int {
+		e.Reset(cfg)
+		rng := rand.New(rand.NewSource(cfg.Seed))
+		peak := 0
+		var inj []Injection
+		for s := 0; s < 3000; s++ {
+			inj = (UniformTraffic{Rate: rate}).Generate(inj[:0], s, n, rng)
+			for _, in := range inj {
+				e.Inject(in.Src, in.Dst)
+				peak = max(peak, e.Backlog())
+			}
+			e.Step()
+		}
+		for e.Backlog() > 0 {
+			e.Step()
+		}
+		return peak
+	}
+	for _, cfg := range []Config{
+		{Seed: 1},
+		{Seed: 2, MaxQueue: 1},
+		{Seed: 3, MaxQueue: 2, Deflection: true},
+	} {
+		e := NewEngine(topo, cfg)
+		peak := run(e, cfg, 0.6)
+		if len(e.pool) != peak {
+			t.Fatalf("cfg %+v: pool of %d slots after a run whose backlog peaked at %d", cfg, len(e.pool), peak)
+		}
+		if cfg.MaxQueue > 0 && e.Metrics().Dropped == 0 {
+			t.Fatalf("cfg %+v: bounded run dropped nothing; test is vacuous", cfg)
+		}
+		held := &e.pool[:1][0]
+		// A lighter scenario reuses the same array and stays below it.
+		light := run(e, cfg, 0.1)
+		if len(e.pool) != light || light > peak || &e.pool[:1][0] != held {
+			t.Fatalf("cfg %+v: after Reset the pool has %d slots (peak %d, earlier %d) or a new array", cfg, len(e.pool), light, peak)
+		}
+		if again := run(e, cfg, 0.6); again != peak || len(e.pool) != peak || &e.pool[:1][0] != held {
+			t.Fatalf("cfg %+v: rerun peaked at %d with a pool of %d, first run %d", cfg, again, len(e.pool), peak)
+		}
 	}
 }
 
@@ -321,8 +402,8 @@ func TestBacklogMatchesQueueScan(t *testing.T) {
 		}
 		e.Step()
 		scan := 0
-		for u := range e.queues {
-			scan += e.queues[u].len()
+		for u := range e.nodes {
+			scan += int(e.nodes[u].n)
 		}
 		if m := e.Metrics(); m.Backlog != scan {
 			t.Fatalf("slot %d: incremental backlog %d != queue scan %d", s, m.Backlog, scan)

@@ -12,7 +12,7 @@ import (
 func HeadsError(e *Engine) error {
 	heads := map[int32]txRequest{}
 	for _, u := range e.active {
-		heads[u] = e.headReq[u]
+		heads[u] = e.nodes[u].req
 	}
 	for _, p := range e.pend {
 		if _, active := heads[p.node]; active {
@@ -21,7 +21,7 @@ func HeadsError(e *Engine) error {
 		}
 	}
 	for _, u := range e.active {
-		want := headRequest(u, e.cellOf(int(u), int(e.queues[u].front().dst)).Route)
+		want := headRequest(u, e.cellOf(int(u), int(e.front(int(u)).dst)).Route)
 		if got := heads[u]; got != want {
 			return fmt.Errorf("slot %d: node %d head request %+v, route entry of its queue front gives %+v", e.slot, u, got, want)
 		}
