@@ -353,14 +353,16 @@ func BenchmarkEngineRunLargeN(b *testing.B) {
 }
 
 // BenchmarkNewStackTopology times the route-table build: the route
-// blocks, one dictionary-coded cell per pair of row and column classes,
-// whose distances come from reach sets advanced one hop level per pass
-// for all row classes at once, each row packed as soon as its route scan
-// ends. SK(4,2,8) (N=1536) and SK(4,2,10) (N=6144, the sk6144-single
-// topology) have one class per group; the point-to-point de Bruijn
-// B(2,12) (N=4096) has one per node. The graph is built outside the
-// timer. table-MiB is what the topology keeps: the packed cells, the row
-// dictionaries with their offsets, and the class maps.
+// blocks, one cell per pair of row and column classes in each of two
+// planes, a dictionary-coded route plane and a raw distance plane, whose
+// distances come from reach sets advanced one hop level per pass for all
+// row classes at once, each row packed as soon as its route scan ends.
+// SK(4,2,8) (N=1536) and SK(4,2,10) (N=6144, the sk6144-single topology)
+// have one class per group; the point-to-point de Bruijn B(2,12) (N=4096)
+// has one per node. The graph is built outside the timer. table-MiB is
+// what the topology keeps (tableMiB); route-MiB is the part of it that
+// head-of-line resolution reads on every step (routeMiB), so it shows
+// whether a topology's hot routing state fits in L2.
 func BenchmarkNewStackTopology(b *testing.B) {
 	for _, tc := range []struct {
 		name  string
@@ -384,6 +386,7 @@ func BenchmarkNewStackTopology(b *testing.B) {
 				}
 			}
 			b.ReportMetric(tableMiB(topo.RouteBlocks()), "table-MiB")
+			b.ReportMetric(routeMiB(topo.RouteBlocks()), "route-MiB")
 		})
 	}
 }
@@ -395,10 +398,16 @@ func stackBuild(s, d, k int) func() sim.Topology {
 	return func() sim.Topology { return sim.NewStackTopology(sg) }
 }
 
-// tableMiB is the size of a topology's route blocks, in MiB: the packed
-// cells, the row dictionaries with their offsets, and the class maps.
+// tableMiB is the size of a topology's route blocks, in MiB: both packed
+// planes, the route dictionaries with their offsets, and the class maps.
 func tableMiB(bl *sim.RouteBlocks) float64 {
-	bytes := 8*len(bl.Cells) + len(bl.Dict)*int(unsafe.Sizeof(sim.RouteCell{})) + 4*(len(bl.Base)+len(bl.Row)+len(bl.Col))
+	return routeMiB(bl) + float64(8*len(bl.Dists)+4*(len(bl.Row)+len(bl.Col)))/(1<<20)
+}
+
+// routeMiB is the size of a topology's route plane, in MiB: the packed
+// route cells and the route dictionaries with their offsets.
+func routeMiB(bl *sim.RouteBlocks) float64 {
+	bytes := 8*len(bl.Cells) + len(bl.Dict)*int(unsafe.Sizeof(sim.RouteEntry{})) + 4*len(bl.Base)
 	return float64(bytes) / (1 << 20)
 }
 

@@ -10,6 +10,7 @@ package kautz
 
 import (
 	"fmt"
+	"math"
 
 	"otisnet/internal/digraph"
 )
@@ -20,14 +21,15 @@ type DeBruijn struct {
 	g    *digraph.Digraph
 }
 
-// DeBruijnN returns d^k, the number of vertices of B(d,k).
+// DeBruijnN returns d^k, the number of vertices of B(d,k). It panics when
+// the count does not fit an int.
 func DeBruijnN(d, k int) int {
 	if d < 1 || k < 1 {
 		panic(fmt.Sprintf("kautz: invalid de Bruijn parameters d=%d k=%d", d, k))
 	}
-	n := 1
-	for i := 0; i < k; i++ {
-		n *= d
+	n, ok := scaled(1, d, k)
+	if !ok {
+		panic(fmt.Sprintf("kautz: B(%d,%d) has more than %d vertices", d, k, math.MaxInt))
 	}
 	return n
 }

@@ -8,6 +8,7 @@ package kautz
 
 import (
 	"fmt"
+	"math"
 
 	"otisnet/internal/digraph"
 )
@@ -64,16 +65,29 @@ func (l Label) Valid(d int) bool {
 	return true
 }
 
-// N returns the number of vertices of KG(d,k): d^{k-1} * (d+1).
+// N returns the number of vertices of KG(d,k): d^{k-1} * (d+1). It panics
+// when the count does not fit an int.
 func N(d, k int) int {
 	if d < 1 || k < 1 {
 		panic(fmt.Sprintf("kautz: invalid parameters d=%d k=%d", d, k))
 	}
-	n := d + 1
-	for i := 1; i < k; i++ {
-		n *= d
+	n, ok := scaled(d+1, d, k-1)
+	if !ok || d == math.MaxInt {
+		panic(fmt.Sprintf("kautz: KG(%d,%d) has more than %d vertices", d, k, math.MaxInt))
 	}
 	return n
+}
+
+// scaled returns n·d^e, and false when it does not fit an int; n and d
+// are at least 1.
+func scaled(n, d, e int) (int, bool) {
+	for ; e > 0 && d > 1; e-- {
+		if n > math.MaxInt/d {
+			return 0, false
+		}
+		n *= d
+	}
+	return n, true
 }
 
 // Graph is the Kautz digraph KG(d,k) together with its word labeling.

@@ -1,6 +1,7 @@
 package kautz
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -31,6 +32,40 @@ func TestNInvalidPanics(t *testing.T) {
 		}
 	}()
 	N(0, 1)
+}
+
+// TestCountsOverflowPanic: a vertex count that does not fit an int panics
+// with the family and the bound instead of wrapping, and the largest
+// counts that fit are exact.
+func TestCountsOverflowPanic(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		count func() int
+		want  string
+	}{
+		{"KG(2,70)", func() int { return N(2, 70) }, "kautz: KG(2,70) has more than 9223372036854775807 vertices"},
+		{"KG(max,1)", func() int { return N(math.MaxInt, 1) }, "kautz: KG(9223372036854775807,1) has more than 9223372036854775807 vertices"},
+		{"B(2,70)", func() int { return DeBruijnN(2, 70) }, "kautz: B(2,70) has more than 9223372036854775807 vertices"},
+		{"B(3,40)", func() int { return DeBruijnN(3, 40) }, "kautz: B(3,40) has more than 9223372036854775807 vertices"},
+	} {
+		func() {
+			defer func() {
+				if got := recover(); got != tc.want {
+					t.Errorf("%s: panic %v, want %q", tc.name, got, tc.want)
+				}
+			}()
+			t.Errorf("%s: count %d, want a panic", tc.name, tc.count())
+		}()
+	}
+	if n := DeBruijnN(2, 62); n != 1<<62 {
+		t.Errorf("DeBruijnN(2,62) = %d, want 2^62", n)
+	}
+	if n := N(2, 62); n != 3<<61 {
+		t.Errorf("N(2,62) = %d, want 3·2^61", n)
+	}
+	if n := DeBruijnN(1, math.MaxInt); n != 1 {
+		t.Errorf("DeBruijnN(1, MaxInt) = %d, want 1", n)
+	}
 }
 
 func TestLabelString(t *testing.T) {

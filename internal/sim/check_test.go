@@ -35,25 +35,37 @@ func (f *fakeTopology) RouteBlocks() *RouteBlocks {
 		id[u] = int32(u)
 	}
 	b := &RouteBlocks{Row: id, Col: slices.Clone(id)}
-	var w blockWriter
-	w.start(b, n, n)
-	codes := make([]int32, n)
+	maxd := 0
 	for u := 0; u < n; u++ {
-		var cells []RouteCell
-		for dst := range codes {
+		for dst := 0; dst < n; dst++ {
+			maxd = max(maxd, f.dist(u, dst))
+		}
+	}
+	var w blockWriter
+	w.start(b, n, n, maxd)
+	codes := make([]uint64, (n+1)/2) // 32-bit lanes
+	for u := 0; u < n; u++ {
+		var routes []RouteEntry
+		clear(codes)
+		for dst := 0; dst < n; dst++ {
 			c, hop := f.next(u, dst)
 			delivers := c >= 0 && c < len(f.heads) && slices.Contains(f.heads[c], dst)
 			if delivers {
 				hop = -1 // Entry reads dst
 			}
-			cell := RouteCell{MakeRouteEntry(c, hop, delivers), int32(f.dist(u, dst))}
-			i := slices.Index(cells, cell)
+			route := MakeRouteEntry(c, hop, delivers)
+			i := slices.Index(routes, route)
 			if i < 0 {
-				i, cells = len(cells), append(cells, cell)
+				i, routes = len(routes), append(routes, route)
 			}
-			codes[dst] = int32(i)
+			codes[dst/2] |= uint64(i) << (dst % 2 * 32)
+			d := f.dist(u, dst)
+			if d < 0 {
+				d = int(cellMask(b.DistShift)) // unreachable
+			}
+			pack(b.Dists, b.DistShift, u*n+dst, d)
 		}
-		w.row(codes, cells)
+		w.row(codes, 32, routes)
 	}
 	return b
 }

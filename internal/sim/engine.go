@@ -133,10 +133,14 @@ func (m Metrics) String() string {
 // topology — CSR copies of the out-coupler and head lists, and the route
 // blocks the topology lends (RouteBlocks), re-read after every fault
 // event. Inside Step there are no Topology interface calls — routing is one
-// packed-cell decode from the route blocks (a cell per row class × column
-// class) and one load from the row's dictionary, whose route entry's
-// delivers-here bit replaces the per-transmission head-set scan, and the
-// coupler structure is read from CSR arrays. A node whose head-of-line
+// packed-cell decode from the route plane of the blocks (a cell per row
+// class × column class) and one load from the row's dictionary, whose
+// route entry's delivers-here bit replaces the per-transmission head-set
+// scan; only deflection reads the distance plane, one packed-cell decode
+// a distance; and the coupler structure is read from CSR arrays. The two
+// planes are kept apart so the one the slot loop reads for every head
+// stays small: on SK(4,2,10) the route plane is 4 bits a cell, 1.2 MiB,
+// and the distance plane another 4 bits a cell. A node whose head-of-line
 // message changes is put on a pending list, and the whole list is resolved
 // in one batch at the top of the next step, so the route loads — most of
 // them cache misses on a large network — are independent and overlap
@@ -181,11 +185,14 @@ type Engine struct {
 	rowOf     []int32 // node -> row class of the blocks (source side)
 	colOf     []int32 // node -> column class of the blocks (destination side)
 	cols      int
-	shift     uint        // packed block cells are 1<<shift bits wide
-	mask      uint64      // cellMask(shift)
-	cells     []uint64    // (u, dst) is cell rowOf[u]*cols+colOf[dst]
-	base      []int32     // row class r's dictionary starts at dict[base[r]]
-	dict      []RouteCell // decoded (route, distance) cells
+	shift     uint         // route cells are 1<<shift bits wide
+	mask      uint64       // cellMask(shift)
+	cells     []uint64     // the route plane: (u, dst) is cell rowOf[u]*cols+colOf[dst]
+	base      []int32      // row class r's dictionary starts at dict[base[r]]
+	dict      []RouteEntry // the route dictionaries
+	dshift    uint         // distance cells are 1<<dshift bits wide
+	dmask     uint64       // cellMask(dshift), the unreachable value
+	dists     []uint64     // the distance plane, indexed as the route plane
 
 	// nodes holds each node's queue, active-list position and head-of-line
 	// request (nodeRec); the queues chain slots of pool, whose free slots
@@ -311,6 +318,7 @@ func (e *Engine) sync(t Topology) {
 	b := t.RouteBlocks()
 	e.rowOf, e.colOf, e.cols = b.Row, b.Col, b.Cols
 	e.shift, e.mask, e.cells, e.base, e.dict = b.Shift, cellMask(b.Shift), b.Cells, b.Base, b.Dict
+	e.dshift, e.dmask, e.dists = b.DistShift, cellMask(b.DistShift), b.Dists
 }
 
 // copyList copies list into its CSR slot and sets its count, panicking
@@ -421,7 +429,7 @@ func (e *Engine) Inject(src, dst int) {
 // pendHead is a deferred head-of-line resolution: node's head message
 // changed, and dst is the new head's destination. at is scratch of
 // resolveHeads: the position of the (node, dst) cell's entry in the
-// block dictionary.
+// route dictionaries.
 type pendHead struct {
 	node, dst, at int32
 }
@@ -432,9 +440,12 @@ func (e *Engine) deferHead(node int, dst int32) {
 }
 
 // resolveHeads computes every pending head-of-line request in two tight
-// loops: the first decodes each entry's block cell into its dictionary
+// loops: the first decodes each entry's route cell into its dictionary
 // position, the second loads the route entries. Within each loop the
-// loads do not depend on each other, so their cache misses overlap.
+// loads do not depend on each other, so their cache misses overlap. Only
+// the route plane is read, which on SK(4,2,10) is 1152 KiB of 4-bit cells
+// and 60 KiB of dictionaries: it stays in a 2 MiB L2 next to the node
+// records, where cells that carried distances too would not.
 // Entries are in the order the heads changed, so a node listed twice ends
 // with its latest head; nodes that went idle since are skipped. The
 // tables are held in locals: the stores would otherwise make the compiler
@@ -451,23 +462,29 @@ func (e *Engine) resolveHeads() {
 	nodes, dict := e.nodes, e.dict
 	for _, p := range pend {
 		if q := &nodes[p.node]; q.pos >= 0 {
-			q.req = headRequest(p.node, dict[p.at].Route)
+			q.req = headRequest(p.node, dict[p.at])
 		}
 	}
 	e.pend = pend[:0]
 }
 
-// cellOf returns the decoded block cell for (u, dst), u != dst. A
-// delivering cell's next hop is not meaningful; transmit never reads it.
-func (e *Engine) cellOf(u, dst int) RouteCell {
+// routeOf returns the route entry of the (u, dst) cell, u != dst. A
+// delivering entry's next hop is not meaningful; transmit never reads it.
+func (e *Engine) routeOf(u, dst int) RouteEntry {
 	r := int(e.rowOf[u])
 	return e.dict[int(e.base[r])+unpack(e.cells, e.shift, e.mask, r*e.cols+int(e.colOf[dst]))]
+}
+
+// distOf returns the hop distance from u to dst, u != dst, read from the
+// distance plane: digraph.Unreachable when there is no path.
+func (e *Engine) distOf(u, dst int) int32 {
+	return hops(e.dists, e.dshift, e.dmask, int(e.rowOf[u])*e.cols+int(e.colOf[dst]))
 }
 
 // computeHeadReq refreshes node's precompiled head-of-line request from
 // the route blocks; dst is the head message's destination.
 func (e *Engine) computeHeadReq(node int, dst int32) {
-	e.nodes[node].req = headRequest(int32(node), e.cellOf(node, int(dst)).Route)
+	e.nodes[node].req = headRequest(int32(node), e.routeOf(node, int(dst)))
 }
 
 // headRequest is node's request for a head message whose route entry is r.
@@ -708,6 +725,8 @@ func (e *Engine) windowLen(base int) int {
 // deflectTarget scans coupler c's compiled head set for the live head
 // closest to dst (the deflection target), reporting whether dst itself
 // hears the coupler. bestHop is -1 when no head has a live path to dst.
+// Each head's distance is one load from the distance plane, the only
+// place the slot loop reads it.
 func (e *Engine) deflectTarget(c, dst int) (bestHop int32, delivers bool) {
 	bestHop, bestDist := int32(-1), int32(1<<30)
 	hb, hc := e.headStart[c], e.headCount[c]
@@ -717,7 +736,7 @@ func (e *Engine) deflectTarget(c, dst int) (bestHop int32, delivers bool) {
 		if int(h) == dst {
 			delivers = true
 		} else {
-			d = e.cellOf(int(h), dst).Dist
+			d = e.distOf(int(h), dst)
 		}
 		if d >= 0 && d < bestDist {
 			bestDist = d
@@ -808,7 +827,7 @@ func (e *Engine) applyTopologyChange(ch TopologyChange) {
 					continue
 				}
 				disrupted = true
-				if e.cellOf(u, dst).Route.c >= 0 {
+				if e.routeOf(u, dst).c >= 0 {
 					e.metrics.Reroutes++
 				}
 			}

@@ -16,12 +16,12 @@ func HeadsError(e *Engine) error {
 	}
 	for _, p := range e.pend {
 		if _, active := heads[p.node]; active {
-			r := e.cellOf(int(p.node), int(p.dst)).Route
+			r := e.routeOf(int(p.node), int(p.dst))
 			heads[p.node] = headRequest(p.node, r)
 		}
 	}
 	for _, u := range e.active {
-		want := headRequest(u, e.cellOf(int(u), int(e.front(int(u)).dst)).Route)
+		want := headRequest(u, e.routeOf(int(u), int(e.front(int(u)).dst)))
 		if got := heads[u]; got != want {
 			return fmt.Errorf("slot %d: node %d head request %+v, route entry of its queue front gives %+v", e.slot, u, got, want)
 		}

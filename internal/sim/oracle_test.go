@@ -19,6 +19,7 @@ import (
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"otisnet/internal/digraph"
 	"otisnet/internal/faults"
@@ -30,18 +31,20 @@ import (
 
 // checkTablesMatch expands the blocks a topology lends the engine per node
 // and compares them with the oracle's tables, reporting the first
-// differing entry. The blocks must have at most maxClasses rows and
-// columns, and their dictionaries and cell width must be as small as
-// their cells allow (checkDictionaries).
+// differing entry: routes come from the route plane, distances from the
+// distance plane. The blocks must have at most maxClasses rows and
+// columns, and their dictionaries and the widths of both planes must be
+// as small as their cells allow (checkDictionaries).
 func checkTablesMatch(t *testing.T, name string, topo sim.Topology, dist [][]int, route []sim.RouteEntry, maxClasses int) {
 	t.Helper()
 	n := topo.Nodes()
 	b := topo.RouteBlocks()
 	rows := b.Rows()
-	if len(b.Row) != n || len(b.Col) != n || b.Cols <= 0 || rows <= 0 || b.Shift > 5 || b.Base[0] != 0 ||
-		int(b.Base[rows]) != len(b.Dict) || len(b.Cells) != (rows*b.Cols<<b.Shift+63)/64 {
-		t.Fatalf("%s: malformed blocks: len(Row) %d, len(Col) %d, Cols %d, %d rows, shift %d, %d words, %d dictionary entries",
-			name, len(b.Row), len(b.Col), b.Cols, rows, b.Shift, len(b.Cells), len(b.Dict))
+	if len(b.Row) != n || len(b.Col) != n || b.Cols <= 0 || rows <= 0 || b.Shift > 5 || b.DistShift > 5 || b.Base[0] != 0 ||
+		int(b.Base[rows]) != len(b.Dict) || len(b.Cells) != (rows*b.Cols<<b.Shift+63)/64 ||
+		len(b.Dists) != (rows*b.Cols<<b.DistShift+63)/64 {
+		t.Fatalf("%s: malformed blocks: len(Row) %d, len(Col) %d, Cols %d, %d rows, route shift %d, %d route words, %d dictionary entries, distance shift %d, %d distance words",
+			name, len(b.Row), len(b.Col), b.Cols, rows, b.Shift, len(b.Cells), len(b.Dict), b.DistShift, len(b.Dists))
 	}
 	if rows > maxClasses || b.Cols > maxClasses {
 		t.Fatalf("%s: %d×%d blocks, want at most %d×%d", name, rows, b.Cols, maxClasses, maxClasses)
@@ -67,21 +70,28 @@ func checkTablesMatch(t *testing.T, name string, topo sim.Topology, dist [][]int
 }
 
 // checkDictionaries decodes every cell of the blocks and requires each
-// row's dictionary to hold exactly the distinct cells of its row, and the
-// cell width to be the smallest power of two that indexes the largest
-// dictionary. It returns that largest dictionary's size.
-func checkDictionaries(t *testing.T, name string, b *sim.RouteBlocks) int {
+// row's dictionary to hold exactly the distinct route entries of its row,
+// an unreachable distance to come with no route and a reachable one with
+// a route, the route width to be the smallest power of two that indexes
+// the largest dictionary, and the distance width the smallest power of
+// two whose all-ones value exceeds the largest distance. It returns that
+// largest dictionary's size and that largest distance.
+func checkDictionaries(t *testing.T, name string, b *sim.RouteBlocks) (widest, far int) {
 	t.Helper()
-	widest := 0
 	for r := 0; r < b.Rows(); r++ {
 		dict := b.Dict[b.Base[r]:b.Base[r+1]]
 		widest = max(widest, len(dict))
-		seen := map[sim.RouteCell]bool{}
+		seen := map[sim.RouteEntry]bool{}
 		for k := 0; k < b.Cols; k++ {
-			seen[b.Cell(r, k)] = true
+			c := b.Cell(r, k)
+			seen[c.Route] = true
+			if (c.Dist == digraph.Unreachable) != (c.Route.Coupler() < 0) {
+				t.Fatalf("%s: cell (%d, %d) has distance %d and coupler %d", name, r, k, c.Dist, c.Route.Coupler())
+			}
+			far = max(far, int(c.Dist))
 		}
 		if len(seen) != len(dict) {
-			t.Fatalf("%s: row class %d has %d dictionary entries for %d distinct cells", name, r, len(dict), len(seen))
+			t.Fatalf("%s: row class %d has %d dictionary entries for %d distinct routes", name, r, len(dict), len(seen))
 		}
 	}
 	want := 1
@@ -89,9 +99,16 @@ func checkDictionaries(t *testing.T, name string, b *sim.RouteBlocks) int {
 		want *= 2
 	}
 	if b.Width() != want {
-		t.Fatalf("%s: %d-bit cells for dictionaries of up to %d entries, want %d bits", name, b.Width(), widest, want)
+		t.Fatalf("%s: %d-bit route cells for dictionaries of up to %d entries, want %d bits", name, b.Width(), widest, want)
 	}
-	return widest
+	want = 1
+	for 1<<want-1 <= far {
+		want *= 2
+	}
+	if b.DistWidth() != want {
+		t.Fatalf("%s: %d-bit distance cells for distances of up to %d, want %d bits", name, b.DistWidth(), far, want)
+	}
+	return widest, far
 }
 
 func TestTablesMatchOracleEveryFamily(t *testing.T) {
@@ -125,35 +142,86 @@ func TestTablesMatchOracleEveryFamily(t *testing.T) {
 	}
 }
 
-// TestTablesMatchOracleEveryWidth covers the narrowest and a wide cell:
-// on the directed 2-cycle each row's dictionary is a relay and a delivery,
-// which fill one bit; on the directed 300-cycle each row holds 300
-// distances, which need 16 bits and, past 254 hops, 16-bit distance lanes
-// in the build's scratch. The reach sets of the 300-cycle take one pass
-// per hop level, 300 passes, and the build must still take well under a
-// second.
+// TestTablesMatchOracleEveryWidth covers the narrowest cells of both
+// planes and a wide distance cell. On a directed n-cycle each row's route
+// dictionary is a relay and a delivery, which fill one bit. On the
+// 2-cycle the distances reach 2, which take 2 bits; on the 300-cycle
+// they reach 300, which take 16 bits and, past 254 hops, 16-bit distance
+// lanes in the build's scratch. On the star of checkStar a row holds 300
+// routes, which take 16-bit route cells, and the distances reach 4,
+// which take 4 bits. The reach sets of the 300-cycle
+// take one pass per hop level, 300 passes, and the build must still take
+// well under a second.
 func TestTablesMatchOracleEveryWidth(t *testing.T) {
 	start := time.Now()
 	sim.NewPointToPointTopology(digraph.Cycle(300))
 	if d := time.Since(start); d > time.Second {
 		t.Fatalf("C_300 blocks took %v to build, want under 1s", d)
 	}
-	for _, tc := range []struct{ n, widest, width int }{{2, 2, 1}, {300, 300, 16}} {
-		widest, width := checkRandomCycle(t, 1, tc.n, 0)
-		if widest != tc.widest || width != tc.width {
-			t.Fatalf("C_%d: %d-bit cells, dictionaries of up to %d entries; want %d bits, %d entries", tc.n, width, widest, tc.widest, tc.width)
+	for _, tc := range []struct {
+		name             string
+		blocks           *sim.RouteBlocks
+		widest, far      int
+		width, distWidth int
+	}{
+		{"C_2", checkRandomCycle(t, 1, 2, 0), 2, 2, 1, 2},
+		{"C_300", checkRandomCycle(t, 1, 300, 0), 2, 300, 1, 16},
+		{"star", checkStar(t), 300, 4, 16, 4},
+	} {
+		widest, far := checkDictionaries(t, tc.name, tc.blocks)
+		if widest != tc.widest || far != tc.far || tc.blocks.Width() != tc.width || tc.blocks.DistWidth() != tc.distWidth {
+			t.Fatalf("%s: up to %d routes a row in %d-bit cells, distances up to %d in %d-bit cells; want %d routes in %d bits, distances up to %d in %d bits",
+				tc.name, widest, tc.blocks.Width(), far, tc.blocks.DistWidth(), tc.widest, tc.width, tc.far, tc.distWidth)
+		}
+	}
+}
+
+// TestBlockPlanesPinned pins the width of each plane and the bytes the
+// blocks keep for the sk6144-single topology SK(4,2,10), the de Bruijn
+// B(2,12) and the paper trio. The route plane is what head-of-line
+// resolution reads: its cells, dictionaries and offsets. All adds the
+// distance plane and the class maps. SK(4,2,10) keeps 4-bit route and
+// 4-bit distance cells, 2.36 MiB in all of which the route plane is 1.19
+// MiB. One plane of indexes into (route, distance) pairs would need 8-bit
+// cells there, 2.67 MiB, all of it on the slot loop's path.
+func TestBlockPlanesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		spec             sweep.TopoSpec
+		width, distWidth int
+		route, all       int
+	}{
+		{sweep.TopoSpec{Net: "sk", S: 4, D: 2, K: 10}, 4, 4, 1247236, 2476036},
+		{sweep.TopoSpec{Net: "debruijn", D: 2, K: 12}, 2, 4, 4341732, 12763108},
+		{sweep.TopoSpec{Net: "sk", S: 6, D: 3, K: 2}, 4, 2, 796, 1412},
+		{sweep.TopoSpec{Net: "pops", T: 9, G: 8}, 4, 2, 580, 1172},
+		{sweep.TopoSpec{Net: "debruijn", D: 3, K: 4}, 4, 4, 7432, 11368},
+	} {
+		topo, err := tc.spec.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := topo.Topo.RouteBlocks()
+		route := 8*len(b.Cells) + len(b.Dict)*int(unsafe.Sizeof(sim.RouteEntry{})) + 4*len(b.Base)
+		all := route + 8*len(b.Dists) + 4*(len(b.Row)+len(b.Col))
+		if b.Width() != tc.width || b.DistWidth() != tc.distWidth || route != tc.route || all != tc.all {
+			t.Errorf("%s: %d-bit route and %d-bit distance cells, %d route bytes of %d; want %d-bit and %d-bit, %d of %d",
+				topo.Name, b.Width(), b.DistWidth(), route, all, tc.width, tc.distWidth, tc.route, tc.all)
 		}
 	}
 }
 
 // TestTablesMatchOracleManyWays covers a row class with more ways out
-// than a byte lane can number. Node 0 transmits on one coupler heard by
-// the 299 hubs 1..299, each of a row class of its own; hub i transmits
-// on a coupler heard by leaf 299+i alone, and every leaf answers on a
-// coupler heard by node 0. Node 0 reaches leaf 299+i through its i-th
-// relay head, so its row numbers 301 ways out and the build takes 16-bit
-// lanes.
-func TestTablesMatchOracleManyWays(t *testing.T) {
+// than a byte lane can number (checkStar).
+func TestTablesMatchOracleManyWays(t *testing.T) { checkStar(t) }
+
+// checkStar builds a 2-star and compares its tables with the oracle's. Node
+// 0 transmits on one coupler heard by the 299 hubs 1..299, each of a row
+// class of its own; hub i transmits on a coupler heard by leaf 299+i
+// alone, and every leaf answers on a coupler heard by node 0. Node 0
+// reaches leaf 299+i through its i-th relay head, so its row numbers 301
+// ways out and the build takes 16-bit lanes. It returns the blocks.
+func checkStar(t *testing.T) *sim.RouteBlocks {
+	t.Helper()
 	const hubs = 299
 	n := 1 + 2*hubs
 	out, heads := make([][]int, n), make([][]int, n)
@@ -166,6 +234,7 @@ func TestTablesMatchOracleManyWays(t *testing.T) {
 	tp := sim.NewListTopology(out, heads)
 	dist, route := legacysim.Oracle(tp)
 	checkTablesMatch(t, "star", tp, dist, route, n)
+	return tp.RouteBlocks()
 }
 
 // TestTablesMatchOracleUnreachable covers reach sets that stop short: in
@@ -241,8 +310,10 @@ func TestTablesMatchOracleDeepFirstWord(t *testing.T) {
 // TestRouteBuilderReuse builds one network after another with one
 // RouteBuilder into one RouteBlocks, as faults.FaultedTopology does at
 // every event batch, through class counts and diameters that grow and
-// shrink and through the fallback from 8- to 16-bit distance lanes, and
-// requires every build to equal a fresh builder's blocks field for field.
+// shrink, through the fallback from 8- to 16-bit distance lanes and
+// through route and distance widths that grow and shrink, and requires
+// every build to equal a fresh builder's blocks field for field, both
+// planes included.
 func TestRouteBuilderReuse(t *testing.T) {
 	var topos []sim.Topology
 	for _, spec := range []sweep.TopoSpec{
@@ -274,10 +345,15 @@ func TestRouteBuilderReuse(t *testing.T) {
 		rb.Build(&reused, out, heads)
 		var fresh sim.RouteBlocks
 		sim.BuildRouteBlocks(&fresh, out, heads)
-		if !slices.Equal(reused.Row, fresh.Row) || !slices.Equal(reused.Col, fresh.Col) || reused.Cols != fresh.Cols ||
-			reused.Shift != fresh.Shift || !slices.Equal(reused.Cells, fresh.Cells) || !slices.Equal(reused.Base, fresh.Base) ||
+		if !slices.Equal(reused.Row, fresh.Row) || !slices.Equal(reused.Col, fresh.Col) || reused.Cols != fresh.Cols {
+			t.Fatalf("build %d (N=%d): the reused builder's classes differ from a fresh builder's", i, tp.Nodes())
+		}
+		if reused.Shift != fresh.Shift || !slices.Equal(reused.Cells, fresh.Cells) || !slices.Equal(reused.Base, fresh.Base) ||
 			!slices.Equal(reused.Dict, fresh.Dict) {
-			t.Fatalf("build %d (N=%d): the reused builder's blocks differ from a fresh builder's", i, tp.Nodes())
+			t.Fatalf("build %d (N=%d): the reused builder's route plane differs from a fresh builder's", i, tp.Nodes())
+		}
+		if reused.DistShift != fresh.DistShift || !slices.Equal(reused.Dists, fresh.Dists) {
+			t.Fatalf("build %d (N=%d): the reused builder's distance plane differs from a fresh builder's", i, tp.Nodes())
 		}
 	}
 }
@@ -285,8 +361,8 @@ func TestRouteBuilderReuse(t *testing.T) {
 // checkRandomCycle builds the directed n-cycle with chords random arcs
 // added as a point-to-point network and compares its tables with the
 // oracle's, before and after the events of fault plans. It returns the
-// largest row dictionary and the cell width of the pristine blocks.
-func checkRandomCycle(t *testing.T, seed int64, n, chords int) (widest, width int) {
+// pristine blocks.
+func checkRandomCycle(t *testing.T, seed int64, n, chords int) *sim.RouteBlocks {
 	t.Helper()
 	g := digraph.Cycle(n)
 	rng := rand.New(rand.NewSource(seed))
@@ -300,8 +376,7 @@ func checkRandomCycle(t *testing.T, seed int64, n, chords int) (widest, width in
 	for _, plan := range faultPlans(tp, seed) {
 		checkFaultedTablesMatch(t, name, tp, plan, n)
 	}
-	b := tp.RouteBlocks()
-	return checkDictionaries(t, name, b), b.Width()
+	return tp.RouteBlocks()
 }
 
 // faultPlans draws node, coupler and transmitter faults that strike at

@@ -14,9 +14,13 @@
 // one static list type. Routing and distances are precomputed once per
 // topology, and once per fault event batch, by BuildRouteBlocks, which
 // finds the distances of all row classes at once with bitset reach sets,
-// one pass per hop level, into quotient blocks whose cells index small
-// per-row dictionaries (RouteBlocks), so a routing decision is one
-// packed-cell decode.
+// one pass per hop level, into quotient blocks of two planes
+// (RouteBlocks): a route plane whose cells index small per-row
+// dictionaries of route entries, so a routing decision is one packed-cell
+// decode, and a distance plane of raw hop distances, which only
+// deflection and the checks read. The slot loop's head-of-line resolution
+// reads the route plane alone: 4-bit cells for SK(4,2,10) and 2-bit cells
+// for the de Bruijn B(2,12), against 4-bit distance cells for both.
 package sim
 
 import (
@@ -149,12 +153,11 @@ type RouteBuilder struct {
 	nextStart, next   []int32 // row class r: next[nextStart[r]:nextStart[r+1]]
 	byList            map[uint64]int32
 	seen              []int32
-	reach             []uint64    // two hop levels of reach sets, one bitset over the columns per row
-	dist              []uint64    // every cell's distance, packed in lanes (distances)
-	relays            []int32     // the current row's relay heads, as their row classes
-	vias              []uint64    // the current row's vias and reachable distances, in lanes
-	codes             []int32     // the current row's cells, as codes into cells
-	cells             []RouteCell // the current row's possible cells, by code
+	reach             []uint64     // two hop levels of reach sets, one bitset over the columns per row
+	dist              []uint64     // every cell's distance, packed in lanes (distances)
+	relays            []int32      // the current row's relay heads, as their row classes
+	vias              []uint64     // the current row's vias (codes into routes), a lane a cell, and the scratch its distances narrow in
+	routes            []RouteEntry // the current row's possible route entries, by code
 	w                 blockWriter
 }
 
@@ -351,21 +354,6 @@ func setLanes[D lane](d []uint64, fresh, x uint64) {
 // low is a word with every bit set but the lanes' high bits.
 func zeroLanes(z, low uint64) uint64 { return ^((z&low + low) | z) &^ low }
 
-// laneCodes sets codes[k] to via*span + distance from lane k of vias and
-// near, whose lanes are of type D. It is a function of its own so that
-// its loop keeps its few values in registers.
-func laneCodes[D lane](codes []int32, vias, near []uint64, span int) {
-	far, lb := uint64(^D(0)), laneBits[D]()
-	per := int(64 / lb)
-	for w, v := range vias {
-		x, c := near[w], codes[w*per:w*per+per]
-		for l := range c {
-			c[l] = int32(int(v&far)*span + int(x&far))
-			v, x = v>>lb, x>>lb
-		}
-	}
-}
-
 // routeRows computes the distance and route of every (row class, column
 // class) cell into b, with distances in lanes of type D. It reports false
 // when a distance, or the number of ways out of a row class, does not fit
@@ -377,22 +365,20 @@ func routeRows[D lane](rb *RouteBuilder, b *RouteBlocks, out [][]int) bool {
 		return false
 	}
 	far, lb := uint64(^D(0)), laneBits[D]()
-	per := 64 / lb
 	ones := ^uint64(0) / far
 	low := ^(ones << (lb - 1))
 	rows, cols := len(rb.rowRep), len(rb.colRep)
 	stride := (cols*int(lb) + 63) / 64
 	dist, row, col, kinds, kindStart := rb.dist, b.Row, b.Col, rb.kinds, rb.kindStart
-	span := max(maxd, 1) + 1
-	none := RouteCell{Route: MakeRouteEntry(-1, -1, false), Dist: digraph.Unreachable}
-	rb.codes = grown(rb.codes, stride*int(per)) // whole words, past cols
 	rb.vias = grown(rb.vias, 2*stride)
-	codes, vias, near := rb.codes, rb.vias[:stride], rb.vias[stride:]
-	rb.w.start(b, rows, cols)
+	vias, folded := rb.vias[:stride], rb.vias[stride:]
+	rb.w.start(b, rows, cols, maxd)
+	dw := uint(b.DistWidth())
 	for r, u := range rb.rowRep {
 		// The row's ways out, by via: 0 is no route, 1+p delivers on
 		// out[u][p], and 1+len(out[u])+j relays through the row's j-th head
-		// in list order. Its cells are coded via*span + distance.
+		// in list order. Its route cells are coded by their via, in the
+		// lanes of vias.
 		ds := len(out[u])
 		rb.relays = rb.relays[:0]
 		for _, c := range out[u] {
@@ -403,17 +389,14 @@ func routeRows[D lane](rb *RouteBuilder, b *RouteBlocks, out [][]int) bool {
 		if uint64(1+ds+len(rb.relays)) > far {
 			return false
 		}
-		rb.cells = grown(rb.cells, (1+ds+len(rb.relays))*span)
-		cells := rb.cells
-		cells[0] = none
+		rb.routes = grown(rb.routes, 1+ds+len(rb.relays))
+		routes := rb.routes
+		routes[0] = MakeRouteEntry(-1, -1, false)
 		j := 1 + ds
 		for p, c := range out[u] {
-			cells[(1+p)*span+1] = RouteCell{Route: MakeRouteEntry(c, -1, true), Dist: 1}
+			routes[1+p] = MakeRouteEntry(c, -1, true)
 			for _, h := range kinds[kindStart[c]:kindStart[c+1]] {
-				via := MakeRouteEntry(c, int(h), false)
-				for d := 2; d < span; d++ {
-					cells[j*span+d] = RouteCell{Route: via, Dist: int32(d)}
-				}
+				routes[j] = MakeRouteEntry(c, int(h), false)
 				j++
 			}
 		}
@@ -421,20 +404,20 @@ func routeRows[D lane](rb *RouteBuilder, b *RouteBlocks, out [][]int) bool {
 		// Relays: a cell at distance D >= 2 goes through the first head in
 		// list order at distance D-1 from its column. Each distance word is
 		// matched against the heads' words, all its lanes at once, and the
-		// vias found go to the same lanes of vias; near is the word with
-		// its unreachable lanes cleared, so that they code 0.
-		for w, x := range dist[r*stride : (r+1)*stride] {
-			unreachable := zeroLanes(^x, low)
-			pend := ^(unreachable | zeroLanes(x^ones, low) | low)
+		// vias found go to the same lanes of vias; unreachable lanes, and
+		// the distance-1 lanes the deliveries take below, keep via 0.
+		drow := dist[r*stride : (r+1)*stride]
+		for w, x := range drow {
+			pend := ^(zeroLanes(^x, low) | zeroLanes(x^ones, low) | low)
 			target, v := x-ones, uint64(0)
 			for j, q := range rb.relays {
 				hit := zeroLanes(dist[int(q)*stride+w]^target, low) & pend
 				pend &^= hit
 				v |= hit >> (lb - 1) * uint64(1+ds+j)
 			}
-			vias[w], near[w] = v, x&^(unreachable>>(lb-1)*far)
+			vias[w] = v
 		}
-		laneCodes[D](codes, vias, near, span)
+		narrowLanes(b.Dists, uint(r*cols)*dw, dw, drow, lb, cols, folded)
 		// Deliveries: a head h is at distance 0 from itself, and every
 		// in-twin of h hears the coupler too, so the first coupler with a
 		// head in a column delivers to the whole column. Writing the
@@ -442,10 +425,12 @@ func routeRows[D lane](rb *RouteBuilder, b *RouteBlocks, out [][]int) bool {
 		for p := ds - 1; p >= 0; p-- {
 			c := out[u][p]
 			for _, h := range kinds[kindStart[c]:kindStart[c+1]] {
-				codes[col[h]] = int32((1+p)*span + 1)
+				at := uint(col[h]) * lb
+				w := &vias[at>>6]
+				*w = *w&^(far<<(at&63)) | uint64(1+p)<<(at&63)
 			}
 		}
-		rb.w.row(codes[:cols], cells)
+		rb.w.row(vias, lb, routes)
 	}
 	return true
 }
@@ -506,18 +491,23 @@ func (l *lists) FingerprintSlot() *atomic.Pointer[Identity] { return &l.id }
 // traffic has somewhere to go), every node has at least one out coupler,
 // every coupler has at least one head, and routing reaches every
 // destination. Returns nil for usable topologies. Reachability is read
-// from the route blocks: each node's row dictionary is tested for an
-// unreachable cell, and only a row whose dictionary holds one is decoded,
-// so the first failing pair, in (u, v) order, is the one reported.
+// from the distance plane of the route blocks: each row class's cells are
+// tested for an unreachable one a word at a time, and only the nodes of a
+// row class that holds one are decoded, so the first failing pair, in
+// (u, v) order, is the one reported.
 func CheckTopology(t Topology) error {
 	n := t.Nodes()
 	if n < 2 {
 		return fmt.Errorf("sim: a network needs at least 2 nodes, this topology has %d", n)
 	}
 	b := t.RouteBlocks()
+	cut := unreachableRows(b)
 	for u := 0; u < n; u++ {
 		if len(t.OutCouplers(u)) == 0 {
 			return fmt.Errorf("sim: node %d cannot transmit", u)
+		}
+		if !cut[b.Row[u]] {
+			continue // every member of u's row class reaches every node
 		}
 		if v := firstUnreachable(b, u); v >= 0 {
 			return fmt.Errorf("sim: node %d cannot reach %d", u, v)
@@ -531,16 +521,31 @@ func CheckTopology(t Topology) error {
 	return nil
 }
 
-// firstUnreachable returns the first node u cannot reach in b, or -1. A
-// row class's dictionary holds every distance of its row, so only a row
-// whose dictionary has an unreachable cell is decoded.
+// unreachableRows reports, for every row class of b, whether its row of
+// the distance plane holds an unreachable (all-ones) cell, testing the
+// cells of a word at once.
+func unreachableRows(b *RouteBlocks) []bool {
+	width := uint(b.DistWidth())
+	low := ^(^uint64(0) / cellMask(b.DistShift) << (width - 1))
+	cut := make([]bool, b.Rows())
+	for r := range cut {
+		from, to := uint(r*b.Cols)*width, uint(r*b.Cols+b.Cols)*width
+		for bit := from; bit < to && !cut[r]; bit = bit&^63 + 64 {
+			in := ^uint64(0) << (bit & 63) // the row's cells in this word
+			if end := to - bit&^63; end < 64 {
+				in &= 1<<end - 1
+			}
+			cut[r] = zeroLanes(^b.Dists[bit>>6], low)&in != 0
+		}
+	}
+	return cut
+}
+
+// firstUnreachable returns the first node u cannot reach in b, or -1.
 func firstUnreachable(b *RouteBlocks, u int) int {
 	r := int(b.Row[u])
-	if !slices.ContainsFunc(b.Dict[b.Base[r]:b.Base[r+1]], func(c RouteCell) bool { return c.Dist == digraph.Unreachable }) {
-		return -1 // every member of u's row class reaches every node
-	}
 	for v, k := range b.Col {
-		if v != u && b.Cell(r, int(k)).Dist == digraph.Unreachable {
+		if v != u && b.dist(r, int(k)) == digraph.Unreachable {
 			return v
 		}
 	}

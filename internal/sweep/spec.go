@@ -9,6 +9,8 @@ package sweep
 
 import (
 	"fmt"
+	"math/bits"
+	"strconv"
 
 	"otisnet/internal/kautz"
 	"otisnet/internal/pops"
@@ -59,7 +61,8 @@ func (ts TopoSpec) withDefaults() TopoSpec {
 
 // Build constructs the topology, its display name and its group size. The
 // display names match cmd/netsim's, so server-submitted grids label output
-// rows exactly as CLI sweeps do.
+// rows exactly as CLI sweeps do. A network with more than maxSize nodes or
+// couplers is rejected with an error before anything is built.
 func (ts TopoSpec) Build() (Topology, error) {
 	ts = ts.withDefaults()
 	if ts.T < 1 || ts.G < 1 || ts.S < 1 || ts.D < 1 || ts.K < 1 || ts.N < 1 {
@@ -67,6 +70,10 @@ func (ts TopoSpec) Build() (Topology, error) {
 	}
 	switch ts.Net {
 	case "sk":
+		groups := one.pow(ts.D, ts.K-1).times(uint64(ts.D) + 1)
+		if err := checkSize(fmt.Sprintf("SK(%d,%d,%d)", ts.S, ts.D, ts.K), groups.times(uint64(ts.S)), groups.times(uint64(ts.D)+1)); err != nil {
+			return Topology{}, err
+		}
 		nw := stackkautz.New(ts.S, ts.D, ts.K)
 		return Topology{
 			Name:      fmt.Sprintf("SK(%d,%d,%d) N=%d couplers=%d", ts.S, ts.D, ts.K, nw.N(), nw.Couplers()),
@@ -74,6 +81,10 @@ func (ts TopoSpec) Build() (Topology, error) {
 			GroupSize: ts.S,
 		}, nil
 	case "stackii":
+		groups := one.times(uint64(ts.N))
+		if err := checkSize(fmt.Sprintf("stack-II(%d,%d,%d)", ts.S, ts.D, ts.N), groups.times(uint64(ts.S)), groups.times(uint64(ts.D)+1)); err != nil {
+			return Topology{}, err
+		}
 		nw := stackkautz.NewII(ts.S, ts.D, ts.N)
 		return Topology{
 			Name:      fmt.Sprintf("stack-II(%d,%d,%d) N=%d couplers=%d", ts.S, ts.D, ts.N, nw.N(), nw.Couplers()),
@@ -81,6 +92,10 @@ func (ts TopoSpec) Build() (Topology, error) {
 			GroupSize: ts.S,
 		}, nil
 	case "pops":
+		groups := one.times(uint64(ts.G))
+		if err := checkSize(fmt.Sprintf("POPS(%d,%d)", ts.T, ts.G), groups.times(uint64(ts.T)), groups.times(uint64(ts.G))); err != nil {
+			return Topology{}, err
+		}
 		nw := pops.New(ts.T, ts.G)
 		return Topology{
 			Name:      fmt.Sprintf("POPS(%d,%d) N=%d couplers=%d", ts.T, ts.G, nw.N(), nw.Couplers()),
@@ -88,6 +103,10 @@ func (ts TopoSpec) Build() (Topology, error) {
 			GroupSize: ts.T,
 		}, nil
 	case "debruijn":
+		nodes := one.pow(ts.D, ts.K)
+		if err := checkSize(fmt.Sprintf("deBruijn(%d,%d)", ts.D, ts.K), nodes, nodes.times(uint64(ts.D))); err != nil {
+			return Topology{}, err
+		}
 		b := kautz.NewDeBruijn(ts.D, ts.K)
 		return Topology{
 			Name: fmt.Sprintf("deBruijn(%d,%d) N=%d links=%d", ts.D, ts.K, b.N(), b.Digraph().M()),
@@ -96,4 +115,57 @@ func (ts TopoSpec) Build() (Topology, error) {
 	default:
 		return Topology{}, fmt.Errorf("sweep: unknown topology family %q (want sk, stackii, pops or debruijn)", ts.Net)
 	}
+}
+
+// maxSize is the most nodes, and the most couplers, a TopoSpec builds. It
+// admits the largest network the repository runs, the de Bruijn B(2,14)
+// (16384 nodes, 32768 links), while a spec such as deBruijn(2,40), whose
+// tables alone would take terabytes, gets an error instead of exhausting
+// memory.
+const maxSize = 1 << 15
+
+// count is a node or coupler count computed without wrapping: n is exact
+// unless over is set, which marks a count of 2^64 or more.
+type count struct {
+	n    uint64
+	over bool
+}
+
+// one is the count 1, the start of every product.
+var one = count{n: 1}
+
+// times returns c·x.
+func (c count) times(x uint64) count {
+	hi, lo := bits.Mul64(c.n, x)
+	return count{n: lo, over: c.over || hi != 0}
+}
+
+// pow returns c·d^e for d >= 1; it stops multiplying once the count is
+// over, so a large e costs at most 64 steps.
+func (c count) pow(d, e int) count {
+	for ; e > 0 && d > 1 && !c.over; e-- {
+		c = c.times(uint64(d))
+	}
+	return c
+}
+
+func (c count) String() string {
+	if c.over {
+		return "over 18446744073709551615"
+	}
+	return strconv.FormatUint(c.n, 10)
+}
+
+// checkSize rejects the network name when its node or coupler count is
+// above maxSize.
+func checkSize(name string, nodes, couplers count) error {
+	for _, c := range []struct {
+		what string
+		n    count
+	}{{"nodes", nodes}, {"couplers", couplers}} {
+		if c.n.over || c.n.n > maxSize {
+			return fmt.Errorf("sweep: %s would have %v %s, more than the limit of %d", name, c.n, c.what, maxSize)
+		}
+	}
+	return nil
 }

@@ -282,6 +282,39 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestOversizedTopologiesRejectedAtSubmit: a grid naming a network above
+// TopoSpec.Build's size ceiling, in any family, gets a 400 with the
+// ceiling's error at submit, and the server keeps serving.
+func TestOversizedTopologiesRejectedAtSubmit(t *testing.T) {
+	ts := newTestServer(t)
+	for _, tc := range []struct{ topo, want string }{
+		{`{"net":"sk","s":4,"d":2,"k":14}`, "sweep: SK(4,2,14) would have 98304 nodes, more than the limit of 32768"},
+		{`{"net":"stackii","s":100,"d":2,"n":1000}`, "sweep: stack-II(100,2,1000) would have 100000 nodes, more than the limit of 32768"},
+		{`{"net":"pops","t":1,"g":200}`, "sweep: POPS(1,200) would have 40000 couplers, more than the limit of 32768"},
+		{`{"net":"debruijn","d":2,"k":40}`, "sweep: deBruijn(2,40) would have 1099511627776 nodes, more than the limit of 32768"},
+		{`{"net":"debruijn","d":2,"k":70}`, "sweep: deBruijn(2,70) would have over 18446744073709551615 nodes, more than the limit of 32768"},
+	} {
+		body := `{"topologies":[{"net":"sk","s":3,"d":2,"k":2},` + tc.topo + `],"slots":10}`
+		resp, err := http.Post(ts.URL+"/api/v1/sweeps", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || string(msg) != "bad grid spec: "+tc.want+"\n" {
+			t.Errorf("%s: status %d, body %q; want 400, error %q", tc.topo, resp.StatusCode, msg, tc.want)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/api/v1/sweeps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("list after the rejections: status %d, want 200", resp.StatusCode)
+	}
+}
+
 func TestListJobs(t *testing.T) {
 	ts := newTestServer(t)
 	spec := testSpec()
